@@ -18,8 +18,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .constructor import assign_placements, orbit_eval, orbit_parts, proximity_bound
-from .criterion import CertificationError, compute_thresholds, unconditional_probe, tail_norm
+from .constructor import assign_placements, orbit_eval, proximity_bound
+from .criterion import CertificationError, compute_thresholds, unconditional_probe
 from .density_partition import PairKey, build_schedule
 from .operators import (
     Differentiation,
@@ -70,9 +70,22 @@ DEFAULTS = {
 }
 
 
-def load_config(path: str) -> configparser.ConfigParser:
+def _parsed(key: str, text, parse):
+    """parse(text), with a bad value reported as a ConfigError naming its key."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {key} = {text!r}: {exc}") from exc
+
+
+def _defaults() -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     cp.read_dict(DEFAULTS)
+    return cp
+
+
+def load_config(path: str) -> configparser.ConfigParser:
+    cp = _defaults()
     try:
         with open(path) as fh:
             cp.read_file(fh, source=path)
@@ -81,10 +94,12 @@ def load_config(path: str) -> configparser.ConfigParser:
     except configparser.Error as exc:
         # configparser messages already carry file/line diagnostics
         raise ConfigError(str(exc)) from exc
-    factor = cp.getfloat("run", "radius_factor")
-    if not factor > 1:
-        raise ConfigError(f"radius_factor must be > 1, got {factor}")
-    if cp.getint("run", "targets") < 1 or cp.getint("run", "horizon") < 1:
+    run = {key: _parsed(key, cp.get("run", key), parse)
+           for key, parse in (("targets", int), ("horizon", int), ("seed", int),
+                              ("probes", int), ("radius_factor", float), ("grid_step", float))}
+    if not run["radius_factor"] > 1:
+        raise ConfigError(f"radius_factor must be > 1, got {run['radius_factor']}")
+    if run["targets"] < 1 or run["horizon"] < 1:
         raise ConfigError("targets and horizon must be >= 1")
     if cp.get("run", "mode") not in ("discrete", "continuous"):
         raise ConfigError("mode must be 'discrete' or 'continuous'")
@@ -101,20 +116,23 @@ def _scalar(text: str, exact: bool):
 
 
 def build_operator(cp: configparser.ConfigParser, exact: bool):
-    kind = cp.get("operator", "kind")
+    """The operator of the [operator] section; the one parser of operator values."""
+    sec = cp["operator"]
+    kind = sec["kind"]
     if kind == "shift":
-        sp = cp.get("operator", "space")
-        space = C0_SEQ if sp == "c0" else SequenceSpace("lp", cp.getfloat("operator", "p"))
-        return WeightedBackwardShift(_scalar(cp.get("operator", "w"), exact), space)
-    if kind == "differentiation":
-        if cp.get("operator", "space") == "ck":
-            model = CkModel(cp.getint("operator", "k"),
-                            cp.getfloat("operator", "a"), cp.getfloat("operator", "b"))
+        if sec["space"] == "c0":
+            space = C0_SEQ
         else:
-            model = HARDY
-        return Differentiation(model)
+            space = _parsed("p", sec["p"], lambda t: SequenceSpace("lp", float(t)))
+        return _parsed("w", sec["w"], lambda t: WeightedBackwardShift(_scalar(t, exact), space))
+    if kind == "differentiation":
+        if sec["space"] != "ck":
+            return Differentiation(HARDY)
+        kab = (_parsed("k", sec["k"], int), _parsed("a", sec["a"], float),
+               _parsed("b", sec["b"], float))
+        return Differentiation(_parsed("k, a, b", kab, lambda t: CkModel(*t)))
     if kind == "translation":
-        return TranslationGenerator(_scalar(cp.get("operator", "lam"), True))
+        return _parsed("lam", sec["lam"], lambda t: TranslationGenerator(_scalar(t, True)))
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -231,42 +249,35 @@ def cmd_partition(args):
     return 0
 
 
-def _op_from_args(args):
-    if args.op == "shift":
-        space = C0_SEQ if args.space == "c0" else SequenceSpace("lp", args.p)
-        w = Fraction(args.w)
-        return WeightedBackwardShift(int(w) if w.denominator == 1 else float(w), space)
-    if args.op == "differentiation":
-        model = CkModel(args.k, args.a, args.b) if args.space == "ck" else HARDY
-        return Differentiation(model)
-    if args.op == "translation":
-        lam = Fraction(args.lam)
-        return TranslationGenerator(int(lam) if lam.denominator == 1 else lam)
-    raise ConfigError(f"unknown operator {args.op!r}")
-
-
 def _add_op_flags(sub):
-    sub.add_argument("--op", default="shift",
+    # one flag per [operator] key (--op is "kind"); unset flags keep DEFAULTS
+    sub.add_argument("--op", dest="kind",
                      choices=["shift", "differentiation", "translation"])
-    sub.add_argument("--w", default="2", help="shift weight base, |w| > 1")
-    sub.add_argument("--space", default="lp", choices=["lp", "c0", "hardy", "ck"])
-    sub.add_argument("--p", type=float, default=2.0)
-    sub.add_argument("--lam", default="1", help="translation growth rate")
-    sub.add_argument("--k", type=int, default=3)
-    sub.add_argument("--a", type=float, default=0.0)
-    sub.add_argument("--b", type=float, default=1.0)
+    sub.add_argument("--w", help="shift weight base, |w| > 1")
+    sub.add_argument("--space", choices=["lp", "c0", "hardy", "ck"])
+    sub.add_argument("--p")
+    sub.add_argument("--lam", help="translation growth rate")
+    sub.add_argument("--k")
+    sub.add_argument("--a")
+    sub.add_argument("--b")
     sub.add_argument("--L", type=int, default=1, help="number of targets")
     sub.add_argument("--rotate", default=None, help="unit scalar twist, e.g. -1 or 1j")
     sub.add_argument("--power", type=int, default=None, help="certify A^r instead")
 
 
 def _cert_from_args(args):
-    cert = make_certificate(_op_from_args(args), args.L)
+    cp = _defaults()
+    for key in DEFAULTS["operator"]:
+        value = getattr(args, key)
+        if value is not None:
+            _parsed(key, value, lambda t: cp.set("operator", key, t))
+    op = build_operator(cp, exact=False)
+    cert = _parsed("--L", args.L, lambda L: make_certificate(op, L))
     if args.rotate is not None:
-        cert = transform_rotation(cert, complex(args.rotate)
-                                  if "j" in args.rotate else Fraction(args.rotate))
+        cert = _parsed("--rotate", args.rotate, lambda t: transform_rotation(
+            cert, complex(t) if "j" in t else Fraction(t)))
     if args.power is not None:
-        cert = transform_power(cert, args.power)
+        cert = _parsed("--power", args.power, lambda r: transform_power(cert, r))
     return cert
 
 

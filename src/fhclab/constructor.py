@@ -13,7 +13,6 @@ inverse-tail bound and reported as an explicit error bar.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 

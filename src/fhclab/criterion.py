@@ -21,22 +21,12 @@ in k.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 
-from .operators import (
-    Differentiation,
-    OperatorCertificate,
-    TranslationGenerator,
-    WeightedBackwardShift,
-    apply_forward,
-    apply_inverse,
-    forward_extinction_index,
-    right_inverse_identity_check,
-)
-from .spaces import PolySeries, SparseVector, accumulate, distance
+from .operators import OperatorCertificate, apply_forward, apply_inverse
+from .spaces import accumulate, distance
 
 _NEGLIGIBLE = 1e-34
 _TINY_FLOOR = 1e-300  # reported lower clamp for positive but subnormal bounds
@@ -85,44 +75,14 @@ class TailCertificate:
 
 
 # --------------------------------------------------------------------------
-# certified ratio bounds for the inverse (decaying) series
+# tails
 
 
-def _inverse_ratio_bound(cert: OperatorCertificate, y, n: int) -> float:
-    """Upper bound on ||G^(n+1) y|| / ||G^n y|| for the decaying action."""
-    r = cert.power
-    op = cert.op
-    if isinstance(op, WeightedBackwardShift):
-        kmin = y.min_index()
-        # one more B^r multiplies each entry by w^-(i + ... + i+r-1), i >= kmin + r*n
-        return abs(op.w) ** -(r * (kmin + r * n))
-    if isinstance(op, Differentiation):
-        from .spaces import CkModel
-
-        jmin = y.min_degree()
-        base = jmin + r * n
-        if isinstance(op.model, CkModel):
-            # C^k sup-norms of antiderivatives lose k derivative factors
-            big = max(abs(op.model.a), abs(op.model.b), 1.0)
-            q = big**r
-            for i in range(1, r + 1):
-                q /= max(1, base + i - op.model.k)
-            return q
-        q = 1.0
-        for i in range(1, r + 1):
-            q /= base + i
-        return q
-    if isinstance(op, TranslationGenerator):
-        return math.exp(-float(op.lam) * r)
-    raise TypeError(f"unknown operator model {op!r}")
-
-
-def _combined(term_norms, mode: str, p: float) -> float:
-    if not term_norms:
-        return 0.0
-    if mode == "triangle":
+def _combined(term_norms, p) -> float:
+    """Norm bound of a sum from its termwise norms; p as in ``combine_mode``."""
+    if p is None:
         return sum(term_norms)
-    if mode == "max":
+    if p == math.inf:
         return max(term_norms)
     return sum(t**p for t in term_norms) ** (1.0 / p)
 
@@ -138,18 +98,11 @@ def tail_norm(cert: OperatorCertificate, y, N: int, direction: str,
     apply_n = apply_inverse if direction == "inverse" else apply_forward
 
     if not decaying:
-        # the growing action dies at a finite extinction index
-        probe = cert if not cert.swapped else _unswapped(cert)
-        ext = forward_extinction_index(probe, y)
+        # the growing action is A^r in either role and dies at a finite index
+        ext = math.ceil(cert.op.extinction(y) / cert.power)
         if N >= ext:
             return 0.0
         return sum(apply_n(cert, y, n).norm() for n in range(N, ext))
-
-    p = 2.0
-    op = cert.op
-    if isinstance(op, WeightedBackwardShift) and op.space.kind == "lp":
-        p = op.space.p
-    mode = _combine_mode_inverse(cert, y)
 
     terms = []
     n = N
@@ -158,37 +111,17 @@ def tail_norm(cert: OperatorCertificate, y, N: int, direction: str,
         t = apply_n(cert, y, n).norm()
         terms.append(t)
         total_hint = max(total_hint, t)
-        q = _inverse_ratio_bound(cert, y, n)
+        q = cert.op.inverse_ratio_bound(y, n, cert.power)
         if q < 1.0 and (t <= _NEGLIGIBLE * max(total_hint, 1.0) or len(terms) >= max_terms):
             remainder = t * q / (1.0 - q)
             break
         n += 1
         if len(terms) > max_terms + 5:
             raise CertificationError("inverse tail did not certify within the term cap")
-    bound = _combined(terms, mode, p) + remainder
+    bound = _combined(terms, cert.op.combine_mode(y)) + remainder
     if 0.0 < bound < _TINY_FLOOR:
         bound = _TINY_FLOOR
     return bound
-
-
-def _combine_mode_inverse(cert, y) -> str:
-    """Combine termwise norms in the space norm when successive inverse terms
-    are provably disjointly supported (single-entry targets), else triangle."""
-    from .spaces import HardyModel
-
-    op = cert.op
-    if isinstance(op, WeightedBackwardShift) and len(y.entries) == 1:
-        return "max" if op.space.kind == "c0" else "lp"
-    if isinstance(op, Differentiation) and isinstance(op.model, HardyModel):
-        if sum(1 for c in y.coeffs if c != 0) == 1:
-            return "lp"
-    return "triangle"
-
-
-def _unswapped(cert: OperatorCertificate):
-    from dataclasses import replace
-
-    return replace(cert, swapped=False)
 
 
 # --------------------------------------------------------------------------

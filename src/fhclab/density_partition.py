@@ -16,7 +16,7 @@ nu, and rank frequencies 2^-j give every set positive lower density.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np

@@ -9,6 +9,16 @@ Three families:
 * the translation generator on C0(R+): one forward step maps f to
   e^lam f(.+1) clipped at 0, one inverse step to e^-lam f(.-1).
 
+Each family is one class that owns everything known about it:
+
+* ``space`` -- where its targets live;
+* ``forward(v, m)``, ``inverse(v, m)`` -- the raw m-step actions A^m, B^m;
+* ``extinction(v)`` -- E with A^m v = 0 for all m >= E;
+* ``inverse_ratio_bound(y, n, r)`` -- a bound on ||B^(r(n+1)) y|| / ||B^(r n) y||;
+* ``combine_mode(y)`` -- the exponent the norms of the terms B^(r n) y
+  combine with: p when they are provably disjointly supported in an l^p
+  norm, inf in c0, None for the triangle inequality.
+
 A certificate bundles an operator with its enumerated targets plus two
 formal transforms: a unit-modulus scalar twist and a power r, acting as
 (twist*A)^(r n) forward and (twist^-1 B)^(r n) backward.  ``swapped``
@@ -23,8 +33,6 @@ from fractions import Fraction
 
 from .spaces import (
     C0_PLUS,
-    CkModel,
-    HalfLineC0,
     HardyModel,
     PiecewiseLinearFn,
     PolySeries,
@@ -50,36 +58,116 @@ class WeightedBackwardShift:
         if abs(self.w) <= 1:
             raise ValueError(f"shift weight must satisfy |w| > 1, got {self.w}")
 
+    def forward(self, v: SparseVector, m: int) -> SparseVector:
+        # entry at index i moves to i-m with weight w^((i-m) + ... + (i-1))
+        out = {}
+        for i, c in v.entries.items():
+            if i > m:
+                expo = m * i - m * (m + 1) // 2
+                out[i - m] = c * self.w**expo
+        return SparseVector(out, v.space)
+
+    def inverse(self, v: SparseVector, m: int) -> SparseVector:
+        # entry at index i moves to i+m with weight w^-(i + ... + (i+m-1));
+        # a Fraction weight keeps this exact, int/float weights underflow gracefully
+        out = {}
+        for i, c in v.entries.items():
+            expo = m * i + m * (m - 1) // 2
+            if isinstance(self.w, Fraction):
+                out[i + m] = c / self.w**expo
+            else:
+                out[i + m] = c * self.w ** (-expo)
+        return SparseVector(out, v.space)
+
+    def extinction(self, v: SparseVector) -> int:
+        return v.max_index()
+
+    def inverse_ratio_bound(self, y: SparseVector, n: int, r: int) -> float:
+        # one more B^r multiplies each entry by w^-(i + ... + i+r-1), i >= kmin + r*n
+        return abs(self.w) ** -(r * (y.min_index() + r * n))
+
+    def combine_mode(self, y: SparseVector):
+        if len(y.entries) != 1:
+            return None
+        return math.inf if self.space.kind == "c0" else self.space.p
+
 
 @dataclass(frozen=True)
 class Differentiation:
-    model: object = field(default_factory=HardyModel)
+    space: object = field(default_factory=HardyModel)  # HardyModel or CkModel
 
-    def base_point(self):
+    def forward(self, v: PolySeries, m: int) -> PolySeries:
+        return PolySeries(v.derivative_coeffs(m), v.model)
+
+    def inverse(self, v: PolySeries, m: int) -> PolySeries:
         # integration starts at 0 on the Hardy model, at a on C^k[a,b]
-        return 0 if isinstance(self.model, HardyModel) else self.model.a
+        a = 0 if isinstance(self.space, HardyModel) else self.space.a
+        coeffs = list(v.coeffs)
+        for _ in range(m):
+            if not coeffs:
+                break
+            anti = [0]
+            for j, c in enumerate(coeffs):
+                if isinstance(c, Fraction) or (isinstance(c, int) and not isinstance(c, bool)):
+                    anti.append(Fraction(c, j + 1))
+                else:
+                    anti.append(c / (j + 1))
+            if a != 0:
+                # enforce F(a) = 0
+                val = 0
+                for c in reversed(anti):
+                    val = val * a + c
+                anti[0] = -val
+            coeffs = anti
+        return PolySeries(coeffs, v.model)
+
+    def extinction(self, v: PolySeries) -> int:
+        return v.degree + 1
+
+    def inverse_ratio_bound(self, y: PolySeries, n: int, r: int) -> float:
+        base = y.min_degree() + r * n
+        if isinstance(self.space, HardyModel):
+            q = 1.0
+            for i in range(1, r + 1):
+                q /= base + i
+            return q
+        # C^k sup-norms of antiderivatives lose k derivative factors
+        model = self.space
+        q = max(abs(model.a), abs(model.b), 1.0) ** r
+        for i in range(1, r + 1):
+            q /= max(1, base + i - model.k)
+        return q
+
+    def combine_mode(self, y: PolySeries):
+        # inverse images of a Hardy monomial are monomials of distinct degrees
+        if isinstance(self.space, HardyModel) and sum(1 for c in y.coeffs if c != 0) == 1:
+            return 2.0
+        return None
 
 
 @dataclass(frozen=True)
 class TranslationGenerator:
     lam: object = 1  # growth rate lambda > 0; keep it an int/Fraction for exactness
+    space = C0_PLUS  # class attribute, not a dataclass field
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("translation generator requires lam > 0")
 
+    def forward(self, f: PiecewiseLinearFn, m: int) -> PiecewiseLinearFn:
+        return plf_shift_left(f, m, dlog=self.lam * m)
 
-OperatorModel = (WeightedBackwardShift, Differentiation, TranslationGenerator)
+    def inverse(self, f: PiecewiseLinearFn, m: int) -> PiecewiseLinearFn:
+        return plf_shift_right(f, m, dlog=-self.lam * m)
 
+    def extinction(self, f: PiecewiseLinearFn):
+        return f.breakpoints[-1] if not f.is_zero() else 0
 
-def target_space(op):
-    if isinstance(op, WeightedBackwardShift):
-        return op.space
-    if isinstance(op, Differentiation):
-        return op.model
-    if isinstance(op, TranslationGenerator):
-        return C0_PLUS
-    raise TypeError(f"unknown operator model {op!r}")
+    def inverse_ratio_bound(self, y: PiecewiseLinearFn, n: int, r: int) -> float:
+        return math.exp(-float(self.lam) * r)
+
+    def combine_mode(self, y: PiecewiseLinearFn):
+        return None
 
 
 @dataclass(frozen=True)
@@ -106,121 +194,40 @@ class OperatorCertificate:
 
 def make_certificate(op, target_count: int, exact: bool = False,
                      scalar_twist=1, power: int = 1) -> OperatorCertificate:
-    targets = tuple(enumerate_targets(target_space(op), target_count, exact=exact))
+    targets = tuple(enumerate_targets(op.space, target_count, exact=exact))
     return OperatorCertificate(op, target_count, targets, scalar_twist, power)
-
-
-# --------------------------------------------------------------------------
-# raw n-step actions (no twist/power bookkeeping)
-
-
-def _shift_forward(op: WeightedBackwardShift, v: SparseVector, m: int) -> SparseVector:
-    # entry at index i moves to i-m with weight w^((i-m) + ... + (i-1))
-    out = {}
-    for i, c in v.entries.items():
-        if i > m:
-            expo = m * i - m * (m + 1) // 2
-            out[i - m] = c * op.w**expo
-    return SparseVector(out, v.space)
-
-
-def _shift_inverse(op: WeightedBackwardShift, v: SparseVector, m: int) -> SparseVector:
-    # entry at index i moves to i+m with weight w^-(i + ... + (i+m-1));
-    # a Fraction weight keeps this exact, int/float weights underflow gracefully
-    out = {}
-    for i, c in v.entries.items():
-        expo = m * i + m * (m - 1) // 2
-        if isinstance(op.w, Fraction):
-            out[i + m] = c / op.w**expo
-        else:
-            out[i + m] = c * op.w ** (-expo)
-    return SparseVector(out, v.space)
-
-
-def _poly_forward(op: Differentiation, v: PolySeries, m: int) -> PolySeries:
-    return PolySeries(v.derivative_coeffs(m), v.model)
-
-
-def _poly_inverse(op: Differentiation, v: PolySeries, m: int) -> PolySeries:
-    a = op.base_point()
-    coeffs = list(v.coeffs)
-    for _ in range(m):
-        if not coeffs:
-            break
-        anti = [0]
-        for j, c in enumerate(coeffs):
-            if isinstance(c, Fraction) or (isinstance(c, int) and not isinstance(c, bool)):
-                anti.append(Fraction(c, j + 1))
-            else:
-                anti.append(c / (j + 1))
-        if a != 0:
-            # enforce F(a) = 0
-            val = 0
-            for c in reversed(anti):
-                val = val * a + c
-            anti[0] = -val
-        coeffs = anti
-    return PolySeries(coeffs, v.model)
-
-
-def _translation_forward(op: TranslationGenerator, f: PiecewiseLinearFn, m: int):
-    return plf_shift_left(f, m, dlog=op.lam * m)
-
-
-def _translation_inverse(op: TranslationGenerator, f: PiecewiseLinearFn, m: int):
-    return plf_shift_right(f, m, dlog=-op.lam * m)
-
-
-_FORWARD = {
-    WeightedBackwardShift: _shift_forward,
-    Differentiation: _poly_forward,
-    TranslationGenerator: _translation_forward,
-}
-_INVERSE = {
-    WeightedBackwardShift: _shift_inverse,
-    Differentiation: _poly_inverse,
-    TranslationGenerator: _translation_inverse,
-}
-
-
-def _twist_scale(v, factor):
-    if factor == 1:
-        return v
-    return v.scaled(factor)
 
 
 # --------------------------------------------------------------------------
 # certificate-level actions
 
 
-def apply_forward(cert: OperatorCertificate, v, n: int):
-    """(twist*A)^(r*n) v, exactly, on the finite representation."""
+def _act(cert: OperatorCertificate, v, n: int, forward_role: bool):
+    """The certificate's forward (or inverse) action applied n times.
+
+    The swap picks which raw action of the operator plays the role; the
+    twist scales the raw forward action by twist^m and the raw inverse one
+    by twist^-m, m = r*n raw steps.
+    """
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     if n == 0:
         return v
     m = cert.power * n
-    raw = _INVERSE if cert.swapped else _FORWARD
-    out = raw[type(cert.op)](cert.op, v, m)
-    tw = cert.scalar_twist
-    if tw == 1:
-        return out
-    return _twist_scale(out, tw**-m if cert.swapped else tw**m)
+    raw_forward = forward_role != cert.swapped
+    out = cert.op.forward(v, m) if raw_forward else cert.op.inverse(v, m)
+    factor = cert.scalar_twist ** (m if raw_forward else -m)
+    return out if factor == 1 else out.scaled(factor)
+
+
+def apply_forward(cert: OperatorCertificate, v, n: int):
+    """(twist*A)^(r*n) v, exactly, on the finite representation."""
+    return _act(cert, v, n, forward_role=True)
 
 
 def apply_inverse(cert: OperatorCertificate, v, n: int):
     """(twist^-1 * B)^(r*n) v."""
-    if n < 0:
-        raise ValueError("iteration count must be >= 0")
-    if n == 0:
-        return v
-    m = cert.power * n
-    raw = _FORWARD if cert.swapped else _INVERSE
-    out = raw[type(cert.op)](cert.op, v, m)
-    tw = cert.scalar_twist
-    if tw == 1:
-        return out
-    return _twist_scale(out, tw**m if cert.swapped else tw**-m)
+    return _act(cert, v, n, forward_role=False)
 
 
 def right_inverse_identity_check(cert: OperatorCertificate, v) -> float:
@@ -235,17 +242,7 @@ def forward_extinction_index(cert: OperatorCertificate, v) -> int:
     """
     if cert.swapped:
         raise ValueError("swapped certificates have no forward extinction")
-    r = cert.power
-    op = cert.op
-    if isinstance(op, WeightedBackwardShift):
-        top = v.max_index()
-    elif isinstance(op, Differentiation):
-        top = v.degree + 1
-    elif isinstance(op, TranslationGenerator):
-        top = v.breakpoints[-1] if not v.is_zero() else 0
-    else:
-        raise TypeError(f"unknown operator model {op!r}")
-    return max(0, math.ceil(top / r))
+    return math.ceil(cert.op.extinction(v) / cert.power)
 
 
 # --------------------------------------------------------------------------

@@ -434,17 +434,12 @@ def _plf_combine(a, u: PiecewiseLinearFn, b, v: PiecewiseLinearFn) -> PiecewiseL
     vals = [a * u.raw_eval(x) + b * v.raw_eval(x) for x in bps]
     # restore endpoint-zero invariants: pad with an implicit zero endpoint
     if vals and vals[0] != 0 and bps[0] != 0:
-        bps.insert(0, u_prev_point(bps[0]))
+        bps.insert(0, bps[0] / 2)
         vals.insert(0, 0)
     if vals and vals[-1] != 0:
         bps.append(bps[-1] + 1)
         vals.append(0)
     return PiecewiseLinearFn(bps, vals, scale)
-
-
-def u_prev_point(x):
-    """A point strictly between 0 and x used to close a combined support."""
-    return x / 2 if x > 0 else 0
 
 
 def accumulate(values):

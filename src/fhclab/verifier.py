@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,39 +83,9 @@ def density_proxy(visits, N: int, window_fraction: float = 0.1) -> float:
 
 
 def discrete_visits(p: FhcPlacement, l: int, epsilon: float, N: int,
-                    window_fraction: float = 0.1,
-                    _distances=None) -> OrbitReport:
+                    window_fraction: float = 0.1) -> OrbitReport:
     """Visit times {n <= N : ||orbit(n) - y_l|| + err < epsilon} and statistics."""
-    if N > p.horizon:
-        raise ValueError("N must not exceed the placement horizon")
-    y = p.cert.target(l)
-    visits = []
-    max_err = 0.0
-    for n in range(1, N + 1):
-        if _distances is not None:
-            d, err = _distances[n - 1]
-        else:
-            vec, err = orbit_eval(p, n)
-            d = distance(vec, y)
-        max_err = max(max_err, err)
-        if d + err < epsilon:
-            visits.append(n)
-    bound = proximity_bound(l)
-    vacuous = not epsilon > bound + max_err
-    key = (l, p.tail_certificate.threshold(l))
-    scheduled = p.schedule.members(key, N)
-    covering = set(scheduled) <= set(visits)
-    return OrbitReport(
-        l=l,
-        epsilon=epsilon,
-        horizon=N,
-        visit_times=visits,
-        density_floor=density_proxy(visits, N, window_fraction) if visits else 0.0,
-        covering_set_check=covering,
-        proof_bound=bound,
-        certified_error=max_err,
-        guarantee_vacuous=vacuous,
-    )
+    return discrete_report(p, {l: epsilon}, N, window_fraction)[0]
 
 
 def discrete_report(p: FhcPlacement, epsilons: dict, N: int,
@@ -129,15 +99,30 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int,
         raise ValueError("N must not exceed the placement horizon")
     ls = sorted(epsilons)
     targets = {l: p.cert.target(l) for l in ls}
-    per_l = {l: [] for l in ls}
+    visits = {l: [] for l in ls}
+    max_err = 0.0
     for n in range(1, N + 1):
         vec, err = orbit_eval(p, n)
+        max_err = max(max_err, err)
         for l in ls:
-            per_l[l].append((distance(vec, targets[l]), err))
-    return [
-        discrete_visits(p, l, epsilons[l], N, window_fraction, _distances=per_l[l])
-        for l in ls
-    ]
+            if distance(vec, targets[l]) + err < epsilons[l]:
+                visits[l].append(n)
+    reports = []
+    for l in ls:
+        bound = proximity_bound(l)
+        scheduled = p.schedule.members((l, p.tail_certificate.threshold(l)), N)
+        reports.append(OrbitReport(
+            l=l,
+            epsilon=epsilons[l],
+            horizon=N,
+            visit_times=visits[l],
+            density_floor=density_proxy(visits[l], N, window_fraction) if visits[l] else 0.0,
+            covering_set_check=set(scheduled) <= set(visits[l]),
+            proof_bound=bound,
+            certified_error=max_err,
+            guarantee_vacuous=not epsilons[l] > bound + max_err,
+        ))
+    return reports
 
 
 # --------------------------------------------------------------------------

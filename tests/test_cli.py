@@ -5,7 +5,14 @@ import os
 
 import pytest
 
-from fhclab.cli import ConfigError, load_config, main
+from fhclab.cli import (
+    ConfigError,
+    _cert_from_args,
+    build_certificate,
+    build_parser,
+    load_config,
+    main,
+)
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "shift_w2.cfg")
 
@@ -130,3 +137,40 @@ class TestFailureModes:
                         "[operator]\nkind = shift\n[run]\nmode = continuous\n"
                         "targets = 1\nhorizon = 20\n")
         assert main(["run", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("argv, body, key", [
+        (["certify", "--w", "1"], None, "w"),
+        (["certify", "--w", "abc"], None, "w"),
+        (["certify", "--op", "translation", "--lam", "0"], None, "lam"),
+        (["certify", "--op", "differentiation", "--space", "ck", "--a", "1", "--b", "0"],
+         None, "k, a, b"),
+        (["certify", "--rotate", "2"], None, "--rotate"),
+        (["certify", "--power", "0"], None, "--power"),
+        (["certify", "--L", "0"], None, "--L"),
+        (["run"], "[operator]\nw = 1/2\n", "w"),
+        (["run"], "[operator]\np = abc\n", "p"),
+        (["run"], "[run]\nhorizon = abc\n", "horizon"),
+    ], ids=["w=1", "w=abc", "lam=0", "ck-a>b", "rotate=2", "power=0", "L=0",
+            "config-w=1/2", "config-p=abc", "config-horizon=abc"])
+    def test_bad_operator_or_run_value_exits_two(self, tmp_path, capsys, argv, body, key):
+        if body is not None:
+            argv = argv + ["--config", write_cfg(tmp_path, body)]
+        assert main(argv) == 2
+        assert f"bad {key} = " in capsys.readouterr().err
+
+
+class TestOperatorParser:
+    @pytest.mark.parametrize("flags, section, L", [
+        (["--op", "shift", "--w", "2"], "kind = shift\nw = 2\n", 3),
+        (["--op", "shift", "--space", "c0", "--w", "3/2"],
+         "kind = shift\nspace = c0\nw = 3/2\n", 2),
+        (["--op", "differentiation", "--space", "hardy"],
+         "kind = differentiation\nspace = hardy\n", 3),
+        (["--op", "differentiation", "--space", "ck", "--k", "3", "--a", "-1", "--b", "1"],
+         "kind = differentiation\nspace = ck\nk = 3\na = -1\nb = 1\n", 1),
+        (["--op", "translation", "--lam", "1/2"], "kind = translation\nlam = 1/2\n", 1),
+    ], ids=["shift-lp", "shift-c0", "hardy", "c3", "translation"])
+    def test_flags_and_config_give_the_same_certificate(self, tmp_path, flags, section, L):
+        args = build_parser().parse_args(["certify", *flags, "--L", str(L)])
+        cfg = write_cfg(tmp_path, f"[operator]\n{section}[run]\ntargets = {L}\n")
+        assert _cert_from_args(args) == build_certificate(load_config(cfg))
