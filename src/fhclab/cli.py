@@ -79,7 +79,8 @@ def _parsed(key: str, text, parse):
 
 
 def _defaults() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    # no %(...)s interpolation: a '%' in a value is just a character
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(DEFAULTS)
     return cp
 
@@ -101,6 +102,10 @@ def load_config(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"radius_factor must be > 1, got {run['radius_factor']}")
     if run["targets"] < 1 or run["horizon"] < 1:
         raise ConfigError("targets and horizon must be >= 1")
+    if not run["grid_step"] > 0:
+        raise ConfigError(f"bad grid_step = {cp.get('run', 'grid_step')!r}: must be > 0")
+    _parsed("inject_bound_violation", cp.get("debug", "inject_bound_violation"),
+            lambda _: cp.getboolean("debug", "inject_bound_violation"))
     if cp.get("run", "mode") not in ("discrete", "continuous"):
         raise ConfigError("mode must be 'discrete' or 'continuous'")
     if cp.get("run", "precision") not in ("float", "rational"):
@@ -315,6 +320,8 @@ def cmd_orbit(args):
     cert = build_certificate(cp)
     tc = compute_thresholds(cert)
     p = assign_placements(tc, horizon=2 * cp.getint("run", "horizon"))
+    if not 0 <= args.n <= p.horizon:
+        raise ConfigError(f"bad n = {args.n}: must lie in [0, {p.horizon}]")
     vec, err = orbit_eval(p, args.n)
     print(f"n={args.n}  ||orbit|| = {vec.norm():.6f}  certified error {err:.3e}")
     for l in range(1, cert.target_count + 1):
@@ -333,11 +340,18 @@ def cmd_density(args):
     return 0
 
 
+def _time(text: str) -> Fraction:
+    t = Fraction(text)
+    if t < 0:
+        raise ValueError("must be >= 0")
+    return t
+
+
 def cmd_semigroup(args):
-    lam = Fraction(args.lam)
-    sg = RegularizedSemigroup(lam=int(lam) if lam.denominator == 1 else lam)
+    sg = _parsed("lam", args.lam, lambda t: RegularizedSemigroup(lam=Fraction(t)))
+    t, s = _parsed("t", args.t, _time), _parsed("s", args.s, _time)
     tent = PiecewiseLinearFn.tent(Fraction(0), Fraction(1), Fraction(2), Fraction(1))
-    res = semigroup_law_residual(sg, Fraction(args.t), Fraction(args.s), tent)
+    res = semigroup_law_residual(sg, t, s, tent)
     print(f"semigroup law residual at (t,s)=({args.t},{args.s}) on the unit tent: {res}")
     bump = PolySeries((0, 0, 1, -2, 1), HARDY)  # x^2 (1-x)^2 on [0,1]
     for h in (1e-2, 1e-3, 1e-4):

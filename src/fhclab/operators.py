@@ -100,26 +100,24 @@ class Differentiation:
         return PolySeries(v.derivative_coeffs(m), v.model)
 
     def inverse(self, v: PolySeries, m: int) -> PolySeries:
-        # integration starts at 0 on the Hardy model, at a on C^k[a,b]
-        a = 0 if isinstance(self.space, HardyModel) else self.space.a
-        coeffs = list(v.coeffs)
-        for _ in range(m):
-            if not coeffs:
-                break
-            anti = [0]
-            for j, c in enumerate(coeffs):
-                if isinstance(c, Fraction) or (isinstance(c, int) and not isinstance(c, bool)):
-                    anti.append(Fraction(c, j + 1))
-                else:
-                    anti.append(c / (j + 1))
-            if a != 0:
-                # enforce F(a) = 0
-                val = 0
-                for c in reversed(anti):
-                    val = val * a + c
-                anti[0] = -val
-            coeffs = anti
-        return PolySeries(coeffs, v.model)
+        # the m-fold antiderivative vanishing to order m at the base point
+        # (0 on the Hardy model, a on C^k[a,b]): in powers of (x - base),
+        # B^m (x - base)^j = j!/(j+m)! (x - base)^(j+m); base is exact so
+        # that Fraction coefficients stay Fractions on C^k with a float a
+        base = 0 if isinstance(self.space, HardyModel) else Fraction(self.space.a)
+        coeffs = _taylor_shift(v.coeffs, base)
+        out = [0] * (len(coeffs) + m)
+        for j, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            if isinstance(c, (int, Fraction)):
+                out[j + m] = Fraction(c) / math.perm(j + m, m)
+            else:
+                # the per-step division chain, so float bits match m single steps
+                for i in range(j + 1, j + m + 1):
+                    c = c / i
+                out[j + m] = c
+        return PolySeries(_taylor_shift(out, -base), v.model)
 
     def extinction(self, v: PolySeries) -> int:
         return v.degree + 1
@@ -143,6 +141,22 @@ class Differentiation:
         if isinstance(self.space, HardyModel) and sum(1 for c in y.coeffs if c != 0) == 1:
             return 2.0
         return None
+
+
+def _taylor_shift(coeffs, a) -> list:
+    """Coefficients of p(x + a) from those of p(x), by repeated synthetic division.
+
+    Zero coefficients are never multiplied, so int 0 stays int 0, and a
+    Fraction ``a`` keeps the scalar type of the polynomial (Fraction * float
+    is float).  For a = 0 this is a copy.
+    """
+    c = list(coeffs)
+    if a != 0:
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                if c[j + 1] != 0:
+                    c[j] = c[j] + a * c[j + 1]
+    return c
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,16 @@ class TestSubcommands:
                      "--power", "2"]) == 0
         assert "N_1 = 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, thresholds", [
+        (["--k", "3", "--a", "-1", "--b", "1", "--L", "1"], ["N_1 = 8"]),
+        (["--k", "2", "--a", "0.5", "--b", "2", "--L", "2"], ["N_1 = 6", "N_2 = 7"]),
+    ], ids=["c3[-1,1]", "c2[0.5,2]"])
+    def test_certify_ck_off_origin(self, capsys, flags, thresholds):
+        # the antiderivative's Taylor shift to the base point a != 0 must keep N_l
+        assert main(["certify", "--op", "differentiation", "--space", "ck", *flags]) == 0
+        out = capsys.readouterr().out
+        assert [line.split("  ")[0] for line in out.splitlines()] == thresholds
+
     def test_semigroup_reports_zero_law_residual(self, capsys):
         assert main(["semigroup"]) == 0
         out = capsys.readouterr().out
@@ -105,6 +115,10 @@ class TestRun:
         cp = load_config(REPO_CONFIG)
         assert cp.getint("run", "targets") == 5
 
+    def test_percent_in_a_value_is_plain_text(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[output]\ncsv = 100%.csv\n")
+        assert load_config(cfg).get("output", "csv") == "100%.csv"
+
 
 class TestFailureModes:
     def test_injected_violation_exits_one(self, tmp_path, capsys):
@@ -150,10 +164,23 @@ class TestFailureModes:
         (["run"], "[operator]\nw = 1/2\n", "w"),
         (["run"], "[operator]\np = abc\n", "p"),
         (["run"], "[run]\nhorizon = abc\n", "horizon"),
+        (["run"], "[operator]\nw = 2%\n", "w"),
+        (["run"], "[run]\nmode = continuous\ngrid_step = 0\n", "grid_step"),
+        (["run"], "[run]\ngrid_step = -0.1\n", "grid_step"),
+        (["run"], "[debug]\ninject_bound_violation = maybe\n", "inject_bound_violation"),
+        (["semigroup", "--lam", "0"], None, "lam"),
+        (["semigroup", "--t", "abc"], None, "t"),
+        (["semigroup", "--s", "-1"], None, "s"),
+        (["orbit", "--n", "99999"], SMALL_RUN, "n"),
+        (["orbit", "--n", "-1"], SMALL_RUN, "n"),
     ], ids=["w=1", "w=abc", "lam=0", "ck-a>b", "rotate=2", "power=0", "L=0",
-            "config-w=1/2", "config-p=abc", "config-horizon=abc"])
+            "config-w=1/2", "config-p=abc", "config-horizon=abc", "config-w=2%",
+            "config-grid_step=0", "config-grid_step<0", "config-inject=maybe",
+            "semigroup-lam=0", "semigroup-t=abc", "semigroup-s<0",
+            "orbit-n-past-horizon", "orbit-n<0"])
     def test_bad_operator_or_run_value_exits_two(self, tmp_path, capsys, argv, body, key):
         if body is not None:
+            body = body.format(out=tmp_path)
             argv = argv + ["--config", write_cfg(tmp_path, body)]
         assert main(argv) == 2
         assert f"bad {key} = " in capsys.readouterr().err

@@ -107,6 +107,69 @@ class TestDifferentiationCk:
         assert out.coeffs == [0, Fraction(1)]
 
 
+def _stepwise_inverse(space, coeffs, m):
+    """Reference B^m: m single integration steps, each fixing F(base) = 0."""
+    a = 0 if space == HARDY else space.a
+    coeffs = list(coeffs)
+    for _ in range(m):
+        if not coeffs:
+            break
+        anti = [0]
+        for j, c in enumerate(coeffs):
+            if isinstance(c, Fraction) or (isinstance(c, int) and not isinstance(c, bool)):
+                anti.append(Fraction(c, j + 1))
+            else:
+                anti.append(c / (j + 1))
+        if a != 0:
+            val = 0
+            for c in reversed(anti):
+                val = val * a + c
+            anti[0] = -val
+        coeffs = anti
+    return PolySeries(coeffs, space)
+
+
+class TestClosedFormInverse:
+    """Differentiation.inverse (closed form) against the stepwise reference."""
+
+    coeffs = st.lists(st.one_of(st.just(0), st.fractions(-10, 10, max_denominator=50)),
+                      max_size=7)
+    spaces = st.sampled_from([HARDY] + [CkModel(3, a, a + 2)
+                                        for a in (Fraction(0), Fraction(-1), Fraction(1, 2))])
+
+    @given(spaces, coeffs, st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_mode_equals_stepwise(self, space, coeffs, m):
+        v = PolySeries(coeffs, space)
+        out = Differentiation(space).inverse(v, m)
+        assert out == _stepwise_inverse(space, v.coeffs, m)
+        assert all(isinstance(c, (int, Fraction)) for c in out.coeffs)
+
+    @given(spaces, coeffs, st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_float_mode_stays_float(self, space, coeffs, m):
+        v = PolySeries([float(c) for c in coeffs], space)
+        out = Differentiation(space).inverse(v, m)
+        assert not any(isinstance(c, Fraction) for c in out.coeffs)
+        if space == HARDY or space.a == 0:
+            ref = _stepwise_inverse(space, v.coeffs, m).coeffs
+            assert [float(c).hex() for c in out.coeffs] == [float(c).hex() for c in ref]
+            assert all(type(c) is int for c in out.coeffs if c == 0)
+        else:
+            # the Taylor shift may round differently; it must stay near the exact value
+            exact = _stepwise_inverse(space, PolySeries(coeffs, space).coeffs, m).coeffs
+            pad = max(len(out.coeffs), len(exact))
+            got = out.coeffs + [0] * (pad - len(out.coeffs))
+            want = exact + [0] * (pad - len(exact))
+            assert all(abs(g - float(w)) <= 1e-9 for g, w in zip(got, want))
+
+    def test_complex_coefficients_keep_the_division_chain(self):
+        v = PolySeries([1 + 2j, 0.0, -0.5j], HARDY)
+        out = Differentiation(HARDY).inverse(v, 7)
+        assert out.coeffs == _stepwise_inverse(HARDY, v.coeffs, 7).coeffs
+        assert all(isinstance(c, complex) for c in out.coeffs if c != 0)
+
+
 class TestTranslation:
     def setup_method(self):
         self.cert = make_certificate(TranslationGenerator(1), 1)
