@@ -86,23 +86,23 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     )
 
 
-def _backward_window(tc: TailCertificate, goal: float = 1e-30, cap: int = 4096):
-    """Smallest window K with sum_l tail(y_l, K+1) <= goal (or the cap)."""
-    cert = tc.cert
-    K = max(rec.N for rec in tc.records)
-    while K < cap:
-        tail = sum(
-            tail_norm(cert, cert.target(l), K + 1, "inverse")
-            for l in range(1, cert.target_count + 1)
-        )
-        if tail <= goal:
-            return K, tail
-        K *= 2
-    tail = sum(
-        tail_norm(cert, cert.target(l), cap + 1, "inverse")
+def _inverse_tail(cert, K: int) -> float:
+    """sum_l tail_norm(y_l, K, "inverse"), summed in target order."""
+    return sum(
+        tail_norm(cert, cert.target(l), K, "inverse")
         for l in range(1, cert.target_count + 1)
     )
-    return cap, tail
+
+
+def _backward_window(tc: TailCertificate, goal: float = 1e-30, cap: int = 4096):
+    """Smallest window K with sum_l tail(y_l, K+1) <= goal (or the cap)."""
+    K = max(rec.N for rec in tc.records)
+    while True:
+        K = min(K, cap)
+        tail = _inverse_tail(tc.cert, K + 1)
+        if tail <= goal or K == cap:
+            return K, tail
+        K *= 2
 
 
 def _zero_like(cert):
@@ -119,11 +119,7 @@ def materialize(p: FhcPlacement, M: int):
         for n in p.placed_ns[: bisect_right(p.placed_ns, M)]
     ]
     vec = accumulate(terms) if terms else _zero_like(cert)
-    tail = sum(
-        tail_norm(cert, cert.target(l), max(M + 1, 1), "inverse")
-        for l in range(1, cert.target_count + 1)
-    )
-    return vec, tail
+    return vec, _inverse_tail(cert, max(M + 1, 1))
 
 
 def orbit_parts(p: FhcPlacement, n: int):
@@ -155,10 +151,7 @@ def orbit_parts(p: FhcPlacement, n: int):
     if window == p.backward_window:
         err = p.backward_tail
     else:
-        err = sum(
-            tail_norm(cert, cert.target(l), window + 1, "inverse")
-            for l in range(1, cert.target_count + 1)
-        )
+        err = _inverse_tail(cert, window + 1)
     return fwd, middle, bwd, err
 
 

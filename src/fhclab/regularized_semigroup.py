@@ -138,12 +138,14 @@ class SolutionOrbit:
     """
 
     placement: FhcPlacement
-    sg: RegularizedSemigroup
+    sg: RegularizedSemigroup = None  # default: the certificate's own growth rate
 
     def __post_init__(self):
         op = self.placement.cert.op
         if not isinstance(op, TranslationGenerator):
             raise TypeError("solution orbits require a translation certificate")
+        if self.sg is None:
+            self.sg = RegularizedSemigroup(lam=op.lam)
         if op.lam != self.sg.lam:
             raise ValueError("semigroup and certificate growth rates differ")
 
@@ -195,9 +197,4 @@ class SolutionOrbit:
 
 
 def solution_orbit(placement: FhcPlacement, sg: RegularizedSemigroup = None) -> SolutionOrbit:
-    op = placement.cert.op
-    if not isinstance(op, TranslationGenerator):
-        raise TypeError("solution orbits require a translation certificate")
-    if sg is None:
-        sg = RegularizedSemigroup(lam=op.lam)
     return SolutionOrbit(placement, sg)

@@ -16,8 +16,10 @@ every operation that is algebraically rational.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -301,9 +303,7 @@ class PiecewiseLinearFn:
             if bp and x == bp[0]:
                 return v[0]
             return 0
-        import bisect
-
-        i = bisect.bisect_right(bp, x) - 1
+        i = bisect_right(bp, x) - 1
         if bp[i] == x:
             return v[i]
         t = (x - bp[i]) / (bp[i + 1] - bp[i])
@@ -540,8 +540,6 @@ def _plf_candidates(budget: int):
 
 
 def _interior_choices(j0, jlast):
-    from itertools import combinations
-
     inner = list(range(j0 + 1, jlast))
     for r in range(1, len(inner) + 1):
         yield from combinations(inner, r)

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class OrbitReport:
     covering_set_check: bool
     proof_bound: float
     certified_error: float
+    # discrete: max of ||orbit(n) - y_l|| + err over scheduled n <= N (0.0 if none)
+    worst_scheduled: float = 0.0
     guarantee_vacuous: bool = False
     mode: str = "discrete"
     # continuous-mode extras
@@ -50,25 +52,8 @@ class OrbitReport:
     continuity_window: float = 0.0
 
     def to_json_dict(self):
-        return {
-            "l": self.l,
-            "epsilon": self.epsilon,
-            "horizon": self.horizon,
-            "visit_times": self.visit_times,
-            "density_floor": self.density_floor,
-            "covering_set_check": self.covering_set_check,
-            "proof_bound": self.proof_bound,
-            "certified_error": self.certified_error,
-            "guarantee_vacuous": self.guarantee_vacuous,
-            "mode": self.mode,
-            "inner_measure": self.inner_measure,
-            "outer_measure": self.outer_measure,
-            "continuity_window": self.continuity_window,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls(**obj)
+        # shallow: dataclasses.asdict would deep-copy every visit time
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def density_proxy(visits, N: int, window_fraction: float = 0.1) -> float:
@@ -93,33 +78,40 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int,
     """Reports for several targets sharing one orbit sweep.
 
     ``epsilons`` maps l -> radius.  The orbit is evaluated once per n and
-    compared against every requested target.
+    compared against every requested target; the same distances give each
+    target's worst scheduled distance (n scheduled for l iff z_n = y_l) and
+    with it the covering check.
     """
     if N > p.horizon:
         raise ValueError("N must not exceed the placement horizon")
     ls = sorted(epsilons)
     targets = {l: p.cert.target(l) for l in ls}
     visits = {l: [] for l in ls}
+    worst = dict.fromkeys(ls, 0.0)
     max_err = 0.0
     for n in range(1, N + 1):
         vec, err = orbit_eval(p, n)
         max_err = max(max_err, err)
+        scheduled = p.placements.get(n)
         for l in ls:
-            if distance(vec, targets[l]) + err < epsilons[l]:
+            d = distance(vec, targets[l]) + err
+            if d < epsilons[l]:
                 visits[l].append(n)
+            if l == scheduled:
+                worst[l] = max(worst[l], d)
     reports = []
     for l in ls:
         bound = proximity_bound(l)
-        scheduled = p.schedule.members((l, p.tail_certificate.threshold(l)), N)
         reports.append(OrbitReport(
             l=l,
             epsilon=epsilons[l],
             horizon=N,
             visit_times=visits[l],
             density_floor=density_proxy(visits[l], N, window_fraction) if visits[l] else 0.0,
-            covering_set_check=set(scheduled) <= set(visits[l]),
+            covering_set_check=worst[l] < epsilons[l],
             proof_bound=bound,
             certified_error=max_err,
+            worst_scheduled=worst[l],
             guarantee_vacuous=not epsilons[l] > bound + max_err,
         ))
     return reports
@@ -170,7 +162,9 @@ def continuous_visits(orbit, target, epsilon: float, t_max: float,
     classified with the orbit's certified Lipschitz modulus: inner cells
     are provably inside the visit set, outer cells possibly intersect it.
     Certified integer-visit windows [n, n + delta] from the continuity
-    argument are united into the inner estimate.
+    argument are united into the inner estimate.  ``covering_set_check``
+    is inner measure >= delta * len(visit_times), the visit times being the
+    integer parts of the inner intervals' left ends.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -181,7 +175,6 @@ def continuous_visits(orbit, target, epsilon: float, t_max: float,
     n_cells = int(math.ceil(t_max / grid_step))
     inner_intervals = []
     outer_measure = 0.0
-    visit_cells = []
     for i in range(n_cells):
         t0 = i * grid_step
         t1 = min(t_max, t0 + grid_step)
@@ -190,7 +183,6 @@ def continuous_visits(orbit, target, epsilon: float, t_max: float,
         lip = orbit.lipschitz_bound(t0, t1)
         if d + err + lip * (t1 - t0) < epsilon:
             inner_intervals.append((t0, t1))
-            visit_cells.append(t0)
         if d - err - lip * (t1 - t0) < epsilon:
             outer_measure += t1 - t0
 
@@ -211,7 +203,7 @@ def continuous_visits(orbit, target, epsilon: float, t_max: float,
         horizon=t_max,
         visit_times=visits,
         density_floor=inner / t_max if t_max > 0 else 0.0,
-        covering_set_check=inner >= delta * certified_count - 1e-12,
+        covering_set_check=inner >= delta * len(visits),
         proof_bound=delta * certified_count,
         certified_error=0.0,
         mode="continuous",
@@ -276,4 +268,4 @@ def report_export(reports, csv_path=None, json_path=None):
 
 def report_import(json_path):
     with open(json_path) as fh:
-        return [OrbitReport.from_json_dict(obj) for obj in json.load(fh)]
+        return [OrbitReport(**obj) for obj in json.load(fh)]

@@ -1,10 +1,12 @@
 """End-to-end runner: subcommands, config validation, determinism, exit codes."""
 
 import configparser
+import io
 import os
 
 import pytest
 
+from fhclab import cli, verifier
 from fhclab.cli import (
     ConfigError,
     _cert_from_args,
@@ -12,6 +14,7 @@ from fhclab.cli import (
     build_parser,
     load_config,
     main,
+    run_pipeline,
 )
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "shift_w2.cfg")
@@ -37,6 +40,23 @@ probes = 10
 dir = {out}
 csv = report.csv
 json = report.json
+"""
+
+
+CONTINUOUS_RUN = """\
+[operator]
+kind = translation
+lam = 1
+
+[run]
+targets = 1
+horizon = 10
+mode = continuous
+grid_step = 0.1
+
+[output]
+dir = {out}
+csv = report.csv
 """
 
 
@@ -92,8 +112,31 @@ class TestRun:
         cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path))
         main(["run", "--config", cfg])
         first = (tmp_path / "report.csv").read_bytes()
+        first_json = (tmp_path / "report.json").read_bytes()
         main(["run", "--config", cfg])
         assert (tmp_path / "report.csv").read_bytes() == first
+        assert (tmp_path / "report.json").read_bytes() == first_json
+
+    def test_discrete_run_evaluates_each_orbit_point_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = verifier.orbit_eval
+
+        def counted(p, n):
+            calls.append(n)
+            return real(p, n)
+
+        monkeypatch.setattr(verifier, "orbit_eval", counted)
+        monkeypatch.setattr(cli, "orbit_eval", counted)
+        cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path))
+        run_pipeline(load_config(cfg), out=io.StringIO())
+        assert calls == list(range(1, 101))
+
+    def test_continuous_run_exits_zero_and_writes_csv(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CONTINUOUS_RUN.format(out=tmp_path))
+        assert main(["run", "--config", cfg]) == 0
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].split(",")[5] == "true"
+        assert "all certified invariants hold" in capsys.readouterr().out
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path / "ignored"))
@@ -127,6 +170,13 @@ class TestFailureModes:
         assert main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "INVARIANT FAILED" in err and "orbit proximity" in err
+
+    def test_injected_continuous_violation_exits_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CONTINUOUS_RUN.format(out=tmp_path)
+                        + "\n[debug]\ninject_bound_violation = true\n")
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "INVARIANT FAILED" in err and "continuous-visit inner measure" in err
 
     def test_radius_factor_at_most_one_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[run]\nradius_factor = 1.0\n")

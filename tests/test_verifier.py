@@ -1,18 +1,22 @@
 """Visit statistics, density floors, report schema, continuous measure."""
 
 import json
+import math
 import os
 
 import pytest
 
-from fhclab.constructor import assign_placements, proximity_bound
+from fhclab.constructor import assign_placements, orbit_eval, proximity_bound
 from fhclab.criterion import compute_thresholds
 from fhclab.operators import (
     TranslationGenerator,
     WeightedBackwardShift,
     make_certificate,
+    transform_power,
+    transform_rotation,
 )
 from fhclab.regularized_semigroup import solution_orbit
+from fhclab.spaces import distance
 from fhclab.verifier import (
     OrbitReport,
     continuity_window,
@@ -76,6 +80,51 @@ class TestDiscreteVisits:
     def test_horizon_beyond_placement_rejected(self):
         with pytest.raises(ValueError):
             discrete_visits(self.p, 1, 1.0, self.p.horizon + 1)
+
+
+def revisit_worst(p, l, N):
+    """Oracle: re-evaluate every scheduled n <= N of A(l, N_l) on its own."""
+    key = (l, p.tail_certificate.threshold(l))
+    scheduled = p.schedule.members(key, N)
+    worst = 0.0
+    for n in scheduled:
+        vec, err = orbit_eval(p, n)
+        worst = max(worst, distance(vec, p.cert.target(l)) + err)
+    return scheduled, worst
+
+
+class TestWorstScheduled:
+    @pytest.mark.parametrize("cert, horizon", [
+        (make_certificate(WeightedBackwardShift(2), 2), 400),
+        (transform_rotation(make_certificate(WeightedBackwardShift(2), 3), -1), 1000),
+        (transform_power(make_certificate(WeightedBackwardShift(2), 3), 2), 1000),
+    ], ids=["shift-L2", "rotated", "powered"])
+    def test_equals_revisit_loop(self, cert, horizon):
+        p = assign_placements(compute_thresholds(cert), horizon)
+        N = horizon // 2
+        eps = {l: 1.2 * proximity_bound(l) for l in range(1, cert.target_count + 1)}
+        for rep in discrete_report(p, eps, N):
+            scheduled, worst = revisit_worst(p, rep.l, N)
+            assert scheduled
+            assert rep.worst_scheduled == worst
+            assert rep.worst_scheduled <= rep.proof_bound
+            assert rep.covering_set_check == (set(scheduled) <= set(rep.visit_times))
+
+    def test_covering_check_at_the_boundary(self):
+        # a radius equal to the worst scheduled distance leaves that n unvisited
+        p = shift_placement()
+        for l in (1, 2):
+            scheduled, worst = revisit_worst(p, l, 200)
+            for eps, covered in ((worst, False), (math.nextafter(worst, math.inf), True)):
+                rep = discrete_visits(p, l, eps, 200)
+                assert rep.covering_set_check is covered
+                assert (set(scheduled) <= set(rep.visit_times)) is covered
+
+    def test_zero_without_scheduled_times(self):
+        p = shift_placement()
+        first = min(p.schedule.members((2, p.tail_certificate.threshold(2)), 200))
+        rep = discrete_visits(p, 2, 1.2 * proximity_bound(2), first - 1)
+        assert rep.worst_scheduled == 0.0 and rep.covering_set_check
 
 
 class TestReportIO:
