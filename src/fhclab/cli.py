@@ -193,9 +193,8 @@ def run_pipeline(cp: configparser.ConfigParser, out=sys.stdout):
         epsilons = {l: factor * proximity_bound(l)
                     for l in range(1, cert.target_count + 1)}
         reports = discrete_report(p, epsilons, N)
-        scale = 0.0 if inject else 1.0
         for rep in reports:
-            if rep.worst_scheduled > scale * rep.proof_bound:
+            if inject or rep.worst_scheduled > rep.proof_bound:
                 raise InvariantFailure(
                     f"orbit proximity <= 5/2^l, l={rep.l}: worst scheduled "
                     f"distance {rep.worst_scheduled!r}"

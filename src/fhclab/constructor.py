@@ -21,6 +21,9 @@ from .density_partition import PairKey, PartitionSchedule, build_schedule
 from .operators import apply_forward, apply_inverse, forward_extinction_index
 from .spaces import accumulate, linear_combine
 
+_WINDOW_GOAL = 1e-30  # summed inverse tail the backward window aims for
+_WINDOW_CAP = 4096  # the window never grows past this; the tail is reported instead
+
 
 def proximity_bound(l: int) -> float:
     """The proof's orbit-to-target bound 5/2^l (= 2/2^l + 2/2^l + 1/2^l)."""
@@ -94,19 +97,15 @@ def _inverse_tail(cert, K: int) -> float:
     )
 
 
-def _backward_window(tc: TailCertificate, goal: float = 1e-30, cap: int = 4096):
-    """Smallest window K with sum_l tail(y_l, K+1) <= goal (or the cap)."""
+def _backward_window(tc: TailCertificate):
+    """Smallest window K with sum_l tail(y_l, K+1) <= _WINDOW_GOAL (or the cap)."""
     K = max(rec.N for rec in tc.records)
     while True:
-        K = min(K, cap)
+        K = min(K, _WINDOW_CAP)
         tail = _inverse_tail(tc.cert, K + 1)
-        if tail <= goal or K == cap:
+        if tail <= _WINDOW_GOAL or K == _WINDOW_CAP:
             return K, tail
         K *= 2
-
-
-def _zero_like(cert):
-    return apply_inverse(cert, cert.target(1), 1).scaled(0)
 
 
 def materialize(p: FhcPlacement, M: int):
@@ -118,7 +117,7 @@ def materialize(p: FhcPlacement, M: int):
         apply_inverse(cert, p.target_of(n), n)
         for n in p.placed_ns[: bisect_right(p.placed_ns, M)]
     ]
-    vec = accumulate(terms) if terms else _zero_like(cert)
+    vec = accumulate(terms) if terms else cert.target(1).scaled(0)
     return vec, _inverse_tail(cert, max(M + 1, 1))
 
 
@@ -133,7 +132,7 @@ def orbit_parts(p: FhcPlacement, n: int):
         raise ValueError("n must lie in [0, horizon]")
     cert = p.cert
     ns = p.placed_ns
-    zero = _zero_like(cert)
+    zero = cert.target(1).scaled(0)  # A and B keep the space, so this is its zero
 
     lo = bisect_left(ns, max(1, n - p.forward_window))
     hi = bisect_left(ns, n)

@@ -30,6 +30,8 @@ from .spaces import accumulate, distance
 
 _NEGLIGIBLE = 1e-34
 _TINY_FLOOR = 1e-300  # reported lower clamp for positive but subnormal bounds
+_MAX_TERMS = 600  # inverse terms summed before the geometric remainder closes the tail
+_PROBE_WINDOW = 64  # sub-sums are drawn from F ⊂ (N, N + _PROBE_WINDOW]
 
 
 class CertificationError(Exception):
@@ -87,8 +89,7 @@ def _combined(term_norms, p) -> float:
     return sum(t**p for t in term_norms) ** (1.0 / p)
 
 
-def tail_norm(cert: OperatorCertificate, y, N: int, direction: str,
-              max_terms: int = 600) -> float:
+def tail_norm(cert: OperatorCertificate, y, N: int, direction: str) -> float:
     """Certified upper bound on the tail of the forward or inverse series."""
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
@@ -112,11 +113,11 @@ def tail_norm(cert: OperatorCertificate, y, N: int, direction: str,
         terms.append(t)
         total_hint = max(total_hint, t)
         q = cert.op.inverse_ratio_bound(y, n, cert.power)
-        if q < 1.0 and (t <= _NEGLIGIBLE * max(total_hint, 1.0) or len(terms) >= max_terms):
+        if q < 1.0 and (t <= _NEGLIGIBLE * max(total_hint, 1.0) or len(terms) >= _MAX_TERMS):
             remainder = t * q / (1.0 - q)
             break
         n += 1
-        if len(terms) > max_terms + 5:
+        if len(terms) > _MAX_TERMS + 5:
             raise CertificationError("inverse tail did not certify within the term cap")
     bound = _combined(terms, cert.op.combine_mode(y)) + remainder
     if 0.0 < bound < _TINY_FLOOR:
@@ -165,24 +166,22 @@ def compute_thresholds(cert: OperatorCertificate, search_cap: int = 10_000) -> T
 # randomized probes of unconditional convergence
 
 
-def unconditional_probe(cert: OperatorCertificate, y, N: int, trials: int, seed: int,
-                        direction: str = "inverse", window: int = 64) -> float:
-    """Max over random finite F ⊂ (N, N+window] of || sum_{n in F} G^n y ||.
+def unconditional_probe(cert: OperatorCertificate, y, N: int, trials: int, seed: int) -> float:
+    """Max over random finite F ⊂ (N, N+64] of || sum_{n in F} B^n y ||.
 
     Deterministic given the seed; the result never exceeds
-    tail_norm(cert, y, N+1, direction).
+    tail_norm(cert, y, N+1, "inverse").
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    apply_n = apply_inverse if direction == "inverse" else apply_forward
     rng = random.Random(seed)
-    lo, hi = N + 1, N + window
+    lo, hi = N + 1, N + _PROBE_WINDOW
     best = 0.0
     for _ in range(trials):
-        size = rng.randint(0, min(window, 12))
+        size = rng.randint(0, min(_PROBE_WINDOW, 12))
         if size == 0:
             continue
         F = rng.sample(range(lo, hi + 1), size)
-        vec = accumulate([apply_n(cert, y, n) for n in F])
+        vec = accumulate([apply_inverse(cert, y, n) for n in F])
         best = max(best, vec.norm())
     return best

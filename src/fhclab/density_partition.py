@@ -118,10 +118,7 @@ class PartitionSchedule:
         """min over n in [window_start, horizon] of |A(key) ∩ [1, n]| / n."""
         if not window_start < horizon:
             raise ValueError("window_start must be < horizon")
-        mem = np.asarray(self.members(key, horizon), dtype=np.int64)
-        ns = np.arange(max(window_start, 1), horizon + 1, dtype=np.int64)
-        counts = np.searchsorted(mem, ns, side="right")
-        return float(np.min(counts / ns))
+        return running_density_floor(self.members(key, horizon), max(window_start, 1), horizon)
 
     def analytic_density(self, key) -> float:
         """Long-run density of A(key) under the block construction."""
@@ -147,6 +144,13 @@ class PartitionSchedule:
             w = csv.writer(fh)
             w.writerow(["n", "l", "nu"])
             w.writerows(rows)
+
+
+def running_density_floor(members, start: int, stop: int) -> float:
+    """min over n in [start, stop] of |members ∩ [1, n]| / n, members ascending, start >= 1."""
+    ns = np.arange(start, stop + 1, dtype=np.int64)
+    counts = np.searchsorted(np.asarray(members, dtype=np.int64), ns, side="right")
+    return float(np.min(counts / ns))
 
 
 def build_schedule(pairs) -> PartitionSchedule:

@@ -189,7 +189,6 @@ class OperatorCertificate:
     """Operator + right inverse + enumerated dense targets (the criterion data)."""
 
     op: object
-    target_count: int
     targets: tuple
     scalar_twist: object = 1
     power: int = 1
@@ -201,15 +200,19 @@ class OperatorCertificate:
         if abs(abs(self.scalar_twist) - 1) > 1e-12:
             raise ValueError("scalar twist must have unit modulus")
 
+    @property
+    def target_count(self) -> int:
+        return len(self.targets)
+
     def target(self, l: int):
         """1-based target y_l."""
         return self.targets[l - 1]
 
 
-def make_certificate(op, target_count: int, exact: bool = False,
-                     scalar_twist=1, power: int = 1) -> OperatorCertificate:
+def make_certificate(op, target_count: int, exact: bool = False) -> OperatorCertificate:
+    """Twist 1, power 1; ``transform_rotation``/``transform_power`` set the others."""
     targets = tuple(enumerate_targets(op.space, target_count, exact=exact))
-    return OperatorCertificate(op, target_count, targets, scalar_twist, power)
+    return OperatorCertificate(op, targets)
 
 
 # --------------------------------------------------------------------------

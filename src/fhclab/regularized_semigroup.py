@@ -27,6 +27,9 @@ from .spaces import (
     plf_shift_left,
 )
 
+_BUMP_SUPPORT = (0.0, 1.0)  # generator_residual's bump lives on [0, 1], zero outside
+_GRID_POINTS = 2001  # sup-norm grid of generator_residual over the support
+
 
 @dataclass(frozen=True)
 class IdentityMultiplier:
@@ -90,13 +93,13 @@ def semigroup_law_residual(sg: RegularizedSemigroup, t, s, f: PiecewiseLinearFn)
     return distance(lhs, rhs)
 
 
-def generator_residual(sg: RegularizedSemigroup, f: PolySeries, t_step,
-                       support=(0.0, 1.0), grid_points: int = 2001) -> float:
+def generator_residual(sg: RegularizedSemigroup, f: PolySeries, t_step) -> float:
     """Sup-grid norm of C^-1[(W(h)f - Cf)/h] - (f' + lam f) for a smooth bump.
 
-    ``f`` is a polynomial on the support window, extended by zero; it must
-    vanish to first order at the right endpoint for the extension to stay
-    C^1.  First-order in t_step by construction.
+    ``f`` is a polynomial on [0, 1], extended by zero; it must vanish to
+    first order at 1 for the extension to stay C^1.  The norm is taken on
+    2001 equally spaced points of [0, 1].  First-order in t_step by
+    construction.
     """
     if not isinstance(f, PolySeries):
         raise TypeError("generator recovery needs a smooth polynomial bump")
@@ -104,10 +107,10 @@ def generator_residual(sg: RegularizedSemigroup, f: PolySeries, t_step,
         raise ValueError("t_step must be positive")
     if not isinstance(sg.C, IdentityMultiplier):
         raise TypeError("generator recovery is implemented for the identity multiplier")
-    lo, hi = support
+    lo, hi = _BUMP_SUPPORT
     lam = float(sg.lam)
     h = float(t_step)
-    xs = np.linspace(lo, hi, grid_points)
+    xs = np.linspace(lo, hi, _GRID_POINTS)
     dcoeffs = f.derivative_coeffs(1)
 
     def ev(coeffs, pts):
@@ -138,16 +141,13 @@ class SolutionOrbit:
     """
 
     placement: FhcPlacement
-    sg: RegularizedSemigroup = None  # default: the certificate's own growth rate
+    sg: RegularizedSemigroup = field(init=False)  # the certificate's own growth rate
 
     def __post_init__(self):
         op = self.placement.cert.op
         if not isinstance(op, TranslationGenerator):
             raise TypeError("solution orbits require a translation certificate")
-        if self.sg is None:
-            self.sg = RegularizedSemigroup(lam=op.lam)
-        if op.lam != self.sg.lam:
-            raise ValueError("semigroup and certificate growth rates differ")
+        self.sg = RegularizedSemigroup(lam=op.lam)
 
     @property
     def lam(self):
@@ -196,5 +196,5 @@ class SolutionOrbit:
         return total
 
 
-def solution_orbit(placement: FhcPlacement, sg: RegularizedSemigroup = None) -> SolutionOrbit:
-    return SolutionOrbit(placement, sg)
+def solution_orbit(placement: FhcPlacement) -> SolutionOrbit:
+    return SolutionOrbit(placement)

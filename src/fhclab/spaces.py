@@ -104,8 +104,8 @@ class SparseVector:
         self.space = space
 
     @classmethod
-    def basis(cls, k: int, space: SequenceSpace = L2, coeff=1):
-        return cls({k: coeff}, space)
+    def basis(cls, k: int, space: SequenceSpace = L2):
+        return cls({k: 1}, space)
 
     def norm(self) -> float:
         if not self.entries:
@@ -338,9 +338,6 @@ class PiecewiseLinearFn:
         if a == 0:
             return PiecewiseLinearFn.zero()
         return PiecewiseLinearFn(self.breakpoints, [a * v for v in self.values], self.log_scale)
-
-    def support_width(self):
-        return self.breakpoints[-1] - self.breakpoints[0] if self.breakpoints else 0
 
     def __eq__(self, other):
         return (

@@ -1,7 +1,7 @@
 """Visit-time statistics and lower-density proxies, discrete and continuous.
 
 The lower density (a liminf) is replaced by a windowed running minimum of
-count(n)/n over [window_fraction * N, N]; this lower-bounds every finite
+count(n)/n over [N/10, N]; this lower-bounds every finite
 prefix of the evidence and is reported next to N so scaling is visible.
 Continuous visit sets are measured on a grid with a rigorous Lipschitz
 modulus, yielding inner and outer estimates.
@@ -15,10 +15,11 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .constructor import FhcPlacement, orbit_eval, proximity_bound
+from .density_partition import running_density_floor
 from .spaces import distance
+
+_DENSITY_WINDOW = 0.1  # the density floor is a minimum over [0.1 * N, N]
 
 CSV_COLUMNS = [
     "l",
@@ -56,25 +57,20 @@ class OrbitReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def density_proxy(visits, N: int, window_fraction: float = 0.1) -> float:
-    """min over n in [window_fraction*N, N] of |visits ∩ [1, n]| / n."""
-    ws = max(1, int(window_fraction * N))
+def density_proxy(visits, N: int) -> float:
+    """min over n in [0.1*N, N] of |visits ∩ [1, n]| / n."""
+    ws = max(1, int(_DENSITY_WINDOW * N))
     if ws > N:
         raise ValueError("empty density window")
-    mem = np.asarray(sorted(visits), dtype=np.int64)
-    ns = np.arange(ws, N + 1, dtype=np.int64)
-    counts = np.searchsorted(mem, ns, side="right")
-    return float(np.min(counts / ns))
+    return running_density_floor(sorted(visits), ws, N)
 
 
-def discrete_visits(p: FhcPlacement, l: int, epsilon: float, N: int,
-                    window_fraction: float = 0.1) -> OrbitReport:
+def discrete_visits(p: FhcPlacement, l: int, epsilon: float, N: int) -> OrbitReport:
     """Visit times {n <= N : ||orbit(n) - y_l|| + err < epsilon} and statistics."""
-    return discrete_report(p, {l: epsilon}, N, window_fraction)[0]
+    return discrete_report(p, {l: epsilon}, N)[0]
 
 
-def discrete_report(p: FhcPlacement, epsilons: dict, N: int,
-                    window_fraction: float = 0.1):
+def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     """Reports for several targets sharing one orbit sweep.
 
     ``epsilons`` maps l -> radius.  The orbit is evaluated once per n and
@@ -107,7 +103,7 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int,
             epsilon=epsilons[l],
             horizon=N,
             visit_times=visits[l],
-            density_floor=density_proxy(visits[l], N, window_fraction) if visits[l] else 0.0,
+            density_floor=density_proxy(visits[l], N) if visits[l] else 0.0,
             covering_set_check=worst[l] < epsilons[l],
             proof_bound=bound,
             certified_error=max_err,
@@ -155,7 +151,7 @@ def continuity_window(target, epsilon: float, lam: float,
 
 
 def continuous_visits(orbit, target, epsilon: float, t_max: float,
-                      grid_step: float, window_fraction: float = 0.1) -> OrbitReport:
+                      grid_step: float) -> OrbitReport:
     """Measure {t in [0, t_max] : ||orbit(t) - y|| < epsilon} on a grid.
 
     ``orbit`` is a SolutionOrbit (regularized_semigroup module).  Cells are

@@ -171,6 +171,15 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "INVARIANT FAILED" in err and "orbit proximity" in err
 
+    def test_injected_violation_without_scheduled_times_exits_one(self, tmp_path, capsys):
+        # A(1, N_1) starts at n = 3, past the horizon: no scheduled distance to compare
+        body = "[operator]\nkind = shift\nw = 2\n\n[run]\ntargets = 1\nhorizon = 2\n"
+        assert main(["run", "--config", write_cfg(tmp_path, body)]) == 0
+        cfg = write_cfg(tmp_path, body + "\n[debug]\ninject_bound_violation = true\n")
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "INVARIANT FAILED" in err and "[injected]" in err
+
     def test_injected_continuous_violation_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CONTINUOUS_RUN.format(out=tmp_path)
                         + "\n[debug]\ninject_bound_violation = true\n")

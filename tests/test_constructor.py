@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fhclab import constructor
 from fhclab.constructor import (
     assign_placements,
     materialize,
@@ -115,6 +116,25 @@ class TestOrbit:
                 assert fwd.norm() <= 2 / 2**l + 1e-12
                 assert distance(mid, y) <= 2 / 2**l + 1e-12
                 assert bwd.norm() + err <= 1 / 2**l + 1e-12
+
+    def test_empty_sides_apply_no_inverse(self, monkeypatch):
+        # the zero standing in for an empty sum is built without applying B
+        calls = []
+        real = constructor.apply_inverse
+
+        def counted(cert, v, n):
+            calls.append(n)
+            return real(cert, v, n)
+
+        monkeypatch.setattr(constructor, "apply_inverse", counted)
+        p = shift_placement()
+        x, _ = materialize(p, p.placed_ns[0] - 1)
+        assert x.is_zero() and x.space == p.cert.target(1).space
+        _, _, bwd, _ = orbit_parts(p, p.horizon)  # backward window is empty
+        assert bwd.is_zero() and calls == []
+        fwd, _, _, _ = orbit_parts(p, 1)  # nothing is placed before n = 1
+        window = [j for j in p.placed_ns if 1 < j <= 1 + p.backward_window]
+        assert fwd.is_zero() and calls == [j - 1 for j in window]
 
     def test_exact_decomposition_consistency(self):
         # orbit_eval must agree with literally applying A^n to the materialized

@@ -1,14 +1,19 @@
-"""Source hygiene: every name a module imports is used by that module, and
-every import sits at module level.
+"""Source hygiene: every name a module imports is used by that module,
+every import sits at module level, and every defaulted parameter of a
+module-level function is passed by some call.
 
 Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
 the unused-import check: its imports are the package's public re-exports.
+A default that no call in ``src/``, ``bench/`` or ``tests/`` overrides has
+one value in use and belongs in a constant.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fhclab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fhclab"
+CALLERS = ("src", "bench", "tests")
 
 
 def unused_imports(path: pathlib.Path):
@@ -35,6 +40,45 @@ def function_local_imports(path: pathlib.Path):
             if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
+def never_passed_defaults(src: pathlib.Path, callers):
+    """``module:line: f(param)`` for each defaulted parameter no call passes.
+
+    A call counts for every function of its name (``f(...)`` or ``x.f(...)``);
+    a ``*args`` or ``**kwargs`` at the call counts as passing everything.
+    """
+    defaulted = {}  # name -> [(where, param, positional index or None)]
+    for path in sorted(src.glob("*.py")):
+        for func in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = func.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            params += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None]
+            defaulted.setdefault(func.name, []).extend(
+                (f"{path.name}:{func.lineno}", name, i) for i, name in params)
+    passed = set()  # (function name, positional index or keyword)
+    for path in sorted(p for d in callers for p in d.rglob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name not in defaulted:
+                continue
+            if any(isinstance(x, ast.Starred) for x in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                passed.add((name, "*"))
+            passed.update((name, i) for i in range(len(call.args)))
+            passed.update((name, k.arg) for k in call.keywords)
+    return [f"{where}: {fname}({param})"
+            for fname, params in sorted(defaulted.items())
+            for where, param, i in params
+            if not {(fname, "*"), (fname, param), (fname, i)} & passed]
+
+
 def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
@@ -47,3 +91,8 @@ def test_no_function_local_imports():
     assert modules
     hits = sorted({hit for path in modules for hit in function_local_imports(path)})
     assert not hits, "imports inside functions:\n" + "\n".join(hits)
+
+
+def test_every_default_is_passed_somewhere():
+    hits = never_passed_defaults(SRC, [ROOT / d for d in CALLERS])
+    assert not hits, "defaults no call overrides (make them constants):\n" + "\n".join(hits)

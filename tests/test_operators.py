@@ -249,6 +249,12 @@ class TestTransforms:
         assert distance(apply_forward(swapped, v, 2),
                         apply_inverse(base, v, 2)) == 0.0
 
+    def test_target_count_follows_the_targets(self):
+        base = shift_cert(L=3)
+        for cert in (transform_power(base, 2), transform_rotation(base, -1),
+                     transform_inverse(base)):
+            assert cert.target_count == len(cert.targets) == 3
+
     def test_double_swap_is_identity(self):
         base = shift_cert(w=Fraction(2), exact=True)
         twice = transform_inverse(transform_inverse(base))

@@ -13,6 +13,7 @@ from fhclab.regularized_semigroup import (
     DiagonalDecayMultiplier,
     IdentityMultiplier,
     RegularizedSemigroup,
+    SolutionOrbit,
     generator_residual,
     imc_norm,
     semigroup_law_residual,
@@ -188,6 +189,11 @@ class TestSolutionOrbit:
             u, _ = self.orbit.evaluate(t0)
             v, _ = self.orbit.evaluate(t0 + 0.5)
             assert distance(u, v) <= bound * 0.5 + 1e-9
+
+    def test_semigroup_rate_is_the_certificates(self):
+        cert = make_certificate(TranslationGenerator(Fraction(3, 2)), 1)
+        p = assign_placements(compute_thresholds(cert), horizon=100)
+        assert SolutionOrbit(p).sg.lam == p.cert.op.lam == Fraction(3, 2)
 
     def test_requires_translation_certificate(self):
         from fhclab.operators import WeightedBackwardShift
