@@ -148,9 +148,16 @@ def build_certificate(cp: configparser.ConfigParser):
 
 
 def output_paths(cp: configparser.ConfigParser):
+    """(csv path, json path), None where not requested.
+
+    Raises ConfigError when an output is requested and its directory, after
+    the FHCLAB_OUTPUT_DIR override, does not exist.
+    """
     out_dir = os.environ.get("FHCLAB_OUTPUT_DIR") or cp.get("output", "dir")
     csv_name = cp.get("output", "csv")
     json_name = cp.get("output", "json")
+    if (csv_name or json_name) and not os.path.isdir(out_dir):
+        raise ConfigError(f"bad output dir = {out_dir!r}: not an existing directory")
     csv_path = os.path.join(out_dir, csv_name) if csv_name else None
     json_path = os.path.join(out_dir, json_name) if json_name else None
     return csv_path, json_path
@@ -161,6 +168,7 @@ def output_paths(cp: configparser.ConfigParser):
 
 
 def run_pipeline(cp: configparser.ConfigParser, out=sys.stdout):
+    csv_path, json_path = output_paths(cp)
     cert = build_certificate(cp)
     tc = compute_thresholds(cert)
     print("thresholds:", tc.pairs(), file=out)
@@ -216,7 +224,6 @@ def run_pipeline(cp: configparser.ConfigParser, out=sys.stdout):
                     raise InvariantFailure(f"sub-sum probe under certified tail, l={l}")
             print(f"probes: {probes} random sub-sums per target within bounds", file=out)
 
-    csv_path, json_path = output_paths(cp)
     if csv_path or json_path:
         report_export(reports, csv_path, json_path)
         for path in (csv_path, json_path):
@@ -311,11 +318,13 @@ def cmd_construct(args):
 
 def cmd_orbit(args):
     cp = load_config(args.config)
+    N = cp.getint("run", "horizon")
+    # past N the backward window shrinks and the error bar outgrows the distances
+    if not 0 <= args.n <= N:
+        raise ConfigError(f"bad n = {args.n}: must lie in [0, {N}] (the run horizon)")
     cert = build_certificate(cp)
     tc = compute_thresholds(cert)
-    p = assign_placements(tc, horizon=2 * cp.getint("run", "horizon"))
-    if not 0 <= args.n <= p.horizon:
-        raise ConfigError(f"bad n = {args.n}: must lie in [0, {p.horizon}]")
+    p = assign_placements(tc, horizon=2 * N)
     vec, err = orbit_eval(p, args.n)
     print(f"n={args.n}  ||orbit|| = {vec.norm():.6f}  certified error {err:.3e}")
     for l in range(1, cert.target_count + 1):

@@ -13,6 +13,7 @@ single computable preimage.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,16 +139,26 @@ class SolutionOrbit:
     times apply W(t - floor(t)) to the integer point, which is exact on the
     piecewise-linear class.  This is the finite-horizon form of the
     discrete-to-continuous bridge.
+
+    The last integer point built is kept, one entry only, so a sweep in time
+    order builds each integer point once without holding the whole orbit.
     """
 
     placement: FhcPlacement
     sg: RegularizedSemigroup = field(init=False)  # the certificate's own growth rate
 
     def __post_init__(self):
-        op = self.placement.cert.op
-        if not isinstance(op, TranslationGenerator):
+        cert = self.placement.cert
+        if not isinstance(cert.op, TranslationGenerator):
             raise TypeError("solution orbits require a translation certificate")
-        self.sg = RegularizedSemigroup(lam=op.lam)
+        self.sg = RegularizedSemigroup(lam=cert.op.lam)
+        lam = float(self.sg.lam)
+        ys = [cert.target(l) for l in range(1, cert.target_count + 1)]
+        # per target (index l - 1): support width and time-derivative rate of y_l
+        self._widths = [float(y.breakpoints[-1]) if not y.is_zero() else 0.0 for y in ys]
+        self._rates = [lam * y.norm() + y.max_slope() for y in ys]
+        self._reach = max(self._widths)
+        self._last = (None, None, None)  # (n, orbit point, certified error)
 
     @property
     def lam(self):
@@ -159,7 +170,9 @@ class SolutionOrbit:
             raise ValueError("t must be >= 0")
         n = int(math.floor(t))
         s = t - n
-        vec, err = orbit_eval(self.placement, n)
+        if self._last[0] != n:
+            self._last = (n, *orbit_eval(self.placement, n))
+        _, vec, err = self._last
         if s == 0:
             return vec, err
         out = w_apply(self.sg, s, vec)
@@ -174,20 +187,17 @@ class SolutionOrbit:
         """
         p = self.placement
         lam = float(self.sg.lam)
-        cert = p.cert
-        widths = {}
-        rates = {}
-        for l in range(1, cert.target_count + 1):
-            y = cert.target(l)
-            widths[l] = float(y.breakpoints[-1]) if not y.is_zero() else 0.0
-            rates[l] = lam * y.norm() + y.max_slope()
+        ns = p.placed_ns
         total = 0.0
-        for j in p.placed_ns:
+        # every j below t0 - max width is past the origin; the extra 1 covers rounding
+        for i in range(bisect_left(ns, t0 - self._reach - 1), len(ns)):
+            j = ns[i]
             l = p.placements[j]
-            if j + widths[l] < t0:
+            width = self._widths[l - 1]
+            if j + width < t0:
                 continue  # already translated past the origin: term is zero
             gap = float(t1) - j
-            total += math.exp(lam * min(gap, widths[l])) * rates[l]
+            total += math.exp(lam * min(gap, width)) * self._rates[l - 1]
             if j > t1 + p.backward_window:
                 break
         # tail terms: slope/norm ratio of any enumerated tent is <= 16 by the

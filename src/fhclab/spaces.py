@@ -415,35 +415,76 @@ def linear_combine(a, u, b, v):
         cv = v.coeffs + [0] * (n - len(v.coeffs))
         return PolySeries([a * x + b * y for x, y in zip(cu, cv)], u.model)
     if isinstance(u, PiecewiseLinearFn):
-        return _plf_combine(a, u, b, v)
+        return plf_sum([(a, u), (b, v)])
     raise TypeError(f"unsupported type {type(u).__name__}")
 
 
-def _plf_combine(a, u: PiecewiseLinearFn, b, v: PiecewiseLinearFn) -> PiecewiseLinearFn:
-    if u.is_zero():
-        return v.scaled(b)
-    if v.is_zero():
-        return u.scaled(a)
-    if u.log_scale != v.log_scale:
-        u, v = u.folded(), v.folded()
-    scale = u.log_scale
-    bps = sorted(set(u.breakpoints) | set(v.breakpoints))
-    vals = [a * u.raw_eval(x) + b * v.raw_eval(x) for x in bps]
+def plf_sum(terms) -> PiecewiseLinearFn:
+    """sum of c * f over the (c, f) pairs, in one pass over the breakpoint union.
+
+    Each term is evaluated with ``raw_eval``'s formula only at the union points
+    inside its own support, and terms are added in list order: linear in
+    breakpoints when supports are local.  One log scale shared by every nonzero
+    term is kept; mixed scales fold every term to scale 0 first, and a term
+    whose fold underflows to zero (e^s is 0.0 once s < -745) adds nothing.
+
+    Two terms give the pairwise sum value for value.  With more, folding in
+    pairs interpolates the running sum at each new breakpoint where this sums
+    the terms' own interpolations: equal in rational arithmetic without a fold,
+    a few ulps apart in floats.
+    """
+    terms = [(c, f) for c, f in terms if not f.is_zero()]
+    if len(terms) == 1:
+        c, f = terms[0]
+        return f.scaled(c)
+    scale = terms[0][1].log_scale if terms else 0
+    if any(f.log_scale != scale for _, f in terms):
+        terms = [(c, f.folded()) for c, f in terms]
+        terms = [(c, f) for c, f in terms if not f.is_zero()]
+        scale = 0
+    if not terms:
+        return PiecewiseLinearFn.zero()
+    bps = sorted({x for _, f in terms for x in f.breakpoints})
+    index = {x: i for i, x in enumerate(bps)}
+    vals = [0] * len(bps)
+    for c, f in terms:
+        fb, fv = f.breakpoints, f.values
+        first, last = index[fb[0]], index[fb[-1]]
+        vals[first] += c * fv[0]
+        k = 0
+        # raw_eval is 0 at the last breakpoint, so the walk stops short of it
+        for i in range(first + 1, last):
+            x = bps[i]
+            while fb[k + 1] <= x:
+                k += 1
+            if fb[k] == x:
+                vals[i] += c * fv[k]
+            else:
+                t = (x - fb[k]) / (fb[k + 1] - fb[k])
+                vals[i] += c * (fv[k] + t * (fv[k + 1] - fv[k]))
     # restore endpoint-zero invariants: pad with an implicit zero endpoint
-    if vals and vals[0] != 0 and bps[0] != 0:
+    if vals[0] != 0 and bps[0] != 0:
         bps.insert(0, bps[0] / 2)
         vals.insert(0, 0)
-    if vals and vals[-1] != 0:
+    if vals[-1] != 0:
         bps.append(bps[-1] + 1)
         vals.append(0)
     return PiecewiseLinearFn(bps, vals, scale)
 
 
 def accumulate(values):
-    """Sum of a nonempty list of same-type values."""
-    it = iter(values)
-    acc = next(it)
-    for v in it:
+    """Sum of a nonempty list of same-type values.
+
+    Piecewise-linear lists go through ``plf_sum`` in one pass; the other
+    types are folded in pairs with ``linear_combine``.
+    """
+    values = list(values)
+    if not values:
+        raise ValueError("accumulate needs at least one value")
+    if all(type(v) is PiecewiseLinearFn for v in values):
+        return plf_sum([(1, v) for v in values])
+    acc = values[0]
+    for v in values[1:]:
         acc = linear_combine(1, acc, 1, v)
     return acc
 

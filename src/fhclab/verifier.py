@@ -169,28 +169,37 @@ def continuous_visits(orbit, target, epsilon: float, t_max: float,
     delta = continuity_window(target, epsilon, lam, radius)
 
     n_cells = int(math.ceil(t_max / grid_step))
-    inner_intervals = []
+    # integers n whose certified window [n, n + delta] can count
+    n_ints = int(math.floor(t_max - delta)) + 1 if delta > 0 else 0
+    cells = []  # inner cells
+    windows = []  # certified windows from integer visits
     outer_measure = 0.0
+
+    def integer_visit(n):
+        vec, err = orbit.evaluate(float(n))
+        if distance(vec, target) + err < radius:
+            windows.append((float(n), float(n) + delta))
+
+    # one sweep in time order: integer n is checked just before the cells of
+    # [n, n + 1), so the orbit builds each integer point once
+    n = 0
     for i in range(n_cells):
         t0 = i * grid_step
+        while n < n_ints and n <= t0:
+            integer_visit(n)
+            n += 1
         t1 = min(t_max, t0 + grid_step)
         vec, err = orbit.evaluate(t0)
         d = distance(vec, target)
         lip = orbit.lipschitz_bound(t0, t1)
         if d + err + lip * (t1 - t0) < epsilon:
-            inner_intervals.append((t0, t1))
+            cells.append((t0, t1))
         if d - err - lip * (t1 - t0) < epsilon:
             outer_measure += t1 - t0
+    for n in range(n, n_ints):
+        integer_visit(n)
 
-    # certified windows from integer visits
-    certified_count = 0
-    if delta > 0:
-        for n in range(0, int(math.floor(t_max - delta)) + 1):
-            vec, err = orbit.evaluate(float(n))
-            if distance(vec, target) + err < radius:
-                certified_count += 1
-                inner_intervals.append((float(n), float(n) + delta))
-
+    inner_intervals = cells + windows
     inner = _union_measure(inner_intervals)
     visits = sorted(set(int(t) for t, _ in inner_intervals))
     report = OrbitReport(
@@ -200,7 +209,7 @@ def continuous_visits(orbit, target, epsilon: float, t_max: float,
         visit_times=visits,
         density_floor=inner / t_max if t_max > 0 else 0.0,
         covering_set_check=inner >= delta * len(visits),
-        proof_bound=delta * certified_count,
+        proof_bound=delta * len(windows),
         certified_error=0.0,
         mode="continuous",
         inner_measure=inner,

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from fhclab import cli, verifier
+from fhclab import cli, regularized_semigroup, verifier
 from fhclab.cli import (
     ConfigError,
     _cert_from_args,
@@ -131,6 +131,19 @@ class TestRun:
         run_pipeline(load_config(cfg), out=io.StringIO())
         assert calls == list(range(1, 101))
 
+    def test_continuous_run_evaluates_each_orbit_point_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = regularized_semigroup.orbit_eval
+
+        def counted(p, n):
+            calls.append(n)
+            return real(p, n)
+
+        monkeypatch.setattr(regularized_semigroup, "orbit_eval", counted)
+        cfg = write_cfg(tmp_path, CONTINUOUS_RUN.format(out=tmp_path))
+        run_pipeline(load_config(cfg), out=io.StringIO())
+        assert calls == list(range(0, 10))
+
     def test_continuous_run_exits_zero_and_writes_csv(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, CONTINUOUS_RUN.format(out=tmp_path))
         assert main(["run", "--config", cfg]) == 0
@@ -186,6 +199,33 @@ class TestFailureModes:
         assert main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "INVARIANT FAILED" in err and "continuous-visit inner measure" in err
+
+    @pytest.mark.parametrize("via_env", [True, False], ids=["env", "config"])
+    def test_missing_output_dir_exits_two_before_any_work(self, tmp_path, monkeypatch,
+                                                            capsys, via_env):
+        missing = tmp_path / "no" / "such"
+        cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path if via_env else missing))
+        if via_env:
+            monkeypatch.setenv("FHCLAB_OUTPUT_DIR", str(missing))
+        else:
+            monkeypatch.delenv("FHCLAB_OUTPUT_DIR", raising=False)
+
+        def no_work(cp):
+            raise AssertionError("certified before checking the output directory")
+
+        monkeypatch.setattr(cli, "build_certificate", no_work)
+        assert main(["run", "--config", cfg]) == 2
+        assert f"bad output dir = {str(missing)!r}" in capsys.readouterr().err
+
+    def test_orbit_n_stays_within_the_run_horizon(self, capsys):
+        # past the run horizon the error bar exceeds every distance it shows
+        assert main(["orbit", "--config", REPO_CONFIG, "--n", "2000"]) == 2
+        assert "bad n = 2000: must lie in [0, 1000]" in capsys.readouterr().err
+        assert main(["orbit", "--config", REPO_CONFIG, "--n", "1000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        err = float(lines[0].rsplit("certified error ", 1)[1])
+        distances = [float(line.split(": ")[1].split()[0]) for line in lines[1:]]
+        assert len(distances) == 5 and err < min(distances)
 
     def test_radius_factor_at_most_one_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[run]\nradius_factor = 1.0\n")

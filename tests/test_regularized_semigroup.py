@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fhclab import regularized_semigroup
 from fhclab.constructor import assign_placements, orbit_eval
 from fhclab.criterion import compute_thresholds
 from fhclab.operators import TranslationGenerator, apply_forward, make_certificate
@@ -157,6 +158,30 @@ class TestImcNorm:
             assert imc_norm(sg, s) <= imc_norm(sg, u) + imc_norm(sg, v) + 1e-12
 
 
+def full_scan_lipschitz(orbit, t0, t1):
+    """Oracle: the bound as first written, scanning every placed j from the start."""
+    p = orbit.placement
+    lam = float(orbit.sg.lam)
+    cert = p.cert
+    widths = {}
+    rates = {}
+    for l in range(1, cert.target_count + 1):
+        y = cert.target(l)
+        widths[l] = float(y.breakpoints[-1]) if not y.is_zero() else 0.0
+        rates[l] = lam * y.norm() + y.max_slope()
+    total = 0.0
+    for j in p.placed_ns:
+        l = p.placements[j]
+        if j + widths[l] < t0:
+            continue
+        gap = float(t1) - j
+        total += math.exp(lam * min(gap, widths[l])) * rates[l]
+        if j > t1 + p.backward_window:
+            break
+    total += (lam + 16.0) * p.backward_tail * math.exp(lam)
+    return total
+
+
 class TestSolutionOrbit:
     def setup_method(self):
         cert = make_certificate(TranslationGenerator(1), 1)
@@ -189,6 +214,28 @@ class TestSolutionOrbit:
             u, _ = self.orbit.evaluate(t0)
             v, _ = self.orbit.evaluate(t0 + 0.5)
             assert distance(u, v) <= bound * 0.5 + 1e-9
+
+    def test_lipschitz_bound_equals_the_full_scan(self):
+        # same terms, same order: the bisect start and the per-orbit rates keep the bits
+        for t0 in [i / 10 for i in range(0, 4000, 7)] + [0.0, 199.9, 399.9]:
+            t1 = t0 + 0.1
+            assert self.orbit.lipschitz_bound(t0, t1) == full_scan_lipschitz(self.orbit, t0, t1)
+        cert = make_certificate(TranslationGenerator(Fraction(3, 2)), 3)
+        orbit = solution_orbit(assign_placements(compute_thresholds(cert), horizon=80))
+        for t0 in [i / 4 for i in range(0, 320)]:
+            assert orbit.lipschitz_bound(t0, t0 + 0.25) == full_scan_lipschitz(orbit, t0, t0 + 0.25)
+
+    def test_integer_point_is_built_once_per_unit(self, monkeypatch):
+        calls = []
+
+        def counted(p, n):
+            calls.append(n)
+            return orbit_eval(p, n)
+
+        monkeypatch.setattr(regularized_semigroup, "orbit_eval", counted)
+        for t in (3, 3.25, 3.5, 4, 4.75, 3.5):
+            self.orbit.evaluate(t)
+        assert calls == [3, 4, 3]  # one entry: going back to 3 builds it again
 
     def test_semigroup_rate_is_the_certificates(self):
         cert = make_certificate(TranslationGenerator(Fraction(3, 2)), 1)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fhclab.spaces import (
     C0_PLUS,
@@ -24,6 +24,7 @@ from fhclab.spaces import (
     norm,
     plf_shift_left,
     plf_shift_right,
+    plf_sum,
     to_json_dict,
 )
 
@@ -173,3 +174,121 @@ class TestAccumulate:
 
     def test_norm_helper_dispatches(self):
         assert norm(PolySeries((3,), HARDY)) == pytest.approx(3.0)
+
+
+# --------------------------------------------------------------------------
+# the one-pass piecewise-linear sum against the pairwise fold it replaced
+
+
+def _pairwise_combine(a, u, b, v):
+    """The former two-term sum: both functions evaluated at every union point."""
+    if u.is_zero():
+        return v.scaled(b)
+    if v.is_zero():
+        return u.scaled(a)
+    if u.log_scale != v.log_scale:
+        u, v = u.folded(), v.folded()
+    bps = sorted(set(u.breakpoints) | set(v.breakpoints))
+    vals = [a * u.raw_eval(x) + b * v.raw_eval(x) for x in bps]
+    if vals and vals[0] != 0 and bps[0] != 0:
+        bps.insert(0, bps[0] / 2)
+        vals.insert(0, 0)
+    if vals and vals[-1] != 0:
+        bps.append(bps[-1] + 1)
+        vals.append(0)
+    return PiecewiseLinearFn(bps, vals, u.log_scale)
+
+
+def pairwise_sum(terms):
+    """Oracle: fold the (c, f) terms into a running sum, one pair at a time."""
+    acc = PiecewiseLinearFn.zero()
+    for c, f in terms:
+        acc = _pairwise_combine(1, acc, c, f)
+    return acc
+
+
+SCALES = [0, -1, Fraction(-5, 2), 2, -800]  # e^-800 folds to 0.0
+
+
+@st.composite
+def plf_terms(draw, exact):
+    """(c, f) lists of dyadic piecewise-linear functions, some zero."""
+    num = (lambda q: q) if exact else float
+    shared = draw(st.sampled_from(SCALES)) if draw(st.booleans()) else None
+    den = 2 ** draw(st.integers(0, 2))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+        scale = shared if shared is not None else draw(st.sampled_from(SCALES))
+        if draw(st.integers(0, 5)) == 0:
+            terms.append((num(c), PiecewiseLinearFn.zero()))
+            continue
+        ks = sorted(draw(st.sets(st.integers(0, 16), min_size=2, max_size=6)))
+        vals = [Fraction(draw(st.integers(-8, 8)), 2 ** draw(st.integers(0, 3))) for _ in ks]
+        vals[-1] = 0
+        if ks[0] != 0:
+            vals[0] = 0
+        f = PiecewiseLinearFn([num(Fraction(k, den)) for k in ks], [num(v) for v in vals], scale)
+        terms.append((num(c), f))
+    return terms
+
+
+def _points(*fs):
+    return sorted({x for f in fs for x in f.breakpoints})
+
+
+def _assert_close(got, want, terms):
+    """Equal as functions to a few ulps of the terms' own magnitude."""
+    mag = sum(abs(float(c)) * f.norm() for c, f in terms)
+    tol = 8 * max(len(terms), 1) * math.ulp(mag)
+    for x in _points(got, want):
+        assert abs(got.eval(x) - want.eval(x)) <= tol, x
+
+
+class TestPlfSum:
+    @settings(max_examples=300, deadline=None)
+    @given(plf_terms(exact=True))
+    def test_exact_mode_matches_the_pairwise_fold(self, terms):
+        got, want = plf_sum(terms), pairwise_sum(terms)
+        if len({f.log_scale for _, f in terms if not f.is_zero()}) <= 1:
+            # no fold: rational arithmetic throughout, so equal as functions
+            assert got.log_scale == want.log_scale
+            for x in _points(got, want):
+                assert got.raw_eval(x) == want.raw_eval(x), x
+        else:
+            _assert_close(got, want, terms)
+
+    @settings(max_examples=300, deadline=None)
+    @given(plf_terms(exact=False))
+    def test_float_mode_matches_the_pairwise_fold(self, terms):
+        _assert_close(plf_sum(terms), pairwise_sum(terms), terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(plf_terms(exact=False))
+    def test_two_terms_equal_the_pairwise_sum(self, terms):
+        # the distance case u - v included: two terms are the old sum value for value
+        for u, v in zip(terms, terms[1:]):
+            got = linear_combine(u[0], u[1], -v[0], v[1])
+            want = _pairwise_combine(u[0], u[1], -v[0], v[1])
+            assert got == want
+            assert distance(u[1], v[1]) == _pairwise_combine(1, u[1], -1, v[1]).norm()
+
+    def test_underflowing_fold_adds_no_breakpoints(self):
+        tent = PiecewiseLinearFn.tent(0, 1, 2, 1)
+        far = PiecewiseLinearFn.tent(5, 6, 7, 1)
+        gone = PiecewiseLinearFn(far.breakpoints, far.values, -800)
+        got = plf_sum([(1, tent), (1, gone)])
+        assert got == pairwise_sum([(1, tent), (1, gone)]) == tent
+
+    def test_shifted_tents_match_the_pairwise_fold(self):
+        # the orbit-term shape: B^j of a tent, each with its own scale -j
+        tents = [PiecewiseLinearFn(
+            [Fraction(j), Fraction(j + 1), Fraction(j + 2)], [0, Fraction(1, j + 1), 0], -j)
+            for j in range(40)]
+        got = accumulate(tents)
+        assert got.log_scale == 0 and got.breakpoints == list(range(42))
+        assert got == pairwise_sum([(1, f) for f in tents])
+
+    def test_mixed_types_rejected(self):
+        with pytest.raises(TypeError):
+            accumulate([PiecewiseLinearFn.tent(0, 1, 2, 1), SparseVector.basis(1, L2)])
