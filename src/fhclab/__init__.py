@@ -21,7 +21,6 @@ from .spaces import (
     linear_combine,
     accumulate,
     distance,
-    norm,
 )
 from .density_partition import (
     PairKey,
@@ -61,7 +60,6 @@ from .constructor import (
 from .verifier import (
     OrbitReport,
     density_proxy,
-    discrete_visits,
     discrete_report,
     continuity_window,
     continuous_visits,
@@ -77,7 +75,6 @@ from .regularized_semigroup import (
     generator_residual,
     imc_norm,
     SolutionOrbit,
-    solution_orbit,
 )
 
 __version__ = "0.1.0"

@@ -31,9 +31,9 @@ from .operators import (
 )
 from .regularized_semigroup import (
     RegularizedSemigroup,
+    SolutionOrbit,
     generator_residual,
     semigroup_law_residual,
-    solution_orbit,
 )
 from .spaces import (
     C0_SEQ,
@@ -181,25 +181,19 @@ def run_pipeline(cp: configparser.ConfigParser, out=sys.stdout):
     if mode == "continuous" and not isinstance(cert.op, TranslationGenerator):
         raise ConfigError("continuous mode requires the translation operator")
     p = assign_placements(tc, horizon=2 * N)
+    epsilons = {l: factor * proximity_bound(l) for l in range(1, cert.target_count + 1)}
     if mode == "continuous":
-        orbit = solution_orbit(p)
-        reports = []
-        for l in range(1, cert.target_count + 1):
-            eps = factor * proximity_bound(l)
-            rep = continuous_visits(orbit, cert.target(l), eps, float(N),
+        reports = continuous_visits(SolutionOrbit(p), epsilons, float(N),
                                     cp.getfloat("run", "grid_step"))
-            rep.l = l
-            reports.append(rep)
+        for rep in reports:
             floor = rep.continuity_window * len(rep.visit_times)
-            print(f"l={l}: delta={rep.continuity_window:.4f} "
+            print(f"l={rep.l}: delta={rep.continuity_window:.4f} "
                   f"inner={rep.inner_measure:.3f} (needs >= {floor:.3f})", file=out)
             if not rep.covering_set_check or inject:
                 raise InvariantFailure(
                     "continuous-visit inner measure >= window * integer visits"
                     + (" [injected]" if inject else ""))
     else:
-        epsilons = {l: factor * proximity_bound(l)
-                    for l in range(1, cert.target_count + 1)}
         reports = discrete_report(p, epsilons, N)
         for rep in reports:
             if inject or rep.worst_scheduled > rep.proof_bound:

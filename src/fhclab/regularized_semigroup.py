@@ -204,7 +204,3 @@ class SolutionOrbit:
         # dyadic breakpoint grid, so this stays an upper bound
         total += (lam + 16.0) * p.backward_tail * math.exp(lam)
         return total
-
-
-def solution_orbit(placement: FhcPlacement) -> SolutionOrbit:
-    return SolutionOrbit(placement)

@@ -132,6 +132,27 @@ class SparseVector:
     def is_zero(self) -> bool:
         return not self.entries
 
+    def combine(self, a, b, other) -> "SparseVector":
+        """a*self + b*other."""
+        if self.space != other.space:
+            raise ValueError("sequence space mismatch")
+        out = {k: a * c for k, c in self.entries.items()}
+        for k, c in other.entries.items():
+            out[k] = out.get(k, 0) + b * c
+        return SparseVector(out, self.space)
+
+    def to_json_dict(self):
+        return {
+            "type": "sparse_vector",
+            "space": {"kind": self.space.kind, "p": self.space.p},
+            "entries": [[k, _encode_scalar(c)] for k, c in sorted(self.entries.items())],
+        }
+
+    @classmethod
+    def from_json_dict(cls, obj):
+        space = SequenceSpace(obj["space"]["kind"], obj["space"].get("p", 2.0))
+        return cls({int(k): _decode_scalar(c) for k, c in obj["entries"]}, space)
+
     def __eq__(self, other):
         return (
             isinstance(other, SparseVector)
@@ -220,6 +241,28 @@ class PolySeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def combine(self, a, b, other) -> "PolySeries":
+        """a*self + b*other."""
+        if self.model != other.model:
+            raise ValueError("polynomial model mismatch")
+        n = max(len(self.coeffs), len(other.coeffs))
+        cu = self.coeffs + [0] * (n - len(self.coeffs))
+        cv = other.coeffs + [0] * (n - len(other.coeffs))
+        return PolySeries([a * x + b * y for x, y in zip(cu, cv)], self.model)
+
+    def to_json_dict(self):
+        m = self.model
+        model = ({"kind": "hardy"} if isinstance(m, HardyModel)
+                 else {"kind": "ck", "k": m.k, "a": m.a, "b": m.b, "mesh": m.mesh})
+        return {"type": "poly_series", "model": model,
+                "coeffs": [_encode_scalar(c) for c in self.coeffs]}
+
+    @classmethod
+    def from_json_dict(cls, obj):
+        m = obj["model"]
+        model = HARDY if m["kind"] == "hardy" else CkModel(m["k"], m["a"], m["b"], m["mesh"])
+        return cls([_decode_scalar(c) for c in obj["coeffs"]], model)
 
     def __eq__(self, other):
         return (
@@ -339,6 +382,23 @@ class PiecewiseLinearFn:
             return PiecewiseLinearFn.zero()
         return PiecewiseLinearFn(self.breakpoints, [a * v for v in self.values], self.log_scale)
 
+    def combine(self, a, b, other) -> "PiecewiseLinearFn":
+        """a*self + b*other, one pass over the breakpoint union."""
+        return plf_sum([(a, self), (b, other)])
+
+    def to_json_dict(self):
+        return {
+            "type": "piecewise_linear",
+            "breakpoints": [_encode_scalar(b) for b in self.breakpoints],
+            "values": [_encode_scalar(x) for x in self.values],
+            "log_scale": _encode_scalar(self.log_scale),
+        }
+
+    @classmethod
+    def from_json_dict(cls, obj):
+        return cls([_decode_scalar(b) for b in obj["breakpoints"]],
+                   [_decode_scalar(x) for x in obj["values"]], _decode_scalar(obj["log_scale"]))
+
     def __eq__(self, other):
         return (
             isinstance(other, PiecewiseLinearFn)
@@ -396,27 +456,9 @@ def plf_shift_right(f: PiecewiseLinearFn, dt, dlog=0) -> PiecewiseLinearFn:
 
 def linear_combine(a, u, b, v):
     """a*u + b*v with exact coefficient / breakpoint-union arithmetic."""
-    if type(u) is not type(v):
+    if type(u) is not type(v) or type(u) not in _VECTOR_CLASSES:
         raise TypeError(f"cannot combine {type(u).__name__} with {type(v).__name__}")
-    if isinstance(u, SparseVector):
-        if u.space != v.space:
-            raise ValueError("sequence space mismatch")
-        out = {}
-        for k, c in u.entries.items():
-            out[k] = a * c
-        for k, c in v.entries.items():
-            out[k] = out.get(k, 0) + b * c
-        return SparseVector(out, u.space)
-    if isinstance(u, PolySeries):
-        if u.model != v.model:
-            raise ValueError("polynomial model mismatch")
-        n = max(len(u.coeffs), len(v.coeffs))
-        cu = u.coeffs + [0] * (n - len(u.coeffs))
-        cv = v.coeffs + [0] * (n - len(v.coeffs))
-        return PolySeries([a * x + b * y for x, y in zip(cu, cv)], u.model)
-    if isinstance(u, PiecewiseLinearFn):
-        return plf_sum([(a, u), (b, v)])
-    raise TypeError(f"unsupported type {type(u).__name__}")
+    return u.combine(a, b, v)
 
 
 def plf_sum(terms) -> PiecewiseLinearFn:
@@ -462,13 +504,9 @@ def plf_sum(terms) -> PiecewiseLinearFn:
             else:
                 t = (x - fb[k]) / (fb[k + 1] - fb[k])
                 vals[i] += c * (fv[k] + t * (fv[k + 1] - fv[k]))
-    # restore endpoint-zero invariants: pad with an implicit zero endpoint
-    if vals[0] != 0 and bps[0] != 0:
-        bps.insert(0, bps[0] / 2)
-        vals.insert(0, 0)
-    if vals[-1] != 0:
-        bps.append(bps[-1] + 1)
-        vals.append(0)
+    # the endpoint invariants need no padding: the first union point is some
+    # term's first breakpoint, where every term is 0 unless the point is 0,
+    # and no term adds anything at the last union point
     return PiecewiseLinearFn(bps, vals, scale)
 
 
@@ -493,10 +531,6 @@ def distance(u, v) -> float:
     return linear_combine(1, u, -1, v).norm()
 
 
-def norm(v) -> float:
-    return v.norm()
-
-
 # --------------------------------------------------------------------------
 # frozen enumeration of the countable dense sets
 #
@@ -518,12 +552,12 @@ def _dyadic_options(budget: int):
 
 
 def _indexed_vectors(budget: int, kmin: int):
-    """All {index: coeff} maps with total cost sum(index + |a| + b) <= budget."""
+    """((cost, key), {index: coeff}) for every map with sum(index + |a| + b) <= budget."""
     results = []
 
     def rec(k, used, current, key):
         if current:
-            results.append((used, tuple(key), {i: c for i, c in current}))
+            results.append(((used, tuple(key)), dict(current)))
         if k + 1 + used > budget:
             return
         for cost, ckey, coeff in _dyadic_options(budget - used - k):
@@ -534,26 +568,33 @@ def _indexed_vectors(budget: int, kmin: int):
     return results
 
 
-def _enumerate_indexed(count_needed: int, kmin: int):
-    budget = 2
-    while budget < 40:
-        cands = _indexed_vectors(budget, kmin)
-        cands.sort(key=lambda t: (t[0], t[1]))
+def _first_distinct(count: int, budget: int, cap: int, candidates, make):
+    """First ``count`` distinct elements in cost order, raising the budget as needed.
+
+    ``candidates(budget)`` lists (sort key, raw) pairs within the budget and
+    ``make(raw)`` gives (signature, element); equal signatures keep the first.
+    """
+    while budget < cap:
         seen, out = set(), []
-        for _, key, entries in cands:
-            sig = tuple(sorted(entries.items()))
+        for _, raw in sorted(candidates(budget), key=lambda t: t[0]):
+            sig, element = make(raw)
             if sig in seen:
                 continue
             seen.add(sig)
-            out.append(entries)
-            if len(out) == count_needed:
+            out.append(element)
+            if len(out) == count:
                 return out
         budget += 1
-    raise ValueError(f"enumeration budget exhausted before {count_needed} elements")
+    raise ValueError(f"enumeration budget exhausted before {count} elements")
+
+
+def _enumerate_indexed(count: int, kmin: int):
+    return _first_distinct(count, 2, 40, lambda budget: _indexed_vectors(budget, kmin),
+                           lambda m: (tuple(sorted(m.items())), m))
 
 
 def _plf_candidates(budget: int):
-    """Dyadic piecewise-linear bumps with cost g + j_last + sum(|a|+b) <= budget."""
+    """(key, (breakpoints, values)) of dyadic bumps, cost g + j_last + sum(|a|+b) <= budget."""
     out = []
     for g in range(0, budget + 1):
         den = 2**g
@@ -573,7 +614,7 @@ def _plf_candidates(budget: int):
                         cost = g + jlast + cost_vals
                         bps = [Fraction(j, den) for j in (j0, *mids, jlast)]
                         key = (cost, len(bps), tuple(bps), vkey)
-                        out.append((key, bps, [Fraction(0), *vals, Fraction(0)]))
+                        out.append((key, (bps, [Fraction(0), *vals, Fraction(0)])))
     return out
 
 
@@ -613,39 +654,19 @@ def enumerate_targets(space, count: int, exact: bool = False):
     if count < 1:
         raise ValueError("count must be >= 1")
     if isinstance(space, SequenceSpace):
-        maps = _enumerate_indexed(count, kmin=1)
-        return [
-            SparseVector({k: _maybe_float(c, exact) for k, c in m.items()}, space)
-            for m in maps
-        ]
+        return [SparseVector({k: _maybe_float(c, exact) for k, c in m.items()}, space)
+                for m in _enumerate_indexed(count, kmin=1)]
     if isinstance(space, (HardyModel, CkModel)):
-        maps = _enumerate_indexed(count, kmin=0)
-        out = []
-        for m in maps:
-            deg = max(m)
-            coeffs = [m.get(j, 0) for j in range(deg + 1)]
-            out.append(PolySeries([_maybe_float(c, exact) for c in coeffs], space))
-        return out
+        return [PolySeries([_maybe_float(m.get(j, 0), exact) for j in range(max(m) + 1)], space)
+                for m in _enumerate_indexed(count, kmin=0)]
     if isinstance(space, HalfLineC0):
-        budget = 3
-        while budget < 24:
-            cands = _plf_candidates(budget)
-            cands.sort(key=lambda t: t[0])
-            seen, out = set(), []
-            for _, bps, vals in cands:
-                f = PiecewiseLinearFn(
-                    [_maybe_float(b, exact) for b in bps],
-                    [_maybe_float(v, exact) for v in vals],
-                )
-                sig = (tuple(f.breakpoints), tuple(f.values))
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                out.append(f)
-                if len(out) == count:
-                    return out
-            budget += 1
-        raise ValueError(f"enumeration budget exhausted before {count} elements")
+        def make(raw):
+            bps, vals = raw
+            f = PiecewiseLinearFn([_maybe_float(b, exact) for b in bps],
+                                  [_maybe_float(v, exact) for v in vals])
+            return (tuple(f.breakpoints), tuple(f.values)), f
+
+        return _first_distinct(count, 3, 24, _plf_candidates, make)
     raise TypeError(f"unknown space tag {space!r}")
 
 
@@ -677,44 +698,17 @@ def _decode_scalar(obj):
     return obj
 
 
-def to_json_dict(v):
-    if isinstance(v, SparseVector):
-        return {
-            "type": "sparse_vector",
-            "space": {"kind": v.space.kind, "p": v.space.p},
-            "entries": [[k, _encode_scalar(c)] for k, c in sorted(v.entries.items())],
-        }
-    if isinstance(v, PolySeries):
-        if isinstance(v.model, HardyModel):
-            model = {"kind": "hardy"}
-        else:
-            m = v.model
-            model = {"kind": "ck", "k": m.k, "a": m.a, "b": m.b, "mesh": m.mesh}
-        return {"type": "poly_series", "model": model,
-                "coeffs": [_encode_scalar(c) for c in v.coeffs]}
-    if isinstance(v, PiecewiseLinearFn):
-        return {
-            "type": "piecewise_linear",
-            "breakpoints": [_encode_scalar(b) for b in v.breakpoints],
-            "values": [_encode_scalar(x) for x in v.values],
-            "log_scale": _encode_scalar(v.log_scale),
-        }
-    raise TypeError(f"unsupported type {type(v).__name__}")
+_VECTOR_TYPES = {
+    "sparse_vector": SparseVector,
+    "poly_series": PolySeries,
+    "piecewise_linear": PiecewiseLinearFn,
+}
+_VECTOR_CLASSES = tuple(_VECTOR_TYPES.values())
 
 
 def from_json_dict(obj):
-    t = obj["type"]
-    if t == "sparse_vector":
-        space = SequenceSpace(obj["space"]["kind"], obj["space"].get("p", 2.0))
-        return SparseVector({int(k): _decode_scalar(c) for k, c in obj["entries"]}, space)
-    if t == "poly_series":
-        m = obj["model"]
-        model = HARDY if m["kind"] == "hardy" else CkModel(m["k"], m["a"], m["b"], m["mesh"])
-        return PolySeries([_decode_scalar(c) for c in obj["coeffs"]], model)
-    if t == "piecewise_linear":
-        return PiecewiseLinearFn(
-            [_decode_scalar(b) for b in obj["breakpoints"]],
-            [_decode_scalar(x) for x in obj["values"]],
-            _decode_scalar(obj["log_scale"]),
-        )
-    raise ValueError(f"unknown serialized type {t!r}")
+    """The vector a class's ``to_json_dict`` wrote, by its ``"type"`` tag."""
+    cls = _VECTOR_TYPES.get(obj["type"])
+    if cls is None:
+        raise ValueError(f"unknown serialized type {obj['type']!r}")
+    return cls.from_json_dict(obj)

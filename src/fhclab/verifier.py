@@ -65,11 +65,6 @@ def density_proxy(visits, N: int) -> float:
     return running_density_floor(sorted(visits), ws, N)
 
 
-def discrete_visits(p: FhcPlacement, l: int, epsilon: float, N: int) -> OrbitReport:
-    """Visit times {n <= N : ||orbit(n) - y_l|| + err < epsilon} and statistics."""
-    return discrete_report(p, {l: epsilon}, N)[0]
-
-
 def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     """Reports for several targets sharing one orbit sweep.
 
@@ -150,73 +145,82 @@ def continuity_window(target, epsilon: float, lam: float,
     return lo
 
 
-def continuous_visits(orbit, target, epsilon: float, t_max: float,
-                      grid_step: float) -> OrbitReport:
-    """Measure {t in [0, t_max] : ||orbit(t) - y|| < epsilon} on a grid.
+def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
+    """Reports for several targets sharing one sweep of the continuous orbit.
 
-    ``orbit`` is a SolutionOrbit (regularized_semigroup module).  Cells are
+    ``orbit`` is a SolutionOrbit (regularized_semigroup module) and
+    ``epsilons`` maps l -> radius; target l measures
+    {t in [0, t_max] : ||orbit(t) - y_l|| < epsilon_l} on a grid.  Cells are
     classified with the orbit's certified Lipschitz modulus: inner cells
     are provably inside the visit set, outer cells possibly intersect it.
     Certified integer-visit windows [n, n + delta] from the continuity
     argument are united into the inner estimate.  ``covering_set_check``
     is inner measure >= delta * len(visit_times), the visit times being the
-    integer parts of the inner intervals' left ends.
+    integer parts of the inner intervals' left ends.  Each cell and each
+    integer evaluates the orbit once; only the distances are per target.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     lam = float(orbit.lam)
-    radius = epsilon / 2.0
-    delta = continuity_window(target, epsilon, lam, radius)
+    ls = sorted(epsilons)
+    targets = {l: orbit.placement.cert.target(l) for l in ls}
+    # an integer visit within epsilon / 2 certifies a window [n, n + delta]
+    delta = {l: continuity_window(targets[l], epsilons[l], lam, epsilons[l] / 2.0) for l in ls}
 
     n_cells = int(math.ceil(t_max / grid_step))
-    # integers n whose certified window [n, n + delta] can count
-    n_ints = int(math.floor(t_max - delta)) + 1 if delta > 0 else 0
-    cells = []  # inner cells
-    windows = []  # certified windows from integer visits
-    outer_measure = 0.0
+    # per target, the integers n whose certified window [n, n + delta] can count
+    n_ints = {l: int(math.floor(t_max - delta[l])) + 1 if delta[l] > 0 else 0 for l in ls}
+    n_end = max(n_ints.values(), default=0)
+    cells = {l: [] for l in ls}  # inner cells
+    windows = {l: [] for l in ls}  # certified windows from integer visits
+    outer_measure = dict.fromkeys(ls, 0.0)
 
     def integer_visit(n):
         vec, err = orbit.evaluate(float(n))
-        if distance(vec, target) + err < radius:
-            windows.append((float(n), float(n) + delta))
+        for l in ls:
+            if n < n_ints[l] and distance(vec, targets[l]) + err < epsilons[l] / 2.0:
+                windows[l].append((float(n), float(n) + delta[l]))
 
     # one sweep in time order: integer n is checked just before the cells of
     # [n, n + 1), so the orbit builds each integer point once
     n = 0
     for i in range(n_cells):
         t0 = i * grid_step
-        while n < n_ints and n <= t0:
+        while n < n_end and n <= t0:
             integer_visit(n)
             n += 1
         t1 = min(t_max, t0 + grid_step)
         vec, err = orbit.evaluate(t0)
-        d = distance(vec, target)
         lip = orbit.lipschitz_bound(t0, t1)
-        if d + err + lip * (t1 - t0) < epsilon:
-            cells.append((t0, t1))
-        if d - err - lip * (t1 - t0) < epsilon:
-            outer_measure += t1 - t0
-    for n in range(n, n_ints):
+        for l in ls:
+            d = distance(vec, targets[l])
+            if d + err + lip * (t1 - t0) < epsilons[l]:
+                cells[l].append((t0, t1))
+            if d - err - lip * (t1 - t0) < epsilons[l]:
+                outer_measure[l] += t1 - t0
+    for n in range(n, n_end):
         integer_visit(n)
 
-    inner_intervals = cells + windows
-    inner = _union_measure(inner_intervals)
-    visits = sorted(set(int(t) for t, _ in inner_intervals))
-    report = OrbitReport(
-        l=0,
-        epsilon=epsilon,
-        horizon=t_max,
-        visit_times=visits,
-        density_floor=inner / t_max if t_max > 0 else 0.0,
-        covering_set_check=inner >= delta * len(visits),
-        proof_bound=delta * len(windows),
-        certified_error=0.0,
-        mode="continuous",
-        inner_measure=inner,
-        outer_measure=outer_measure,
-        continuity_window=delta,
-    )
-    return report
+    reports = []
+    for l in ls:
+        inner_intervals = cells[l] + windows[l]
+        inner = _union_measure(inner_intervals)
+        visits = sorted(set(int(t) for t, _ in inner_intervals))
+        reports.append(OrbitReport(
+            l=l,
+            epsilon=epsilons[l],
+            horizon=t_max,
+            visit_times=visits,
+            density_floor=inner / t_max if t_max > 0 else 0.0,
+            covering_set_check=inner >= delta[l] * len(visits),
+            proof_bound=delta[l] * len(windows[l]),
+            certified_error=0.0,
+            mode="continuous",
+            inner_measure=inner,
+            outer_measure=outer_measure[l],
+            continuity_window=delta[l],
+        ))
+    return reports
 
 
 def _union_measure(intervals) -> float:

@@ -45,9 +45,9 @@ from fhclab.operators import (
 )
 from fhclab.regularized_semigroup import (
     RegularizedSemigroup,
+    SolutionOrbit,
     generator_residual,
     semigroup_law_residual,
-    solution_orbit,
 )
 from fhclab.spaces import (
     C0_SEQ,
@@ -263,8 +263,8 @@ def test_acceptance_7_continuous_bridge(capsys):
     cert = make_certificate(TranslationGenerator(1), 1)
     tc = compute_thresholds(cert)
     p = assign_placements(tc, horizon=2000)
-    orbit = solution_orbit(p)
-    rep = continuous_visits(orbit, cert.target(1), 0.5, 1000.0, 0.1)
+    orbit = SolutionOrbit(p)
+    rep = continuous_visits(orbit, {1: 0.5}, 1000.0, 0.1)[0]
     delta = rep.continuity_window
     needed = delta * len(rep.visit_times)
     ok = delta > 0 and rep.inner_measure >= needed

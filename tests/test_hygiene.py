@@ -5,7 +5,8 @@ module-level function is passed by some call.
 Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
 the unused-import check: its imports are the package's public re-exports.
 A default that no call in ``src/``, ``bench/`` or ``tests/`` overrides has
-one value in use and belongs in a constant.
+one value in use and belongs in a constant.  A public re-export that only
+tests reach is a name the system does not use.
 """
 
 import ast
@@ -79,6 +80,28 @@ def never_passed_defaults(src: pathlib.Path, callers):
             if not {(fname, "*"), (fname, param), (fname, i)} & passed]
 
 
+def unused_exports(src: pathlib.Path, users, keep):
+    """Names ``__init__.py`` re-exports that no file of ``users`` references.
+
+    A reference is a bare name or ``<module>.<name>`` with ``<module>`` one of
+    the package's modules (or the package itself); imports do not count.
+    """
+    init = src / "__init__.py"
+    exported = [alias.asname or alias.name
+                for node in ast.parse(init.read_text(), filename=str(init)).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    modules = {p.stem for p in src.glob("*.py")} | {src.name}
+    used = set()
+    for path in sorted(p for d in users for p in d.rglob("*.py") if p != init):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                used.add(node.attr)
+    return [name for name in exported if name not in used | keep]
+
+
 def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
@@ -96,3 +119,15 @@ def test_no_function_local_imports():
 def test_every_default_is_passed_somewhere():
     hits = never_passed_defaults(SRC, [ROOT / d for d in CALLERS])
     assert not hits, "defaults no call overrides (make them constants):\n" + "\n".join(hits)
+
+
+def test_every_export_is_used_outside_tests():
+    # exported for the paper's sake although only tests call them
+    keep = {
+        "right_inverse_identity_check",  # acceptance 9: A B = I on the targets
+        "transform_inverse",  # acceptance 9: the criterion with A and B swapped
+        "DiagonalDecayMultiplier",  # the C-regularized setting with an injective C
+        "imc_norm",  # its image norm inf{||y|| : Cy = x}
+    }
+    hits = unused_exports(SRC, [SRC, ROOT / "bench"], keep)
+    assert not hits, "public names only tests use:\n" + "\n".join(hits)

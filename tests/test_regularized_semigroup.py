@@ -18,7 +18,6 @@ from fhclab.regularized_semigroup import (
     generator_residual,
     imc_norm,
     semigroup_law_residual,
-    solution_orbit,
     w_apply,
 )
 from fhclab.spaces import (
@@ -186,7 +185,7 @@ class TestSolutionOrbit:
     def setup_method(self):
         cert = make_certificate(TranslationGenerator(1), 1)
         self.p = assign_placements(compute_thresholds(cert), horizon=400)
-        self.orbit = solution_orbit(self.p)
+        self.orbit = SolutionOrbit(self.p)
 
     def test_integer_times_match_discrete_orbit(self):
         for n in (0, 1, 3, 7):
@@ -221,7 +220,7 @@ class TestSolutionOrbit:
             t1 = t0 + 0.1
             assert self.orbit.lipschitz_bound(t0, t1) == full_scan_lipschitz(self.orbit, t0, t1)
         cert = make_certificate(TranslationGenerator(Fraction(3, 2)), 3)
-        orbit = solution_orbit(assign_placements(compute_thresholds(cert), horizon=80))
+        orbit = SolutionOrbit(assign_placements(compute_thresholds(cert), horizon=80))
         for t0 in [i / 4 for i in range(0, 320)]:
             assert orbit.lipschitz_bound(t0, t0 + 0.25) == full_scan_lipschitz(orbit, t0, t0 + 0.25)
 
@@ -248,4 +247,4 @@ class TestSolutionOrbit:
         cert = make_certificate(WeightedBackwardShift(2), 1)
         p = assign_placements(compute_thresholds(cert), horizon=100)
         with pytest.raises(TypeError):
-            solution_orbit(p)
+            SolutionOrbit(p)

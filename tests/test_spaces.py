@@ -1,5 +1,6 @@
 """Vector models: norms, combination algebra, enumeration, JSON codecs."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -21,11 +22,9 @@ from fhclab.spaces import (
     enumerate_targets,
     from_json_dict,
     linear_combine,
-    norm,
     plf_shift_left,
     plf_shift_right,
     plf_sum,
-    to_json_dict,
 )
 
 
@@ -160,10 +159,19 @@ class TestJsonCodec:
         SparseVector({2: 1 + 2j}, C0_SEQ),
         PolySeries((Fraction(1, 2), 0, 3), HARDY),
         PiecewiseLinearFn.tent(Fraction(0), Fraction(1), Fraction(2), Fraction(1)),
+        PolySeries((1.5, 0, -2.0, 0.25), CkModel(3, -1.0, 1.0)),
+        PiecewiseLinearFn([0, Fraction(1, 2), 2], [Fraction(3, 4), 1, 0], Fraction(-5, 2)),
+        PiecewiseLinearFn([0.5, 1.0, 3.0], [0, -2.0, 0], -3.25),
+        SparseVector({1: 0.5, 3: -Fraction(1, 4)}, SequenceSpace("lp", 3.0)),
     ])
     def test_roundtrip(self, v):
-        w = from_json_dict(to_json_dict(v))
+        w = from_json_dict(json.loads(json.dumps(v.to_json_dict())))
+        assert w == v
         assert distance(v, w) == 0.0
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(ValueError):
+            from_json_dict({"type": "dense_vector", "entries": []})
 
 
 class TestAccumulate:
@@ -173,7 +181,7 @@ class TestAccumulate:
         assert s.norm() == pytest.approx(math.sqrt(3))
 
     def test_norm_helper_dispatches(self):
-        assert norm(PolySeries((3,), HARDY)) == pytest.approx(3.0)
+        assert PolySeries((3,), HARDY).norm() == pytest.approx(3.0)
 
 
 # --------------------------------------------------------------------------
@@ -292,3 +300,9 @@ class TestPlfSum:
     def test_mixed_types_rejected(self):
         with pytest.raises(TypeError):
             accumulate([PiecewiseLinearFn.tent(0, 1, 2, 1), SparseVector.basis(1, L2)])
+
+    def test_non_vectors_rejected(self):
+        with pytest.raises(TypeError, match="int"):
+            linear_combine(1, 3, 1, 4)
+        with pytest.raises(TypeError, match="int"):
+            accumulate([1, 2])

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from fhclab import regularized_semigroup
 from fhclab.constructor import assign_placements, orbit_eval, proximity_bound
 from fhclab.criterion import compute_thresholds
 from fhclab.operators import (
@@ -15,7 +16,7 @@ from fhclab.operators import (
     transform_power,
     transform_rotation,
 )
-from fhclab.regularized_semigroup import solution_orbit
+from fhclab.regularized_semigroup import SolutionOrbit
 from fhclab.spaces import distance
 from fhclab.verifier import (
     OrbitReport,
@@ -23,7 +24,6 @@ from fhclab.verifier import (
     continuous_visits,
     density_proxy,
     discrete_report,
-    discrete_visits,
     report_export,
     report_import,
     reports_to_csv_text,
@@ -56,30 +56,30 @@ class TestDiscreteVisits:
         self.p = shift_placement()
 
     def test_scheduled_times_are_visits(self):
-        rep = discrete_visits(self.p, 1, 1.2 * proximity_bound(1), 200)
+        rep = discrete_report(self.p, {1: 1.2 * proximity_bound(1)}, 200)[0]
         assert rep.covering_set_check
         key = self.p.schedule.ranked[0]
         assert set(self.p.schedule.members(key, 200)) <= set(rep.visit_times)
 
     def test_vacuous_flag_for_tiny_radius(self):
-        rep = discrete_visits(self.p, 1, 1e-9, 200)
+        rep = discrete_report(self.p, {1: 1e-9}, 200)[0]
         assert rep.guarantee_vacuous
 
     def test_informative_radius_not_vacuous(self):
-        rep = discrete_visits(self.p, 1, 1.2 * proximity_bound(1), 200)
+        rep = discrete_report(self.p, {1: 1.2 * proximity_bound(1)}, 200)[0]
         assert not rep.guarantee_vacuous
 
     def test_batch_report_matches_single(self):
         eps = {1: 1.2 * proximity_bound(1), 2: 1.2 * proximity_bound(2)}
         batch = discrete_report(self.p, eps, 200)
         for rep in batch:
-            single = discrete_visits(self.p, rep.l, eps[rep.l], 200)
+            single = discrete_report(self.p, {rep.l: eps[rep.l]}, 200)[0]
             assert single.visit_times == rep.visit_times
             assert single.density_floor == rep.density_floor
 
     def test_horizon_beyond_placement_rejected(self):
         with pytest.raises(ValueError):
-            discrete_visits(self.p, 1, 1.0, self.p.horizon + 1)
+            discrete_report(self.p, {1: 1.0}, self.p.horizon + 1)
 
 
 def revisit_worst(p, l, N):
@@ -116,14 +116,14 @@ class TestWorstScheduled:
         for l in (1, 2):
             scheduled, worst = revisit_worst(p, l, 200)
             for eps, covered in ((worst, False), (math.nextafter(worst, math.inf), True)):
-                rep = discrete_visits(p, l, eps, 200)
+                rep = discrete_report(p, {l: eps}, 200)[0]
                 assert rep.covering_set_check is covered
                 assert (set(scheduled) <= set(rep.visit_times)) is covered
 
     def test_zero_without_scheduled_times(self):
         p = shift_placement()
         first = min(p.schedule.members((2, p.tail_certificate.threshold(2)), 200))
-        rep = discrete_visits(p, 2, 1.2 * proximity_bound(2), first - 1)
+        rep = discrete_report(p, {2: 1.2 * proximity_bound(2)}, first - 1)[0]
         assert rep.worst_scheduled == 0.0 and rep.covering_set_check
 
 
@@ -171,12 +171,28 @@ class TestContinuous:
     def test_inner_measure_covers_certified_windows(self):
         cert = make_certificate(TranslationGenerator(1), 1)
         p = assign_placements(compute_thresholds(cert), horizon=200)
-        orbit = solution_orbit(p)
-        rep = continuous_visits(orbit, cert.target(1), 0.5, 60.0, 0.1)
+        orbit = SolutionOrbit(p)
+        rep = continuous_visits(orbit, {1: 0.5}, 60.0, 0.1)[0]
         assert rep.mode == "continuous"
         assert rep.continuity_window > 0
         assert rep.inner_measure >= rep.continuity_window * len(rep.visit_times)
         assert rep.inner_measure <= rep.outer_measure <= 60.0
+
+    def test_one_sweep_serves_every_target(self, monkeypatch):
+        cert = make_certificate(TranslationGenerator(1), 3)
+        p = assign_placements(compute_thresholds(cert), horizon=80)
+        eps = {l: 1.2 * proximity_bound(l) for l in (1, 2, 3)}
+        singles = [continuous_visits(SolutionOrbit(p), {l: eps[l]}, 40.0, 0.1)[0] for l in eps]
+        calls = []
+
+        def counted(placement, n):
+            calls.append(n)
+            return orbit_eval(placement, n)
+
+        monkeypatch.setattr(regularized_semigroup, "orbit_eval", counted)
+        batch = continuous_visits(SolutionOrbit(p), eps, 40.0, 0.1)
+        assert [r.to_json_dict() for r in batch] == [r.to_json_dict() for r in singles]
+        assert calls == list(range(0, 40))
 
     def test_report_roundtrip_keeps_continuous_fields(self, tmp_path):
         rep = OrbitReport(
