@@ -147,6 +147,20 @@ def build_certificate(cp: configparser.ConfigParser):
     return make_certificate(op, cp.getint("run", "targets"), exact=exact)
 
 
+def build_placements(cp: configparser.ConfigParser):
+    """Placements up to 2 * horizon over the certified thresholds N_l.
+
+    Raises ConfigError when the placement horizon is below the largest N_l.
+    """
+    tc = compute_thresholds(build_certificate(cp))
+    N = cp.getint("run", "horizon")
+    largest = max(N_l for _, N_l in tc.pairs())
+    if 2 * N < largest:
+        raise ConfigError(f"bad horizon = {N}: placements run to 2 * horizon = {2 * N}, "
+                          f"below the largest threshold N_l = {largest}")
+    return assign_placements(tc, horizon=2 * N)
+
+
 def output_paths(cp: configparser.ConfigParser):
     """(csv path, json path), None where not requested.
 
@@ -169,8 +183,8 @@ def output_paths(cp: configparser.ConfigParser):
 
 def run_pipeline(cp: configparser.ConfigParser, out=sys.stdout):
     csv_path, json_path = output_paths(cp)
-    cert = build_certificate(cp)
-    tc = compute_thresholds(cert)
+    p = build_placements(cp)
+    cert, tc = p.cert, p.tail_certificate
     print("thresholds:", tc.pairs(), file=out)
 
     N = cp.getint("run", "horizon")
@@ -180,7 +194,6 @@ def run_pipeline(cp: configparser.ConfigParser, out=sys.stdout):
 
     if mode == "continuous" and not isinstance(cert.op, TranslationGenerator):
         raise ConfigError("continuous mode requires the translation operator")
-    p = assign_placements(tc, horizon=2 * N)
     epsilons = {l: factor * proximity_bound(l) for l in range(1, cert.target_count + 1)}
     if mode == "continuous":
         reports = continuous_visits(SolutionOrbit(p), epsilons, float(N),
@@ -231,12 +244,17 @@ def run_pipeline(cp: configparser.ConfigParser, out=sys.stdout):
 
 
 def _parse_pairs(text: str):
-    raw = ast.literal_eval(text if text.strip().startswith("[") else f"[{text}]")
-    return [PairKey(int(l), int(nu)) for l, nu in raw]
+    try:
+        raw = ast.literal_eval(text if text.strip().startswith("[") else f"[{text}]")
+        return [PairKey(int(l), int(nu)) for l, nu in raw]
+    except (SyntaxError, TypeError) as exc:
+        raise ValueError(f"expected (l, nu) pairs: {exc}") from exc
 
 
 def cmd_partition(args):
-    sched = build_schedule(_parse_pairs(args.pairs))
+    sched = _parsed("--pairs", args.pairs, lambda t: build_schedule(_parse_pairs(t)))
+    if args.density and args.horizon < 2:
+        raise ConfigError(f"bad --horizon = {args.horizon}: --density needs horizon >= 2")
     for key in sched.ranked:
         members = sched.members(key, args.horizon)
         print(f"A({key.l},{key.nu}) on [1,{args.horizon}]: {members}")
@@ -284,6 +302,8 @@ def _cert_from_args(args):
 
 def cmd_certify(args):
     cert = _cert_from_args(args)
+    if args.json and not os.path.isdir(os.path.dirname(args.json) or "."):
+        raise ConfigError(f"bad --json = {args.json!r}: its directory does not exist")
     tc = compute_thresholds(cert)
     for l, N in tc.pairs():
         rec = tc.records[l - 1]
@@ -298,11 +318,7 @@ def cmd_certify(args):
 
 
 def cmd_construct(args):
-    cp = load_config(args.config)
-    cert = build_certificate(cp)
-    tc = compute_thresholds(cert)
-    N = cp.getint("run", "horizon")
-    p = assign_placements(tc, horizon=2 * N)
+    p = build_placements(load_config(args.config))
     vec, tail = materialize(p, p.horizon)
     print(f"placements on [1,{p.horizon}]: {len(p.placed_ns)}")
     print(f"backward window {p.backward_window}, certified tail {tail:.3e}")
@@ -316,20 +332,22 @@ def cmd_orbit(args):
     # past N the backward window shrinks and the error bar outgrows the distances
     if not 0 <= args.n <= N:
         raise ConfigError(f"bad n = {args.n}: must lie in [0, {N}] (the run horizon)")
-    cert = build_certificate(cp)
-    tc = compute_thresholds(cert)
-    p = assign_placements(tc, horizon=2 * N)
+    p = build_placements(cp)
     vec, err = orbit_eval(p, args.n)
     print(f"n={args.n}  ||orbit|| = {vec.norm():.6f}  certified error {err:.3e}")
-    for l in range(1, cert.target_count + 1):
-        d = distance(vec, cert.target(l))
+    for l in range(1, p.cert.target_count + 1):
+        d = distance(vec, p.cert.target(l))
         mark = " <= 5/2^l" if d + err <= proximity_bound(l) else ""
         print(f"  distance to y_{l}: {d:.6f}{mark}")
     return 0
 
 
 def cmd_density(args):
-    reports = report_import(args.input)
+    try:
+        reports = report_import(args.input)
+    except (OSError, ValueError, TypeError) as exc:
+        # a missing file, text that is not JSON, or JSON that is not a report list
+        raise ConfigError(f"bad --input = {args.input!r}: {exc}") from exc
     print(f"{'l':>3} {'epsilon':>12} {'visits':>8} {'density_floor':>14} {'covering':>9}")
     for rep in reports:
         print(f"{rep.l:>3} {rep.epsilon:>12.6f} {len(rep.visit_times):>8} "

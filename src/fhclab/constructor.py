@@ -52,18 +52,6 @@ class FhcPlacement:
     def target_of(self, n: int):
         return self.cert.target(self.placements[n])
 
-    def to_json_dict(self):
-        return {
-            "type": "fhc_placement",
-            "horizon": self.horizon,
-            "thresholds": {
-                str(l + 1): rec.N
-                for l, rec in enumerate(self.tail_certificate.records)
-            },
-            "placements": [[n, self.placements[n]] for n in self.placed_ns],
-            "backward_tail": self.backward_tail,
-        }
-
 
 def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     """Build the schedule over {(l, N_l)} and record z_n up to the horizon."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .operators import OperatorCertificate, apply_forward, apply_inverse
 from .spaces import accumulate, distance
@@ -62,17 +62,7 @@ class TailCertificate:
     def to_json_dict(self):
         return {
             "type": "tail_certificate",
-            "records": [
-                {
-                    "l": l + 1,
-                    "N": r.N,
-                    "forward_tail_bound": r.forward_tail_bound,
-                    "inverse_tail_bound": r.inverse_tail_bound,
-                    "target_tail_bound": r.target_tail_bound,
-                    "identity_residual": r.identity_residual,
-                }
-                for l, r in enumerate(self.records)
-            ],
+            "records": [{"l": l + 1, **asdict(r)} for l, r in enumerate(self.records)],
         }
 
 

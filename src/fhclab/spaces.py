@@ -51,11 +51,14 @@ class HardyModel:
     """Polynomial model of H^2: norm is l2 of the coefficient list."""
 
 
+_CK_MESH = 1e-4  # grid spacing of the C^k sup-norm estimate
+
+
 @dataclass(frozen=True)
 class CkModel:
     """Polynomial model of C^k[a,b].
 
-    Sup-norms of derivatives are estimated on a grid of mesh ``mesh`` and
+    Sup-norms of derivatives are estimated on a grid of mesh ``_CK_MESH`` and
     reported with the rigorous Lipschitz correction mesh * sum(|c_i| * i *
     M^(i-1)), so ``norm`` is a true upper bound.
     """
@@ -63,7 +66,6 @@ class CkModel:
     k: int
     a: float = 0.0
     b: float = 1.0
-    mesh: float = 1e-4
 
     def __post_init__(self):
         if self.k < 0:
@@ -141,18 +143,6 @@ class SparseVector:
             out[k] = out.get(k, 0) + b * c
         return SparseVector(out, self.space)
 
-    def to_json_dict(self):
-        return {
-            "type": "sparse_vector",
-            "space": {"kind": self.space.kind, "p": self.space.p},
-            "entries": [[k, _encode_scalar(c)] for k, c in sorted(self.entries.items())],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        space = SequenceSpace(obj["space"]["kind"], obj["space"].get("p", 2.0))
-        return cls({int(k): _decode_scalar(c) for k, c in obj["entries"]}, space)
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseVector)
@@ -216,7 +206,7 @@ class PolySeries:
         if not self.coeffs:
             return (0.0, 0.0)
         big = max(abs(m.a), abs(m.b), 1.0)
-        grid = np.arange(m.a, m.b + m.mesh, m.mesh)
+        grid = np.arange(m.a, m.b + _CK_MESH, _CK_MESH)
         lo = hi = 0.0
         for i in range(m.k + 1):
             d = self.derivative_coeffs(i)
@@ -227,7 +217,7 @@ class PolySeries:
             sample = float(np.max(np.abs(vals)))
             lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
             lo = max(lo, sample)
-            hi = max(hi, sample + m.mesh * lip)
+            hi = max(hi, sample + _CK_MESH * lip)
         return (lo, max(lo, hi))
 
     def scaled(self, a) -> "PolySeries":
@@ -250,19 +240,6 @@ class PolySeries:
         cu = self.coeffs + [0] * (n - len(self.coeffs))
         cv = other.coeffs + [0] * (n - len(other.coeffs))
         return PolySeries([a * x + b * y for x, y in zip(cu, cv)], self.model)
-
-    def to_json_dict(self):
-        m = self.model
-        model = ({"kind": "hardy"} if isinstance(m, HardyModel)
-                 else {"kind": "ck", "k": m.k, "a": m.a, "b": m.b, "mesh": m.mesh})
-        return {"type": "poly_series", "model": model,
-                "coeffs": [_encode_scalar(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        m = obj["model"]
-        model = HARDY if m["kind"] == "hardy" else CkModel(m["k"], m["a"], m["b"], m["mesh"])
-        return cls([_decode_scalar(c) for c in obj["coeffs"]], model)
 
     def __eq__(self, other):
         return (
@@ -386,19 +363,6 @@ class PiecewiseLinearFn:
         """a*self + b*other, one pass over the breakpoint union."""
         return plf_sum([(a, self), (b, other)])
 
-    def to_json_dict(self):
-        return {
-            "type": "piecewise_linear",
-            "breakpoints": [_encode_scalar(b) for b in self.breakpoints],
-            "values": [_encode_scalar(x) for x in self.values],
-            "log_scale": _encode_scalar(self.log_scale),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls([_decode_scalar(b) for b in obj["breakpoints"]],
-                   [_decode_scalar(x) for x in obj["values"]], _decode_scalar(obj["log_scale"]))
-
     def __eq__(self, other):
         return (
             isinstance(other, PiecewiseLinearFn)
@@ -452,6 +416,9 @@ def plf_shift_right(f: PiecewiseLinearFn, dt, dlog=0) -> PiecewiseLinearFn:
 
 # --------------------------------------------------------------------------
 # algebra
+
+
+_VECTOR_CLASSES = (SparseVector, PolySeries, PiecewiseLinearFn)
 
 
 def linear_combine(a, u, b, v):
@@ -669,46 +636,3 @@ def enumerate_targets(space, count: int, exact: bool = False):
         return _first_distinct(count, 3, 24, _plf_candidates, make)
     raise TypeError(f"unknown space tag {space!r}")
 
-
-# --------------------------------------------------------------------------
-# JSON codecs (documented schema; exact round trip in rational mode)
-
-
-def _encode_scalar(c):
-    if isinstance(c, Fraction):
-        return {"fraction": [c.numerator, c.denominator]}
-    if isinstance(c, complex):
-        return {"complex": [c.real, c.imag]}
-    if isinstance(c, bool):
-        raise TypeError("bool is not a scalar")
-    if isinstance(c, (int, float)):
-        return c
-    raise TypeError(f"unsupported scalar {type(c).__name__}")
-
-
-def _decode_scalar(obj):
-    if isinstance(obj, dict):
-        if "fraction" in obj:
-            n, d = obj["fraction"]
-            return Fraction(n, d)
-        if "complex" in obj:
-            re, im = obj["complex"]
-            return complex(re, im)
-        raise ValueError(f"bad scalar object {obj!r}")
-    return obj
-
-
-_VECTOR_TYPES = {
-    "sparse_vector": SparseVector,
-    "poly_series": PolySeries,
-    "piecewise_linear": PiecewiseLinearFn,
-}
-_VECTOR_CLASSES = tuple(_VECTOR_TYPES.values())
-
-
-def from_json_dict(obj):
-    """The vector a class's ``to_json_dict`` wrote, by its ``"type"`` tag."""
-    cls = _VECTOR_TYPES.get(obj["type"])
-    if cls is None:
-        raise ValueError(f"unknown serialized type {obj['type']!r}")
-    return cls.from_json_dict(obj)

@@ -18,6 +18,7 @@ from fhclab.cli import (
 )
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "shift_w2.cfg")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -83,6 +84,22 @@ class TestSubcommands:
         assert main(["certify", "--op", "differentiation", "--space", "ck", *flags]) == 0
         out = capsys.readouterr().out
         assert [line.split("  ")[0] for line in out.splitlines()] == thresholds
+
+    @pytest.mark.parametrize("flags, golden", [
+        (["--op", "shift", "--w", "2", "--L", "5"], "certify_shift_w2_L5.json"),
+        (["--op", "shift", "--space", "c0", "--w", "3/2", "--L", "2"],
+         "certify_c0_w3-2_L2.json"),
+        (["--op", "differentiation", "--space", "hardy", "--L", "3", "--power", "2"],
+         "certify_hardy_L3_power2.json"),
+        (["--op", "translation", "--lam", "1", "--L", "2", "--rotate", "-1"],
+         "certify_translation_L2_rotate-1.json"),
+    ], ids=["shift-l2", "shift-c0", "hardy-power2", "translation-rotate"])
+    def test_certify_json_matches_golden(self, tmp_path, flags, golden):
+        # every threshold record, bound and residual bit is pinned
+        out = tmp_path / golden
+        assert main(["certify", *flags, "--json", str(out)]) == 0
+        with open(os.path.join(DATA, golden), "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
     def test_semigroup_reports_zero_law_residual(self, capsys):
         assert main(["semigroup"]) == 0
@@ -272,11 +289,24 @@ class TestFailureModes:
         (["semigroup", "--s", "-1"], None, "s"),
         (["orbit", "--n", "99999"], SMALL_RUN, "n"),
         (["orbit", "--n", "-1"], SMALL_RUN, "n"),
+        (["run"], "[run]\nhorizon = 1\n", "horizon"),
+        (["construct"], "[run]\nhorizon = 1\n", "horizon"),
+        (["orbit", "--n", "1"], "[run]\nhorizon = 1\n", "horizon"),
+        (["partition", "--pairs", "(0,1)"], None, "--pairs"),
+        (["partition", "--pairs", "(1,"], None, "--pairs"),
+        (["partition", "--pairs", "(1,1),(1,1)"], None, "--pairs"),
+        (["partition", "--pairs", "(1,2)", "--density", "--horizon", "1"], None, "--horizon"),
+        (["density", "--input", "/nonexistent/report.json"], None, "--input"),
+        (["density", "--input", REPO_CONFIG], None, "--input"),
+        (["certify", "--json", "/nonexistent/thresholds.json"], None, "--json"),
     ], ids=["w=1", "w=abc", "lam=0", "ck-a>b", "rotate=2", "power=0", "L=0",
             "config-w=1/2", "config-p=abc", "config-horizon=abc", "config-w=2%",
             "config-grid_step=0", "config-grid_step<0", "config-inject=maybe",
             "semigroup-lam=0", "semigroup-t=abc", "semigroup-s<0",
-            "orbit-n-past-horizon", "orbit-n<0"])
+            "orbit-n-past-horizon", "orbit-n<0", "run-horizon-below-thresholds",
+            "construct-horizon-below-thresholds", "orbit-horizon-below-thresholds",
+            "pairs-l=0", "pairs-unclosed", "pairs-duplicate", "density-horizon=1",
+            "input-missing", "input-not-json", "json-dir-missing"])
     def test_bad_operator_or_run_value_exits_two(self, tmp_path, capsys, argv, body, key):
         if body is not None:
             body = body.format(out=tmp_path)

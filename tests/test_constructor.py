@@ -62,12 +62,6 @@ class TestAssignment:
         with pytest.raises(ValueError):
             assign_placements(tc, horizon=2)
 
-    def test_json_dict_shape(self):
-        p = shift_placement(L=2, horizon=100)
-        obj = p.to_json_dict()
-        assert obj["horizon"] == 100
-        assert obj["placements"] == [[n, p.placements[n]] for n in p.placed_ns]
-
 
 class TestMaterialize:
     def test_leading_term_of_x(self):

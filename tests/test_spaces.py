@@ -1,6 +1,5 @@
-"""Vector models: norms, combination algebra, enumeration, JSON codecs."""
+"""Vector models: norms, combination algebra, enumeration."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from fhclab.spaces import (
     accumulate,
     distance,
     enumerate_targets,
-    from_json_dict,
     linear_combine,
     plf_shift_left,
     plf_shift_right,
@@ -151,27 +149,6 @@ class TestEnumeration:
         for i, u in enumerate(got):
             for v in got[i + 1:]:
                 assert distance(u, v) > 0
-
-
-class TestJsonCodec:
-    @pytest.mark.parametrize("v", [
-        SparseVector({1: Fraction(1, 3), 5: -2.5}, L2),
-        SparseVector({2: 1 + 2j}, C0_SEQ),
-        PolySeries((Fraction(1, 2), 0, 3), HARDY),
-        PiecewiseLinearFn.tent(Fraction(0), Fraction(1), Fraction(2), Fraction(1)),
-        PolySeries((1.5, 0, -2.0, 0.25), CkModel(3, -1.0, 1.0)),
-        PiecewiseLinearFn([0, Fraction(1, 2), 2], [Fraction(3, 4), 1, 0], Fraction(-5, 2)),
-        PiecewiseLinearFn([0.5, 1.0, 3.0], [0, -2.0, 0], -3.25),
-        SparseVector({1: 0.5, 3: -Fraction(1, 4)}, SequenceSpace("lp", 3.0)),
-    ])
-    def test_roundtrip(self, v):
-        w = from_json_dict(json.loads(json.dumps(v.to_json_dict())))
-        assert w == v
-        assert distance(v, w) == 0.0
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            from_json_dict({"type": "dense_vector", "entries": []})
 
 
 class TestAccumulate:
