@@ -1,9 +1,9 @@
 """Reproducible experiment runner.
 
-Config files are INI text (configparser) with sections [operator], [run],
-[output], and optionally [debug]; see configs/shift_w2.cfg for the schema
-with all defaults.  The output directory can be overridden with the
-FHCLAB_OUTPUT_DIR environment variable.
+Config files are INI text (configparser) with the sections [operator], [run]
+and [output]; SCHEMA names every key a config may set, with its default, and
+anything else is a config error.  The output directory can be overridden with
+the FHCLAB_OUTPUT_DIR environment variable.
 
 Exit codes: 0 success, 1 a certified invariant failed, 2 config error.
 """
@@ -59,17 +59,6 @@ class InvariantFailure(Exception):
 # config
 
 
-DEFAULTS = {
-    "operator": {"kind": "shift", "w": "2", "space": "lp", "p": "2",
-                 "lam": "1", "k": "3", "a": "0", "b": "1"},
-    "run": {"targets": "5", "horizon": "1000", "radius_factor": "1.2",
-            "seed": "0", "mode": "discrete", "precision": "float",
-            "grid_step": "0.05", "probes": "0"},
-    "output": {"dir": ".", "csv": "", "json": ""},
-    "debug": {"inject_bound_violation": "false"},
-}
-
-
 def _parsed(key: str, text, parse):
     """parse(text), with a bad value reported as a ConfigError naming its key."""
     try:
@@ -78,15 +67,42 @@ def _parsed(key: str, text, parse):
         raise ConfigError(f"bad {key} = {text!r}: {exc}") from exc
 
 
-def _defaults() -> configparser.ConfigParser:
-    # no %(...)s interpolation: a '%' in a value is just a character
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_dict(DEFAULTS)
-    return cp
+def _checked(parse, ok, cause: str):
+    """parse, then reject a value v with ok(v) false for the stated cause."""
+    def checked(text: str):
+        if not ok(value := parse(text)):
+            raise ValueError(cause)
+        return value
+    return checked
 
 
-def load_config(path: str) -> configparser.ConfigParser:
-    cp = _defaults()
+def _one_of(*names: str):
+    return _checked(str, names.__contains__, f"not one of {', '.join(names)}")
+
+
+_COUNT = _checked(int, lambda n: n >= 1, "must be >= 1")
+
+# The whole config schema: section -> key -> (default text, parser that also
+# checks the value).  [operator] values stay text for build_operator, which
+# knows the kind and the precision; an empty space means the kind's default.
+SCHEMA = {
+    "operator": {key: (default, str) for key, default in dict(
+        kind="shift", w="2", space="", p="2", lam="1", k="3", a="0", b="1").items()},
+    "run": {"targets": ("5", _COUNT), "horizon": ("1000", _COUNT), "seed": ("0", int),
+            "radius_factor": ("1.2", _checked(float, lambda x: x > 1, "must be > 1")),
+            "grid_step": ("0.05", _checked(float, lambda x: x > 0, "must be > 0")),
+            "probes": ("0", _checked(int, lambda n: n >= 0, "must be >= 0")),
+            "mode": ("discrete", _one_of("discrete", "continuous")),
+            "precision": ("float", _one_of("float", "rational"))},
+    "output": {"dir": (".", str), "csv": ("", str), "json": ("", str)},
+}
+
+
+def load_config(path: str) -> dict:
+    """{section: {key: parsed value}} for every key of SCHEMA, else a ConfigError."""
+    # no %(...)s interpolation: a '%' in a value is just a character; no
+    # default section either: [DEFAULT] is a section SCHEMA does not name
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             cp.read_file(fh, source=path)
@@ -95,22 +111,15 @@ def load_config(path: str) -> configparser.ConfigParser:
     except configparser.Error as exc:
         # configparser messages already carry file/line diagnostics
         raise ConfigError(str(exc)) from exc
-    run = {key: _parsed(key, cp.get("run", key), parse)
-           for key, parse in (("targets", int), ("horizon", int), ("seed", int),
-                              ("probes", int), ("radius_factor", float), ("grid_step", float))}
-    if not run["radius_factor"] > 1:
-        raise ConfigError(f"radius_factor must be > 1, got {run['radius_factor']}")
-    if run["targets"] < 1 or run["horizon"] < 1:
-        raise ConfigError("targets and horizon must be >= 1")
-    if not run["grid_step"] > 0:
-        raise ConfigError(f"bad grid_step = {cp.get('run', 'grid_step')!r}: must be > 0")
-    _parsed("inject_bound_violation", cp.get("debug", "inject_bound_violation"),
-            lambda _: cp.getboolean("debug", "inject_bound_violation"))
-    if cp.get("run", "mode") not in ("discrete", "continuous"):
-        raise ConfigError("mode must be 'discrete' or 'continuous'")
-    if cp.get("run", "precision") not in ("float", "rational"):
-        raise ConfigError("precision must be 'float' or 'rational'")
-    return cp
+    for section in cp.sections():
+        if section not in SCHEMA:
+            raise ConfigError(f"bad section = {section!r}: not one of {', '.join(SCHEMA)}")
+        for key in cp[section]:
+            if key not in SCHEMA[section]:
+                raise ConfigError(f"bad key = {key!r}: not a key of [{section}]")
+    return {section: {key: _parsed(key, cp.get(section, key, fallback=default), parse)
+                      for key, (default, parse) in keys.items()}
+            for section, keys in SCHEMA.items()}
 
 
 def _scalar(text: str, exact: bool):
@@ -120,40 +129,44 @@ def _scalar(text: str, exact: bool):
     return int(f) if f.denominator == 1 else float(f)
 
 
-def build_operator(cp: configparser.ConfigParser, exact: bool):
-    """The operator of the [operator] section; the one parser of operator values."""
-    sec = cp["operator"]
-    kind = sec["kind"]
+# kind -> the spaces it takes, its default first
+_KIND_SPACES = {"shift": ("lp", "c0"), "differentiation": ("hardy", "ck"), "translation": ()}
+
+
+def build_operator(sec: dict, exact: bool):
+    """The operator of an [operator] section; the one parser of operator values."""
+    kind, space = sec["kind"], sec["space"]
+    if kind not in _KIND_SPACES:
+        raise ConfigError(f"bad kind = {kind!r}: not one of {', '.join(_KIND_SPACES)}")
+    if space and space not in _KIND_SPACES[kind]:
+        raise ConfigError(f"bad space = {space!r}: kind {kind} takes "
+                          + (" or ".join(_KIND_SPACES[kind]) or "no space"))
     if kind == "shift":
-        if sec["space"] == "c0":
-            space = C0_SEQ
-        else:
-            space = _parsed("p", sec["p"], lambda t: SequenceSpace("lp", float(t)))
+        space = C0_SEQ if space == "c0" else _parsed(
+            "p", sec["p"], lambda t: SequenceSpace("lp", float(t)))
         return _parsed("w", sec["w"], lambda t: WeightedBackwardShift(_scalar(t, exact), space))
     if kind == "differentiation":
-        if sec["space"] != "ck":
+        if space != "ck":
             return Differentiation(HARDY)
         kab = (_parsed("k", sec["k"], int), _parsed("a", sec["a"], float),
                _parsed("b", sec["b"], float))
         return Differentiation(_parsed("k, a, b", kab, lambda t: CkModel(*t)))
-    if kind == "translation":
-        return _parsed("lam", sec["lam"], lambda t: TranslationGenerator(_scalar(t, True)))
-    raise ConfigError(f"unknown operator kind {kind!r}")
+    return _parsed("lam", sec["lam"], lambda t: TranslationGenerator(_scalar(t, True)))
 
 
-def build_certificate(cp: configparser.ConfigParser):
-    exact = cp.get("run", "precision") == "rational"
-    op = build_operator(cp, exact)
-    return make_certificate(op, cp.getint("run", "targets"), exact=exact)
+def build_certificate(cfg: dict):
+    exact = cfg["run"]["precision"] == "rational"
+    op = build_operator(cfg["operator"], exact)
+    return make_certificate(op, cfg["run"]["targets"], exact=exact)
 
 
-def build_placements(cp: configparser.ConfigParser):
+def build_placements(cfg: dict):
     """Placements up to 2 * horizon over the certified thresholds N_l.
 
     Raises ConfigError when the placement horizon is below the largest N_l.
     """
-    tc = compute_thresholds(build_certificate(cp))
-    N = cp.getint("run", "horizon")
+    tc = compute_thresholds(build_certificate(cfg))
+    N = cfg["run"]["horizon"]
     largest = max(N_l for _, N_l in tc.pairs())
     if 2 * N < largest:
         raise ConfigError(f"bad horizon = {N}: placements run to 2 * horizon = {2 * N}, "
@@ -161,75 +174,72 @@ def build_placements(cp: configparser.ConfigParser):
     return assign_placements(tc, horizon=2 * N)
 
 
-def output_paths(cp: configparser.ConfigParser):
-    """(csv path, json path), None where not requested.
+def _output_file(flag: str, path: str) -> str:
+    """path, once a writer can create it: its directory exists, it is no directory."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"bad {flag} = {path!r}: its directory does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"bad {flag} = {path!r}: is a directory")
+    return path
 
-    Raises ConfigError when an output is requested and its directory, after
-    the FHCLAB_OUTPUT_DIR override, does not exist.
-    """
-    out_dir = os.environ.get("FHCLAB_OUTPUT_DIR") or cp.get("output", "dir")
-    csv_name = cp.get("output", "csv")
-    json_name = cp.get("output", "json")
-    if (csv_name or json_name) and not os.path.isdir(out_dir):
+
+def output_paths(cfg: dict):
+    """(csv path, json path), None where not requested, each checked by _output_file
+    after the output directory ($FHCLAB_OUTPUT_DIR, else dir) is checked to exist."""
+    out = cfg["output"]
+    out_dir = os.environ.get("FHCLAB_OUTPUT_DIR") or out["dir"]
+    if (out["csv"] or out["json"]) and not os.path.isdir(out_dir):
         raise ConfigError(f"bad output dir = {out_dir!r}: not an existing directory")
-    csv_path = os.path.join(out_dir, csv_name) if csv_name else None
-    json_path = os.path.join(out_dir, json_name) if json_name else None
-    return csv_path, json_path
+    return tuple(_output_file(key, os.path.join(out_dir, out[key])) if out[key] else None
+                 for key in ("csv", "json"))
 
 
 # --------------------------------------------------------------------------
 # pipeline
 
 
-def run_pipeline(cp: configparser.ConfigParser, out=sys.stdout):
-    csv_path, json_path = output_paths(cp)
-    p = build_placements(cp)
+def run_pipeline(cfg: dict, out):
+    run = cfg["run"]
+    N, mode = run["horizon"], run["mode"]
+    if mode == "continuous" and cfg["operator"]["kind"] != "translation":
+        raise ConfigError("bad mode = 'continuous': needs kind translation")
+    csv_path, json_path = output_paths(cfg)
+    p = build_placements(cfg)
     cert, tc = p.cert, p.tail_certificate
     print("thresholds:", tc.pairs(), file=out)
 
-    N = cp.getint("run", "horizon")
-    factor = cp.getfloat("run", "radius_factor")
-    inject = cp.getboolean("debug", "inject_bound_violation")
-    mode = cp.get("run", "mode")
-
-    if mode == "continuous" and not isinstance(cert.op, TranslationGenerator):
-        raise ConfigError("continuous mode requires the translation operator")
-    epsilons = {l: factor * proximity_bound(l) for l in range(1, cert.target_count + 1)}
+    epsilons = {l: run["radius_factor"] * proximity_bound(l)
+                for l in range(1, cert.target_count + 1)}
     if mode == "continuous":
-        reports = continuous_visits(SolutionOrbit(p), epsilons, float(N),
-                                    cp.getfloat("run", "grid_step"))
+        reports = continuous_visits(SolutionOrbit(p), epsilons, float(N), run["grid_step"])
         for rep in reports:
             floor = rep.continuity_window * len(rep.visit_times)
             print(f"l={rep.l}: delta={rep.continuity_window:.4f} "
                   f"inner={rep.inner_measure:.3f} (needs >= {floor:.3f})", file=out)
-            if not rep.covering_set_check or inject:
+            if not rep.covering_set_check:
                 raise InvariantFailure(
-                    "continuous-visit inner measure >= window * integer visits"
-                    + (" [injected]" if inject else ""))
+                    "continuous-visit inner measure >= window * integer visits")
     else:
         reports = discrete_report(p, epsilons, N)
         for rep in reports:
-            if inject or rep.worst_scheduled > rep.proof_bound:
+            if rep.worst_scheduled > rep.proof_bound:
                 raise InvariantFailure(
                     f"orbit proximity <= 5/2^l, l={rep.l}: worst scheduled "
-                    f"distance {rep.worst_scheduled!r}"
-                    + (" [injected]" if inject else ""))
+                    f"distance {rep.worst_scheduled!r}")
             if not rep.covering_set_check:
                 raise InvariantFailure(f"scheduled visits covered, l={rep.l}")
             print(f"l={rep.l}: visits={len(rep.visit_times)} "
                   f"density_floor={rep.density_floor:.4f} "
                   f"bound={rep.proof_bound:.6f}", file=out)
 
-        probes = cp.getint("run", "probes")
-        if probes:
-            seed = cp.getint("run", "seed")
+        if run["probes"]:
             for l in range(1, cert.target_count + 1):
                 rec = tc.records[l - 1]
                 worst = unconditional_probe(cert, cert.target(l), rec.N,
-                                            trials=probes, seed=seed + l)
+                                            trials=run["probes"], seed=run["seed"] + l)
                 if worst > rec.inverse_tail_bound:
                     raise InvariantFailure(f"sub-sum probe under certified tail, l={l}")
-            print(f"probes: {probes} random sub-sums per target within bounds", file=out)
+            print(f"probes: {run['probes']} random sub-sums per target within bounds", file=out)
 
     if csv_path or json_path:
         report_export(reports, csv_path, json_path)
@@ -246,12 +256,16 @@ def run_pipeline(cp: configparser.ConfigParser, out=sys.stdout):
 def _parse_pairs(text: str):
     try:
         raw = ast.literal_eval(text if text.strip().startswith("[") else f"[{text}]")
-        return [PairKey(int(l), int(nu)) for l, nu in raw]
+        if any(type(v) is not int for pair in raw for v in pair):
+            raise TypeError("l and nu must be integers")
+        return [PairKey(l, nu) for l, nu in raw]
     except (SyntaxError, TypeError) as exc:
         raise ValueError(f"expected (l, nu) pairs: {exc}") from exc
 
 
 def cmd_partition(args):
+    if args.csv:
+        _output_file("--csv", args.csv)
     sched = _parsed("--pairs", args.pairs, lambda t: build_schedule(_parse_pairs(t)))
     if args.density and args.horizon < 2:
         raise ConfigError(f"bad --horizon = {args.horizon}: --density needs horizon >= 2")
@@ -269,11 +283,10 @@ def cmd_partition(args):
 
 
 def _add_op_flags(sub):
-    # one flag per [operator] key (--op is "kind"); unset flags keep DEFAULTS
-    sub.add_argument("--op", dest="kind",
-                     choices=["shift", "differentiation", "translation"])
+    # one flag per [operator] key (--op is "kind"); unset flags keep SCHEMA's defaults
+    sub.add_argument("--op", dest="kind", choices=list(_KIND_SPACES))
     sub.add_argument("--w", help="shift weight base, |w| > 1")
-    sub.add_argument("--space", choices=["lp", "c0", "hardy", "ck"])
+    sub.add_argument("--space", choices=[s for spaces in _KIND_SPACES.values() for s in spaces])
     sub.add_argument("--p")
     sub.add_argument("--lam", help="translation growth rate")
     sub.add_argument("--k")
@@ -285,12 +298,9 @@ def _add_op_flags(sub):
 
 
 def _cert_from_args(args):
-    cp = _defaults()
-    for key in DEFAULTS["operator"]:
-        value = getattr(args, key)
-        if value is not None:
-            _parsed(key, value, lambda t: cp.set("operator", key, t))
-    op = build_operator(cp, exact=False)
+    sec = {key: default for key, (default, _) in SCHEMA["operator"].items()}
+    sec.update((key, getattr(args, key)) for key in sec if getattr(args, key) is not None)
+    op = build_operator(sec, exact=False)
     cert = _parsed("--L", args.L, lambda L: make_certificate(op, L))
     if args.rotate is not None:
         cert = _parsed("--rotate", args.rotate, lambda t: transform_rotation(
@@ -301,9 +311,9 @@ def _cert_from_args(args):
 
 
 def cmd_certify(args):
+    if args.json:
+        _output_file("--json", args.json)
     cert = _cert_from_args(args)
-    if args.json and not os.path.isdir(os.path.dirname(args.json) or "."):
-        raise ConfigError(f"bad --json = {args.json!r}: its directory does not exist")
     tc = compute_thresholds(cert)
     for l, N in tc.pairs():
         rec = tc.records[l - 1]
@@ -327,12 +337,12 @@ def cmd_construct(args):
 
 
 def cmd_orbit(args):
-    cp = load_config(args.config)
-    N = cp.getint("run", "horizon")
+    cfg = load_config(args.config)
+    N = cfg["run"]["horizon"]
     # past N the backward window shrinks and the error bar outgrows the distances
     if not 0 <= args.n <= N:
         raise ConfigError(f"bad n = {args.n}: must lie in [0, {N}] (the run horizon)")
-    p = build_placements(cp)
+    p = build_placements(cfg)
     vec, err = orbit_eval(p, args.n)
     print(f"n={args.n}  ||orbit|| = {vec.norm():.6f}  certified error {err:.3e}")
     for l in range(1, p.cert.target_count + 1):
@@ -355,16 +365,10 @@ def cmd_density(args):
     return 0
 
 
-def _time(text: str) -> Fraction:
-    t = Fraction(text)
-    if t < 0:
-        raise ValueError("must be >= 0")
-    return t
-
-
 def cmd_semigroup(args):
     sg = _parsed("lam", args.lam, lambda t: RegularizedSemigroup(lam=Fraction(t)))
-    t, s = _parsed("t", args.t, _time), _parsed("s", args.s, _time)
+    nonnegative = _checked(Fraction, lambda t: t >= 0, "must be >= 0")
+    t, s = _parsed("t", args.t, nonnegative), _parsed("s", args.s, nonnegative)
     tent = PiecewiseLinearFn.tent(Fraction(0), Fraction(1), Fraction(2), Fraction(1))
     res = semigroup_law_residual(sg, t, s, tent)
     print(f"semigroup law residual at (t,s)=({args.t},{args.s}) on the unit tent: {res}")
@@ -376,8 +380,7 @@ def cmd_semigroup(args):
 
 
 def cmd_run(args):
-    cp = load_config(args.config)
-    run_pipeline(cp)
+    run_pipeline(load_config(args.config), sys.stdout)
     print("all certified invariants hold")
     return 0
 

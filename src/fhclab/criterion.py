@@ -32,6 +32,7 @@ _NEGLIGIBLE = 1e-34
 _TINY_FLOOR = 1e-300  # reported lower clamp for positive but subnormal bounds
 _MAX_TERMS = 600  # inverse terms summed before the geometric remainder closes the tail
 _PROBE_WINDOW = 64  # sub-sums are drawn from F ⊂ (N, N + _PROBE_WINDOW]
+_SEARCH_CAP = 10_000  # largest N tried for each threshold N_l
 
 
 class CertificationError(Exception):
@@ -119,14 +120,14 @@ def tail_norm(cert: OperatorCertificate, y, N: int, direction: str) -> float:
 # thresholds
 
 
-def compute_thresholds(cert: OperatorCertificate, search_cap: int = 10_000) -> TailCertificate:
+def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
     """Minimal N_l per target making the four displayed inequalities hold."""
     records = []
     for l in range(1, cert.target_count + 1):
         strict = 1.0 / (l * 2**l)
         loose = 1.0 / 2**l
         found = None
-        for N in range(1, search_cap + 1):
+        for N in range(1, _SEARCH_CAP + 1):
             fwd = max(tail_norm(cert, cert.target(lam), N, "forward") for lam in range(1, l + 1))
             if fwd > strict:
                 continue
@@ -146,7 +147,7 @@ def compute_thresholds(cert: OperatorCertificate, search_cap: int = 10_000) -> T
             break
         if found is None:
             raise CertificationError(
-                f"no threshold N_{l} <= {search_cap} certifies target {l}"
+                f"no threshold N_{l} <= {_SEARCH_CAP} certifies target {l}"
             )
         records.append(found)
     return TailCertificate(cert, tuple(records))

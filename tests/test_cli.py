@@ -1,6 +1,5 @@
 """End-to-end runner: subcommands, config validation, determinism, exit codes."""
 
-import configparser
 import io
 import os
 
@@ -185,34 +184,40 @@ class TestRun:
         assert "density_floor" in out and "True" in out
 
     def test_bundled_config_parses(self):
-        cp = load_config(REPO_CONFIG)
-        assert cp.getint("run", "targets") == 5
+        cfg = load_config(REPO_CONFIG)
+        assert cfg["run"]["targets"] == 5
 
     def test_percent_in_a_value_is_plain_text(self, tmp_path):
         cfg = write_cfg(tmp_path, "[output]\ncsv = 100%.csv\n")
-        assert load_config(cfg).get("output", "csv") == "100%.csv"
+        assert load_config(cfg)["output"]["csv"] == "100%.csv"
+
+    def test_bundled_run_stdout_matches_pin(self, monkeypatch, capsys, tmp_path):
+        # the directory of the two "wrote" lines is the only part that varies
+        monkeypatch.setenv("FHCLAB_OUTPUT_DIR", str(tmp_path))
+        assert main(["run", "--config", REPO_CONFIG]) == 0
+        out = capsys.readouterr().out.replace(str(tmp_path), "$FHCLAB_OUTPUT_DIR")
+        with open(os.path.join(DATA, "run_shift_w2_stdout.txt"), "rb") as fh:
+            assert out.encode() == fh.read()
 
 
 class TestFailureModes:
-    def test_injected_violation_exits_one(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path)
-                        + "\n[debug]\ninject_bound_violation = true\n")
+    def test_injected_violation_exits_one(self, tmp_path, monkeypatch, capsys):
+        # a proof bound far below every distance: a genuine violation of 5/2^l
+        monkeypatch.setattr(verifier, "proximity_bound", lambda l: 1e-300)
+        cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path))
         assert main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "INVARIANT FAILED" in err and "orbit proximity" in err
 
-    def test_injected_violation_without_scheduled_times_exits_one(self, tmp_path, capsys):
+    def test_run_without_scheduled_times_exits_zero(self, tmp_path):
         # A(1, N_1) starts at n = 3, past the horizon: no scheduled distance to compare
         body = "[operator]\nkind = shift\nw = 2\n\n[run]\ntargets = 1\nhorizon = 2\n"
         assert main(["run", "--config", write_cfg(tmp_path, body)]) == 0
-        cfg = write_cfg(tmp_path, body + "\n[debug]\ninject_bound_violation = true\n")
-        assert main(["run", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert "INVARIANT FAILED" in err and "[injected]" in err
 
-    def test_injected_continuous_violation_exits_one(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, CONTINUOUS_RUN.format(out=tmp_path)
-                        + "\n[debug]\ninject_bound_violation = true\n")
+    def test_injected_continuous_violation_exits_one(self, tmp_path, monkeypatch, capsys):
+        # no inner measure at all, against a positive window times the integer visits
+        monkeypatch.setattr(verifier, "_union_measure", lambda intervals: 0.0)
+        cfg = write_cfg(tmp_path, CONTINUOUS_RUN.format(out=tmp_path))
         assert main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "INVARIANT FAILED" in err and "continuous-visit inner measure" in err
@@ -233,6 +238,27 @@ class TestFailureModes:
         monkeypatch.setattr(cli, "build_certificate", no_work)
         assert main(["run", "--config", cfg]) == 2
         assert f"bad output dir = {str(missing)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        ("[operatr]\nkind = translation\n",
+         "bad section = 'operatr': not one of operator, run, output"),
+        ("[debug]\ninject_bound_violation = false\n",
+         "bad section = 'debug': not one of operator, run, output"),
+        ("[DEFAULT]\nhorizon = 10\n",
+         "bad section = 'DEFAULT': not one of operator, run, output"),
+        ("[run]\nhorizn = 10\n", "bad key = 'horizn': not a key of [run]"),
+        ("[output]\ncsv = {out}\n", "bad csv = {out!r}: is a directory"),
+    ], ids=["operatr", "debug", "DEFAULT", "horizn", "csv-is-dir"])
+    def test_unknown_name_or_unwritable_output_exits_two_before_any_work(
+            self, tmp_path, monkeypatch, capsys, body, message):
+        def no_work(cfg):
+            raise AssertionError("certified before checking the config")
+
+        monkeypatch.setattr(cli, "build_certificate", no_work)
+        monkeypatch.delenv("FHCLAB_OUTPUT_DIR", raising=False)
+        cfg = write_cfg(tmp_path, body.format(out=str(tmp_path)))
+        assert main(["run", "--config", cfg]) == 2
+        assert message.format(out=str(tmp_path)) in capsys.readouterr().err
 
     def test_orbit_n_stays_within_the_run_horizon(self, capsys):
         # past the run horizon the error bar exceeds every distance it shows
@@ -283,7 +309,7 @@ class TestFailureModes:
         (["run"], "[operator]\nw = 2%\n", "w"),
         (["run"], "[run]\nmode = continuous\ngrid_step = 0\n", "grid_step"),
         (["run"], "[run]\ngrid_step = -0.1\n", "grid_step"),
-        (["run"], "[debug]\ninject_bound_violation = maybe\n", "inject_bound_violation"),
+        (["run"], "[debug]\ninject_bound_violation = maybe\n", "section"),
         (["semigroup", "--lam", "0"], None, "lam"),
         (["semigroup", "--t", "abc"], None, "t"),
         (["semigroup", "--s", "-1"], None, "s"),
@@ -299,6 +325,19 @@ class TestFailureModes:
         (["density", "--input", "/nonexistent/report.json"], None, "--input"),
         (["density", "--input", REPO_CONFIG], None, "--input"),
         (["certify", "--json", "/nonexistent/thresholds.json"], None, "--json"),
+        (["run"], "[operatr]\nkind = translation\n", "section"),
+        (["run"], "[debug]\ninject_bound_violation = false\n", "section"),
+        (["run"], "[run]\nhorizn = 10\n", "key"),
+        (["run"], "[run]\nprobes = -1\n", "probes"),
+        (["run"], "[operator]\nkind = shift\nspace = hardy\n", "space"),
+        (["run"], "[operator]\nkind = differentiation\nspace = lp\n", "space"),
+        (["certify", "--op", "translation", "--space", "c0", "--p", "7"], None, "space"),
+        (["certify", "--json", "{out}"], None, "--json"),
+        (["run"], "[output]\ncsv = {out}\n", "csv"),
+        (["partition", "--pairs", "(1,2)", "--csv", "{out}"], None, "--csv"),
+        (["partition", "--pairs", "(1,2)", "--csv", "/nonexistent/members.csv"], None, "--csv"),
+        (["partition", "--pairs", "(1.5,2)"], None, "--pairs"),
+        (["partition", "--pairs", "(True,2)"], None, "--pairs"),
     ], ids=["w=1", "w=abc", "lam=0", "ck-a>b", "rotate=2", "power=0", "L=0",
             "config-w=1/2", "config-p=abc", "config-horizon=abc", "config-w=2%",
             "config-grid_step=0", "config-grid_step<0", "config-inject=maybe",
@@ -306,8 +345,13 @@ class TestFailureModes:
             "orbit-n-past-horizon", "orbit-n<0", "run-horizon-below-thresholds",
             "construct-horizon-below-thresholds", "orbit-horizon-below-thresholds",
             "pairs-l=0", "pairs-unclosed", "pairs-duplicate", "density-horizon=1",
-            "input-missing", "input-not-json", "json-dir-missing"])
+            "input-missing", "input-not-json", "json-dir-missing",
+            "config-section-operatr", "config-section-debug", "config-key-horizn",
+            "config-probes<0", "shift-space-hardy", "differentiation-space-lp",
+            "translation-space-c0", "json-is-dir", "config-csv-is-dir", "csv-is-dir",
+            "csv-dir-missing", "pairs-float", "pairs-bool"])
     def test_bad_operator_or_run_value_exits_two(self, tmp_path, capsys, argv, body, key):
+        argv = [arg.format(out=tmp_path) for arg in argv]
         if body is not None:
             body = body.format(out=tmp_path)
             argv = argv + ["--config", write_cfg(tmp_path, body)]

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from fhclab import criterion
 from fhclab.criterion import (
     CertificationError,
     compute_thresholds,
@@ -113,10 +114,11 @@ class TestThresholds:
             ) and tail_norm(cert, cert.target(l), N, "inverse") <= 1 / 2**l
             assert not ok, f"N_{l} - 1 should fail at least one inequality"
 
-    def test_search_cap_raises(self):
+    def test_search_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(criterion, "_SEARCH_CAP", 2)
         cert = make_certificate(WeightedBackwardShift(Fraction(101, 100)), 3)
         with pytest.raises(CertificationError):
-            compute_thresholds(cert, search_cap=2)
+            compute_thresholds(cert)
 
     def test_json_export_shape(self):
         cert = make_certificate(WeightedBackwardShift(2), 2)

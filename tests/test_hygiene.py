@@ -4,9 +4,10 @@ module-level function is passed by some call.
 
 Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
 the unused-import check: its imports are the package's public re-exports.
-A default that no call in ``src/``, ``bench/`` or ``tests/`` overrides has
-one value in use and belongs in a constant.  A public re-export that only
-tests reach is a name the system does not use.
+A default that no call in ``src/`` or ``bench/`` overrides has one value in
+use and belongs in a constant (a value that only tests pass is a test-only
+knob).  A public re-export that only tests reach is a name the system does
+not use.
 """
 
 import ast
@@ -14,7 +15,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fhclab"
-CALLERS = ("src", "bench", "tests")
+CALLERS = ("src", "bench")
 
 
 def unused_imports(path: pathlib.Path):
@@ -117,7 +118,11 @@ def test_no_function_local_imports():
 
 
 def test_every_default_is_passed_somewhere():
-    hits = never_passed_defaults(SRC, [ROOT / d for d in CALLERS])
+    # main(argv) is the console-script entry point: the installed script calls it
+    # without argv, so argparse reads sys.argv; only tests pass one
+    exempt = {("cli.py", "main(argv)")}
+    hits = [hit for hit in never_passed_defaults(SRC, [ROOT / d for d in CALLERS])
+            if (hit.split(":")[0], hit.rsplit(": ", 1)[1]) not in exempt]
     assert not hits, "defaults no call overrides (make them constants):\n" + "\n".join(hits)
 
 
