@@ -84,10 +84,11 @@ _COUNT = _checked(int, lambda n: n >= 1, "must be >= 1")
 
 # The whole config schema: section -> key -> (default text, parser that also
 # checks the value).  [operator] values stay text for build_operator, which
-# knows the kind and the precision; an empty space means the kind's default.
+# knows the kind, the space and the precision; a key the config leaves out is
+# None there, and _OPERATORS holds the operator's defaults.
 SCHEMA = {
-    "operator": {key: (default, str) for key, default in dict(
-        kind="shift", w="2", space="", p="2", lam="1", k="3", a="0", b="1").items()},
+    "operator": {"kind": ("shift", str), **{key: (None, lambda text: text) for key in (
+        "w", "space", "p", "lam", "k", "a", "b")}},
     "run": {"targets": ("5", _COUNT), "horizon": ("1000", _COUNT), "seed": ("0", int),
             "radius_factor": ("1.2", _checked(float, lambda x: x > 1, "must be > 1")),
             "grid_step": ("0.05", _checked(float, lambda x: x > 0, "must be > 0")),
@@ -129,18 +130,33 @@ def _scalar(text: str, exact: bool):
     return int(f) if f.denominator == 1 else float(f)
 
 
-# kind -> the spaces it takes, its default first
-_KIND_SPACES = {"shift": ("lp", "c0"), "differentiation": ("hardy", "ck"), "translation": ()}
+# kind -> the spaces it takes, its default first -> the keys its operator
+# reads, with their defaults; translation takes no space
+_OPERATORS = {
+    "shift": {"lp": {"w": "2", "p": "2"}, "c0": {"w": "2"}},
+    "differentiation": {"hardy": {}, "ck": {"k": "3", "a": "0", "b": "1"}},
+    "translation": {None: {"lam": "1"}},
+}
 
 
 def build_operator(sec: dict, exact: bool):
-    """The operator of an [operator] section; the one parser of operator values."""
-    kind, space = sec["kind"], sec["space"]
-    if kind not in _KIND_SPACES:
-        raise ConfigError(f"bad kind = {kind!r}: not one of {', '.join(_KIND_SPACES)}")
-    if space and space not in _KIND_SPACES[kind]:
+    """The operator of an [operator] section; the one parser of operator values.
+
+    A key that is set (not None) but not read by the kind and space is an error.
+    """
+    kind = sec["kind"]
+    if kind not in _OPERATORS:
+        raise ConfigError(f"bad kind = {kind!r}: not one of {', '.join(_OPERATORS)}")
+    spaces = _OPERATORS[kind]
+    space = sec["space"] or next(iter(spaces))
+    if space not in spaces:
         raise ConfigError(f"bad space = {space!r}: kind {kind} takes "
-                          + (" or ".join(_KIND_SPACES[kind]) or "no space"))
+                          + (" or ".join(filter(None, spaces)) or "no space"))
+    for key, text in sec.items():
+        if text is not None and key not in ("kind", "space", *spaces[space]):
+            raise ConfigError(f"bad key = {key!r}: not read by kind {kind}"
+                              + (f" on {space}" if space else ""))
+    sec = {**spaces[space], **{key: text for key, text in sec.items() if text is not None}}
     if kind == "shift":
         space = C0_SEQ if space == "c0" else _parsed(
             "p", sec["p"], lambda t: SequenceSpace("lp", float(t)))
@@ -264,6 +280,7 @@ def _parse_pairs(text: str):
 
 
 def cmd_partition(args):
+    _parsed("--horizon", args.horizon, _COUNT)
     if args.csv:
         _output_file("--csv", args.csv)
     sched = _parsed("--pairs", args.pairs, lambda t: build_schedule(_parse_pairs(t)))
@@ -273,8 +290,7 @@ def cmd_partition(args):
         members = sched.members(key, args.horizon)
         print(f"A({key.l},{key.nu}) on [1,{args.horizon}]: {members}")
         if args.density:
-            start = max(1, args.horizon // 10)
-            print(f"  density floor: {sched.density_floor(key, start, args.horizon):.6f} "
+            print(f"  density floor: {sched.density_floor(key, args.horizon):.6f} "
                   f"(analytic {sched.analytic_density(key):.6f})")
     if args.csv:
         sched.export_csv(args.csv, args.horizon)
@@ -284,9 +300,10 @@ def cmd_partition(args):
 
 def _add_op_flags(sub):
     # one flag per [operator] key (--op is "kind"); unset flags keep SCHEMA's defaults
-    sub.add_argument("--op", dest="kind", choices=list(_KIND_SPACES))
+    sub.add_argument("--op", dest="kind", choices=list(_OPERATORS))
     sub.add_argument("--w", help="shift weight base, |w| > 1")
-    sub.add_argument("--space", choices=[s for spaces in _KIND_SPACES.values() for s in spaces])
+    sub.add_argument("--space", choices=[s for spaces in _OPERATORS.values()
+                                         for s in spaces if s])
     sub.add_argument("--p")
     sub.add_argument("--lam", help="translation growth rate")
     sub.add_argument("--k")

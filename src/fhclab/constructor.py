@@ -96,17 +96,23 @@ def _backward_window(tc: TailCertificate):
         K *= 2
 
 
+def _backward_sum(p: FhcPlacement, n: int, window: int):
+    """(sum over placed j in (n, n + window] of B^(j-n) z_j, certified tail bound)."""
+    cert = p.cert
+    ns = p.placed_ns
+    terms = [apply_inverse(cert, p.target_of(j), j - n)
+             for j in ns[bisect_right(ns, n):bisect_right(ns, n + window)]]
+    vec = accumulate(terms) if terms else cert.target(1).scaled(0)  # the space's zero
+    if window == p.backward_window:
+        return vec, p.backward_tail
+    return vec, _inverse_tail(cert, window + 1)
+
+
 def materialize(p: FhcPlacement, M: int):
     """(sum_{n <= M} B^n z_n, certified bound on the omitted tail)."""
-    if M > p.horizon:
-        raise ValueError("M must not exceed the placement horizon")
-    cert = p.cert
-    terms = [
-        apply_inverse(cert, p.target_of(n), n)
-        for n in p.placed_ns[: bisect_right(p.placed_ns, M)]
-    ]
-    vec = accumulate(terms) if terms else cert.target(1).scaled(0)
-    return vec, _inverse_tail(cert, max(M + 1, 1))
+    if not 0 <= M <= p.horizon:
+        raise ValueError("M must lie in [0, horizon]")
+    return _backward_sum(p, 0, M)
 
 
 def orbit_parts(p: FhcPlacement, n: int):
@@ -120,25 +126,12 @@ def orbit_parts(p: FhcPlacement, n: int):
         raise ValueError("n must lie in [0, horizon]")
     cert = p.cert
     ns = p.placed_ns
-    zero = cert.target(1).scaled(0)  # A and B keep the space, so this is its zero
-
     lo = bisect_left(ns, max(1, n - p.forward_window))
     hi = bisect_left(ns, n)
     fwd_terms = [apply_forward(cert, p.target_of(j), n - j) for j in ns[lo:hi]]
-    fwd = accumulate(fwd_terms) if fwd_terms else zero
-
+    fwd = accumulate(fwd_terms) if fwd_terms else cert.target(1).scaled(0)
     middle = p.target_of(n) if n in p.placements else None
-
-    window = min(p.backward_window, p.horizon - n)
-    lo = bisect_right(ns, n)
-    hi = bisect_right(ns, n + window)
-    bwd_terms = [apply_inverse(cert, p.target_of(j), j - n) for j in ns[lo:hi]]
-    bwd = accumulate(bwd_terms) if bwd_terms else zero
-
-    if window == p.backward_window:
-        err = p.backward_tail
-    else:
-        err = _inverse_tail(cert, window + 1)
+    bwd, err = _backward_sum(p, n, min(p.backward_window, p.horizon - n))
     return fwd, middle, bwd, err
 
 

@@ -1,7 +1,8 @@
 """Visit-time statistics and lower-density proxies, discrete and continuous.
 
 The lower density (a liminf) is replaced by a windowed running minimum of
-count(n)/n over [N/10, N]; this lower-bounds every finite
+count(n)/n over the window [max(1, floor(N/10)), N] of
+``density_partition.running_density_floor``; this lower-bounds every finite
 prefix of the evidence and is reported next to N so scaling is visible.
 Continuous visit sets are measured on a grid with a rigorous Lipschitz
 modulus, yielding inner and outer estimates.
@@ -18,8 +19,6 @@ from dataclasses import dataclass, fields
 from .constructor import FhcPlacement, orbit_eval, proximity_bound
 from .density_partition import running_density_floor
 from .spaces import distance
-
-_DENSITY_WINDOW = 0.1  # the density floor is a minimum over [0.1 * N, N]
 
 CSV_COLUMNS = [
     "l",
@@ -58,11 +57,8 @@ class OrbitReport:
 
 
 def density_proxy(visits, N: int) -> float:
-    """min over n in [0.1*N, N] of |visits ∩ [1, n]| / n."""
-    ws = max(1, int(_DENSITY_WINDOW * N))
-    if ws > N:
-        raise ValueError("empty density window")
-    return running_density_floor(sorted(visits), ws, N)
+    """running_density_floor of the visits up to N."""
+    return running_density_floor(sorted(visits), N)
 
 
 def discrete_report(p: FhcPlacement, epsilons: dict, N: int):

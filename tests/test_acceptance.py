@@ -190,7 +190,7 @@ def test_acceptance_4_covering_and_density(shift_placement, capsys):
     floors = []
     for rep in reports:
         key = PairKey(rep.l, p.tail_certificate.threshold(rep.l))
-        sched_floor = p.schedule.density_floor(key, N // 10, N)
+        sched_floor = p.schedule.density_floor(key, N)
         floors.append((rep.density_floor, sched_floor))
         ok &= rep.covering_set_check
         ok &= not rep.guarantee_vacuous
@@ -336,7 +336,7 @@ def test_acceptance_9_certificate_transforms(capsys):
         for rep in discrete_report(p, eps, 2000):
             key = PairKey(rep.l, tc.threshold(rep.l))
             ok &= rep.covering_set_check
-            ok &= rep.density_floor >= 0.9 * p.schedule.density_floor(key, 200, 2000)
+            ok &= rep.density_floor >= 0.9 * p.schedule.density_floor(key, 2000)
         # identity residual must be exactly zero on every target
         for l in range(1, 4):
             ok &= right_inverse_identity_check(cert, cert.target(l)) == 0.0

@@ -199,6 +199,17 @@ class TestRun:
         with open(os.path.join(DATA, "run_shift_w2_stdout.txt"), "rb") as fh:
             assert out.encode() == fh.read()
 
+    def test_five_pair_partition_matches_pin(self, capsys, tmp_path):
+        # five ranks and filler blocks; the --csv directory is the only part that varies
+        csv = tmp_path / "partition_5pairs.csv"
+        assert main(["partition", "--pairs", "(1,2),(2,3),(3,5),(4,7),(5,9)", "--horizon",
+                     "3000", "--density", "--csv", str(csv)]) == 0
+        out = capsys.readouterr().out.replace(str(tmp_path), "$TMP")
+        with open(os.path.join(DATA, "partition_5pairs_stdout.txt"), "rb") as fh:
+            assert out.encode() == fh.read()
+        with open(os.path.join(DATA, "partition_5pairs.csv"), "rb") as fh:
+            assert csv.read_bytes() == fh.read()
+
 
 class TestFailureModes:
     def test_injected_violation_exits_one(self, tmp_path, monkeypatch, capsys):
@@ -338,6 +349,14 @@ class TestFailureModes:
         (["partition", "--pairs", "(1,2)", "--csv", "/nonexistent/members.csv"], None, "--csv"),
         (["partition", "--pairs", "(1.5,2)"], None, "--pairs"),
         (["partition", "--pairs", "(True,2)"], None, "--pairs"),
+        (["partition", "--pairs", "(1,2)", "--horizon", "0"], None, "--horizon"),
+        (["partition", "--pairs", "(1,2)", "--horizon", "-5"], None, "--horizon"),
+        (["partition", "--pairs", "(1,2)", "--horizon", "0", "--csv", "{out}/m.csv"], None,
+         "--horizon"),
+        (["certify", "--op", "translation", "--w", "1", "--p", "7", "--k", "0", "--L", "1"],
+         None, "key"),
+        (["certify", "--op", "differentiation", "--k", "7", "--L", "1"], None, "key"),
+        (["run"], "[operator]\nkind = translation\nw = 1\np = abc\n", "key"),
     ], ids=["w=1", "w=abc", "lam=0", "ck-a>b", "rotate=2", "power=0", "L=0",
             "config-w=1/2", "config-p=abc", "config-horizon=abc", "config-w=2%",
             "config-grid_step=0", "config-grid_step<0", "config-inject=maybe",
@@ -349,7 +368,9 @@ class TestFailureModes:
             "config-section-operatr", "config-section-debug", "config-key-horizn",
             "config-probes<0", "shift-space-hardy", "differentiation-space-lp",
             "translation-space-c0", "json-is-dir", "config-csv-is-dir", "csv-is-dir",
-            "csv-dir-missing", "pairs-float", "pairs-bool"])
+            "csv-dir-missing", "pairs-float", "pairs-bool", "partition-horizon=0",
+            "partition-horizon<0", "partition-horizon=0-csv", "translation-flags-w-p-k",
+            "hardy-flag-k", "config-translation-w-p"])
     def test_bad_operator_or_run_value_exits_two(self, tmp_path, capsys, argv, body, key):
         argv = [arg.format(out=tmp_path) for arg in argv]
         if body is not None:
@@ -357,6 +378,27 @@ class TestFailureModes:
             argv = argv + ["--config", write_cfg(tmp_path, body)]
         assert main(argv) == 2
         assert f"bad {key} = " in capsys.readouterr().err
+
+    def test_bad_partition_horizon_writes_no_csv(self, tmp_path, capsys):
+        csv = tmp_path / "m.csv"
+        assert main(["partition", "--pairs", "(1,2)", "--horizon", "-5", "--csv", str(csv)]) == 2
+        assert "bad --horizon = -5: must be >= 1" in capsys.readouterr().err
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("argv, body, message", [
+        (["run"], "[operator]\nkind = translation\nw = 1\np = abc\n",
+         "bad key = 'w': not read by kind translation"),
+        (["certify", "--op", "differentiation", "--k", "7", "--L", "1"], None,
+         "bad key = 'k': not read by kind differentiation on hardy"),
+        (["certify", "--op", "shift", "--space", "c0", "--p", "3"], None,
+         "bad key = 'p': not read by kind shift on c0"),
+    ], ids=["translation-config", "hardy-flag", "c0-flag-p"])
+    def test_key_the_operator_does_not_read_exits_two(self, tmp_path, capsys, argv, body,
+                                                       message):
+        if body is not None:
+            argv = argv + ["--config", write_cfg(tmp_path, body)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestOperatorParser:

@@ -31,7 +31,7 @@ class TestSinglePair:
 
     def test_density_floor_matches_frozen_value(self):
         sched = build_schedule([PairKey(1, 2)])
-        floor = sched.density_floor(PairKey(1, 2), 100, 10_000)
+        floor = sched.density_floor(PairKey(1, 2), 10_000)
         assert floor == pytest.approx(0.25, abs=0.01)
 
 
@@ -54,7 +54,7 @@ class TestTwoPairs:
         assert min(abs(x - y) for x in a for y in b) >= 1 + 2
 
     def test_primary_pair_density(self):
-        floor = self.sched.density_floor(PairKey(1, 1), 100, 10_000)
+        floor = self.sched.density_floor(PairKey(1, 1), 10_000)
         assert floor == pytest.approx(0.235, abs=0.01)
 
 

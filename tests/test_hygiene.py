@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used by that module,
 every import sits at module level, and every defaulted parameter of a
-module-level function is passed by some call.
+module-level function is passed by some call, and no method outside a
+constructor changes its object's attributes.
 
 Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
 the unused-import check: its imports are the package's public re-exports.
@@ -103,6 +104,42 @@ def unused_exports(src: pathlib.Path, users, keep):
     return [name for name in exported if name not in used | keep]
 
 
+MUTATORS = {"append", "extend", "update", "pop", "insert", "setdefault"}
+
+
+def _self_attribute(node):
+    """True for ``self.x`` and for an item or attribute of it (``self.x[k]``)."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.value.id == "self"
+        node = node.value
+    return False
+
+
+def state_changes(path: pathlib.Path):
+    """``Class.method`` for each method, other than a constructor, that assigns to
+    a ``self`` attribute or calls a mutating method on one."""
+    hits = []
+    for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for func in cls.body:
+            if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or func.name in ("__init__", "__post_init__")):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = getattr(node, "targets", None) or [node.target]
+                    changed = any(_self_attribute(t) for t in targets)
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    changed = node.func.attr in MUTATORS and _self_attribute(node.func.value)
+                else:
+                    changed = False
+                if changed:
+                    hits.append(f"{path.name}:{node.lineno}: {cls.name}.{func.name}")
+    return hits
+
+
 def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
@@ -136,3 +173,13 @@ def test_every_export_is_used_outside_tests():
     }
     hits = unused_exports(SRC, [SRC, ROOT / "bench"], keep)
     assert not hits, "public names only tests use:\n" + "\n".join(hits)
+
+
+def test_no_state_changes_outside_constructors():
+    # SolutionOrbit.evaluate keeps the last integer orbit point it built (one
+    # entry), so the continuous sweep builds each orbit_eval(n) once instead of
+    # once per grid cell; the entry is a pure function of n
+    exempt = {"SolutionOrbit.evaluate"}
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in state_changes(path)
+            if hit.rsplit(": ", 1)[1] not in exempt]
+    assert not hits, "methods that change state outside a constructor:\n" + "\n".join(hits)

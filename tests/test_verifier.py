@@ -9,6 +9,7 @@ import pytest
 from fhclab import regularized_semigroup
 from fhclab.constructor import assign_placements, orbit_eval, proximity_bound
 from fhclab.criterion import compute_thresholds
+from fhclab.density_partition import PairKey
 from fhclab.operators import (
     TranslationGenerator,
     WeightedBackwardShift,
@@ -84,7 +85,7 @@ class TestDiscreteVisits:
 
 def revisit_worst(p, l, N):
     """Oracle: re-evaluate every scheduled n <= N of A(l, N_l) on its own."""
-    key = (l, p.tail_certificate.threshold(l))
+    key = PairKey(l, p.tail_certificate.threshold(l))
     scheduled = p.schedule.members(key, N)
     worst = 0.0
     for n in scheduled:
@@ -122,7 +123,7 @@ class TestWorstScheduled:
 
     def test_zero_without_scheduled_times(self):
         p = shift_placement()
-        first = min(p.schedule.members((2, p.tail_certificate.threshold(2)), 200))
+        first = min(p.schedule.members(PairKey(2, p.tail_certificate.threshold(2)), 200))
         rep = discrete_report(p, {2: 1.2 * proximity_bound(2)}, first - 1)[0]
         assert rep.worst_scheduled == 0.0 and rep.covering_set_check
 
