@@ -67,13 +67,9 @@ from .verifier import (
     report_import,
 )
 from .regularized_semigroup import (
-    IdentityMultiplier,
-    DiagonalDecayMultiplier,
-    RegularizedSemigroup,
     w_apply,
     semigroup_law_residual,
     generator_residual,
-    imc_norm,
     SolutionOrbit,
 )
 

@@ -16,9 +16,8 @@ nu, and rank frequencies 2^-(j+1) give every set positive lower density.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -108,9 +107,11 @@ def running_density_floor(members, stop: int) -> float:
     """
     if stop < 1:
         raise ValueError("empty density window")
-    ns = np.arange(max(1, stop // 10), stop + 1, dtype=np.int64)
-    counts = np.searchsorted(np.asarray(members, dtype=np.int64), ns, side="right")
-    return float(np.min(counts / ns))
+    # between members the count is flat and count(n)/n falls, so the minimum
+    # sits at stop or at m - 1 for a member m in (start, stop], where the
+    # count is m's index (a repeated m only adds larger candidates)
+    first, last = bisect_right(members, max(1, stop // 10)), bisect_right(members, stop)
+    return min([last / stop] + [i / (members[i] - 1) for i in range(first, last)])
 
 
 def build_schedule(pairs) -> PartitionSchedule:

@@ -157,7 +157,7 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    lam = float(orbit.lam)
+    lam = float(orbit.placement.cert.op.lam)
     ls = sorted(epsilons)
     targets = {l: orbit.placement.cert.target(l) for l in ls}
     # an integer visit within epsilon / 2 certifies a window [n, n + delta]

@@ -105,6 +105,13 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "residual at (t,s)=(1,1)" in out and ": 0.0" in out
 
+    def test_semigroup_stdout_matches_pin(self, capsys):
+        # the default arguments, then a rational rate at rational times
+        assert main(["semigroup"]) == 0
+        assert main(["semigroup", "--lam", "3/2", "--t", "1/3", "--s", "5/7"]) == 0
+        with open(os.path.join(DATA, "semigroup_stdout.txt"), "rb") as fh:
+            assert capsys.readouterr().out.encode() == fh.read()
+
     def test_orbit_command(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path))
         assert main(["orbit", "--config", cfg, "--n", "3"]) == 0
@@ -198,6 +205,20 @@ class TestRun:
         out = capsys.readouterr().out.replace(str(tmp_path), "$FHCLAB_OUTPUT_DIR")
         with open(os.path.join(DATA, "run_shift_w2_stdout.txt"), "rb") as fh:
             assert out.encode() == fh.read()
+
+    def test_rational_run_writes_the_float_csv(self, monkeypatch, tmp_path):
+        # exact arithmetic end to end is the oracle of the float pipeline
+        with open(REPO_CONFIG) as fh:
+            text = fh.read()
+        assert "precision = float\n" in text
+        for precision in ("float", "rational"):
+            out = tmp_path / precision
+            out.mkdir()
+            monkeypatch.setenv("FHCLAB_OUTPUT_DIR", str(out))
+            body = text.replace("precision = float", f"precision = {precision}")
+            assert main(["run", "--config", write_cfg(tmp_path, body, f"{precision}.cfg")]) == 0
+        csvs = [(tmp_path / d / "shift_w2_report.csv").read_bytes() for d in ("float", "rational")]
+        assert csvs[0] == csvs[1]
 
     def test_five_pair_partition_matches_pin(self, capsys, tmp_path):
         # five ranks and filler blocks; the --csv directory is the only part that varies

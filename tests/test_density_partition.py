@@ -3,10 +3,11 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fhclab.density_partition import PairKey, build_schedule
+from fhclab.density_partition import PairKey, build_schedule, running_density_floor
 
 
 class TestSinglePair:
@@ -121,3 +122,18 @@ def test_csv_export_schema(tmp_path):
     rows = list(csv.DictReader(io.StringIO(path.read_text())))
     assert [r["n"] for r in rows] == ["3", "7", "11", "15"]
     assert {r["l"] for r in rows} == {"1"} and {r["nu"] for r in rows} == {"2"}
+
+
+def numpy_density_floor(members, stop):
+    """Oracle: the window minimum as first written, every n of the window counted."""
+    ns = np.arange(max(1, stop // 10), stop + 1, dtype=np.int64)
+    counts = np.searchsorted(np.asarray(members, dtype=np.int64), ns, side="right")
+    return float(np.min(counts / ns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 600), max_size=80), st.integers(1, 500))
+def test_density_floor_matches_numpy_oracle(members, stop):
+    # repeated members and members outside the window included
+    members = sorted(members)
+    assert repr(running_density_floor(members, stop)) == repr(numpy_density_floor(members, stop))

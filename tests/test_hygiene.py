@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used by that module,
 every import sits at module level, and every defaulted parameter of a
-module-level function is passed by some call, and no method outside a
-constructor changes its object's attributes.
+module-level function is passed by some call, no method outside a
+constructor changes its object's attributes, and only ``spaces.py``
+imports numpy.
 
 Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
 the unused-import check: its imports are the package's public re-exports.
@@ -104,6 +105,21 @@ def unused_exports(src: pathlib.Path, users, keep):
     return [name for name in exported if name not in used | keep]
 
 
+def numpy_imports(path: pathlib.Path):
+    """``module:line`` for each ``import numpy...`` or ``from numpy... import``."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.partition(".")[0] == "numpy" for name in names):
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
 MUTATORS = {"append", "extend", "update", "pop", "insert", "setdefault"}
 
 
@@ -168,8 +184,6 @@ def test_every_export_is_used_outside_tests():
     keep = {
         "right_inverse_identity_check",  # acceptance 9: A B = I on the targets
         "transform_inverse",  # acceptance 9: the criterion with A and B swapped
-        "DiagonalDecayMultiplier",  # the C-regularized setting with an injective C
-        "imc_norm",  # its image norm inf{||y|| : Cy = x}
     }
     hits = unused_exports(SRC, [SRC, ROOT / "bench"], keep)
     assert not hits, "public names only tests use:\n" + "\n".join(hits)
@@ -183,3 +197,11 @@ def test_no_state_changes_outside_constructors():
     hits = [hit for path in sorted(SRC.glob("*.py")) for hit in state_changes(path)
             if hit.rsplit(": ", 1)[1] not in exempt]
     assert not hits, "methods that change state outside a constructor:\n" + "\n".join(hits)
+
+
+def test_numpy_only_in_spaces():
+    # spaces.py samples the C^k grid norm with numpy; ROADMAP item 2's Bernstein
+    # enclosure of that norm removes the last import
+    hits = [hit for path in sorted(SRC.glob("*.py")) if path.name != "spaces.py"
+            for hit in numpy_imports(path)]
+    assert not hits, "numpy imported outside spaces.py:\n" + "\n".join(hits)
