@@ -7,6 +7,12 @@ from the cancellation identities A^n B^j = B^(j-n) (j >= n) and A^(n-j)
 (j < n) on dense elements, which is numerically stable because growing
 weights never multiply truncated small entries.
 
+Every term of an orbit point is some A^k y_l (k up to the forward window) or
+B^k y_l (k up to the backward window), so ``assign_placements`` builds these
+once per target and the sweep reads them from that table.  Only x itself,
+``materialize(p, M)`` with M past the backward window, still applies B for
+the terms beyond it.
+
 Everything beyond the evaluation window is closed off with the certified
 inverse-tail bound and reported as an explicit error bar.
 """
@@ -44,6 +50,10 @@ class FhcPlacement:
     forward_window: int  # exact extinction bound for forward terms
     backward_window: int  # inverse terms beyond this are covered by the tail
     backward_tail: float  # certified bound for everything beyond the window
+    # l -> (A^0 y_l, ..., A^forward_window y_l), each apply_forward(cert, y_l, k)
+    forward_terms: dict
+    # l -> (B^0 y_l, ..., B^backward_window y_l), each apply_inverse(cert, y_l, k)
+    inverse_terms: dict
 
     @property
     def cert(self):
@@ -72,9 +82,13 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
         for l in range(1, cert.target_count + 1)
     )
     bwd_window, bwd_tail = _backward_window(tc)
-    return FhcPlacement(
-        tc, sched, horizon, placements, placed, fwd_window, bwd_window, bwd_tail
-    )
+    targets = {l: cert.target(l) for l in range(1, cert.target_count + 1)}
+    forward_terms = {l: tuple(apply_forward(cert, y, k) for k in range(fwd_window + 1))
+                     for l, y in targets.items()}
+    inverse_terms = {l: tuple(apply_inverse(cert, y, k) for k in range(bwd_window + 1))
+                     for l, y in targets.items()}
+    return FhcPlacement(tc, sched, horizon, placements, placed, fwd_window, bwd_window,
+                        bwd_tail, forward_terms, inverse_terms)
 
 
 def _inverse_tail(cert, K: int) -> float:
@@ -100,8 +114,10 @@ def _backward_sum(p: FhcPlacement, n: int, window: int):
     """(sum over placed j in (n, n + window] of B^(j-n) z_j, certified tail bound)."""
     cert = p.cert
     ns = p.placed_ns
-    terms = [apply_inverse(cert, p.target_of(j), j - n)
-             for j in ns[bisect_right(ns, n):bisect_right(ns, n + window)]]
+    lo, hi = bisect_right(ns, n), bisect_right(ns, n + window)
+    cut = bisect_right(ns, n + min(window, p.backward_window))  # the table ends here
+    terms = [p.inverse_terms[p.placements[j]][j - n] for j in ns[lo:cut]]
+    terms += [apply_inverse(cert, p.target_of(j), j - n) for j in ns[cut:hi]]
     vec = accumulate(terms) if terms else cert.target(1).scaled(0)  # the space's zero
     if window == p.backward_window:
         return vec, p.backward_tail
@@ -128,7 +144,7 @@ def orbit_parts(p: FhcPlacement, n: int):
     ns = p.placed_ns
     lo = bisect_left(ns, max(1, n - p.forward_window))
     hi = bisect_left(ns, n)
-    fwd_terms = [apply_forward(cert, p.target_of(j), n - j) for j in ns[lo:hi]]
+    fwd_terms = [p.forward_terms[p.placements[j]][n - j] for j in ns[lo:hi]]
     fwd = accumulate(fwd_terms) if fwd_terms else cert.target(1).scaled(0)
     middle = p.target_of(n) if n in p.placements else None
     bwd, err = _backward_sum(p, n, min(p.backward_window, p.horizon - n))

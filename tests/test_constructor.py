@@ -17,14 +17,31 @@ from fhclab.operators import (
     TranslationGenerator,
     WeightedBackwardShift,
     apply_forward,
+    apply_inverse,
     make_certificate,
+    transform_power,
+    transform_rotation,
 )
-from fhclab.spaces import distance
+from fhclab.spaces import accumulate, distance
+from fhclab.verifier import discrete_report
 
 
 def shift_placement(L=1, horizon=200, w=2, exact=False):
     cert = make_certificate(WeightedBackwardShift(w), L, exact=exact)
     return assign_placements(compute_thresholds(cert), horizon)
+
+
+def count_inverse_calls(monkeypatch):
+    """The iteration counts of every apply_inverse call the constructor makes from now on."""
+    calls = []
+    real = constructor.apply_inverse
+
+    def counted(cert, v, n):
+        calls.append(n)
+        return real(cert, v, n)
+
+    monkeypatch.setattr(constructor, "apply_inverse", counted)
+    return calls
 
 
 class TestProximityBound:
@@ -112,23 +129,16 @@ class TestOrbit:
                 assert bwd.norm() + err <= 1 / 2**l + 1e-12
 
     def test_empty_sides_apply_no_inverse(self, monkeypatch):
-        # the zero standing in for an empty sum is built without applying B
-        calls = []
-        real = constructor.apply_inverse
-
-        def counted(cert, v, n):
-            calls.append(n)
-            return real(cert, v, n)
-
-        monkeypatch.setattr(constructor, "apply_inverse", counted)
+        # the zero standing in for an empty sum is built without applying B, and
+        # after assign_placements every orbit term comes from the term table
         p = shift_placement()
+        calls = count_inverse_calls(monkeypatch)
         x, _ = materialize(p, p.placed_ns[0] - 1)
         assert x.is_zero() and x.space == p.cert.target(1).space
         _, _, bwd, _ = orbit_parts(p, p.horizon)  # backward window is empty
-        assert bwd.is_zero() and calls == []
+        assert bwd.is_zero()
         fwd, _, _, _ = orbit_parts(p, 1)  # nothing is placed before n = 1
-        window = [j for j in p.placed_ns if 1 < j <= 1 + p.backward_window]
-        assert fwd.is_zero() and calls == [j - 1 for j in window]
+        assert fwd.is_zero() and calls == []
 
     def test_exact_decomposition_consistency(self):
         # orbit_eval must agree with literally applying A^n to the materialized
@@ -148,3 +158,43 @@ class TestOrbit:
         n = p.placed_ns[0]
         vec, err = orbit_eval(p, n)
         assert distance(vec, y) + err <= proximity_bound(1)
+
+
+class TestTermTable:
+    @pytest.mark.parametrize("cert", [
+        make_certificate(WeightedBackwardShift(2), 2),
+        transform_rotation(make_certificate(WeightedBackwardShift(2), 3), -1),
+        transform_power(make_certificate(WeightedBackwardShift(2), 3), 2),
+        make_certificate(TranslationGenerator(1), 1),
+    ], ids=["shift-L2", "rotated", "powered", "translation"])
+    def test_entries_are_the_certificate_actions(self, cert):
+        p = assign_placements(compute_thresholds(cert), 400)
+        for l in range(1, cert.target_count + 1):
+            y = cert.target(l)
+            assert len(p.forward_terms[l]) == p.forward_window + 1
+            assert len(p.inverse_terms[l]) == p.backward_window + 1
+            for k, term in enumerate(p.forward_terms[l]):
+                assert repr(term) == repr(apply_forward(cert, y, k))
+            for k, term in enumerate(p.inverse_terms[l]):
+                assert repr(term) == repr(apply_inverse(cert, y, k))
+
+    def test_sweep_applies_no_inverse(self, monkeypatch):
+        p = shift_placement(L=3, horizon=8000)
+        calls = count_inverse_calls(monkeypatch)
+        eps = {l: 1.2 * proximity_bound(l) for l in (1, 2, 3)}
+        for N in (1000, 4000):
+            discrete_report(p, eps, N)
+            assert calls == [], N
+
+    def test_orbit_at_zero_applies_b_past_the_table(self, monkeypatch):
+        p = shift_placement(L=2)
+        past = [j for j in p.placed_ns if j > p.backward_window]
+        assert p.horizon > p.backward_window and past
+        calls = count_inverse_calls(monkeypatch)
+        vec, err = orbit_eval(p, 0)
+        assert calls == past
+        x, tail = materialize(p, p.horizon)
+        direct = accumulate([apply_inverse(p.cert, p.target_of(j), j) for j in p.placed_ns])
+        assert err == tail
+        assert repr(list(vec.entries.items())) == repr(list(x.entries.items())) \
+            == repr(list(direct.entries.items()))

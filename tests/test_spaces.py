@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,3 +284,113 @@ class TestPlfSum:
             linear_combine(1, 3, 1, 4)
         with pytest.raises(TypeError, match="int"):
             accumulate([1, 2])
+
+
+# --------------------------------------------------------------------------
+# the one-pass sparse sum and the vector-free distance against the pairwise code
+
+
+def _pairwise_sparse(a, u, b, v):
+    """The former ``SparseVector.combine``: a*u + b*v through the checking constructor."""
+    out = {k: a * c for k, c in u.entries.items()}
+    for k, c in v.entries.items():
+        out[k] = out.get(k, 0) + b * c
+    return SparseVector(out, u.space)
+
+
+def _pairwise_norm(v):
+    """The former ``SparseVector.norm``: the entries summed in dict order."""
+    values = v.entries.values()
+    if not values:
+        return 0.0
+    if v.space.kind == "c0":
+        return float(max(abs(c) for c in values))
+    p = v.space.p
+    if p == 2:
+        return math.sqrt(float(sum(abs(c) ** 2 for c in values)))
+    return float(sum(float(abs(c)) ** p for c in values)) ** (1.0 / p)
+
+
+def _items(v):
+    return repr(list(v.entries.items()))
+
+
+SEQ_SPACES = [SequenceSpace("lp", 1.0), L2, SequenceSpace("lp", 3.0), C0_SEQ]
+# sums of these round (0.1, 1/3) or stay exact (dyadics), and can cancel to 0
+FLOATS = [0.1, -0.1, 0.3, 1 / 3, -2 / 3, 0.5, -0.5, 1.0, -3.0, 1e-17, 2.5e-300]
+FRACTIONS = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(5), -1]
+
+
+@st.composite
+def sparse_lists(draw):
+    """(scalars, vectors) in one space, supports overlapping, dict orders shuffled.
+
+    Some vectors are negated, as a -1 twist does.  Some lists get, after a
+    prefix, the negation of the prefix's sum at one index (an exact
+    cancellation partway through the fold) and at the end a term that brings
+    that index back.
+    """
+    space = draw(st.sampled_from(SEQ_SPACES))
+    scalars = draw(st.sampled_from([FLOATS, FRACTIONS, FLOATS + FRACTIONS]))
+    vectors = []
+    for _ in range(draw(st.integers(1, 7))):
+        keys = draw(st.lists(st.integers(1, 8), max_size=5, unique=True))
+        v = SparseVector({k: draw(st.sampled_from(scalars)) for k in keys}, space)
+        vectors.append(v.scaled(-1) if draw(st.booleans()) else v)
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, len(vectors)))
+        prefix = reduce(lambda acc, v: _pairwise_sparse(1, acc, 1, v), vectors[:cut])
+        if prefix.entries:
+            k = draw(st.sampled_from(sorted(prefix.entries)))
+            vectors.insert(cut, SparseVector({k: -prefix.entries[k]}, space))
+            vectors.append(SparseVector({k: draw(st.sampled_from(scalars))}, space))
+    return scalars, vectors
+
+
+@st.composite
+def sparse_pairs(draw):
+    """(u, v) with overlapping, disjoint, equal-support or equal vectors."""
+    scalars, vectors = draw(sparse_lists())
+    u, v = vectors[0], vectors[-1]
+    shape = draw(st.sampled_from(["overlapping", "disjoint", "same support", "equal"]))
+    if shape == "disjoint":
+        v = SparseVector({k + 8: c for k, c in v.entries.items()}, v.space)
+    elif shape == "same support":  # v lists the indices in the other order
+        v = SparseVector({k: draw(st.sampled_from(scalars)) for k in reversed(u.entries)},
+                         u.space)
+    elif shape == "equal":
+        v = SparseVector(dict(u.entries), u.space)
+    return u, v
+
+
+class TestSparseSum:
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_lists())
+    def test_one_pass_matches_the_pairwise_fold(self, case):
+        _, vectors = case
+        want = reduce(lambda acc, v: _pairwise_sparse(1, acc, 1, v), vectors)
+        fold = reduce(lambda acc, v: linear_combine(1, acc, 1, v), vectors)
+        got = accumulate(vectors)
+        assert _items(got) == _items(fold) == _items(want)
+        assert repr(got.norm()) == repr(_pairwise_norm(want))
+
+    def test_cancelled_index_comes_back_at_the_end(self):
+        vs = [SparseVector({1: 0.1, 2: 0.5}, L2), SparseVector({3: 1.0, 1: -0.1}, L2),
+              SparseVector({1: 0.25, 4: 2.0}, L2)]
+        assert list(accumulate(vs).entries.items()) == [(2, 0.5), (3, 1.0), (1, 0.25), (4, 2.0)]
+
+    def test_space_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            accumulate([SparseVector.basis(1, L2), SparseVector.basis(1, C0_SEQ)])
+        with pytest.raises(ValueError):
+            distance(SparseVector.basis(1, L2), SparseVector.basis(1, C0_SEQ))
+
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_pairs())
+    def test_distance_matches_the_norm_of_the_difference(self, pair):
+        u, v = pair
+        got = distance(u, v)
+        assert repr(got) == repr(linear_combine(1, u, -1, v).norm())
+        assert repr(got) == repr(_pairwise_norm(_pairwise_sparse(1, u, -1, v)))
+        if u == v:
+            assert repr(got) == "0.0"
