@@ -86,21 +86,26 @@ def tail_norm(cert: OperatorCertificate, y, N: int, direction: str) -> float:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    decaying = (direction == "inverse") != cert.swapped
     apply_n = apply_inverse if direction == "inverse" else apply_forward
+    return _tail(cert, y, N, direction, lambda n: apply_n(cert, y, n).norm())
+
+
+def _tail(cert: OperatorCertificate, y, N: int, direction: str, term_norm) -> float:
+    """``tail_norm``'s bound, reading ||G^n y|| from ``term_norm(n)``, n = N, N+1, ..."""
+    decaying = (direction == "inverse") != cert.swapped
 
     if not decaying:
         # the growing action is A^r in either role and dies at a finite index
         ext = math.ceil(cert.op.extinction(y) / cert.power)
         if N >= ext:
             return 0.0
-        return sum(apply_n(cert, y, n).norm() for n in range(N, ext))
+        return sum(term_norm(n) for n in range(N, ext))
 
     terms = []
     n = N
     total_hint = 0.0
     while True:
-        t = apply_n(cert, y, n).norm()
+        t = term_norm(n)
         terms.append(t)
         total_hint = max(total_hint, t)
         q = cert.op.inverse_ratio_bound(y, n, cert.power)
@@ -121,20 +126,40 @@ def tail_norm(cert: OperatorCertificate, y, N: int, direction: str) -> float:
 
 
 def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
-    """Minimal N_l per target making the four displayed inequalities hold."""
+    """Minimal N_l per target making the four displayed inequalities hold.
+
+    Every tail reads its term norms from one list per target and direction,
+    so each ||G^n y_lam|| is computed once for the whole search; the sums are
+    ``tail_norm``'s, term for term.
+    """
+    norms = {}  # (lam, direction) -> [||G^1 y_lam||, ||G^2 y_lam||, ...]
+
+    def tail(lam: int, N: int, direction: str) -> float:
+        y = cert.target(lam)
+        apply_n = apply_inverse if direction == "inverse" else apply_forward
+        known = norms.setdefault((lam, direction), [])
+
+        def term_norm(n):
+            while len(known) < n:
+                known.append(apply_n(cert, y, len(known) + 1).norm())
+            return known[n - 1]
+
+        return _tail(cert, y, N, direction, term_norm)
+
     records = []
     for l in range(1, cert.target_count + 1):
         strict = 1.0 / (l * 2**l)
         loose = 1.0 / 2**l
         found = None
         for N in range(1, _SEARCH_CAP + 1):
-            fwd = max(tail_norm(cert, cert.target(lam), N, "forward") for lam in range(1, l + 1))
+            fwd = max(tail(lam, N, "forward") for lam in range(1, l + 1))
             if fwd > strict:
                 continue
-            inv = max(tail_norm(cert, cert.target(lam), N, "inverse") for lam in range(1, l + 1))
+            inv_tails = [tail(lam, N, "inverse") for lam in range(1, l + 1)]
+            inv = max(inv_tails)
             if inv > strict:
                 continue
-            own = tail_norm(cert, cert.target(l), N, "inverse")
+            own = inv_tails[-1]
             if own > loose:
                 continue
             resid = distance(
@@ -167,12 +192,16 @@ def unconditional_probe(cert: OperatorCertificate, y, N: int, trials: int, seed:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     lo, hi = N + 1, N + _PROBE_WINDOW
+    terms = {}  # n -> B^n y, built on its first draw
     best = 0.0
     for _ in range(trials):
         size = rng.randint(0, min(_PROBE_WINDOW, 12))
         if size == 0:
             continue
         F = rng.sample(range(lo, hi + 1), size)
-        vec = accumulate([apply_inverse(cert, y, n) for n in F])
+        for n in F:
+            if n not in terms:
+                terms[n] = apply_inverse(cert, y, n)
+        vec = accumulate([terms[n] for n in F])
         best = max(best, vec.norm())
     return best

@@ -92,7 +92,9 @@ class TestSubcommands:
          "certify_hardy_L3_power2.json"),
         (["--op", "translation", "--lam", "1", "--L", "2", "--rotate", "-1"],
          "certify_translation_L2_rotate-1.json"),
-    ], ids=["shift-l2", "shift-c0", "hardy-power2", "translation-rotate"])
+        (["--op", "differentiation", "--space", "ck", "--k", "3", "--L", "5"],
+         "certify_ck3_L5.json"),
+    ], ids=["shift-l2", "shift-c0", "hardy-power2", "translation-rotate", "ck3"])
     def test_certify_json_matches_golden(self, tmp_path, flags, golden):
         # every threshold record, bound and residual bit is pinned
         out = tmp_path / golden

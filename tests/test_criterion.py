@@ -6,13 +6,16 @@ only at the end.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fhclab import criterion
+from fhclab import criterion, spaces
 from fhclab.criterion import (
     CertificationError,
+    ThresholdRecord,
     compute_thresholds,
     tail_norm,
     unconditional_probe,
@@ -21,12 +24,14 @@ from fhclab.operators import (
     Differentiation,
     TranslationGenerator,
     WeightedBackwardShift,
+    apply_forward,
+    apply_inverse,
     make_certificate,
     transform_inverse,
     transform_power,
     transform_rotation,
 )
-from fhclab.spaces import HARDY, L2, SparseVector
+from fhclab.spaces import C0_SEQ, HARDY, L2, CkModel, SequenceSpace, SparseVector, distance
 
 
 def rational_shift_tail(w: int, N: int, terms: int = 40) -> float:
@@ -125,6 +130,132 @@ class TestThresholds:
         obj = compute_thresholds(cert).to_json_dict()
         assert [r["l"] for r in obj["records"]] == [1, 2]
         assert all("inverse_tail_bound" in r for r in obj["records"])
+
+
+def reference_search(cert):
+    """The threshold search before the term-norm lists, kept as the reference:
+    every tail through the public ``tail_norm``, rebuilt from scratch per N."""
+    records = []
+    for l in range(1, cert.target_count + 1):
+        strict = 1.0 / (l * 2**l)
+        loose = 1.0 / 2**l
+        found = None
+        for N in range(1, criterion._SEARCH_CAP + 1):
+            fwd = max(tail_norm(cert, cert.target(lam), N, "forward") for lam in range(1, l + 1))
+            if fwd > strict:
+                continue
+            inv = max(tail_norm(cert, cert.target(lam), N, "inverse") for lam in range(1, l + 1))
+            if inv > strict:
+                continue
+            own = tail_norm(cert, cert.target(l), N, "inverse")
+            if own > loose:
+                continue
+            resid = distance(
+                apply_forward(cert, apply_inverse(cert, cert.target(l), N), N),
+                cert.target(l),
+            )
+            if resid > loose:
+                continue
+            found = ThresholdRecord(N, fwd, inv, own, resid)
+            break
+        if found is None:
+            raise CertificationError(
+                f"no threshold N_{l} <= {criterion._SEARCH_CAP} certifies target {l}"
+            )
+        records.append(found)
+    return records
+
+
+def draw_certificate(data, family):
+    """A certificate of ``family`` with a twist of +-1 and a power of 1 or 2.
+
+    C^k keeps L at 2 on [0,1] and 1 on [-1,1]: the reference search takes up
+    to 5 s at L = 2 on [-1,1].
+    """
+    if family == "shift":
+        space = data.draw(st.sampled_from(
+            [SequenceSpace("lp", 1.0), L2, SequenceSpace("lp", 3.0), C0_SEQ]))
+        w = data.draw(st.sampled_from([2, 3, -2, Fraction(3, 2), 1.25]))
+        op, L = WeightedBackwardShift(w, space), data.draw(st.integers(1, 5))
+    elif family == "hardy":
+        op, L = Differentiation(HARDY), data.draw(st.integers(1, 4))
+    elif family == "ck":
+        a = data.draw(st.sampled_from([0.0, -1.0]))
+        op = Differentiation(CkModel(data.draw(st.integers(1, 3)), a, 1.0))
+        L = data.draw(st.integers(1, 2 if a == 0 else 1))
+    else:
+        op = TranslationGenerator(data.draw(st.sampled_from([1, 2, Fraction(1, 2)])))
+        L = data.draw(st.integers(1, 3))
+    cert = make_certificate(op, L)
+    if data.draw(st.booleans()):
+        cert = transform_rotation(cert, -1)
+    return transform_power(cert, data.draw(st.sampled_from([1, 2])))
+
+
+def count_term_builds(monkeypatch, cert):
+    """Builds of G^n y_l, keyed (l, direction, n), during one compute_thresholds.
+
+    The identity residual's B^N y_l is recognised by the A^N applied to it and
+    counted apart; returns (term builds, residual keys).
+    """
+    targets = {id(y): l for l, y in enumerate(cert.targets, start=1)}
+    builds, residuals, made = Counter(), [], []
+
+    def spy(direction, real):
+        def counted(c, v, n):
+            out = real(c, v, n)
+            if id(v) in targets:
+                key = (targets[id(v)], direction, n)
+                builds[key] += 1
+                made.append((out, key))
+            else:
+                key = next(k for o, k in made if o is v)
+                builds[key] -= 1
+                residuals.append(key)
+            return out
+        return counted
+
+    monkeypatch.setattr(criterion, "apply_forward", spy("forward", apply_forward))
+    monkeypatch.setattr(criterion, "apply_inverse", spy("inverse", apply_inverse))
+    compute_thresholds(cert)
+    return builds, residuals
+
+
+class TestTermNormLists:
+    @pytest.mark.parametrize("family", ["shift", "hardy", "ck", "translation"])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_search_matches_the_reference_loop(self, family, data):
+        cert = draw_certificate(data, family)
+        new = compute_thresholds(cert).records
+        assert [repr(r) for r in new] == [repr(r) for r in reference_search(cert)]
+
+    @pytest.mark.parametrize("cert", [
+        make_certificate(WeightedBackwardShift(2), 5),
+        transform_rotation(make_certificate(WeightedBackwardShift(Fraction(3, 2), C0_SEQ), 3), -1),
+        transform_power(make_certificate(Differentiation(HARDY), 3), 2),
+        make_certificate(Differentiation(CkModel(3, 0.0, 1.0)), 2),
+        make_certificate(TranslationGenerator(1), 3),
+    ], ids=["shift-l2", "shift-c0-rotated", "hardy-power2", "c3", "translation"])
+    def test_each_term_is_built_once(self, monkeypatch, cert):
+        builds, residuals = count_term_builds(monkeypatch, cert)
+        assert builds and set(builds.values()) == {1}
+        assert {l for l, _, _ in residuals} == set(range(1, cert.target_count + 1))
+        assert all(direction == "inverse" for _, direction, _ in residuals)
+
+    def test_ck_norms_on_c3_at_L5(self, monkeypatch):
+        # 4,046 calls when every tail rebuilt its terms
+        calls = []
+        real = spaces.PolySeries.ck_norm_interval
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(spaces.PolySeries, "ck_norm_interval", counted)
+        cert = make_certificate(Differentiation(CkModel(3, 0.0, 1.0)), 5)
+        assert [N for _, N in compute_thresholds(cert).pairs()] == [6, 7, 8, 9, 9]
+        assert len(calls) <= 179
 
 
 class TestTransformedThresholds:

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used by that module,
 every import sits at module level, and every defaulted parameter of a
 module-level function is passed by some call, no method outside a
-constructor changes its object's attributes, and only ``spaces.py``
-imports numpy.
+constructor changes its object's attributes, only ``spaces.py``
+imports numpy, and no module keeps a memo (``functools.cache``,
+``functools.lru_cache``) or has a ``global`` statement.
 
 Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
 the unused-import check: its imports are the package's public re-exports.
@@ -120,6 +121,29 @@ def numpy_imports(path: pathlib.Path):
     return hits
 
 
+MEMOS = {"cache", "lru_cache"}
+
+
+def hidden_memos(path: pathlib.Path):
+    """``module:line: what`` for each ``global`` statement and each use of
+    ``functools.cache`` or ``functools.lru_cache``, imported by name or not."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functools_names = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.Import)
+                       for alias in node.names if alias.name == "functools"}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            hits.append(f"{path.name}:{node.lineno}: global {', '.join(node.names)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            hits.extend(f"{path.name}:{node.lineno}: functools.{alias.name}"
+                        for alias in node.names if alias.name in MEMOS)
+        elif (isinstance(node, ast.Attribute) and node.attr in MEMOS
+              and isinstance(node.value, ast.Name) and node.value.id in functools_names):
+            hits.append(f"{path.name}:{node.lineno}: functools.{node.attr}")
+    return hits
+
+
 MUTATORS = {"append", "extend", "update", "pop", "insert", "setdefault"}
 
 
@@ -205,3 +229,10 @@ def test_numpy_only_in_spaces():
     hits = [hit for path in sorted(SRC.glob("*.py")) if path.name != "spaces.py"
             for hit in numpy_imports(path)]
     assert not hits, "numpy imported outside spaces.py:\n" + "\n".join(hits)
+
+
+def test_no_hidden_memos():
+    # state that outlives a call belongs to an object the caller holds; a memo
+    # or a global is shared by every caller in the process
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in hidden_memos(path)]
+    assert not hits, "module-level memos or globals:\n" + "\n".join(hits)
