@@ -38,6 +38,7 @@ from .spaces import (
     PolySeries,
     SequenceSpace,
     SparseVector,
+    _taylor_shift,
     distance,
     enumerate_targets,
     plf_shift_left,
@@ -141,22 +142,6 @@ class Differentiation:
         if isinstance(self.space, HardyModel) and sum(1 for c in y.coeffs if c != 0) == 1:
             return 2.0
         return None
-
-
-def _taylor_shift(coeffs, a) -> list:
-    """Coefficients of p(x + a) from those of p(x), by repeated synthetic division.
-
-    Zero coefficients are never multiplied, so int 0 stays int 0, and a
-    Fraction ``a`` keeps the scalar type of the polynomial (Fraction * float
-    is float).  For a = 0 this is a copy.
-    """
-    c = list(coeffs)
-    if a != 0:
-        for i in range(len(c) - 1):
-            for j in range(len(c) - 2, i - 1, -1):
-                if c[j + 1] != 0:
-                    c[j] = c[j] + a * c[j + 1]
-    return c
 
 
 @dataclass(frozen=True)

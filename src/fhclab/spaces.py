@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 
 # --------------------------------------------------------------------------
 # space tags
@@ -58,9 +56,11 @@ _CK_MESH = 1e-4  # grid spacing of the C^k sup-norm estimate
 class CkModel:
     """Polynomial model of C^k[a,b].
 
-    Sup-norms of derivatives are estimated on a grid of mesh ``_CK_MESH`` and
-    reported with the rigorous Lipschitz correction mesh * sum(|c_i| * i *
-    M^(i-1)), so ``norm`` is a true upper bound.
+    Sup-norms of derivatives are sampled on the grid np.arange(a, b + mesh,
+    mesh), mesh = ``_CK_MESH``: the sample is the exact maximum of the
+    floating-point values np.polyval computes there, found without numpy by
+    ``_grid_max``.  It is reported with the rigorous Lipschitz correction
+    mesh * sum(|c_i| * i * M^(i-1)), so ``norm`` is a true upper bound.
     """
 
     k: int
@@ -227,20 +227,27 @@ class PolySeries:
         return self.ck_norm_interval()[1]
 
     def ck_norm_interval(self):
-        """(grid max, grid max + mesh * Lipschitz bound) over derivatives 0..k."""
+        """(grid max, grid max + mesh * Lipschitz bound) over derivatives 0..k.
+
+        Each grid max is exactly the largest |value| np.polyval computes on
+        the ``_ck_grid`` points, found by ``_grid_max`` without evaluating
+        every point.  A block of points is skipped only when a proven bound
+        on its computed values is at most the best value found: either
+        fl(Horner(|c|, r)) >= |fl(p(x))| for |x| <= r, since round-to-nearest
+        is monotone and odd, or a mean-value bound in u = x - a plus Higham's
+        gamma_2d margin for the rounding of Horner's rule.
+        """
         m: CkModel = self.model
         if not self.coeffs:
             return (0.0, 0.0)
         big = max(abs(m.a), abs(m.b), 1.0)
-        grid = np.arange(m.a, m.b + _CK_MESH, _CK_MESH)
+        grid = _ck_grid(m.a, m.b)
         lo = hi = 0.0
         for i in range(m.k + 1):
             d = self.derivative_coeffs(i)
             if not d:
                 continue
-            vals = np.polyval([complex(c) if isinstance(c, complex) else float(c)
-                               for c in reversed(d)], grid)
-            sample = float(np.max(np.abs(vals)))
+            sample = _grid_max(d, m.a, grid)
             lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
             lo = max(lo, sample)
             hi = max(hi, sample + _CK_MESH * lip)
@@ -279,6 +286,160 @@ class PolySeries:
 
     def __repr__(self):
         return f"PolySeries({self.coeffs}, {type(self.model).__name__})"
+
+
+def _taylor_shift(coeffs, a) -> list:
+    """Coefficients of p(x + a) from those of p(x), by repeated synthetic division.
+
+    Zero coefficients are never multiplied, so int 0 stays int 0, and a
+    Fraction ``a`` keeps the scalar type of the polynomial (Fraction * float
+    is float).  For a = 0 this is a copy.
+    """
+    c = list(coeffs)
+    if a != 0:
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                if c[j + 1] != 0:
+                    c[j] = c[j] + a * c[j + 1]
+    return c
+
+
+def _ck_grid(a, b):
+    """(n, point): the n points of np.arange(a, b + _CK_MESH, _CK_MESH), point(i) the i-th.
+
+    numpy sizes the range as ceil((stop - start) / step), stores start and
+    start + step, and fills the rest as start + i * delta with delta the
+    difference of those two.  The points never decrease: x_1 >= a, and
+    2 * delta >= x_1 - a puts x_2 at or above x_1.
+    """
+    n = math.ceil((b + _CK_MESH - a) / _CK_MESH)
+    x1 = a + _CK_MESH
+    delta = x1 - a
+    return n, lambda i: x1 if i == 1 else a + i * delta
+
+
+def _horner(cs, x):
+    """Horner's rule from 0.0, highest degree first: np.polyval's operations, in order."""
+    acc = 0.0
+    for c in cs:
+        acc = acc * x + c
+    return acc
+
+
+def _polyval(cs, xs) -> list:
+    """The values np.polyval(cs, xs) computes, one grid point at a time."""
+    return [_horner(cs, x) for x in xs]
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u the unit roundoff 2^-53."""
+    mu = m * 2.0**-53
+    return mu / (1.0 - mu)
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where that overflows, as np.abs gives it."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+_DIRECT_BLOCK = 16  # a block with at most this many interior points is evaluated, not split
+
+
+def _grid_max(coeffs, a, grid) -> float:
+    """np.max(np.abs(np.polyval(cs, grid))) for cs = ``coeffs`` (lowest degree first), bit for bit.
+
+    The coefficients are converted as numpy would: all complex if any is,
+    else all float.  A NaN value makes the result NaN, as in np.max.  The
+    search evaluates the two end points, then takes blocks of grid indices
+    off a stack: a block whose points provably have computed |value| <= the
+    best value found so far is skipped, a block of at most ``_DIRECT_BLOCK``
+    interior points is evaluated, any other is split at its middle point.
+    All points of a block lie in [x_i, x_j], its end points.  Two bounds:
+
+    * Monotone rounding.  Round-to-nearest is monotone and odd, so by
+      induction over Horner's steps |fl(p(x))| <= fl(Horner(|c|, r)) for
+      every float |x| <= r, with no margin.  On a >= 0 a single-sign
+      polynomial reaches this bound at the last grid point, which closes
+      the search after the two end points.  Complex values are bounded
+      through their real and imaginary parts, which Horner's steps on a
+      real x update independently (up to signed zeros), with the margins
+      below.
+    * Mean value in u = x - a.  For real x in [x_i, x_j], |p(x)| <=
+      (|p(x_i)| + |p(x_j)| + (x_j - x_i) max|p'|) / 2, with |p'(a + u)| <=
+      sum j |q_j| u^(j-1), q the Taylor shift of p to a.  Higham's bound for
+      Horner without fused multiply-add, |fl(p(x)) - p(x)| <= gamma_2d
+      sum |c_i| |x|^i, relates the computed values to exact ones; the
+      shifted q carries the same kind of error, bounded by the shift of |c|
+      by |a|.  One slack factor 1 + gamma_(8d+16) covers these margins and
+      the rounding of the bound itself, and a fixed absolute term covers
+      underflow.  Expansions of (x - a)^n, where |c| cancels badly, close
+      through this bound.
+    """
+    n, point = grid
+    real = not any(isinstance(c, complex) for c in coeffs)
+    if real:
+        cs = [float(c) for c in reversed(coeffs)]
+        mag = [abs(c) for c in cs]
+        size = abs
+    else:
+        cs = [complex(c) for c in reversed(coeffs)]
+        mag = [abs(c.real) + abs(c.imag) for c in cs]
+        size = _modulus
+    d = len(cs) - 1
+    g = _gamma(8 * d + 16)
+    x0, xn = point(0), point(n - 1)
+    # underflow: a multiplication loses at most 2^-1075 absolutely; the bounds
+    # gather fewer than (d + 2)^4 such losses (the shift to a makes d^2), each
+    # grown by at most (2 rho^2)^(d + 1) on its way, with rho = 1 + |a| + max|x|
+    rho = 1.0 + abs(a) + max(-x0, xn)
+    tiny = math.ldexp((d + 2) ** 4, -1070)
+    for _ in range(d + 1):
+        tiny *= 2.0 * rho * rho
+    slope = None  # j (|q_j| + g Q_j), highest first; built on the first block needing it
+
+    v0, vn = _polyval(cs, [x0, xn])
+    a0, an = size(v0), size(vn)
+    if a0 != a0 or an != an:
+        return math.nan
+    best = max(a0, an)
+    stack = [(0, n - 1, x0, xn, a0, an)]
+    while stack:
+        i, j, xi, xj, ai, aj = stack.pop()
+        if j - i < 2:
+            continue
+        b1 = _horner(mag, max(-xi, xj))
+        if not real:
+            b1 = b1 * (1.0 + g) + tiny
+        if b1 <= best < math.inf:
+            continue
+        if slope is None:
+            q = _taylor_shift(cs[::-1], a)
+            big_q = _taylor_shift(mag[::-1], abs(a))
+            slope = [k * (abs(q[k]) + g * big_q[k]) for k in range(d, 0, -1)]
+        b2 = ((ai + aj + (xj - xi) * _horner(slope, xj - a)) * 0.5
+              + 2.0 * g * b1) * (1.0 + g) + tiny
+        if b2 <= best < math.inf:
+            continue
+        if j - i <= _DIRECT_BLOCK + 1:
+            values = _polyval(cs, [point(m) for m in range(i + 1, j)])
+        else:
+            mid = (i + j) // 2
+            xm = point(mid)
+            values = _polyval(cs, [xm])
+            am = size(values[0])
+            low, high = (i, mid, xi, xm, ai, am), (mid, j, xm, xj, am, aj)
+            # the half with the larger end value is searched first
+            stack += (low, high) if aj >= ai else (high, low)
+        for v in values:
+            av = size(v)
+            if av > best:
+                best = av
+            elif av != av:
+                return math.nan
+    return best
 
 
 # --------------------------------------------------------------------------

@@ -94,7 +94,9 @@ class TestSubcommands:
          "certify_translation_L2_rotate-1.json"),
         (["--op", "differentiation", "--space", "ck", "--k", "3", "--L", "5"],
          "certify_ck3_L5.json"),
-    ], ids=["shift-l2", "shift-c0", "hardy-power2", "translation-rotate", "ck3"])
+        (["--op", "differentiation", "--space", "ck", "--k", "2", "--a", "0.5", "--b", "2",
+          "--L", "2"], "certify_ck2_a0.5_L2.json"),
+    ], ids=["shift-l2", "shift-c0", "hardy-power2", "translation-rotate", "ck3", "ck2-a0.5"])
     def test_certify_json_matches_golden(self, tmp_path, flags, golden):
         # every threshold record, bound and residual bit is pinned
         out = tmp_path / golden

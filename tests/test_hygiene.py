@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used by that module,
 every import sits at module level, and every defaulted parameter of a
 module-level function is passed by some call, no method outside a
-constructor changes its object's attributes, only ``spaces.py``
-imports numpy, and no module keeps a memo (``functools.cache``,
+constructor changes its object's attributes, no module imports
+numpy, and no module keeps a memo (``functools.cache``,
 ``functools.lru_cache``) or has a ``global`` statement.
 
 Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
@@ -223,12 +223,10 @@ def test_no_state_changes_outside_constructors():
     assert not hits, "methods that change state outside a constructor:\n" + "\n".join(hits)
 
 
-def test_numpy_only_in_spaces():
-    # spaces.py samples the C^k grid norm with numpy; ROADMAP item 2's Bernstein
-    # enclosure of that norm removes the last import
-    hits = [hit for path in sorted(SRC.glob("*.py")) if path.name != "spaces.py"
-            for hit in numpy_imports(path)]
-    assert not hits, "numpy imported outside spaces.py:\n" + "\n".join(hits)
+def test_no_numpy_in_src():
+    # numpy is a test-only oracle: fhclab runs on the standard library alone
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in numpy_imports(path)]
+    assert not hits, "numpy imported in src/fhclab:\n" + "\n".join(hits)
 
 
 def test_no_hidden_memos():

@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fhclab import criterion, operators, spaces
 from fhclab.spaces import (
     C0_PLUS,
     C0_SEQ,
@@ -17,6 +19,8 @@ from fhclab.spaces import (
     PolySeries,
     SequenceSpace,
     SparseVector,
+    _CK_MESH,
+    _ck_grid,
     accumulate,
     distance,
     enumerate_targets,
@@ -394,3 +398,148 @@ class TestSparseSum:
         assert repr(got) == repr(_pairwise_norm(_pairwise_sparse(1, u, -1, v)))
         if u == v:
             assert repr(got) == "0.0"
+
+
+# --------------------------------------------------------------------------
+# the C^k grid maximum against numpy's full sweep
+
+
+def numpy_ck_norm_interval(f):
+    """Oracle: ``ck_norm_interval`` as first written, np.polyval on every grid point."""
+    m = f.model
+    if not f.coeffs:
+        return (0.0, 0.0)
+    big = max(abs(m.a), abs(m.b), 1.0)
+    grid = np.arange(m.a, m.b + _CK_MESH, _CK_MESH)
+    lo = hi = 0.0
+    for i in range(m.k + 1):
+        d = f.derivative_coeffs(i)
+        if not d:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.polyval([complex(c) if isinstance(c, complex) else float(c)
+                               for c in reversed(d)], grid)
+        sample = float(np.max(np.abs(vals)))
+        lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
+        lo = max(lo, sample)
+        hi = max(hi, sample + _CK_MESH * lip)
+    return (lo, max(lo, hi))
+
+
+def full_scan_grid_max(coeffs, a, b):
+    """Oracle: Horner and abs on every ``_ck_grid`` point, complex coefficients kept complex."""
+    n, point = _ck_grid(a, b)
+    cs = [complex(c) for c in reversed(coeffs)]
+    best = 0.0
+    for i in range(n):
+        acc = 0.0
+        for c in cs:
+            acc = acc * point(i) + c
+        best = max(best, abs(acc))
+    return best
+
+
+CK_INTERVALS = [(0.0, 1.0), (-1.0, 1.0), (-2.0, 2.0), (0.5, 2.0), (0.5, 0.75)]
+
+
+def _expansion(n, base, scalar):
+    """Coefficients of scalar(x - base)^n / n!, exact, then converted by ``scalar``."""
+    base = Fraction(base)
+    return [scalar(math.comb(n, j) * (-base) ** (n - j) / Fraction(math.factorial(n)))
+            for j in range(n + 1)]
+
+
+def _count_grid_values(monkeypatch):
+    """Count the grid points ``_grid_max`` evaluates, through its evaluator."""
+    count = [0]
+    evaluate = spaces._polyval
+
+    def counting(cs, xs):
+        count[0] += len(xs)
+        return evaluate(cs, xs)
+
+    monkeypatch.setattr(spaces, "_polyval", counting)
+    return count
+
+
+class TestCkGridMax:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-512, 512), st.integers(1, 32), st.integers(4, 8))
+    def test_grid_matches_numpy_arange(self, num, width, scale):
+        a, b = num / 2**scale, (num + width) / 2**scale
+        n, point = _ck_grid(a, b)
+        assert [point(i) for i in range(n)] == np.arange(a, b + _CK_MESH, _CK_MESH).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=16),
+                              st.floats(-3, 3)), max_size=71),
+           st.sampled_from(CK_INTERVALS), st.integers(0, 3))
+    def test_matches_numpy_oracle(self, coeffs, interval, k):
+        f = PolySeries(coeffs, CkModel(k, *interval))
+        assert repr(f.ck_norm_interval()) == repr(numpy_ck_norm_interval(f))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 70), st.sampled_from(CK_INTERVALS), st.integers(0, 3),
+           st.sampled_from([Fraction, float, lambda c: -float(c)]))
+    def test_expansions_at_the_base_point_match_numpy(self, n, interval, k, scalar):
+        # the antiderivatives the certificates build: (x - a)^n / n! in powers of x,
+        # where the coefficients cancel and only the bound in u = x - a closes
+        f = PolySeries(_expansion(n, interval[0], scalar), CkModel(k, *interval))
+        assert repr(f.ck_norm_interval()) == repr(numpy_ck_norm_interval(f))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20), st.sampled_from(CK_INTERVALS),
+           st.integers(0, 3), st.sampled_from([Fraction, float]))
+    def test_interior_maxima_match_numpy(self, i, j, interval, k, scalar):
+        # (x - a)^i (b - x)^j peaks inside [a, b] and vanishes at both ends, so
+        # a block skipped in error loses the maximum
+        a, b = map(Fraction, interval)
+        coeffs = [Fraction(1)]
+        for root, sign, times in ((a, 1, i), (b, -1, j)):
+            for _ in range(times):  # multiply by sign * (x - root)
+                coeffs = [sign * (lo - root * hi) for lo, hi in zip([0] + coeffs, coeffs + [0])]
+        f = PolySeries([scalar(c) for c in coeffs], CkModel(k, *interval))
+        assert repr(f.ck_norm_interval()) == repr(numpy_ck_norm_interval(f))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=12),
+           st.sampled_from(CK_INTERVALS))
+    def test_complex_matches_a_full_scan(self, coeffs, interval):
+        # np.abs of a complex value may differ from Python's abs by an ulp, so
+        # the oracle is the same Horner and abs on every point
+        got = PolySeries(coeffs, CkModel(0, *interval)).ck_norm_interval()[0]
+        assert repr(got) == repr(full_scan_grid_max(coeffs, *interval))
+
+    @pytest.mark.parametrize("coeffs", [
+        [1.0, math.nan],  # NaN at the end points
+        [1j, 0, 1.5e308, 1.5e308, -1.5e308],  # inf * 0 in the imaginary part, inside only
+    ], ids=["ends", "inside"])
+    def test_nan_value_makes_the_sample_nan(self, coeffs):
+        f = PolySeries(coeffs, CkModel(0))
+        assert repr(f.ck_norm_interval()) == repr(numpy_ck_norm_interval(f))
+
+    @pytest.mark.parametrize("coeffs", [[Fraction(1, 3), 2, 0.5, 1e-3], [-1.0, -0.25, 0, -7.0]])
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.5, 2.0)])
+    def test_single_sign_on_nonnegative_interval_costs_two_points(
+            self, monkeypatch, coeffs, interval):
+        count = _count_grid_values(monkeypatch)
+        f = PolySeries(coeffs, CkModel(3, *interval))
+        assert repr(f.ck_norm_interval()) == repr(numpy_ck_norm_interval(f))
+        assert count[0] == 2 * 4
+
+    def test_threshold_search_evaluates_few_points(self, monkeypatch):
+        # the full sweep evaluates 4 * 10001 points per call on C^3[0,1]
+        count = _count_grid_values(monkeypatch)
+        calls = [0]
+        norm_interval = PolySeries.ck_norm_interval
+
+        def counting_calls(f):
+            calls[0] += 1
+            return norm_interval(f)
+
+        monkeypatch.setattr(PolySeries, "ck_norm_interval", counting_calls)
+        cert = operators.make_certificate(operators.Differentiation(CkModel(3, 0.0, 1.0)), 5)
+        criterion.compute_thresholds(cert)
+        assert calls[0] > 0
+        assert count[0] <= 100 * calls[0]
