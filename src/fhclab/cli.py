@@ -119,9 +119,11 @@ def load_config(path: str) -> dict:
 
 
 def _scalar(text: str, exact: bool):
-    if exact:
-        return Fraction(text)
     f = Fraction(text)
+    if exact:
+        return f
+    if abs(f) > sys.float_info.max:  # a float run would overflow on its first power
+        raise ValueError("beyond the float range")
     return int(f) if f.denominator == 1 else float(f)
 
 

@@ -11,7 +11,8 @@ Every term of an orbit point is some A^k y_l (k up to the forward window) or
 B^k y_l (k up to the backward window), so ``assign_placements`` builds these
 once per target and the sweep reads them from that table.  Only x itself,
 ``materialize(p, M)`` with M past the backward window, still applies B for
-the terms beyond it.
+the terms beyond it.  Orbit point n reads only the placements of its window,
+``orbit_window(p, n)``, so two points with the same window are one point.
 
 Everything beyond the evaluation window is closed off with the certified
 inverse-tail bound and reported as an explicit error bar.
@@ -23,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .criterion import TailCertificate, tail_norm
-from .density_partition import PairKey, PartitionSchedule, build_schedule
+from .density_partition import PairKey, build_schedule
 from .operators import apply_forward, apply_inverse, forward_extinction_index
 from .spaces import accumulate, linear_combine
 
@@ -43,7 +44,6 @@ class FhcPlacement:
     """Symbolic description of x up to a horizon, plus certified tails."""
 
     tail_certificate: TailCertificate
-    schedule: PartitionSchedule
     horizon: int
     placements: dict  # n -> l for every placed n <= horizon
     placed_ns: list  # sorted keys of placements
@@ -87,7 +87,7 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
                      for l, y in targets.items()}
     inverse_terms = {l: tuple(apply_inverse(cert, y, k) for k in range(bwd_window + 1))
                      for l, y in targets.items()}
-    return FhcPlacement(tc, sched, horizon, placements, placed, fwd_window, bwd_window,
+    return FhcPlacement(tc, horizon, placements, placed, fwd_window, bwd_window,
                         bwd_tail, forward_terms, inverse_terms)
 
 
@@ -110,25 +110,34 @@ def _backward_window(tc: TailCertificate):
         K *= 2
 
 
-def _backward_sum(p: FhcPlacement, n: int, window: int):
-    """(sum over placed j in (n, n + window] of B^(j-n) z_j, certified tail bound)."""
-    cert = p.cert
-    ns = p.placed_ns
-    lo, hi = bisect_right(ns, n), bisect_right(ns, n + window)
-    cut = bisect_right(ns, n + min(window, p.backward_window))  # the table ends here
-    terms = [p.inverse_terms[p.placements[j]][j - n] for j in ns[lo:cut]]
-    terms += [apply_inverse(cert, p.target_of(j), j - n) for j in ns[cut:hi]]
-    vec = accumulate(terms) if terms else cert.target(1).scaled(0)  # the space's zero
-    if window == p.backward_window:
-        return vec, p.backward_tail
-    return vec, _inverse_tail(cert, window + 1)
+def _window_error(p: FhcPlacement, W: int) -> float:
+    """Certified bound on the inverse terms past a backward window of W."""
+    return p.backward_tail if W == p.backward_window else _inverse_tail(p.cert, W + 1)
 
 
 def materialize(p: FhcPlacement, M: int):
     """(sum_{n <= M} B^n z_n, certified bound on the omitted tail)."""
     if not 0 <= M <= p.horizon:
         raise ValueError("M must lie in [0, horizon]")
-    return _backward_sum(p, 0, M)
+    ns = p.placed_ns
+    cut = bisect_right(ns, min(M, p.backward_window))  # the table ends here
+    terms = [p.inverse_terms[p.placements[j]][j] for j in ns[:cut]]
+    terms += [apply_inverse(p.cert, p.target_of(j), j) for j in ns[cut:bisect_right(ns, M)]]
+    vec = accumulate(terms) if terms else p.cert.target(1).scaled(0)  # the space's zero
+    return vec, _window_error(p, M)
+
+
+def orbit_window(p: FhcPlacement, n: int):
+    """The placements orbit point n reads: (W, ((j - n, l_j), ...)).
+
+    W = min(backward_window, horizon - n) is its backward window, and the
+    pairs list every placed j in [n - forward_window, n + W] in increasing
+    order, with its offset from n and its target.
+    """
+    W = min(p.backward_window, p.horizon - n)
+    ns = p.placed_ns
+    lo, hi = bisect_left(ns, n - p.forward_window), bisect_right(ns, n + W)
+    return W, tuple((j - n, p.placements[j]) for j in ns[lo:hi])
 
 
 def orbit_parts(p: FhcPlacement, n: int):
@@ -136,19 +145,18 @@ def orbit_parts(p: FhcPlacement, n: int):
 
     forward = sum_{j<n} A^(n-j) z_j  (exact: terms past the extinction
     window vanish identically), middle = z_n, backward covers placed
-    j in (n, n + window] with the certified tail bound for the rest.
+    j in (n, n + W] with the certified tail bound for the rest; every part
+    is read from ``orbit_window(p, n)`` and the term table.
     """
     if not 0 <= n <= p.horizon:
         raise ValueError("n must lie in [0, horizon]")
-    cert = p.cert
-    ns = p.placed_ns
-    lo = bisect_left(ns, max(1, n - p.forward_window))
-    hi = bisect_left(ns, n)
-    fwd_terms = [p.forward_terms[p.placements[j]][n - j] for j in ns[lo:hi]]
-    fwd = accumulate(fwd_terms) if fwd_terms else cert.target(1).scaled(0)
-    middle = p.target_of(n) if n in p.placements else None
-    bwd, err = _backward_sum(p, n, min(p.backward_window, p.horizon - n))
-    return fwd, middle, bwd, err
+    W, placed = orbit_window(p, n)
+    zero = p.cert.target(1).scaled(0)
+    fwd = [p.forward_terms[l][-d] for d, l in placed if d < 0]
+    middle = next((p.cert.target(l) for d, l in placed if d == 0), None)
+    bwd = [p.inverse_terms[l][d] for d, l in placed if d > 0]
+    return (accumulate(fwd) if fwd else zero, middle,
+            accumulate(bwd) if bwd else zero, _window_error(p, W))
 
 
 def orbit_eval(p: FhcPlacement, n: int):

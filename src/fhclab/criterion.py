@@ -36,7 +36,14 @@ _SEARCH_CAP = 10_000  # largest N tried for each threshold N_l
 
 
 class CertificationError(Exception):
-    """Raised when a threshold search exceeds its cap."""
+    """Raised when a threshold search exceeds its cap or meets a NaN bound."""
+
+
+def _not_nan(bound: float, what: str) -> float:
+    """bound, unless it is NaN: a NaN fails every `>` test and would pass the search."""
+    if math.isnan(bound):
+        raise CertificationError(f"{what} is NaN")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -99,13 +106,14 @@ def _tail(cert: OperatorCertificate, y, N: int, direction: str, term_norm) -> fl
         ext = math.ceil(cert.op.extinction(y) / cert.power)
         if N >= ext:
             return 0.0
-        return sum(term_norm(n) for n in range(N, ext))
+        return _not_nan(sum(term_norm(n) for n in range(N, ext)),
+                        f"the {direction} tail from {N}")
 
     terms = []
     n = N
     total_hint = 0.0
     while True:
-        t = term_norm(n)
+        t = _not_nan(term_norm(n), f"the {direction} term norm at {n}")
         terms.append(t)
         total_hint = max(total_hint, t)
         q = cert.op.inverse_ratio_bound(y, n, cert.power)
@@ -162,10 +170,10 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
             own = inv_tails[-1]
             if own > loose:
                 continue
-            resid = distance(
+            resid = _not_nan(distance(
                 apply_forward(cert, apply_inverse(cert, cert.target(l), N), N),
                 cert.target(l),
-            )
+            ), f"the identity residual of target {l}")
             if resid > loose:
                 continue
             found = ThresholdRecord(N, fwd, inv, own, resid)

@@ -110,7 +110,13 @@ class SparseVector:
         return cls({k: 1}, space)
 
     def norm(self) -> float:
-        return _sequence_norm(self.entries.values(), self.space)
+        values = self.entries.values()
+        if self.space.kind == "c0":
+            return float(max((abs(c) for c in values), default=0))
+        p = self.space.p
+        if p == 2:
+            return math.sqrt(float(sum(abs(c) ** 2 for c in values)))
+        return float(sum(float(abs(c)) ** p for c in values)) ** (1.0 / p)
 
     def scaled(self, a) -> "SparseVector":
         if a == 0:
@@ -148,40 +154,6 @@ class SparseVector:
     def __repr__(self):
         items = ", ".join(f"{k}: {c}" for k, c in sorted(self.entries.items()))
         return f"SparseVector({{{items}}}, {self.space.kind})"
-
-
-def _sequence_norm(values, space: SequenceSpace) -> float:
-    """l_p or c0 norm of the scalars ``values``, summed in iteration order."""
-    if space.kind == "c0":
-        return float(max((abs(c) for c in values), default=0))
-    p = space.p
-    if p == 2:
-        return math.sqrt(float(sum([abs(c) ** 2 for c in values])))
-    return float(sum([float(abs(c)) ** p for c in values])) ** (1.0 / p)
-
-
-def _sparse_sum(vectors) -> SparseVector:
-    """Sum of a nonempty list of sparse vectors in one pass over their entries.
-
-    Each index adds the terms' entries in list order, and an index whose sum
-    is exactly 0 is dropped and re-enters at the end if a later term brings it
-    back.  That is the pairwise ``linear_combine`` fold's arithmetic and dict
-    order (which ``norm`` sums in), so for real and rational entries the result
-    is the fold's bit for bit; a complex entry can differ only in the sign of
-    a zero real or imaginary part, which no norm sees.
-    """
-    space = vectors[0].space
-    out = dict(vectors[0].entries)
-    for v in vectors[1:]:
-        if v.space is not space and v.space != space:
-            raise ValueError("sequence space mismatch")
-        for k, c in v.entries.items():
-            total = out.get(k, 0) + c
-            if total == 0:
-                del out[k]  # entries are never 0, so only a present index cancels
-            else:
-                out[k] = total
-    return SparseVector(out, space)
 
 
 # --------------------------------------------------------------------------
@@ -248,6 +220,8 @@ class PolySeries:
             if not d:
                 continue
             sample = _grid_max(d, m.a, grid)
+            if math.isnan(sample):  # max() would drop it and certify (0.0, 0.0)
+                return (math.nan, math.nan)
             lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
             lo = max(lo, sample)
             hi = max(hi, sample + _CK_MESH * lip)
@@ -667,15 +641,12 @@ def plf_sum(terms) -> PiecewiseLinearFn:
 def accumulate(values):
     """Sum of a nonempty list of same-type values.
 
-    Sparse-vector lists go through ``_sparse_sum`` and piecewise-linear ones
-    through ``plf_sum``, each in one pass; polynomials are folded in pairs
-    with ``linear_combine``.
+    Piecewise-linear lists go through ``plf_sum`` in one pass; the other
+    types are folded in pairs with ``linear_combine``.
     """
     values = list(values)
     if not values:
         raise ValueError("accumulate needs at least one value")
-    if all(type(v) is SparseVector for v in values):
-        return _sparse_sum(values)
     if all(type(v) is PiecewiseLinearFn for v in values):
         return plf_sum([(1, v) for v in values])
     acc = values[0]
@@ -685,20 +656,7 @@ def accumulate(values):
 
 
 def distance(u, v) -> float:
-    """||u - v||.
-
-    Two sparse vectors are compared without building u - v: the differences
-    are summed in the order ``linear_combine(1, u, -1, v).norm()`` sums them,
-    u's indices first, then those only v has.  A difference that cancels to 0,
-    which u - v would drop, changes neither the sum nor the maximum.
-    """
-    if type(u) is SparseVector and type(v) is SparseVector:
-        if u.space is not v.space and u.space != v.space:
-            raise ValueError("sequence space mismatch")
-        ue, ve = u.entries, v.entries
-        diffs = [c - ve.get(k, 0) for k, c in ue.items()]
-        diffs += [c for k, c in ve.items() if k not in ue]
-        return _sequence_norm(diffs, u.space)
+    """||u - v||."""
     return linear_combine(1, u, -1, v).norm()
 
 

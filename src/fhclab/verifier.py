@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .constructor import FhcPlacement, orbit_eval, proximity_bound
+from .constructor import FhcPlacement, orbit_eval, orbit_window, proximity_bound
 from .density_partition import running_density_floor
 from .spaces import distance
 
@@ -64,10 +64,20 @@ def density_proxy(visits, N: int) -> float:
 def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     """Reports for several targets sharing one orbit sweep.
 
-    ``epsilons`` maps l -> radius.  The orbit is evaluated once per n and
-    compared against every requested target; the same distances give each
-    target's worst scheduled distance (n scheduled for l iff z_n = y_l) and
-    with it the covering check.
+    ``epsilons`` maps l -> radius.  Each orbit point is compared against
+    every requested target; the same distances give each target's worst
+    scheduled distance (n scheduled for l iff z_n = y_l) and with it the
+    covering check.
+
+    The sweep evaluates each distinct window ``orbit_window(p, n)`` once:
+    for n >= 1, ``orbit_eval(p, n)`` is a pure function of that key.  It
+    reads the forward term A^(-d) y_l for each pair (d, l) with d < 0, the
+    target y_l for d = 0 and the backward term B^d y_l for d > 0, all from
+    the term table, sums them in the key's order, starting from a zero
+    vector that does not depend on n, and reports the error bar of the
+    window W: ``backward_tail`` when W is the full backward window, else
+    ``_inverse_tail(W + 1)``.  So points with equal keys have equal vectors
+    and errors, and their distances and error are read from ``seen``.
     """
     if N > p.horizon:
         raise ValueError("N must not exceed the placement horizon")
@@ -76,12 +86,17 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     visits = {l: [] for l in ls}
     worst = dict.fromkeys(ls, 0.0)
     max_err = 0.0
+    seen = {}  # window key -> (err, {l: distance(orbit point, y_l) + err})
     for n in range(1, N + 1):
-        vec, err = orbit_eval(p, n)
+        key = orbit_window(p, n)
+        if key not in seen:
+            vec, err = orbit_eval(p, n)
+            seen[key] = err, {l: distance(vec, targets[l]) + err for l in ls}
+        err, dist = seen[key]
         max_err = max(max_err, err)
         scheduled = p.placements.get(n)
         for l in ls:
-            d = distance(vec, targets[l]) + err
+            d = dist[l]
             if d < epsilons[l]:
                 visits[l].append(n)
             if l == scheduled:

@@ -153,12 +153,13 @@ def test_acceptance_2_threshold_exactness(capsys):
 def _proof_bound_sweep(p, verify_N):
     """(ok, worst-slack) for total and component bounds on scheduled times."""
     tc = p.tail_certificate
+    sched = build_schedule([PairKey(l, N) for l, N in tc.pairs()])
     ok = True
     worst = 0.0
     for l in range(1, p.cert.target_count + 1):
         y = p.cert.target(l)
         key = PairKey(l, tc.threshold(l))
-        for n in p.schedule.members(key, verify_N):
+        for n in sched.members(key, verify_N):
             fwd, mid, bwd, err = orbit_parts(p, n)
             total = distance(
                 orbit_eval(p, n)[0], y) + err
@@ -189,11 +190,12 @@ def test_acceptance_4_covering_and_density(shift_placement, capsys):
     N = 10_000
     eps = {l: 1.2 * proximity_bound(l) for l in range(1, 6)}
     reports = discrete_report(p, eps, N)
+    sched = build_schedule([PairKey(l, N_l) for l, N_l in p.tail_certificate.pairs()])
     ok = True
     floors = []
     for rep in reports:
         key = PairKey(rep.l, p.tail_certificate.threshold(rep.l))
-        sched_floor = p.schedule.density_floor(key, N)
+        sched_floor = sched.density_floor(key, N)
         floors.append((rep.density_floor, sched_floor))
         ok &= rep.covering_set_check
         ok &= not rep.guarantee_vacuous
@@ -336,10 +338,11 @@ def test_acceptance_9_certificate_transforms(capsys):
         sweep_ok, _ = _proof_bound_sweep(p, 2000)
         ok &= sweep_ok
         eps = {l: 1.2 * proximity_bound(l) for l in range(1, 4)}
+        sched = build_schedule([PairKey(l, N_l) for l, N_l in tc.pairs()])
         for rep in discrete_report(p, eps, 2000):
             key = PairKey(rep.l, tc.threshold(rep.l))
             ok &= rep.covering_set_check
-            ok &= rep.density_floor >= 0.9 * p.schedule.density_floor(key, 2000)
+            ok &= rep.density_floor >= 0.9 * sched.density_floor(key, 2000)
         # identity residual must be exactly zero on every target
         for l in range(1, 4):
             ok &= right_inverse_identity_check(cert, cert.target(l)) == 0.0

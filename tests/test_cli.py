@@ -6,6 +6,7 @@ import os
 import pytest
 
 from fhclab import cli, regularized_semigroup, verifier
+from fhclab.constructor import orbit_window
 from fhclab.cli import (
     ConfigError,
     _cert_from_args,
@@ -145,18 +146,24 @@ class TestRun:
         assert (tmp_path / "report.json").read_bytes() == first_json
 
     def test_discrete_run_evaluates_each_orbit_point_once(self, tmp_path, monkeypatch):
-        calls = []
+        # once per distinct placement window: equal windows are equal orbit points
+        calls, placements = [], []
         real = verifier.orbit_eval
 
         def counted(p, n):
-            calls.append(n)
+            calls.append((n, orbit_window(p, n)))
+            placements.append(p)
             return real(p, n)
 
         monkeypatch.setattr(verifier, "orbit_eval", counted)
         monkeypatch.setattr(cli, "orbit_eval", counted)
         cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path))
         run_pipeline(load_config(cfg), out=io.StringIO())
-        assert calls == list(range(1, 101))
+        ns = [n for n, _ in calls]
+        keys = [key for _, key in calls]
+        assert ns == sorted(set(ns)) and ns[0] == 1
+        assert len(set(keys)) == len(keys)
+        assert len(calls) == len({orbit_window(placements[0], n) for n in range(1, 101)})
 
     def test_continuous_run_evaluates_each_orbit_point_once(self, tmp_path, monkeypatch):
         calls = []
@@ -333,6 +340,7 @@ class TestFailureModes:
     @pytest.mark.parametrize("argv, body, key", [
         (["certify", "--w", "1"], None, "w"),
         (["certify", "--w", "abc"], None, "w"),
+        (["certify", "--op", "shift", "--w", "1e400"], None, "w"),
         (["certify", "--op", "translation", "--lam", "0"], None, "lam"),
         (["certify", "--op", "differentiation", "--space", "ck", "--a", "1", "--b", "0"],
          None, "k, a, b"),
@@ -343,6 +351,7 @@ class TestFailureModes:
         (["run"], "[operator]\np = abc\n", "p"),
         (["run"], "[run]\nhorizon = abc\n", "horizon"),
         (["run"], "[operator]\nw = 2%\n", "w"),
+        (["run"], "[operator]\nw = 1e400\n", "w"),
         (["run"], "[run]\nmode = continuous\ngrid_step = 0\n", "grid_step"),
         (["run"], "[run]\ngrid_step = -0.1\n", "grid_step"),
         (["run"], "[debug]\ninject_bound_violation = maybe\n", "section"),
@@ -382,8 +391,9 @@ class TestFailureModes:
          None, "key"),
         (["certify", "--op", "differentiation", "--k", "7", "--L", "1"], None, "key"),
         (["run"], "[operator]\nkind = translation\nw = 1\np = abc\n", "key"),
-    ], ids=["w=1", "w=abc", "lam=0", "ck-a>b", "rotate=2", "power=0", "L=0",
+    ], ids=["w=1", "w=abc", "w=1e400", "lam=0", "ck-a>b", "rotate=2", "power=0", "L=0",
             "config-w=1/2", "config-p=abc", "config-horizon=abc", "config-w=2%",
+            "config-w=1e400",
             "config-grid_step=0", "config-grid_step<0", "config-inject=maybe",
             "semigroup-lam=0", "semigroup-t=abc", "semigroup-s<0",
             "orbit-n-past-horizon", "orbit-n<0", "run-horizon-below-thresholds",

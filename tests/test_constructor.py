@@ -13,6 +13,7 @@ from fhclab.constructor import (
     proximity_bound,
 )
 from fhclab.criterion import compute_thresholds
+from fhclab.density_partition import PairKey, build_schedule
 from fhclab.operators import (
     TranslationGenerator,
     WeightedBackwardShift,
@@ -29,6 +30,11 @@ from fhclab.verifier import discrete_report
 def shift_placement(L=1, horizon=200, w=2, exact=False):
     cert = make_certificate(WeightedBackwardShift(w), L, exact=exact)
     return assign_placements(compute_thresholds(cert), horizon)
+
+
+def schedule_of(p):
+    """The partition schedule that assign_placements placed the targets on."""
+    return build_schedule([PairKey(l, N) for l, N in p.tail_certificate.pairs()])
 
 
 def count_inverse_calls(monkeypatch):
@@ -58,8 +64,9 @@ class TestAssignment:
     def test_placements_follow_the_schedule(self):
         p = shift_placement(L=3, horizon=500)
         tc = p.tail_certificate
+        sched = schedule_of(p)
         for n, l in p.placements.items():
-            key = p.schedule.locate(n)
+            key = sched.locate(n)
             assert key is not None
             assert (key.l, key.nu) == (l, tc.threshold(l))
 
@@ -107,7 +114,8 @@ class TestOrbit:
     def test_visit_hits_target_within_bound(self):
         p = shift_placement()
         y1 = p.cert.target(1)
-        for n in p.schedule.members(p.schedule.ranked[0], 100):
+        sched = schedule_of(p)
+        for n in sched.members(sched.ranked[0], 100):
             vec, err = orbit_eval(p, n)
             assert distance(vec, y1) + err <= proximity_bound(1)
 
@@ -119,9 +127,10 @@ class TestOrbit:
 
     def test_component_bounds(self):
         p = shift_placement(L=3, horizon=2000)
+        sched = schedule_of(p)
         for l in (1, 2, 3):
-            key = p.schedule.ranked[[k.l for k in p.schedule.ranked].index(l)]
-            for n in p.schedule.members(key, 300):
+            key = sched.ranked[[k.l for k in sched.ranked].index(l)]
+            for n in sched.members(key, 300):
                 fwd, mid, bwd, err = orbit_parts(p, n)
                 y = p.cert.target(l)
                 assert fwd.norm() <= 2 / 2**l + 1e-12

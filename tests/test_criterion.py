@@ -22,6 +22,7 @@ from fhclab.criterion import (
 )
 from fhclab.operators import (
     Differentiation,
+    OperatorCertificate,
     TranslationGenerator,
     WeightedBackwardShift,
     apply_forward,
@@ -31,7 +32,16 @@ from fhclab.operators import (
     transform_power,
     transform_rotation,
 )
-from fhclab.spaces import C0_SEQ, HARDY, L2, CkModel, SequenceSpace, SparseVector, distance
+from fhclab.spaces import (
+    C0_SEQ,
+    HARDY,
+    L2,
+    CkModel,
+    PolySeries,
+    SequenceSpace,
+    SparseVector,
+    distance,
+)
 
 
 def rational_shift_tail(w: int, N: int, terms: int = 40) -> float:
@@ -124,6 +134,14 @@ class TestThresholds:
         cert = make_certificate(WeightedBackwardShift(Fraction(101, 100)), 3)
         with pytest.raises(CertificationError):
             compute_thresholds(cert)
+
+    @pytest.mark.parametrize("model", [CkModel(0), HARDY], ids=["ck0", "hardy"])
+    def test_nan_target_does_not_certify(self, model):
+        # a NaN bound fails every `>` test: this target used to certify N = 1
+        # with every bound 0.0 (C^k, its NaN sample dropped) or NaN (Hardy)
+        y = PolySeries([1.0, math.nan], model)
+        with pytest.raises(CertificationError, match="NaN"):
+            compute_thresholds(OperatorCertificate(Differentiation(model), (y,)))
 
     def test_json_export_shape(self):
         cert = make_certificate(WeightedBackwardShift(2), 2)

@@ -14,6 +14,7 @@ not use.
 """
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -234,3 +235,30 @@ def test_no_hidden_memos():
     # or a global is shared by every caller in the process
     hits = [hit for path in sorted(SRC.glob("*.py")) for hit in hidden_memos(path)]
     assert not hits, "module-level memos or globals:\n" + "\n".join(hits)
+
+
+def traced_names(tracer: pathlib.Path):
+    """``bench/tracer.py``'s LAYERS as "module.name" strings, read without importing it."""
+    for node in ast.parse(tracer.read_text(), filename=str(tracer)).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            layers = ast.literal_eval(node.value)
+            return [f"{mod}.{name}" for mod, names in layers.items() for name in names]
+    raise AssertionError(f"{tracer} defines no LAYERS")
+
+
+def test_every_traced_name_resolves():
+    # Tracer.install raises on a name that no longer exists, so a deleted or
+    # renamed function would break `--trace 1` runs, which tier-1 never starts;
+    # a method must be defined on its class itself, as install reads vars(cls)
+    names = traced_names(ROOT / "bench" / "tracer.py")
+    assert names
+    hits = []
+    for name in names:
+        mod_name, _, qual = name.partition(".")
+        owner, _, attr = qual.rpartition(".")
+        scope = vars(importlib.import_module(f"fhclab.{mod_name}"))
+        if owner:
+            scope = vars(scope[owner]) if owner in scope else {}
+        if attr not in scope:
+            hits.append(name)
+    assert not hits, "traced names fhclab does not define:\n" + "\n".join(hits)

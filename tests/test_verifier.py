@@ -1,16 +1,20 @@
 """Visit statistics, density floors, report schema, continuous measure."""
 
+import functools
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fhclab import regularized_semigroup
-from fhclab.constructor import assign_placements, orbit_eval, proximity_bound
+from fhclab import regularized_semigroup, verifier
+from fhclab.cli import build_placements, load_config
+from fhclab.constructor import assign_placements, orbit_eval, orbit_window, proximity_bound
 from fhclab.criterion import compute_thresholds
-from fhclab.density_partition import PairKey
+from fhclab.density_partition import PairKey, build_schedule
 from fhclab.operators import (
+    Differentiation,
     TranslationGenerator,
     WeightedBackwardShift,
     make_certificate,
@@ -18,7 +22,7 @@ from fhclab.operators import (
     transform_rotation,
 )
 from fhclab.regularized_semigroup import SolutionOrbit
-from fhclab.spaces import distance
+from fhclab.spaces import C0_SEQ, HARDY, CkModel, SequenceSpace, distance
 from fhclab.verifier import (
     OrbitReport,
     continuity_window,
@@ -31,11 +35,17 @@ from fhclab.verifier import (
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_report.csv")
+REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "shift_w2.cfg")
 
 
 def shift_placement(L=2, horizon=400):
     cert = make_certificate(WeightedBackwardShift(2), L)
     return assign_placements(compute_thresholds(cert), horizon)
+
+
+def schedule_of(p):
+    """The partition schedule that assign_placements placed the targets on."""
+    return build_schedule([PairKey(l, N) for l, N in p.tail_certificate.pairs()])
 
 
 class TestDensityProxy:
@@ -59,8 +69,8 @@ class TestDiscreteVisits:
     def test_scheduled_times_are_visits(self):
         rep = discrete_report(self.p, {1: 1.2 * proximity_bound(1)}, 200)[0]
         assert rep.covering_set_check
-        key = self.p.schedule.ranked[0]
-        assert set(self.p.schedule.members(key, 200)) <= set(rep.visit_times)
+        sched = schedule_of(self.p)
+        assert set(sched.members(sched.ranked[0], 200)) <= set(rep.visit_times)
 
     def test_vacuous_flag_for_tiny_radius(self):
         rep = discrete_report(self.p, {1: 1e-9}, 200)[0]
@@ -86,7 +96,7 @@ class TestDiscreteVisits:
 def revisit_worst(p, l, N):
     """Oracle: re-evaluate every scheduled n <= N of A(l, N_l) on its own."""
     key = PairKey(l, p.tail_certificate.threshold(l))
-    scheduled = p.schedule.members(key, N)
+    scheduled = schedule_of(p).members(key, N)
     worst = 0.0
     for n in scheduled:
         vec, err = orbit_eval(p, n)
@@ -123,9 +133,104 @@ class TestWorstScheduled:
 
     def test_zero_without_scheduled_times(self):
         p = shift_placement()
-        first = min(p.schedule.members(PairKey(2, p.tail_certificate.threshold(2)), 200))
+        first = min(schedule_of(p).members(PairKey(2, p.tail_certificate.threshold(2)), 200))
         rep = discrete_report(p, {2: 1.2 * proximity_bound(2)}, first - 1)[0]
         assert rep.worst_scheduled == 0.0 and rep.covering_set_check
+
+
+def per_n_report(p, epsilons, N):
+    """Oracle: ``discrete_report`` as it was, evaluating the orbit at every n."""
+    if N > p.horizon:
+        raise ValueError("N must not exceed the placement horizon")
+    ls = sorted(epsilons)
+    targets = {l: p.cert.target(l) for l in ls}
+    visits = {l: [] for l in ls}
+    worst = dict.fromkeys(ls, 0.0)
+    max_err = 0.0
+    for n in range(1, N + 1):
+        vec, err = orbit_eval(p, n)
+        max_err = max(max_err, err)
+        scheduled = p.placements.get(n)
+        for l in ls:
+            d = distance(vec, targets[l]) + err
+            if d < epsilons[l]:
+                visits[l].append(n)
+            if l == scheduled:
+                worst[l] = max(worst[l], d)
+    reports = []
+    for l in ls:
+        bound = proximity_bound(l)
+        reports.append(OrbitReport(
+            l=l,
+            epsilon=epsilons[l],
+            horizon=N,
+            visit_times=visits[l],
+            density_floor=density_proxy(visits[l], N) if visits[l] else 0.0,
+            covering_set_check=worst[l] < epsilons[l],
+            proof_bound=bound,
+            certified_error=max_err,
+            worst_scheduled=worst[l],
+            guarantee_vacuous=not epsilons[l] > bound + max_err,
+        ))
+    return reports
+
+
+OPERATORS = {
+    "shift-l1": WeightedBackwardShift(2, SequenceSpace("lp", 1.0)),
+    "shift-l2": WeightedBackwardShift(2),
+    "shift-c0": WeightedBackwardShift(2, C0_SEQ),
+    "hardy": Differentiation(HARDY),
+    "ck1": Differentiation(CkModel(1)),
+}
+
+
+@functools.cache
+def placement(family, twist, power, L, horizon):
+    cert = make_certificate(OPERATORS[family], L)
+    cert = transform_power(transform_rotation(cert, twist), power)
+    return assign_placements(compute_thresholds(cert), horizon)
+
+
+@st.composite
+def sweeps(draw):
+    """(placement, epsilons, N) with N up to the horizon, where windows shrink."""
+    family = draw(st.sampled_from(sorted(OPERATORS)))
+    L = draw(st.integers(1, 3))
+    p = placement(family, draw(st.sampled_from([1, -1])), draw(st.integers(1, 2)), L,
+                  draw(st.integers(60, 160)))
+    ls = draw(st.lists(st.integers(1, L), min_size=1, max_size=L, unique=True))
+    eps = {l: draw(st.sampled_from([1.2 * proximity_bound(l), proximity_bound(l) / 8]))
+           for l in ls}
+    N = draw(st.integers(1, p.horizon) | st.integers(p.horizon - 10, p.horizon))
+    return p, eps, N
+
+
+class TestWindowSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(sweeps())
+    def test_equals_the_per_n_sweep(self, case):
+        p, eps, N = case
+        got, want = discrete_report(p, eps, N), per_n_report(p, eps, N)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+
+    def test_near_the_horizon_windows_shrink(self):
+        p = placement("shift-l2", 1, 1, 3, 100)
+        assert p.backward_window < 100
+        assert orbit_window(p, 100)[0] == 0 < orbit_window(p, 99)[0] < p.backward_window
+
+    def test_shift_w2_config_evaluates_107_windows(self, monkeypatch):
+        cfg = load_config(REPO_CONFIG)
+        p = build_placements(cfg)
+        calls = []
+
+        def counted(placement, n):
+            calls.append(n)
+            return orbit_eval(placement, n)
+
+        monkeypatch.setattr(verifier, "orbit_eval", counted)
+        eps = {l: cfg["run"]["radius_factor"] * proximity_bound(l) for l in range(1, 6)}
+        discrete_report(p, eps, cfg["run"]["horizon"])
+        assert len(calls) == 107
 
 
 class TestReportIO:
