@@ -343,7 +343,7 @@ def cmd_certify(args):
 
 def cmd_construct(args):
     p = build_placements(load_config(args.config))
-    vec, tail = materialize(p, p.horizon)
+    vec, tail = materialize(p)
     print(f"placements on [1,{p.horizon}]: {len(p.placed_ns)}")
     print(f"backward window {p.backward_window}, certified tail {tail:.3e}")
     print("||x|| =", vec.norm())

@@ -10,9 +10,10 @@ weights never multiply truncated small entries.
 Every term of an orbit point is some A^k y_l (k up to the forward window) or
 B^k y_l (k up to the backward window), so ``assign_placements`` builds these
 once per target and the sweep reads them from that table.  Only x itself,
-``materialize(p, M)`` with M past the backward window, still applies B for
-the terms beyond it.  Orbit point n reads only the placements of its window,
-``orbit_window(p, n)``, so two points with the same window are one point.
+``materialize(p)`` with the horizon past the backward window, still applies
+B for the terms beyond it.  Orbit point n reads only the placements of its
+window, ``orbit_window(p, n)``, so two points with the same window are one
+point.
 
 Everything beyond the evaluation window is closed off with the certified
 inverse-tail bound and reported as an explicit error bar.
@@ -115,16 +116,14 @@ def _window_error(p: FhcPlacement, W: int) -> float:
     return p.backward_tail if W == p.backward_window else _inverse_tail(p.cert, W + 1)
 
 
-def materialize(p: FhcPlacement, M: int):
-    """(sum_{n <= M} B^n z_n, certified bound on the omitted tail)."""
-    if not 0 <= M <= p.horizon:
-        raise ValueError("M must lie in [0, horizon]")
+def materialize(p: FhcPlacement):
+    """(x = sum_{n <= horizon} B^n z_n, certified bound on the omitted tail)."""
     ns = p.placed_ns
-    cut = bisect_right(ns, min(M, p.backward_window))  # the table ends here
+    cut = bisect_right(ns, p.backward_window)  # the table ends here
     terms = [p.inverse_terms[p.placements[j]][j] for j in ns[:cut]]
-    terms += [apply_inverse(p.cert, p.target_of(j), j) for j in ns[cut:bisect_right(ns, M)]]
+    terms += [apply_inverse(p.cert, p.target_of(j), j) for j in ns[cut:]]
     vec = accumulate(terms) if terms else p.cert.target(1).scaled(0)  # the space's zero
-    return vec, _window_error(p, M)
+    return vec, _window_error(p, p.horizon)
 
 
 def orbit_window(p: FhcPlacement, n: int):
@@ -162,7 +161,7 @@ def orbit_parts(p: FhcPlacement, n: int):
 def orbit_eval(p: FhcPlacement, n: int):
     """(A^n x evaluated through the proof's decomposition, certified error)."""
     if n == 0:
-        return materialize(p, p.horizon)
+        return materialize(p)
     fwd, middle, bwd, err = orbit_parts(p, n)
     vec = linear_combine(1, fwd, 1, bwd)
     if middle is not None:

@@ -26,7 +26,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from .operators import OperatorCertificate, apply_forward, apply_inverse
-from .spaces import accumulate, distance
+from .spaces import accumulate, distance, power_sum_root
 
 _NEGLIGIBLE = 1e-34
 _TINY_FLOOR = 1e-300  # reported lower clamp for positive but subnormal bounds
@@ -84,7 +84,7 @@ def _combined(term_norms, p) -> float:
         return sum(term_norms)
     if p == math.inf:
         return max(term_norms)
-    return sum(t**p for t in term_norms) ** (1.0 / p)
+    return power_sum_root(sum(t**p for t in term_norms), term_norms, p, lambda s: s ** (1.0 / p))
 
 
 def tail_norm(cert: OperatorCertificate, y, N: int, direction: str) -> float:

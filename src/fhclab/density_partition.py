@@ -67,14 +67,6 @@ class PartitionSchedule:
         return [n for start, _, r in self._blocks(horizon) if r == rank
                 for n in (start + nu, start + 3 * nu) if n <= horizon]
 
-    def locate(self, n: int):
-        """The unique key with n in A(key), or None."""
-        for start, _, rank in self._blocks(n):
-            key = None if rank is None else self.ranked[rank]
-            if key is not None and n - start in (key.nu, 3 * key.nu):
-                return key
-        return None
-
     def density_floor(self, key, horizon: int) -> float:
         """running_density_floor of A(key) up to horizon."""
         return running_density_floor(self.members(key, horizon), horizon)

@@ -4,6 +4,9 @@ W(t) f = e^(lam*t) f(. + t), clipped at the origin: the operator's own
 forward step taken at a real time t >= 0.  With the symbolic log_scale
 carried by PiecewiseLinearFn, the law W(t)W(s) = W(t+s) is an exact identity
 on this class whenever lam, t, s are rationals.
+
+``SolutionOrbit.evaluate`` streams t -> e^(tA) x over given times: A^n x is
+built once per run of times in [n, n + 1) and shifted by W(t - n).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from .constructor import FhcPlacement, orbit_eval
 from .operators import TranslationGenerator
-from .spaces import PiecewiseLinearFn, PolySeries, distance
+from .spaces import PiecewiseLinearFn, PolySeries, _horner, distance
 
 _BUMP_SUPPORT = (0.0, 1.0)  # generator_residual's bump lives on [0, 1], zero outside
 _GRID_POINTS = 2001  # sup-norm grid of generator_residual over the support
@@ -55,12 +58,7 @@ def generator_residual(op: TranslationGenerator, f: PolySeries, t_step) -> float
     dcoeffs = [float(c) for c in reversed(f.derivative_coeffs(1))]
 
     def ev(cs, x):
-        # Horner from 0.0, zero outside the support
-        acc = 0.0
-        if lo <= x <= hi:
-            for c in cs:
-                acc = acc * x + c
-        return acc
+        return _horner(cs, x) if lo <= x <= hi else 0.0  # zero outside the support
 
     growth = math.exp(lam * h)
     worst = 0.0
@@ -79,9 +77,6 @@ class SolutionOrbit:
     times apply W(t - floor(t)) to the integer point, which is exact on the
     piecewise-linear class.  This is the finite-horizon form of the
     discrete-to-continuous bridge.
-
-    The last integer point built is kept, one entry only, so a sweep in time
-    order builds each integer point once without holding the whole orbit.
     """
 
     placement: FhcPlacement
@@ -96,21 +91,25 @@ class SolutionOrbit:
         self._widths = [float(y.breakpoints[-1]) if not y.is_zero() else 0.0 for y in ys]
         self._rates = [lam * y.norm() + y.max_slope() for y in ys]
         self._reach = max(self._widths)
-        self._last = (None, None, None)  # (n, orbit point, certified error)
 
-    def evaluate(self, t):
-        """(piecewise-linear value of e^(tA) x, certified error bound)."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        n = int(math.floor(t))
-        s = t - n
-        if self._last[0] != n:
-            self._last = (n, *orbit_eval(self.placement, n))
-        _, vec, err = self._last
-        if s == 0:
-            return vec, err
+    def evaluate(self, times):
+        """Yield (piecewise-linear value of e^(tA) x, certified error bound) per t.
+
+        orbit_eval(n) runs when t enters [n, n + 1) and is held while t stays
+        there: once per n for ascending times, and any order gives what
+        one-element calls give.
+        """
         op = self.placement.cert.op
-        return w_apply(op, s, vec), err * math.exp(float(op.lam) * float(s))
+        lam = float(op.lam)
+        n = vec = err = None
+        for t in times:
+            if t < 0:
+                raise ValueError("t must be >= 0")
+            if (floor := math.floor(t)) != n:
+                n = floor
+                vec, err = orbit_eval(self.placement, n)
+            s = t - n
+            yield (vec, err) if s == 0 else (w_apply(op, s, vec), err * math.exp(lam * float(s)))
 
     def lipschitz_bound(self, t0, t1) -> float:
         """Upper bound on the t-Lipschitz constant of the orbit over [t0, t1].

@@ -16,6 +16,7 @@ every operation that is algebraically rational.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,6 +85,29 @@ C0_PLUS = HalfLineC0()
 
 
 # --------------------------------------------------------------------------
+# l^p sums
+
+
+def power_sum_root(total: float, values, p, root) -> float:
+    """root(total), ``total`` being the float sum of |c|^p over ``values``.
+
+    A total below the smallest normal float has lost bits to underflow, so it
+    is summed again from the entries scaled by the power of two that brings
+    the largest into [0.5, 1); the root is scaled back by that power.
+    """
+    if total >= sys.float_info.min:
+        return root(total)
+    mags = [float(abs(c)) for c in values]
+    e = -math.frexp(max(mags, default=0.0))[1]
+    return math.ldexp(root(sum(math.ldexp(m, e) ** p for m in mags)), -e)
+
+
+def _l2_norm(values) -> float:
+    """The l2 norm of the scalars ``values``: SparseVector on l2 and the Hardy model."""
+    return power_sum_root(float(sum(abs(c) ** 2 for c in values)), values, 2, math.sqrt)
+
+
+# --------------------------------------------------------------------------
 # sparse sequence vectors
 
 
@@ -115,8 +139,9 @@ class SparseVector:
             return float(max((abs(c) for c in values), default=0))
         p = self.space.p
         if p == 2:
-            return math.sqrt(float(sum(abs(c) ** 2 for c in values)))
-        return float(sum(float(abs(c)) ** p for c in values)) ** (1.0 / p)
+            return _l2_norm(values)
+        return power_sum_root(float(sum(float(abs(c)) ** p for c in values)), values, p,
+                              lambda s: s ** (1.0 / p))
 
     def scaled(self, a) -> "SparseVector":
         if a == 0:
@@ -194,8 +219,7 @@ class PolySeries:
 
     def norm(self) -> float:
         if isinstance(self.model, HardyModel):
-            s = sum(abs(c) ** 2 for c in self.coeffs)
-            return math.sqrt(float(s))
+            return _l2_norm(self.coeffs)
         return self.ck_norm_interval()[1]
 
     def ck_norm_interval(self):
@@ -545,8 +569,6 @@ def plf_shift_left(f: PiecewiseLinearFn, dt, dlog=0) -> PiecewiseLinearFn:
     """Shift the graph left by dt >= 0, clip at x=0, add dlog to log_scale."""
     if f.is_zero():
         return f
-    if dt < 0:
-        return plf_shift_right(f, -dt, dlog)
     bp = [b - dt for b in f.breakpoints]
     if bp[-1] <= 0:
         return PiecewiseLinearFn.zero()
@@ -565,8 +587,6 @@ def plf_shift_right(f: PiecewiseLinearFn, dt, dlog=0) -> PiecewiseLinearFn:
     """Shift the graph right by dt >= 0 (extends by zero below the support)."""
     if f.is_zero():
         return f
-    if dt < 0:
-        return plf_shift_left(f, -dt, dlog)
     if dt > 0 and f.values[0] != 0:
         raise ValueError(
             "cannot shift right a function with nonzero value at the origin "

@@ -5,7 +5,8 @@ count(n)/n over the window [max(1, floor(N/10)), N] of
 ``density_partition.running_density_floor``; this lower-bounds every finite
 prefix of the evidence and is reported next to N so scaling is visible.
 Continuous visit sets are measured on a grid with a rigorous Lipschitz
-modulus, yielding inner and outer estimates.
+modulus, yielding inner and outer estimates, in one time-ordered pass over
+the integer checks and the grid cells.
 """
 
 from __future__ import annotations
@@ -123,24 +124,23 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
 # continuous mode
 
 
-def continuity_window(target, epsilon: float, lam: float,
-                      integer_radius: float) -> float:
+def continuity_window(target, epsilon: float, lam: float) -> float:
     """Largest delta in (0, 1] with
 
-        e^(lam*s) * integer_radius + (e^(lam*s) - 1)*||y|| + e^(lam*s)*s*Lip(y)
+        e^(lam*s) * epsilon/2 + (e^(lam*s) - 1)*||y|| + e^(lam*s)*s*Lip(y)
             <= epsilon   for all s in [0, delta].
 
     This is the finite-horizon form of the strong-continuity argument: an
-    integer visit within ``integer_radius`` certifies the whole window
+    integer visit within epsilon / 2 certifies the whole window
     [n, n + delta] as visits within epsilon.  Returns 0.0 if even s -> 0
-    fails (radius too large).
+    fails (a negative epsilon).
     """
     ynorm = target.norm()
     lip = target.max_slope()
 
     def ok(s):
         g = math.exp(lam * s)
-        return g * integer_radius + (g - 1.0) * ynorm + g * s * lip <= epsilon
+        return g * (epsilon / 2.0) + (g - 1.0) * ynorm + g * s * lip <= epsilon
 
     if not ok(0.0):
         return 0.0
@@ -167,41 +167,32 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
     Certified integer-visit windows [n, n + delta] from the continuity
     argument are united into the inner estimate.  ``covering_set_check``
     is inner measure >= delta * len(visit_times), the visit times being the
-    integer parts of the inner intervals' left ends.  Each cell and each
-    integer evaluates the orbit once; only the distances are per target.
+    integer parts of the inner intervals' left ends.  The sweep is one pass
+    over the integer checks and the cells in time order, so the orbit builds
+    each integer point once; only the distances are per target.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     lam = float(orbit.placement.cert.op.lam)
     ls = sorted(epsilons)
     targets = {l: orbit.placement.cert.target(l) for l in ls}
-    # an integer visit within epsilon / 2 certifies a window [n, n + delta]
-    delta = {l: continuity_window(targets[l], epsilons[l], lam, epsilons[l] / 2.0) for l in ls}
+    delta = {l: continuity_window(targets[l], epsilons[l], lam) for l in ls}
 
-    n_cells = int(math.ceil(t_max / grid_step))
     # per target, the integers n whose certified window [n, n + delta] can count
     n_ints = {l: int(math.floor(t_max - delta[l])) + 1 if delta[l] > 0 else 0 for l in ls}
-    n_end = max(n_ints.values(), default=0)
+    # (n, 0) checks integer n, (t, 1) the cell [t, t + grid_step); at equal t, n goes first
+    events = sorted([(float(n), 0) for n in range(max(n_ints.values(), default=0))]
+                    + [(i * grid_step, 1) for i in range(int(math.ceil(t_max / grid_step)))])
     cells = {l: [] for l in ls}  # inner cells
     windows = {l: [] for l in ls}  # certified windows from integer visits
     outer_measure = dict.fromkeys(ls, 0.0)
-
-    def integer_visit(n):
-        vec, err = orbit.evaluate(float(n))
-        for l in ls:
-            if n < n_ints[l] and distance(vec, targets[l]) + err < epsilons[l] / 2.0:
-                windows[l].append((float(n), float(n) + delta[l]))
-
-    # one sweep in time order: integer n is checked just before the cells of
-    # [n, n + 1), so the orbit builds each integer point once
-    n = 0
-    for i in range(n_cells):
-        t0 = i * grid_step
-        while n < n_end and n <= t0:
-            integer_visit(n)
-            n += 1
+    for (t0, is_cell), (vec, err) in zip(events, orbit.evaluate(t for t, _ in events)):
+        if not is_cell:
+            for l in ls:
+                if t0 < n_ints[l] and distance(vec, targets[l]) + err < epsilons[l] / 2.0:
+                    windows[l].append((t0, t0 + delta[l]))
+            continue
         t1 = min(t_max, t0 + grid_step)
-        vec, err = orbit.evaluate(t0)
         lip = orbit.lipschitz_bound(t0, t1)
         for l in ls:
             d = distance(vec, targets[l])
@@ -209,8 +200,6 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
                 cells[l].append((t0, t1))
             if d - err - lip * (t1 - t0) < epsilons[l]:
                 outer_measure[l] += t1 - t0
-    for n in range(n, n_end):
-        integer_visit(n)
 
     reports = []
     for l in ls:

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 
 import pytest
 
@@ -69,6 +70,12 @@ class TestSubcommands:
     def test_certify_prints_first_threshold(self, capsys):
         assert main(["certify", "--op", "shift", "--w", "2", "--L", "1"]) == 0
         assert "N_1 = 2" in capsys.readouterr().out
+
+    def test_certify_reports_an_underflowing_inverse_tail(self, capsys):
+        # ||B e_1|| = 1e-200, whose square underflows: the tail must not read 0
+        assert main(["certify", "--op", "shift", "--w", "1e200", "--L", "1"]) == 0
+        out = capsys.readouterr().out
+        assert float(re.search(r"inverse ([^,]+),", out).group(1)) >= 1e-200
 
     def test_certify_transformed_operator(self, capsys):
         assert main(["certify", "--op", "shift", "--w", "2", "--L", "1",

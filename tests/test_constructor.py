@@ -65,10 +65,10 @@ class TestAssignment:
         p = shift_placement(L=3, horizon=500)
         tc = p.tail_certificate
         sched = schedule_of(p)
-        for n, l in p.placements.items():
-            key = sched.locate(n)
-            assert key is not None
-            assert (key.l, key.nu) == (l, tc.threshold(l))
+        members = {key: sched.members(key, p.horizon) for key in sched.ranked}
+        assert all(key.nu == tc.threshold(key.l) for key in members)
+        assert sum(map(len, members.values())) == len(p.placements)
+        assert {n: key.l for key, ns in members.items() for n in ns} == p.placements
 
     def test_every_target_is_placed(self):
         p = shift_placement(L=3, horizon=500)
@@ -91,20 +91,14 @@ class TestMaterialize:
     def test_leading_term_of_x(self):
         # first placed time is n=3 carrying y_1 = e_1; B^3 e_1 = 2^-6 e_4
         p = shift_placement()
-        x, tail = materialize(p, p.horizon)
+        x, tail = materialize(p)
         assert p.placed_ns[0] == 3
         assert x.min_index() == 4
         assert x.entries[4] == pytest.approx(2.0**-6)
 
-    def test_tail_shrinks_with_depth(self):
-        p = shift_placement()
-        _, t1 = materialize(p, 5)
-        _, t2 = materialize(p, 50)
-        assert t2 < t1
-
     def test_orbit_at_zero_is_x(self):
         p = shift_placement()
-        x, tail = materialize(p, p.horizon)
+        x, tail = materialize(p)
         vec, err = orbit_eval(p, 0)
         assert distance(vec, x) == 0.0
         assert err == tail
@@ -142,8 +136,6 @@ class TestOrbit:
         # after assign_placements every orbit term comes from the term table
         p = shift_placement()
         calls = count_inverse_calls(monkeypatch)
-        x, _ = materialize(p, p.placed_ns[0] - 1)
-        assert x.is_zero() and x.space == p.cert.target(1).space
         _, _, bwd, _ = orbit_parts(p, p.horizon)  # backward window is empty
         assert bwd.is_zero()
         fwd, _, _, _ = orbit_parts(p, 1)  # nothing is placed before n = 1
@@ -153,7 +145,7 @@ class TestOrbit:
         # orbit_eval must agree with literally applying A^n to the materialized
         # sum; exact rational arithmetic, small horizon
         p = shift_placement(L=2, horizon=64, w=Fraction(2), exact=True)
-        x, _ = materialize(p, 64)
+        x, _ = materialize(p)
         cert = p.cert
         for n in (1, 3, 7, 12):
             direct = apply_forward(cert, x, n)
@@ -202,7 +194,7 @@ class TestTermTable:
         calls = count_inverse_calls(monkeypatch)
         vec, err = orbit_eval(p, 0)
         assert calls == past
-        x, tail = materialize(p, p.horizon)
+        x, tail = materialize(p)
         direct = accumulate([apply_inverse(p.cert, p.target_of(j), j) for j in p.placed_ns])
         assert err == tail
         assert repr(list(vec.entries.items())) == repr(list(x.entries.items())) \

@@ -59,21 +59,6 @@ class TestTwoPairs:
         assert floor == pytest.approx(0.235, abs=0.01)
 
 
-class TestLocate:
-    def test_locate_inverts_members(self):
-        sched = build_schedule([PairKey(1, 1), PairKey(2, 1), PairKey(1, 2)])
-        for key in sched.ranked:
-            for n in sched.members(key, 300):
-                assert sched.locate(n) == key
-
-    def test_locate_none_on_filler(self):
-        sched = build_schedule([PairKey(1, 2)])
-        mem = set(sched.members(PairKey(1, 2), 64))
-        for n in range(1, 65):
-            if n not in mem:
-                assert sched.locate(n) is None
-
-
 class TestValidation:
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(ValueError):

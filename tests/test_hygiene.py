@@ -215,12 +215,7 @@ def test_every_export_is_used_outside_tests():
 
 
 def test_no_state_changes_outside_constructors():
-    # SolutionOrbit.evaluate keeps the last integer orbit point it built (one
-    # entry), so the continuous sweep builds each orbit_eval(n) once instead of
-    # once per grid cell; the entry is a pure function of n
-    exempt = {"SolutionOrbit.evaluate"}
-    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in state_changes(path)
-            if hit.rsplit(": ", 1)[1] not in exempt]
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in state_changes(path)]
     assert not hits, "methods that change state outside a constructor:\n" + "\n".join(hits)
 
 

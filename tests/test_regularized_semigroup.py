@@ -172,15 +172,13 @@ class TestSolutionOrbit:
         self.orbit = SolutionOrbit(self.p)
 
     def test_integer_times_match_discrete_orbit(self):
-        for n in (0, 1, 3, 7):
-            cont, _ = self.orbit.evaluate(n)
+        for n, (cont, _) in zip((0, 1, 3, 7), self.orbit.evaluate([0, 1, 3, 7])):
             disc, _ = orbit_eval(self.p, n)
             assert distance(cont, disc) == 0.0
 
     def test_fractional_step_is_exact_w_apply(self):
-        base, err = self.orbit.evaluate(3)
+        (base, err), (got, got_err) = self.orbit.evaluate([3, 3.25])
         expected = w_apply(self.p.cert.op, Fraction(1, 4), base)
-        got, got_err = self.orbit.evaluate(3.25)
         assert distance(got, expected) <= 1e-12
         assert got_err >= err
 
@@ -194,8 +192,7 @@ class TestSolutionOrbit:
     def test_lipschitz_bound_dominates_observed_slope(self):
         for t0 in (2.0, 3.0, 6.5):
             bound = self.orbit.lipschitz_bound(t0, t0 + 0.5)
-            u, _ = self.orbit.evaluate(t0)
-            v, _ = self.orbit.evaluate(t0 + 0.5)
+            (u, _), (v, _) = self.orbit.evaluate([t0, t0 + 0.5])
             assert distance(u, v) <= bound * 0.5 + 1e-9
 
     def test_lipschitz_bound_equals_the_full_scan(self):
@@ -216,16 +213,28 @@ class TestSolutionOrbit:
             return orbit_eval(p, n)
 
         monkeypatch.setattr(regularized_semigroup, "orbit_eval", counted)
-        for t in (3, 3.25, 3.5, 4, 4.75, 3.5):
-            self.orbit.evaluate(t)
-        assert calls == [3, 4, 3]  # one entry: going back to 3 builds it again
+        times = [0, 0.5, 3, 3.25, 3.5, 4, 4.75, 6.5, 7, Fraction(29, 4)]
+        assert len(list(self.orbit.evaluate(times))) == len(times)
+        assert calls == [0, 3, 4, 6, 7]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from([0, 0.5, 1, 3, 3.25, 3.5, 4, Fraction(31, 4)]),
+                    max_size=8))
+    def test_any_order_gives_the_one_element_values(self, times):
+        # descending and repeated times rebuild the integer point they leave
+        want = [next(self.orbit.evaluate([t])) for t in times]
+        got = list(self.orbit.evaluate(times))
+        assert [(repr(v), repr(e)) for v, e in got] == [(repr(v), repr(e)) for v, e in want]
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            list(self.orbit.evaluate([1.5, -0.5]))
 
     def test_semigroup_rate_is_the_certificates(self):
         cert = make_certificate(TranslationGenerator(Fraction(3, 2)), 1)
         p = assign_placements(compute_thresholds(cert), horizon=100)
         orbit = SolutionOrbit(p)
-        base, err = orbit.evaluate(2)
-        got, got_err = orbit.evaluate(2.5)
+        (base, err), (got, got_err) = orbit.evaluate([2, 2.5])
         assert distance(got, w_apply(TranslationGenerator(Fraction(3, 2)), 0.5, base)) == 0.0
         assert got_err == err * math.exp(1.5 * 0.5)
 

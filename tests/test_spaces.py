@@ -1,12 +1,13 @@
 """Vector models: norms, combination algebra, enumeration."""
 
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fhclab import criterion, operators, spaces
 from fhclab.spaces import (
@@ -303,7 +304,11 @@ def _pairwise_sparse(a, u, b, v):
 
 
 def _pairwise_norm(v):
-    """The former ``SparseVector.norm``: the entries summed in dict order."""
+    """The former ``SparseVector.norm``: the entries summed in dict order.
+
+    A sum below the smallest normal float is taken again from the entries
+    divided by the power of two of the largest one (into [0.5, 1)).
+    """
     values = v.entries.values()
     if not values:
         return 0.0
@@ -311,8 +316,13 @@ def _pairwise_norm(v):
         return float(max(abs(c) for c in values))
     p = v.space.p
     if p == 2:
-        return math.sqrt(float(sum(abs(c) ** 2 for c in values)))
-    return float(sum(float(abs(c)) ** p for c in values)) ** (1.0 / p)
+        total, root = float(sum(abs(c) ** 2 for c in values)), math.sqrt
+    else:
+        total, root = float(sum(float(abs(c)) ** p for c in values)), lambda s: s ** (1.0 / p)
+    if total >= sys.float_info.min:
+        return root(total)
+    scale = 2.0 ** math.frexp(max(float(abs(c)) for c in values))[1]
+    return root(sum((float(abs(c)) / scale) ** p for c in values)) * scale
 
 
 def _items(v):
@@ -370,7 +380,7 @@ def sparse_pairs(draw):
 class TestSparseSum:
     @settings(max_examples=400, deadline=None)
     @given(sparse_lists())
-    def test_one_pass_matches_the_pairwise_fold(self, case):
+    def test_accumulate_matches_the_pairwise_fold(self, case):
         _, vectors = case
         want = reduce(lambda acc, v: _pairwise_sparse(1, acc, 1, v), vectors)
         fold = reduce(lambda acc, v: linear_combine(1, acc, 1, v), vectors)
@@ -398,6 +408,49 @@ class TestSparseSum:
         assert repr(got) == repr(_pairwise_norm(_pairwise_sparse(1, u, -1, v)))
         if u == v:
             assert repr(got) == "0.0"
+
+
+# --------------------------------------------------------------------------
+# l^p norms whose sum of powers underflows
+
+
+TINY_NORMS = {  # the three sums of squares that rescale below the smallest normal float
+    "l2": lambda mags: SparseVector(dict(enumerate(mags, 1)), L2).norm(),
+    "hardy": lambda mags: PolySeries(mags, HARDY).norm(),
+    "combined": lambda mags: criterion._combined(mags, 2.0),
+}
+
+
+class TestTinyNorms:
+    def test_underflowing_squares_keep_the_norm(self):
+        assert SparseVector({2: 1e-200}, L2).norm() == 1e-200
+        assert SparseVector({2: 1e-160}, L2).norm() == 1e-160
+        assert PolySeries([0, 1e-200], HARDY).norm() == 1e-200
+        assert criterion._combined([1e-200, 0.0], 2.0) == 1e-200
+        assert SparseVector({1: 1e-110, 2: 1e-110}, SequenceSpace("lp", 3.0)).norm() \
+            == pytest.approx(2 ** (1 / 3) * 1e-110, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(TINY_NORMS)),
+           st.lists(st.floats(0.25, 4.0), min_size=1, max_size=5), st.integers(0, 1100))
+    def test_scaling_by_a_power_of_two_scales_the_norm(self, kind, mags, k):
+        norm = TINY_NORMS[kind]
+        want = math.ldexp(norm(mags), -k)
+        scaled = [math.ldexp(m, -k) for m in mags]
+        squares = [m ** 2 for m in scaled]
+        assume(want >= sys.float_info.min)  # the result stays normal
+        # a normal sum of subnormal squares has rounded them: only the sums
+        # with every square normal, or below the smallest normal, are exact
+        assume(min(squares) >= sys.float_info.min or sum(squares) < sys.float_info.min)
+        if kind != "combined":
+            assert norm(scaled) == want
+            return
+        # _combined's root is ** 0.5, which is not correctly rounded (it differs
+        # from math.sqrt on ~0.08 % of doubles), so against the unscaled sum it
+        # is exact to one ulp, and exact between two rescaled sums
+        assert abs(norm(scaled) - want) <= math.ulp(want)
+        if sum(squares) < sys.float_info.min:
+            assert norm(scaled) == math.ldexp(norm([math.ldexp(m, -600) for m in mags]), 600 - k)
 
 
 # --------------------------------------------------------------------------

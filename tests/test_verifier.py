@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from fhclab.operators import (
     transform_power,
     transform_rotation,
 )
-from fhclab.regularized_semigroup import SolutionOrbit
+from fhclab.regularized_semigroup import SolutionOrbit, w_apply
 from fhclab.spaces import C0_SEQ, HARDY, CkModel, SequenceSpace, distance
 from fhclab.verifier import (
     OrbitReport,
@@ -175,6 +176,98 @@ def per_n_report(p, epsilons, N):
     return reports
 
 
+def interleaved_visits(orbit, epsilons, t_max, grid_step):
+    """Oracle: ``continuous_visits`` as it was, the integer checks interleaved
+    with the cells by hand and the last integer point kept in a one-entry cache."""
+    p = orbit.placement
+    op = p.cert.op
+    lam = float(op.lam)
+    ls = sorted(epsilons)
+    targets = {l: p.cert.target(l) for l in ls}
+    delta = {l: continuity_window(targets[l], epsilons[l], lam) for l in ls}
+    last = [None, None, None]  # (n, orbit point, certified error)
+
+    def evaluate(t):
+        n = int(math.floor(t))
+        s = t - n
+        if last[0] != n:
+            last[:] = [n, *orbit_eval(p, n)]
+        _, vec, err = last
+        if s == 0:
+            return vec, err
+        return w_apply(op, s, vec), err * math.exp(float(op.lam) * float(s))
+
+    n_cells = int(math.ceil(t_max / grid_step))
+    n_ints = {l: int(math.floor(t_max - delta[l])) + 1 if delta[l] > 0 else 0 for l in ls}
+    n_end = max(n_ints.values(), default=0)
+    cells = {l: [] for l in ls}
+    windows = {l: [] for l in ls}
+    outer_measure = dict.fromkeys(ls, 0.0)
+
+    def integer_visit(n):
+        vec, err = evaluate(float(n))
+        for l in ls:
+            if n < n_ints[l] and distance(vec, targets[l]) + err < epsilons[l] / 2.0:
+                windows[l].append((float(n), float(n) + delta[l]))
+
+    n = 0
+    for i in range(n_cells):
+        t0 = i * grid_step
+        while n < n_end and n <= t0:
+            integer_visit(n)
+            n += 1
+        t1 = min(t_max, t0 + grid_step)
+        vec, err = evaluate(t0)
+        lip = orbit.lipschitz_bound(t0, t1)
+        for l in ls:
+            d = distance(vec, targets[l])
+            if d + err + lip * (t1 - t0) < epsilons[l]:
+                cells[l].append((t0, t1))
+            if d - err - lip * (t1 - t0) < epsilons[l]:
+                outer_measure[l] += t1 - t0
+    for n in range(n, n_end):
+        integer_visit(n)
+
+    reports = []
+    for l in ls:
+        inner_intervals = cells[l] + windows[l]
+        inner = verifier._union_measure(inner_intervals)
+        visits = sorted(set(int(t) for t, _ in inner_intervals))
+        reports.append(OrbitReport(
+            l=l,
+            epsilon=epsilons[l],
+            horizon=t_max,
+            visit_times=visits,
+            density_floor=inner / t_max if t_max > 0 else 0.0,
+            covering_set_check=inner >= delta[l] * len(visits),
+            proof_bound=delta[l] * len(windows[l]),
+            certified_error=0.0,
+            mode="continuous",
+            inner_measure=inner,
+            outer_measure=outer_measure[l],
+            continuity_window=delta[l],
+        ))
+    return reports
+
+
+@functools.cache
+def translation_orbit(lam, L, exact):
+    """The solution orbit of a translation run, placed to twice the largest horizon drawn."""
+    cert = make_certificate(TranslationGenerator(lam), L, exact=exact)
+    return SolutionOrbit(assign_placements(compute_thresholds(cert), 240))
+
+
+@st.composite
+def continuous_sweeps(draw):
+    """(orbit, epsilons, t_max, grid_step); grid 2.5 leaves integers after the last cell."""
+    L = draw(st.integers(1, 2))
+    orbit = translation_orbit(draw(st.sampled_from([1, Fraction(1, 2)])), L, draw(st.booleans()))
+    eps = {l: draw(st.sampled_from([1.2 * proximity_bound(l), proximity_bound(l) / 2]))
+           for l in range(1, L + 1)}
+    return (orbit, eps, float(draw(st.integers(20, 120))),
+            draw(st.sampled_from([0.05, 0.1, 0.3, 1.0, 2.5])))
+
+
 OPERATORS = {
     "shift-l1": WeightedBackwardShift(2, SequenceSpace("lp", 1.0)),
     "shift-l2": WeightedBackwardShift(2),
@@ -264,15 +357,13 @@ class TestReportIO:
 class TestContinuous:
     def test_continuity_window_positive_and_bounded(self):
         cert = make_certificate(TranslationGenerator(1), 1)
-        delta = continuity_window(cert.target(1), 0.5, 1.0, 0.02)
+        delta = continuity_window(cert.target(1), 0.5, 1.0)
         assert 0 < delta <= 1.0
 
-    def test_window_shrinks_with_radius(self):
-        cert = make_certificate(TranslationGenerator(1), 1)
-        y = cert.target(1)
-        d_roomy = continuity_window(y, 0.5, 1.0, 0.01)
-        d_tight = continuity_window(y, 0.5, 1.0, 0.4)
-        assert d_tight < d_roomy
+    def test_window_grows_with_epsilon(self):
+        # the integer radius is epsilon / 2, so a larger epsilon leaves more room
+        y = make_certificate(TranslationGenerator(1), 1).target(1)
+        assert 0 < continuity_window(y, 0.2, 1.0) < continuity_window(y, 0.5, 1.0)
 
     def test_inner_measure_covers_certified_windows(self):
         cert = make_certificate(TranslationGenerator(1), 1)
@@ -299,6 +390,14 @@ class TestContinuous:
         batch = continuous_visits(SolutionOrbit(p), eps, 40.0, 0.1)
         assert [r.to_json_dict() for r in batch] == [r.to_json_dict() for r in singles]
         assert calls == list(range(0, 40))
+
+    @settings(max_examples=30, deadline=None)
+    @given(continuous_sweeps())
+    def test_equals_the_interleaved_sweep(self, case):
+        orbit, eps, t_max, grid_step = case
+        got = continuous_visits(orbit, eps, t_max, grid_step)
+        want = interleaved_visits(orbit, eps, t_max, grid_step)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
 
     def test_report_roundtrip_keeps_continuous_fields(self, tmp_path):
         rep = OrbitReport(
