@@ -12,8 +12,11 @@ B^k y_l (k up to the backward window), so ``assign_placements`` builds these
 once per target and the sweep reads them from that table.  Only x itself,
 ``materialize(p)`` with the horizon past the backward window, still applies
 B for the terms beyond it.  Orbit point n reads only the placements of its
-window, ``orbit_window(p, n)``, so two points with the same window are one
-point.
+window, so two points with the same window key are one point.
+``orbit_windows(p, start, stop)`` slides that window over the placed n in
+one pass and yields each point's key, built from slices of tuples stored on
+the placement; ``orbit_window(p, n)`` is its one-point case and
+``window_pairs`` decodes a key into offsets and targets.
 
 Everything beyond the evaluation window is closed off with the certified
 inverse-tail bound and reported as an explicit error bar.
@@ -21,6 +24,7 @@ inverse-tail bound and reported as an explicit error bar.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -48,6 +52,8 @@ class FhcPlacement:
     horizon: int
     placements: dict  # n -> l for every placed n <= horizon
     placed_ns: list  # sorted keys of placements
+    placed_gaps: tuple  # placed_ns[i + 1] - placed_ns[i]
+    placed_ls: tuple  # placements[placed_ns[i]]
     forward_window: int  # exact extinction bound for forward terms
     backward_window: int  # inverse terms beyond this are covered by the tail
     backward_tail: float  # certified bound for everything beyond the window
@@ -88,7 +94,9 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
                      for l, y in targets.items()}
     inverse_terms = {l: tuple(apply_inverse(cert, y, k) for k in range(bwd_window + 1))
                      for l, y in targets.items()}
-    return FhcPlacement(tc, horizon, placements, placed, fwd_window, bwd_window,
+    gaps = tuple(b - a for a, b in zip(placed, placed[1:]))
+    return FhcPlacement(tc, horizon, placements, placed, gaps,
+                        tuple(placements[n] for n in placed), fwd_window, bwd_window,
                         bwd_tail, forward_terms, inverse_terms)
 
 
@@ -126,17 +134,59 @@ def materialize(p: FhcPlacement):
     return vec, _window_error(p, p.horizon)
 
 
-def orbit_window(p: FhcPlacement, n: int):
-    """The placements orbit point n reads: (W, ((j - n, l_j), ...)).
+def orbit_windows(p: FhcPlacement, start: int, stop: int):
+    """The window key of each orbit point n in range(start, stop), in order.
 
-    W = min(backward_window, horizon - n) is its backward window, and the
-    pairs list every placed j in [n - forward_window, n + W] in increasing
-    order, with its offset from n and its target.
+    Point n reads every placed j in [n - forward_window, n + W], where
+    W = min(backward_window, horizon - n) is its backward window.  Its key is
+    (W, j_0 - n, the gaps between consecutive j, their targets l_j), with j_0
+    the first placed j, or (W, None, (), ()) when none is placed; so two keys
+    are equal exactly when their windows hold the same (j - n, l_j) pairs.
+    ``window_pairs`` decodes a key.  Neither end of the window moves back as
+    n grows, so after one bisection at start two indices slide forward over
+    ``placed_ns``; the gaps and targets are slices of the placement's tuples,
+    taken again only when an index moves.
     """
-    W = min(p.backward_window, p.horizon - n)
-    ns = p.placed_ns
-    lo, hi = bisect_left(ns, n - p.forward_window), bisect_right(ns, n + W)
-    return W, tuple((j - n, p.placements[j]) for j in ns[lo:hi])
+    if not 0 <= start <= stop <= p.horizon + 1:
+        raise ValueError("need 0 <= start <= stop <= horizon + 1")
+    ns, gaps, ls = p.placed_ns, p.placed_gaps, p.placed_ls
+    fwd, bwd, horizon, count = p.forward_window, p.backward_window, p.horizon, len(ns)
+    lo = bisect_left(ns, start - fwd)
+    hi = bisect_right(ns, min(start + bwd, horizon))
+    # placed n are distinct, so each end passes at most one per step: ns[lo]
+    # leaves the window at n = ns[lo] + fwd + 1, ns[hi] enters at n = ns[hi] - bwd
+    leave = ns[lo] + fwd + 1 if lo < count else -1
+    enter = ns[hi] - bwd if hi < count else -1
+    moved = True
+    for n in range(start, stop):
+        if n == leave:
+            lo += 1
+            leave = ns[lo] + fwd + 1 if lo < count else -1
+            moved = True
+        if n == enter:
+            hi += 1
+            enter = ns[hi] - bwd if hi < count else -1
+            moved = True
+        if moved:
+            moved = False
+            first, placed_gaps, placed_ls = (
+                (ns[lo], gaps[lo:hi - 1], ls[lo:hi]) if lo < hi else (None, (), ()))
+        W = bwd if n + bwd <= horizon else horizon - n
+        yield W, None if first is None else first - n, placed_gaps, placed_ls
+
+
+def orbit_window(p: FhcPlacement, n: int):
+    """The window key of orbit point n: ``orbit_windows`` at the one point n."""
+    return next(orbit_windows(p, n, n + 1))
+
+
+def window_pairs(key):
+    """(W, ((j - n, l_j), ...)): a window key's backward window and its placed
+    j in increasing order, each with its offset from n and its target."""
+    W, first, gaps, ls = key
+    if first is None:
+        return W, ()
+    return W, tuple(zip(itertools.accumulate(gaps, initial=first), ls))
 
 
 def orbit_parts(p: FhcPlacement, n: int):
@@ -145,11 +195,11 @@ def orbit_parts(p: FhcPlacement, n: int):
     forward = sum_{j<n} A^(n-j) z_j  (exact: terms past the extinction
     window vanish identically), middle = z_n, backward covers placed
     j in (n, n + W] with the certified tail bound for the rest; every part
-    is read from ``orbit_window(p, n)`` and the term table.
+    is read from the window key ``orbit_window(p, n)`` and the term table.
     """
     if not 0 <= n <= p.horizon:
         raise ValueError("n must lie in [0, horizon]")
-    W, placed = orbit_window(p, n)
+    W, placed = window_pairs(orbit_window(p, n))
     zero = p.cert.target(1).scaled(0)
     fwd = [p.forward_terms[l][-d] for d, l in placed if d < 0]
     middle = next((p.cert.target(l) for d, l in placed if d == 0), None)

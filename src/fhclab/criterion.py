@@ -29,7 +29,7 @@ from .operators import OperatorCertificate, apply_forward, apply_inverse
 from .spaces import accumulate, distance, power_sum_root
 
 _NEGLIGIBLE = 1e-34
-_TINY_FLOOR = 1e-300  # reported lower clamp for positive but subnormal bounds
+_TINY_FLOOR = 1e-300  # smallest decaying tail reported: an upper bound on any that underflows
 _MAX_TERMS = 600  # inverse terms summed before the geometric remainder closes the tail
 _PROBE_WINDOW = 64  # sub-sums are drawn from F ⊂ (N, N + _PROBE_WINDOW]
 _SEARCH_CAP = 10_000  # largest N tried for each threshold N_l
@@ -124,9 +124,9 @@ def _tail(cert: OperatorCertificate, y, N: int, direction: str, term_norm) -> fl
         if len(terms) > _MAX_TERMS + 5:
             raise CertificationError("inverse tail did not certify within the term cap")
     bound = _combined(terms, cert.op.combine_mode(y)) + remainder
-    if 0.0 < bound < _TINY_FLOOR:
-        bound = _TINY_FLOOR
-    return bound
+    # the raw decaying map B is injective, so a nonzero y has a positive true
+    # tail even when its float terms underflow to 0.0; _TINY_FLOOR bounds it
+    return max(bound, _TINY_FLOOR)
 
 
 # --------------------------------------------------------------------------

@@ -15,9 +15,10 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 
-from .constructor import FhcPlacement, orbit_eval, orbit_window, proximity_bound
+from .constructor import FhcPlacement, orbit_eval, orbit_windows, proximity_bound
 from .density_partition import running_density_floor
 from .spaces import distance
 
@@ -70,15 +71,18 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     scheduled distance (n scheduled for l iff z_n = y_l) and with it the
     covering check.
 
-    The sweep evaluates each distinct window ``orbit_window(p, n)`` once:
-    for n >= 1, ``orbit_eval(p, n)`` is a pure function of that key.  It
-    reads the forward term A^(-d) y_l for each pair (d, l) with d < 0, the
-    target y_l for d = 0 and the backward term B^d y_l for d > 0, all from
-    the term table, sums them in the key's order, starting from a zero
-    vector that does not depend on n, and reports the error bar of the
+    The sweep evaluates each distinct key of ``orbit_windows(p, 1, N + 1)``
+    once: for n >= 1, ``orbit_eval(p, n)`` is a pure function of the window
+    key.  It reads the forward term A^(-d) y_l for each placed offset d < 0,
+    the target y_l for d = 0 and the backward term B^d y_l for d > 0, all
+    from the term table, sums them in the window's order, starting from a
+    zero vector that does not depend on n, and reports the error bar of the
     window W: ``backward_tail`` when W is the full backward window, else
     ``_inverse_tail(W + 1)``.  So points with equal keys have equal vectors
-    and errors, and their distances and error are read from ``seen``.
+    and errors.  Each key keeps its distances (error included) and the
+    targets its point visits, so every n only joins the visit lists of its
+    key's targets.  The largest error is taken over the keys, and each
+    target's worst scheduled distance over the placed n <= N.
     """
     if N > p.horizon:
         raise ValueError("N must not exceed the placement horizon")
@@ -87,21 +91,24 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     visits = {l: [] for l in ls}
     worst = dict.fromkeys(ls, 0.0)
     max_err = 0.0
-    seen = {}  # window key -> (err, {l: distance(orbit point, y_l) + err})
-    for n in range(1, N + 1):
-        key = orbit_window(p, n)
-        if key not in seen:
+    seen = {}  # window key -> ({l: distance(orbit point, y_l) + err}, visited targets)
+    ns = p.placed_ns
+    placed = iter(ns[bisect_left(ns, 1):bisect_right(ns, N)])
+    next_placed = next(placed, None)
+    for n, key in enumerate(orbit_windows(p, 1, N + 1), 1):
+        entry = seen.get(key)
+        if entry is None:
             vec, err = orbit_eval(p, n)
-            seen[key] = err, {l: distance(vec, targets[l]) + err for l in ls}
-        err, dist = seen[key]
-        max_err = max(max_err, err)
-        scheduled = p.placements.get(n)
-        for l in ls:
-            d = dist[l]
-            if d < epsilons[l]:
-                visits[l].append(n)
-            if l == scheduled:
-                worst[l] = max(worst[l], d)
+            max_err = max(max_err, err)
+            dist = {l: distance(vec, targets[l]) + err for l in ls}
+            entry = seen[key] = dist, tuple(l for l in ls if dist[l] < epsilons[l])
+        for l in entry[1]:
+            visits[l].append(n)
+        if n == next_placed:
+            scheduled = p.placements[n]
+            if scheduled in worst:
+                worst[scheduled] = max(worst[scheduled], entry[0][scheduled])
+            next_placed = next(placed, None)
     reports = []
     for l in ls:
         bound = proximity_bound(l)

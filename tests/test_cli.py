@@ -7,12 +7,13 @@ import re
 import pytest
 
 from fhclab import cli, regularized_semigroup, verifier
-from fhclab.constructor import orbit_window
+from fhclab.constructor import _window_error, orbit_window
 from fhclab.cli import (
     ConfigError,
     _cert_from_args,
     build_certificate,
     build_parser,
+    build_placements,
     load_config,
     main,
     run_pipeline,
@@ -133,6 +134,17 @@ class TestSubcommands:
         cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path))
         assert main(["construct", "--config", cfg]) == 0
         assert "backward window" in capsys.readouterr().out
+
+
+    def test_underflowed_inverse_tail_is_printed_positive(self, capsys):
+        # the bundled config's tail past the horizon underflows term by term
+        assert main(["construct", "--config", REPO_CONFIG]) == 0
+        tail = re.search(r"certified tail (\S+)", capsys.readouterr().out).group(1)
+        assert main(["orbit", "--config", REPO_CONFIG, "--n", "0"]) == 0
+        err = re.search(r"certified error (\S+)", capsys.readouterr().out).group(1)
+        assert float(tail) > 0 and float(err) > 0
+        p = build_placements(load_config(REPO_CONFIG))
+        assert _window_error(p, p.horizon) > 0
 
 
 class TestRun:

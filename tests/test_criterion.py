@@ -84,6 +84,13 @@ class TestShiftTails:
         vals = [tail_norm(self.cert, y, N, "inverse") for N in range(1, 8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_underflowed_inverse_tail_stays_positive(self):
+        # every term past n = 600 is an empty vector in floats; the true tail
+        # of e_1 is positive, so the bound reads the floor, not 0.0
+        y = self.cert.target(1)
+        assert apply_inverse(self.cert, y, 600).entries == {}
+        assert tail_norm(self.cert, y, 2001, "inverse") == criterion._TINY_FLOOR
+
 
 class TestThresholds:
     def test_shift_w2_first_threshold(self):

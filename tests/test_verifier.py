@@ -4,14 +4,23 @@ import functools
 import json
 import math
 import os
+import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fhclab import regularized_semigroup, verifier
+from fhclab import constructor, regularized_semigroup, verifier
 from fhclab.cli import build_placements, load_config
-from fhclab.constructor import assign_placements, orbit_eval, orbit_window, proximity_bound
+from fhclab.constructor import (
+    assign_placements,
+    orbit_eval,
+    orbit_window,
+    orbit_windows,
+    proximity_bound,
+    window_pairs,
+)
 from fhclab.criterion import compute_thresholds
 from fhclab.density_partition import PairKey, build_schedule
 from fhclab.operators import (
@@ -324,6 +333,64 @@ class TestWindowSweep:
         eps = {l: cfg["run"]["radius_factor"] * proximity_bound(l) for l in range(1, 6)}
         discrete_report(p, eps, cfg["run"]["horizon"])
         assert len(calls) == 107
+
+
+    def test_shift_w2_config_reads_107_one_point_windows(self, monkeypatch):
+        # the sweep slides its windows; the one-point window is read only by
+        # orbit_parts, once per distinct window (a per-n lookup would add 1,000)
+        cfg = load_config(REPO_CONFIG)
+        p = build_placements(cfg)
+        callers = []
+        real = constructor.orbit_window
+
+        def counted(placement, n):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(placement, n)
+
+        monkeypatch.setattr(constructor, "orbit_window", counted)
+        monkeypatch.setattr(verifier, "orbit_window", counted, raising=False)
+        eps = {l: cfg["run"]["radius_factor"] * proximity_bound(l) for l in range(1, 6)}
+        discrete_report(p, eps, cfg["run"]["horizon"])
+        assert callers == ["orbit_parts"] * 107
+
+
+def window_as_pairs(p, n):
+    """Oracle: orbit point n's window as the per-n lookup built it, (W, ((j - n, l_j), ...))."""
+    W = min(p.backward_window, p.horizon - n)
+    ns = p.placed_ns
+    lo, hi = bisect_left(ns, n - p.forward_window), bisect_right(ns, n + W)
+    return W, tuple((j - n, p.placements[j]) for j in ns[lo:hi])
+
+
+class TestSlidingWindows:
+    def check(self, p, start, stop):
+        keys = list(orbit_windows(p, start, stop))
+        assert keys == [orbit_window(p, n) for n in range(start, stop)]
+        windows = [window_as_pairs(p, n) for n in range(start, stop)]
+        assert [window_pairs(key) for key in keys] == windows
+        # decoding is a function of the key, so equal counts make keys equal
+        # exactly when their windows are
+        assert len(set(keys)) == len(set(windows))
+        return keys
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweeps(), st.data())
+    def test_equals_the_one_point_keys(self, case, data):
+        p = case[0]
+        start = data.draw(st.integers(0, p.horizon + 1))
+        self.check(p, start, data.draw(st.integers(start, p.horizon + 1)))
+
+    def test_covers_the_horizon_short_and_empty_windows(self):
+        p = placement("ck1", 1, 1, 3, 160)
+        keys = self.check(p, 0, p.horizon + 1)
+        assert keys[-1][0] == 0  # n = horizon
+        assert any(0 < key[0] < p.backward_window for key in keys)
+        assert any(key[1] is None for key in keys)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 5), (5, 4), (0, 402)])
+    def test_range_outside_the_horizon_rejected(self, start, stop):
+        with pytest.raises(ValueError):
+            next(orbit_windows(shift_placement(), start, stop))
 
 
 class TestReportIO:
