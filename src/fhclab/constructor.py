@@ -1,11 +1,13 @@
 """Assembly of the frequently hypercyclic vector and stable orbit evaluation.
 
 The vector is x = sum_n B^n z_n where z_n = y_l exactly when n lands in the
-scheduled set A(l, N_l).  The n-th orbit point is never computed by iterating
-the operator on a truncated float vector; instead it is rebuilt term by term
-from the cancellation identities A^n B^j = B^(j-n) (j >= n) and A^(n-j)
-(j < n) on dense elements, which is numerically stable because growing
-weights never multiply truncated small entries.
+scheduled set A(l, N_l); the placement stores n -> l once, as the schedule's
+``placed`` sequence split into ``placed_ns`` and ``placed_ls``, and readers
+take l at the index they hold.  The n-th orbit point is never computed by
+iterating the operator on a truncated float vector; instead it is rebuilt
+term by term from the cancellation identities A^n B^j = B^(j-n) (j >= n) and
+A^(n-j) (j < n) on dense elements, which is numerically stable because
+growing weights never multiply truncated small entries.
 
 Every term of an orbit point is some A^k y_l (k up to the forward window) or
 B^k y_l (k up to the backward window), so ``assign_placements`` builds these
@@ -50,10 +52,9 @@ class FhcPlacement:
 
     tail_certificate: TailCertificate
     horizon: int
-    placements: dict  # n -> l for every placed n <= horizon
-    placed_ns: list  # sorted keys of placements
+    placed_ns: tuple  # every placed n <= horizon, ascending
+    placed_ls: tuple  # placed_ls[i]: the target l placed at placed_ns[i]
     placed_gaps: tuple  # placed_ns[i + 1] - placed_ns[i]
-    placed_ls: tuple  # placements[placed_ns[i]]
     forward_window: int  # exact extinction bound for forward terms
     backward_window: int  # inverse terms beyond this are covered by the tail
     backward_tail: float  # certified bound for everything beyond the window
@@ -66,9 +67,6 @@ class FhcPlacement:
     def cert(self):
         return self.tail_certificate.cert
 
-    def target_of(self, n: int):
-        return self.cert.target(self.placements[n])
-
 
 def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     """Build the schedule over {(l, N_l)} and record z_n up to the horizon."""
@@ -76,12 +74,8 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     max_n = max(p.nu for p in pairs)
     if horizon < max_n:
         raise ValueError(f"horizon {horizon} is below the largest threshold {max_n}")
-    sched = build_schedule(pairs)
-    placements = {}
-    for key in pairs:
-        for n in sched.members(key, horizon):
-            placements[n] = key.l
-    placed = sorted(placements)
+    placed = build_schedule(pairs).placed(horizon)
+    ns, ls = tuple(n for n, _ in placed), tuple(key.l for _, key in placed)
 
     cert = tc.cert
     fwd_window = max(
@@ -94,10 +88,9 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
                      for l, y in targets.items()}
     inverse_terms = {l: tuple(apply_inverse(cert, y, k) for k in range(bwd_window + 1))
                      for l, y in targets.items()}
-    gaps = tuple(b - a for a, b in zip(placed, placed[1:]))
-    return FhcPlacement(tc, horizon, placements, placed, gaps,
-                        tuple(placements[n] for n in placed), fwd_window, bwd_window,
-                        bwd_tail, forward_terms, inverse_terms)
+    gaps = tuple(b - a for a, b in zip(ns, ns[1:]))
+    return FhcPlacement(tc, horizon, ns, ls, gaps, fwd_window, bwd_window, bwd_tail,
+                        forward_terms, inverse_terms)
 
 
 def _inverse_tail(cert, K: int) -> float:
@@ -126,10 +119,9 @@ def _window_error(p: FhcPlacement, W: int) -> float:
 
 def materialize(p: FhcPlacement):
     """(x = sum_{n <= horizon} B^n z_n, certified bound on the omitted tail)."""
-    ns = p.placed_ns
-    cut = bisect_right(ns, p.backward_window)  # the table ends here
-    terms = [p.inverse_terms[p.placements[j]][j] for j in ns[:cut]]
-    terms += [apply_inverse(p.cert, p.target_of(j), j) for j in ns[cut:]]
+    bwd = p.backward_window  # the table ends here
+    terms = [p.inverse_terms[l][j] if j <= bwd else apply_inverse(p.cert, p.cert.target(l), j)
+             for j, l in zip(p.placed_ns, p.placed_ls)]
     vec = accumulate(terms) if terms else p.cert.target(1).scaled(0)  # the space's zero
     return vec, _window_error(p, p.horizon)
 

@@ -35,7 +35,8 @@ class PairKey:
 class PartitionSchedule:
     """Deterministic block schedule for a finite family of PairKeys.
 
-    Holds no cache: every query walks the blocks from block 1.
+    Holds no cache: every query walks the blocks from block 1.  ``placed`` is
+    the one flattening of all the sets into an ascending (n, pair) sequence.
     """
 
     def __init__(self, pairs):
@@ -81,14 +82,17 @@ class PartitionSchedule:
         avg_len = sum(f * L for f, L in zip(freq, lengths)) + 2.0 ** -nranks  # fillers
         return 2.0 * freq[self._rank_of[key]] / avg_len
 
+    def placed(self, horizon: int):
+        """[(n, key), ...]: every n of every A(key) in [1, horizon], ascending
+        (the sets are disjoint, so each n occurs once)."""
+        return sorted((n, key) for key in self.ranked for n in self.members(key, horizon))
+
     def export_csv(self, path, horizon: int):
-        """Member list over [1, horizon] as CSV with columns n, l, nu."""
-        rows = sorted((n, key.l, key.nu) for key in self.ranked
-                      for n in self.members(key, horizon))
+        """``placed(horizon)`` as CSV with columns n, l, nu."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["n", "l", "nu"])
-            w.writerows(rows)
+            w.writerows((n, key.l, key.nu) for n, key in self.placed(horizon))
 
 
 def running_density_floor(members, stop: int) -> float:

@@ -28,6 +28,7 @@ certificates exchange the two roles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -152,6 +153,8 @@ class TranslationGenerator:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("translation generator requires lam > 0")
+        if self.lam > sys.float_info.max:  # the tail bounds and w_apply read float(lam)
+            raise ValueError("beyond the float range")
 
     def forward(self, f: PiecewiseLinearFn, m: int) -> PiecewiseLinearFn:
         return plf_shift_left(f, m, dlog=self.lam * m)

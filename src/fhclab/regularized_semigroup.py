@@ -124,8 +124,7 @@ class SolutionOrbit:
         total = 0.0
         # every j below t0 - max width is past the origin; the extra 1 covers rounding
         for i in range(bisect_left(ns, t0 - self._reach - 1), len(ns)):
-            j = ns[i]
-            l = p.placements[j]
+            j, l = ns[i], p.placed_ls[i]
             width = self._widths[l - 1]
             if j + width < t0:
                 continue  # already translated past the origin: term is zero

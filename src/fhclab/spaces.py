@@ -73,6 +73,8 @@ class CkModel:
             raise ValueError("k must be >= 0")
         if not self.a < self.b:
             raise ValueError("CkModel requires a < b")
+        if not math.isfinite(self.b - self.a):  # the sup-norm grid spans [a, b]
+            raise ValueError("CkModel requires a finite interval [a, b]")
 
 
 @dataclass(frozen=True)
@@ -93,18 +95,20 @@ def power_sum_root(total: float, values, p, root) -> float:
 
     A total below the smallest normal float has lost bits to underflow, so it
     is summed again from the entries scaled by the power of two that brings
-    the largest into [0.5, 1); the root is scaled back by that power.
+    the largest into [0.5, 1); the root is scaled back by that power.  Squares
+    are products, as ``x ** 2`` (libm pow) is not correctly rounded.
     """
     if total >= sys.float_info.min:
         return root(total)
     mags = [float(abs(c)) for c in values]
     e = -math.frexp(max(mags, default=0.0))[1]
-    return math.ldexp(root(sum(math.ldexp(m, e) ** p for m in mags)), -e)
+    scaled = [math.ldexp(m, e) for m in mags]
+    return math.ldexp(root(sum(s * s if p == 2 else s ** p for s in scaled)), -e)
 
 
 def _l2_norm(values) -> float:
     """The l2 norm of the scalars ``values``: SparseVector on l2 and the Hardy model."""
-    return power_sum_root(float(sum(abs(c) ** 2 for c in values)), values, 2, math.sqrt)
+    return power_sum_root(float(sum(a * a for a in map(abs, values))), values, 2, math.sqrt)
 
 
 # --------------------------------------------------------------------------

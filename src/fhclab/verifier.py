@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 
 from .constructor import FhcPlacement, orbit_eval, orbit_windows, proximity_bound
@@ -92,9 +91,8 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     worst = dict.fromkeys(ls, 0.0)
     max_err = 0.0
     seen = {}  # window key -> ({l: distance(orbit point, y_l) + err}, visited targets)
-    ns = p.placed_ns
-    placed = iter(ns[bisect_left(ns, 1):bisect_right(ns, N)])
-    next_placed = next(placed, None)
+    placed = zip(p.placed_ns, p.placed_ls)  # advanced only when n reaches it
+    next_placed, scheduled = next(placed, (None, None))
     for n, key in enumerate(orbit_windows(p, 1, N + 1), 1):
         entry = seen.get(key)
         if entry is None:
@@ -105,10 +103,9 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
         for l in entry[1]:
             visits[l].append(n)
         if n == next_placed:
-            scheduled = p.placements[n]
             if scheduled in worst:
                 worst[scheduled] = max(worst[scheduled], entry[0][scheduled])
-            next_placed = next(placed, None)
+            next_placed, scheduled = next(placed, (None, None))
     reports = []
     for l in ls:
         bound = proximity_bound(l)

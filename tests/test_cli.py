@@ -236,6 +236,28 @@ class TestRun:
         with open(os.path.join(DATA, "run_shift_w2_stdout.txt"), "rb") as fh:
             assert out.encode() == fh.read()
 
+    def test_bundled_run_json_matches_pin(self, monkeypatch, tmp_path):
+        # worst_scheduled of the discrete path is read along the placed sequence
+        monkeypatch.setenv("FHCLAB_OUTPUT_DIR", str(tmp_path))
+        assert main(["run", "--config", REPO_CONFIG]) == 0
+        with open(os.path.join(DATA, "run_shift_w2_report.json"), "rb") as fh:
+            assert (tmp_path / "shift_w2_report.json").read_bytes() == fh.read()
+
+    def test_small_continuous_run_matches_pins(self, monkeypatch, capsys, tmp_path):
+        # t in [0, 1) reads materialize, and the continuity window lipschitz_bound
+        monkeypatch.setenv("FHCLAB_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(tmp_path, "[operator]\nkind = translation\nlam = 1\n\n[run]\n"
+                        "targets = 1\nhorizon = 10\nmode = continuous\ngrid_step = 0.5\n\n"
+                        "[output]\ncsv = translation_h10_report.csv\n"
+                        "json = translation_h10_report.json\n")
+        assert main(["run", "--config", cfg]) == 0
+        out = capsys.readouterr().out.replace(str(tmp_path), "$FHCLAB_OUTPUT_DIR")
+        with open(os.path.join(DATA, "run_translation_h10_stdout.txt"), "rb") as fh:
+            assert out.encode() == fh.read()
+        for ext in ("csv", "json"):
+            with open(os.path.join(DATA, f"run_translation_h10_report.{ext}"), "rb") as fh:
+                assert (tmp_path / f"translation_h10_report.{ext}").read_bytes() == fh.read()
+
     def test_rational_run_writes_the_float_csv(self, monkeypatch, tmp_path):
         # exact arithmetic end to end is the oracle of the float pipeline
         with open(REPO_CONFIG) as fh:
@@ -410,6 +432,12 @@ class TestFailureModes:
          None, "key"),
         (["certify", "--op", "differentiation", "--k", "7", "--L", "1"], None, "key"),
         (["run"], "[operator]\nkind = translation\nw = 1\np = abc\n", "key"),
+        (["certify", "--op", "differentiation", "--space", "ck", "--b", "inf"], None,
+         "k, a, b"),
+        (["run"], "[operator]\nkind = differentiation\nspace = ck\nb = inf\n", "k, a, b"),
+        (["certify", "--op", "translation", "--lam", "1e400"], None, "lam"),
+        (["run"], "[operator]\nkind = translation\nlam = 1e400\n", "lam"),
+        (["semigroup", "--lam", "1e400"], None, "lam"),
     ], ids=["w=1", "w=abc", "w=1e400", "lam=0", "ck-a>b", "rotate=2", "power=0", "L=0",
             "config-w=1/2", "config-p=abc", "config-horizon=abc", "config-w=2%",
             "config-w=1e400",
@@ -424,7 +452,8 @@ class TestFailureModes:
             "translation-space-c0", "json-is-dir", "config-csv-is-dir", "csv-is-dir",
             "csv-dir-missing", "pairs-float", "pairs-bool", "partition-horizon=0",
             "partition-horizon<0", "partition-horizon=0-csv", "translation-flags-w-p-k",
-            "hardy-flag-k", "config-translation-w-p"])
+            "hardy-flag-k", "config-translation-w-p", "ck-b=inf", "config-ck-b=inf",
+            "lam=1e400", "config-lam=1e400", "semigroup-lam=1e400"])
     def test_bad_operator_or_run_value_exits_two(self, tmp_path, capsys, argv, body, key):
         argv = [arg.format(out=tmp_path) for arg in argv]
         if body is not None:

@@ -67,17 +67,20 @@ class TestAssignment:
         sched = schedule_of(p)
         members = {key: sched.members(key, p.horizon) for key in sched.ranked}
         assert all(key.nu == tc.threshold(key.l) for key in members)
-        assert sum(map(len, members.values())) == len(p.placements)
-        assert {n: key.l for key, ns in members.items() for n in ns} == p.placements
+        assert sum(map(len, members.values())) == len(p.placed_ns) == len(p.placed_ls)
+        assert list(p.placed_ns) == sorted(n for ns in members.values() for n in ns)
+        assert {n: key.l for key, ns in members.items() for n in ns} \
+            == dict(zip(p.placed_ns, p.placed_ls))
+        assert p.placed_gaps == tuple(b - a for a, b in zip(p.placed_ns, p.placed_ns[1:]))
 
     def test_every_target_is_placed(self):
         p = shift_placement(L=3, horizon=500)
-        assert set(p.placements.values()) == {1, 2, 3}
+        assert set(p.placed_ls) == {1, 2, 3}
 
     def test_placed_times_respect_thresholds(self):
         p = shift_placement(L=3, horizon=500)
         tc = p.tail_certificate
-        for n, l in p.placements.items():
+        for n, l in zip(p.placed_ns, p.placed_ls):
             assert n >= tc.threshold(l)
 
     def test_horizon_below_thresholds_rejected(self):
@@ -195,7 +198,8 @@ class TestTermTable:
         vec, err = orbit_eval(p, 0)
         assert calls == past
         x, tail = materialize(p)
-        direct = accumulate([apply_inverse(p.cert, p.target_of(j), j) for j in p.placed_ns])
+        direct = accumulate([apply_inverse(p.cert, p.cert.target(l), j)
+                             for j, l in zip(p.placed_ns, p.placed_ls)])
         assert err == tail
         assert repr(list(vec.entries.items())) == repr(list(x.entries.items())) \
             == repr(list(direct.entries.items()))

@@ -2,6 +2,8 @@
 
 import csv
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -98,6 +100,26 @@ def test_schedule_invariants_hold_generically(pairs):
     # every requested set eventually populated
     for k, mem in members.items():
         assert mem, f"{k} received no elements below {horizon}"
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 9)), min_size=1, max_size=6,
+                unique=True),
+       st.integers(1, 600))
+def test_placed_is_every_member_in_ascending_order(pairs, horizon):
+    keys = [PairKey(l, nu) for l, nu in pairs]
+    sched = build_schedule(keys)
+    placed = sched.placed(horizon)
+    ns = [n for n, _ in placed]
+    assert all(a < b for a, b in zip(ns, ns[1:]))
+    for key in keys:
+        assert [n for n, k in placed if k == key] == sched.members(key, horizon)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "partition.csv")
+        sched.export_csv(path, horizon)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert rows == [["n", "l", "nu"]] + [[str(n), str(k.l), str(k.nu)] for n, k in placed]
 
 
 def test_csv_export_schema(tmp_path):

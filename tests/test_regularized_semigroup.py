@@ -153,8 +153,7 @@ def full_scan_lipschitz(orbit, t0, t1):
         widths[l] = float(y.breakpoints[-1]) if not y.is_zero() else 0.0
         rates[l] = lam * y.norm() + y.max_slope()
     total = 0.0
-    for j in p.placed_ns:
-        l = p.placements[j]
+    for j, l in zip(p.placed_ns, p.placed_ls):
         if j + widths[l] < t0:
             continue
         gap = float(t1) - j

@@ -7,7 +7,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fhclab import criterion, operators, spaces
 from fhclab.spaces import (
@@ -433,11 +433,14 @@ class TestTinyNorms:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(TINY_NORMS)),
            st.lists(st.floats(0.25, 4.0), min_size=1, max_size=5), st.integers(0, 1100))
+    @example(kind="hardy", mags=[1.6034566112302815, 2.5437420972507785], k=2)
     def test_scaling_by_a_power_of_two_scales_the_norm(self, kind, mags, k):
         norm = TINY_NORMS[kind]
         want = math.ldexp(norm(mags), -k)
         scaled = [math.ldexp(m, -k) for m in mags]
         squares = [m ** 2 for m in scaled]
+        # a subnormal entry that ldexp rounded is no scaling of the original
+        assume(all(math.ldexp(s, k) == m for s, m in zip(scaled, mags)))
         assume(want >= sys.float_info.min)  # the result stays normal
         # a normal sum of subnormal squares has rounded them: only the sums
         # with every square normal, or below the smallest normal, are exact

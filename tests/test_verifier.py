@@ -157,10 +157,11 @@ def per_n_report(p, epsilons, N):
     visits = {l: [] for l in ls}
     worst = dict.fromkeys(ls, 0.0)
     max_err = 0.0
+    placed = dict(zip(p.placed_ns, p.placed_ls))
     for n in range(1, N + 1):
         vec, err = orbit_eval(p, n)
         max_err = max(max_err, err)
-        scheduled = p.placements.get(n)
+        scheduled = placed.get(n)
         for l in ls:
             d = distance(vec, targets[l]) + err
             if d < epsilons[l]:
@@ -359,7 +360,7 @@ def window_as_pairs(p, n):
     W = min(p.backward_window, p.horizon - n)
     ns = p.placed_ns
     lo, hi = bisect_left(ns, n - p.forward_window), bisect_right(ns, n + W)
-    return W, tuple((j - n, p.placements[j]) for j in ns[lo:hi])
+    return W, tuple((ns[i] - n, p.placed_ls[i]) for i in range(lo, hi))
 
 
 class TestSlidingWindows:
