@@ -14,6 +14,7 @@ import argparse
 import ast
 import configparser
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -382,13 +383,19 @@ def cmd_density(args):
 def cmd_semigroup(args):
     op = build_operator({**dict.fromkeys(SCHEMA["operator"]), "kind": "translation",
                          "lam": args.lam}, exact=True)
+    steps = (1e-2, 1e-3, 1e-4)  # generator_residual scales by e^(lam * t_step)
+    try:
+        math.exp(float(op.lam) * steps[0])
+    except OverflowError:
+        raise ConfigError(f"bad lam = {args.lam!r}: e^(lam * {steps[0]:g}) "
+                          "is beyond the float range") from None
     nonnegative = _checked(Fraction, lambda t: t >= 0, "must be >= 0")
     t, s = _parsed("t", args.t, nonnegative), _parsed("s", args.s, nonnegative)
     tent = PiecewiseLinearFn.tent(Fraction(0), Fraction(1), Fraction(2), Fraction(1))
     res = semigroup_law_residual(op, t, s, tent)
     print(f"semigroup law residual at (t,s)=({args.t},{args.s}) on the unit tent: {res}")
     bump = PolySeries((0, 0, 1, -2, 1), HARDY)  # x^2 (1-x)^2 on [0,1]
-    for h in (1e-2, 1e-3, 1e-4):
+    for h in steps:
         print(f"generator residual at t_step={h:g}: "
               f"{generator_residual(op, bump, h):.6e}")
     return 0

@@ -36,7 +36,7 @@ _SEARCH_CAP = 10_000  # largest N tried for each threshold N_l
 
 
 class CertificationError(Exception):
-    """Raised when a threshold search exceeds its cap or meets a NaN bound."""
+    """Raised when a threshold search exceeds its cap or meets a NaN or overflowing bound."""
 
 
 def _not_nan(bound: float, what: str) -> float:
@@ -97,8 +97,19 @@ def tail_norm(cert: OperatorCertificate, y, N: int, direction: str) -> float:
     return _tail(cert, y, N, direction, lambda n: apply_n(cert, y, n).norm())
 
 
-def _tail(cert: OperatorCertificate, y, N: int, direction: str, term_norm) -> float:
-    """``tail_norm``'s bound, reading ||G^n y|| from ``term_norm(n)``, n = N, N+1, ..."""
+def _tail(cert: OperatorCertificate, y, N: int, direction: str, read_norm) -> float:
+    """``tail_norm``'s bound, reading ||G^n y|| from ``read_norm(n)``, n = N, N+1, ...
+
+    A norm beyond the float range (math.exp or a float power raising
+    OverflowError) is a CertificationError naming the direction and n.
+    """
+    def term_norm(n):
+        try:
+            return read_norm(n)
+        except OverflowError as exc:
+            raise CertificationError(
+                f"the {direction} term norm at {n} is beyond the float range") from exc
+
     decaying = (direction == "inverse") != cert.swapped
 
     if not decaying:

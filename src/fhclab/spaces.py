@@ -15,12 +15,13 @@ every operation that is algebraically rational.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 
 # --------------------------------------------------------------------------
@@ -73,8 +74,11 @@ class CkModel:
             raise ValueError("k must be >= 0")
         if not self.a < self.b:
             raise ValueError("CkModel requires a < b")
-        if not math.isfinite(self.b - self.a):  # the sup-norm grid spans [a, b]
-            raise ValueError("CkModel requires a finite interval [a, b]")
+        # _ck_grid's point i is a + i * delta with i converted to float, as in
+        # numpy's grid: exact only while i <= 2^53
+        if not (self.b + _CK_MESH - self.a) / _CK_MESH <= 2**53:
+            raise ValueError(
+                f"CkModel requires at most 2^53 grid points on [a, b], {_CK_MESH} apart")
 
 
 @dataclass(frozen=True)
@@ -689,113 +693,68 @@ def distance(u, v) -> float:
 #
 # Every enumerated element is built from dyadic rationals a / 2^b in lowest
 # terms (a odd whenever b >= 1).  Elements are ordered by a cost, then by a
-# deterministic lexicographic key; the exact scheme is frozen here and
-# documented in the README.  The first element is always the canonical unit:
-# e_1, the constant-1 polynomial, or the unit tent on [0, 2].
+# lexicographic key that determines the element, so none repeats; the costs
+# and keys are frozen here and documented in the README ("Frozen target
+# enumeration").  Each cost level is finite and is built once, when the
+# levels below it hold fewer elements than asked for.  The first element is
+# always the canonical unit: e_1, the constant-1 polynomial, or the unit
+# tent on [0, 2].
 
 
-def _dyadic_options(budget: int):
-    """(cost, Fraction) for coefficients a/2^b with |a| + b <= budget."""
-    for b in range(0, budget):
-        for mag in range(1, budget - b + 1):
-            if b > 0 and mag % 2 == 0:
-                continue
+def _dyadics(cost: int):
+    """(key, Fraction) for the dyadics a / 2^b in lowest terms with |a| + b = ``cost``."""
+    for b in range(cost):
+        mag = cost - b
+        if b == 0 or mag % 2:
             for sign_bit, sign in ((0, 1), (1, -1)):
-                yield mag + b, (b, mag, sign_bit), Fraction(sign * mag, 2**b)
+                yield (b, mag, sign_bit), Fraction(sign * mag, 2**b)
 
 
-def _indexed_vectors(budget: int, kmin: int):
-    """((cost, key), {index: coeff}) for every map with sum(index + |a| + b) <= budget."""
-    results = []
-
-    def rec(k, used, current, key):
-        if current:
-            results.append(((used, tuple(key)), dict(current)))
-        if k + 1 + used > budget:
-            return
-        for cost, ckey, coeff in _dyadic_options(budget - used - k):
-            rec(k + 1, used + k + cost, current + [(k, coeff)], key + [(k,) + ckey])
-        rec(k + 1, used, current, key)
-
-    rec(kmin, 0, [], [])
-    return results
+def _coefficients(cost: int, slots: int):
+    """(keys, values) for every ``slots``-tuple of dyadics whose |a| + b sum to ``cost``."""
+    if slots == 0:
+        if cost == 0:
+            yield (), ()
+        return
+    for first in range(1, cost - slots + 2):
+        for key, value in _dyadics(first):
+            for keys, values in _coefficients(cost - first, slots - 1):
+                yield (key, *keys), (value, *values)
 
 
-def _first_distinct(count: int, budget: int, cap: int, candidates, make):
-    """First ``count`` distinct elements in cost order, raising the budget as needed.
+def _indexed(cost: int, kmin: int):
+    """(key, {index: coeff}) for the maps on indices >= kmin of cost sum(index + |a| + b)."""
+    for size in range(1, cost + 1):
+        for ks in combinations(range(kmin, cost), size):
+            for keys, values in _coefficients(cost - sum(ks), size):
+                yield tuple((k, *key) for k, key in zip(ks, keys)), dict(zip(ks, values))
 
-    ``candidates(budget)`` lists (sort key, raw) pairs within the budget and
-    ``make(raw)`` gives (signature, element); equal signatures keep the first.
+
+def _bumps(cost: int):
+    """(key, (breakpoints, values)) for the bumps of cost g + j_last + sum(|a| + b).
+
+    A bump is 0 at j_0 / 2^g, takes nonzero dyadic values at the interior
+    breakpoints j / 2^g and is 0 again at j_last / 2^g; g is the least such
+    exponent, so some j is odd when g > 0.
     """
-    while budget < cap:
-        seen, out = set(), []
-        for _, raw in sorted(candidates(budget), key=lambda t: t[0]):
-            sig, element = make(raw)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            out.append(element)
-            if len(out) == count:
-                return out
-        budget += 1
-    raise ValueError(f"enumeration budget exhausted before {count} elements")
+    for g in range(cost):
+        for jlast in range(2, cost - g):
+            rest = cost - g - jlast  # the cost of the interior values
+            for size in range(2, min(jlast, rest + 1) + 1):
+                for js in combinations(range(jlast), size):  # j_0, then the interior
+                    js += (jlast,)
+                    if g and all(j % 2 == 0 for j in js):
+                        continue  # a coarser grid holds it
+                    bps = [Fraction(j, 2**g) for j in js]
+                    for keys, values in _coefficients(rest, size - 1):
+                        vals = [Fraction(0), *values, Fraction(0)]
+                        yield (len(bps), tuple(bps), keys), (bps, vals)
 
 
-def _enumerate_indexed(count: int, kmin: int):
-    return _first_distinct(count, 2, 40, lambda budget: _indexed_vectors(budget, kmin),
-                           lambda m: (tuple(sorted(m.items())), m))
-
-
-def _plf_candidates(budget: int):
-    """(key, (breakpoints, values)) of dyadic bumps, cost g + j_last + sum(|a|+b) <= budget."""
-    out = []
-    for g in range(0, budget + 1):
-        den = 2**g
-        for jlast in range(2, budget - g + 1):
-            vbudget = budget - g - jlast
-            if vbudget < 1:
-                continue
-            # choose interior integer breakpoints between some j0 and jlast
-            for j0 in range(0, jlast - 1):
-                interiors = _interior_choices(j0, jlast)
-                for mids in interiors:
-                    if not mids:
-                        continue
-                    if g > 0 and all(j % 2 == 0 for j in (j0, *mids, jlast)):
-                        continue  # reducible to a coarser grid
-                    for cost_vals, vkey, vals in _value_assignments(len(mids), vbudget):
-                        cost = g + jlast + cost_vals
-                        bps = [Fraction(j, den) for j in (j0, *mids, jlast)]
-                        key = (cost, len(bps), tuple(bps), vkey)
-                        out.append((key, (bps, [Fraction(0), *vals, Fraction(0)])))
-    return out
-
-
-def _interior_choices(j0, jlast):
-    inner = list(range(j0 + 1, jlast))
-    for r in range(1, len(inner) + 1):
-        yield from combinations(inner, r)
-
-
-def _value_assignments(n, vbudget):
-    """All length-n interior value tuples with total cost <= vbudget."""
-    opts = list(_dyadic_options(vbudget))
-    results = []
-
-    def rec(i, used, vals, key):
-        if i == n:
-            results.append((used, tuple(key), list(vals)))
-            return
-        for cost, ckey, coeff in opts:
-            if used + cost <= vbudget:
-                rec(i + 1, used + cost, vals + [coeff], key + [ckey])
-
-    rec(0, 0, [], [])
-    return results
-
-
-def _maybe_float(x, exact: bool):
-    return x if exact else float(x)
+def _cheapest(n: int, level):
+    """The first ``n`` elements of level(1), level(2), ..., each level in key order."""
+    levels = (sorted(level(cost), key=lambda t: t[0]) for cost in itertools.count(1))
+    return [element for _, element in islice(chain.from_iterable(levels), n)]
 
 
 def enumerate_targets(space, count: int, exact: bool = False):
@@ -806,19 +765,14 @@ def enumerate_targets(space, count: int, exact: bool = False):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    scalar = (lambda x: x) if exact else float
     if isinstance(space, SequenceSpace):
-        return [SparseVector({k: _maybe_float(c, exact) for k, c in m.items()}, space)
-                for m in _enumerate_indexed(count, kmin=1)]
+        return [SparseVector({k: scalar(c) for k, c in m.items()}, space)
+                for m in _cheapest(count, lambda cost: _indexed(cost, 1))]
     if isinstance(space, (HardyModel, CkModel)):
-        return [PolySeries([_maybe_float(m.get(j, 0), exact) for j in range(max(m) + 1)], space)
-                for m in _enumerate_indexed(count, kmin=0)]
+        return [PolySeries([scalar(m.get(j, 0)) for j in range(max(m) + 1)], space)
+                for m in _cheapest(count, lambda cost: _indexed(cost, 0))]
     if isinstance(space, HalfLineC0):
-        def make(raw):
-            bps, vals = raw
-            f = PiecewiseLinearFn([_maybe_float(b, exact) for b in bps],
-                                  [_maybe_float(v, exact) for v in vals])
-            return (tuple(f.breakpoints), tuple(f.values)), f
-
-        return _first_distinct(count, 3, 24, _plf_candidates, make)
+        return [PiecewiseLinearFn([scalar(b) for b in bps], [scalar(v) for v in vals])
+                for bps, vals in _cheapest(count, _bumps)]
     raise TypeError(f"unknown space tag {space!r}")
-

@@ -184,9 +184,11 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
 
     # per target, the integers n whose certified window [n, n + delta] can count
     n_ints = {l: int(math.floor(t_max - delta[l])) + 1 if delta[l] > 0 else 0 for l in ls}
-    # (n, 0) checks integer n, (t, 1) the cell [t, t + grid_step); at equal t, n goes first
+    # (n, 0) checks integer n, (t, 1) the cell [t, t + grid_step); at equal t, n goes first;
+    # a quotient t_max / grid_step rounded up would add an empty cell at t_max
+    cell_starts = (i * grid_step for i in range(int(math.ceil(t_max / grid_step))))
     events = sorted([(float(n), 0) for n in range(max(n_ints.values(), default=0))]
-                    + [(i * grid_step, 1) for i in range(int(math.ceil(t_max / grid_step)))])
+                    + [(t, 1) for t in cell_starts if t < t_max])
     cells = {l: [] for l in ls}  # inner cells
     windows = {l: [] for l in ls}  # certified windows from integer visits
     outer_measure = dict.fromkeys(ls, 0.0)

@@ -438,6 +438,11 @@ class TestFailureModes:
         (["certify", "--op", "translation", "--lam", "1e400"], None, "lam"),
         (["run"], "[operator]\nkind = translation\nlam = 1e400\n", "lam"),
         (["semigroup", "--lam", "1e400"], None, "lam"),
+        (["semigroup", "--lam", "1e300"], None, "lam"),
+        (["certify", "--op", "differentiation", "--space", "ck", "--b", "1e15"], None,
+         "k, a, b"),
+        (["certify", "--op", "differentiation", "--space", "ck", "--b", "1e300"], None,
+         "k, a, b"),
     ], ids=["w=1", "w=abc", "w=1e400", "lam=0", "ck-a>b", "rotate=2", "power=0", "L=0",
             "config-w=1/2", "config-p=abc", "config-horizon=abc", "config-w=2%",
             "config-w=1e400",
@@ -453,7 +458,8 @@ class TestFailureModes:
             "csv-dir-missing", "pairs-float", "pairs-bool", "partition-horizon=0",
             "partition-horizon<0", "partition-horizon=0-csv", "translation-flags-w-p-k",
             "hardy-flag-k", "config-translation-w-p", "ck-b=inf", "config-ck-b=inf",
-            "lam=1e400", "config-lam=1e400", "semigroup-lam=1e400"])
+            "lam=1e400", "config-lam=1e400", "semigroup-lam=1e400", "semigroup-lam=1e300",
+            "ck-b=1e15", "ck-b=1e300"])
     def test_bad_operator_or_run_value_exits_two(self, tmp_path, capsys, argv, body, key):
         argv = [arg.format(out=tmp_path) for arg in argv]
         if body is not None:
@@ -478,6 +484,24 @@ class TestFailureModes:
     ], ids=["translation-config", "hardy-flag", "c0-flag-p"])
     def test_key_the_operator_does_not_read_exits_two(self, tmp_path, capsys, argv, body,
                                                        message):
+        if body is not None:
+            argv = argv + ["--config", write_cfg(tmp_path, body)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv, body, message", [
+        (["certify", "--op", "translation", "--lam", "710"], None,
+         "the forward term norm at 1 is beyond the float range"),
+        (["run"], "[operator]\nkind = translation\nlam = 1e300\n[run]\ntargets = 2\n"
+         "horizon = 20\nmode = continuous\ngrid_step = 0.1\n",
+         "the forward term norm at 1 is beyond the float range"),
+        (["certify", "--op", "differentiation", "--space", "ck", "--b", "1e6", "--L", "1"],
+         None, "the inverse term norm at 53 is beyond the float range"),
+        (["certify", "--op", "differentiation", "--space", "ck", "--b", "1e11", "--L", "1"],
+         None, "the inverse term norm at 30 is beyond the float range"),
+    ], ids=["translation-lam=710", "continuous-lam=1e300", "ck-b=1e6", "ck-b=1e11"])
+    def test_overflowing_term_norm_exits_two(self, tmp_path, capsys, argv, body, message):
         if body is not None:
             argv = argv + ["--config", write_cfg(tmp_path, body)]
         assert main(argv) == 2

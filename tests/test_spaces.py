@@ -1,5 +1,6 @@
 """Vector models: norms, combination algebra, enumeration."""
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -155,6 +156,51 @@ class TestEnumeration:
         for i, u in enumerate(got):
             for v in got[i + 1:]:
                 assert distance(u, v) > 0
+
+    @pytest.mark.parametrize("space, count, exact, digest", [
+        (L2, 200, False, "ef053e5abfa1ef5f12dc70adc91ef6ba485c329e963cd7da57e4354fa992458f"),
+        (L2, 200, True, "964bd5b7401c25c08e18ecfa79143f9697340b8ef130e39e814c8521b8d6c1ce"),
+        (C0_SEQ, 60, False, "e6175c25560162eaf1c8e30aca28a477e39e304235afb4dcd96b4927c24edad5"),
+        (C0_SEQ, 60, True, "0c99dace4fe24177acefeee717244f67025ad25d6bd02edfdca3fc6f122bc09e"),
+        (SequenceSpace("lp", 1.0), 60, False,
+         "6fa3e10a5841347b7e5daf8d4863bbe69fce0503bf71320dae3ea9e68db1697f"),
+        (SequenceSpace("lp", 1.0), 60, True,
+         "ca0fefa74f5cc453f7eea265d6f3ef035afcfee7d419737787f7d505a2ba5f44"),
+        (HARDY, 200, False, "3e3c9873fc52224174ca1e6bc85d6471293cc6c1a69abfff5985cb31916abf48"),
+        (HARDY, 200, True, "3b83c46f6bdcb6687cfa84bd829b6b3477b2ad9624fbf30b1218c29eb9d00d1d"),
+        (CkModel(2, 0.5, 2.0), 60, False,
+         "5c401573b9a719fe8a730446a6f3828ef19bcbcc081ccb10d19d34e6a59b9c44"),
+        (CkModel(2, 0.5, 2.0), 60, True,
+         "8991a8edb028dd33707212c659824d8286e9434f4446cb878345faeae3606512"),
+        (C0_PLUS, 150, False, "fef264b2fd0e6c9aa879fcb47325f1b1b68202c8296e2b1d070758c45cac7dd9"),
+        (C0_PLUS, 150, True, "547c41e9024e7043df929c9154d61677b46aec26816ca098c9d8c3d224c4c569"),
+    ], ids=["l2", "l2-exact", "c0", "c0-exact", "l1", "l1-exact", "hardy", "hardy-exact",
+            "ck2", "ck2-exact", "half-line", "half-line-exact"])
+    def test_order_and_scalar_types_pinned(self, space, count, exact, digest):
+        # sha256 over one line per target: its repr and the type names of its scalars
+        def scalars(t):
+            if isinstance(t, SparseVector):
+                return [t.entries[k] for k in sorted(t.entries)]
+            if isinstance(t, PolySeries):
+                return t.coeffs
+            return [*t.breakpoints, *t.values, t.log_scale]
+
+        text = "\n".join(f"{t!r} {[type(c).__name__ for c in scalars(t)]}"
+                         for t in enumerate_targets(space, count, exact=exact))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_each_cost_level_is_built_once(self, monkeypatch):
+        levels = []
+
+        def counted(cost):
+            levels.append(cost)
+            return bumps(cost)
+
+        bumps = spaces._bumps
+        monkeypatch.setattr(spaces, "_bumps", counted)
+        got = enumerate_targets(C0_PLUS, 24)
+        assert len(got) == 24
+        assert levels == list(range(1, max(levels) + 1))
 
 
 class TestAccumulate:

@@ -223,6 +223,8 @@ def interleaved_visits(orbit, epsilons, t_max, grid_step):
     n = 0
     for i in range(n_cells):
         t0 = i * grid_step
+        if t0 >= t_max:
+            break
         while n < n_end and n <= t0:
             integer_visit(n)
             n += 1
@@ -269,13 +271,14 @@ def translation_orbit(lam, L, exact):
 
 @st.composite
 def continuous_sweeps(draw):
-    """(orbit, epsilons, t_max, grid_step); grid 2.5 leaves integers after the last cell."""
+    """(orbit, epsilons, t_max, grid_step); grid 2.5 leaves integers after the last cell,
+    grid 0.7 rounds 21 / 0.7 and 84 / 0.7 up."""
     L = draw(st.integers(1, 2))
     orbit = translation_orbit(draw(st.sampled_from([1, Fraction(1, 2)])), L, draw(st.booleans()))
     eps = {l: draw(st.sampled_from([1.2 * proximity_bound(l), proximity_bound(l) / 2]))
            for l in range(1, L + 1)}
     return (orbit, eps, float(draw(st.integers(20, 120))),
-            draw(st.sampled_from([0.05, 0.1, 0.3, 1.0, 2.5])))
+            draw(st.sampled_from([0.05, 0.1, 0.3, 0.7, 1.0, 2.5])))
 
 
 OPERATORS = {
@@ -458,6 +461,14 @@ class TestContinuous:
         batch = continuous_visits(SolutionOrbit(p), eps, 40.0, 0.1)
         assert [r.to_json_dict() for r in batch] == [r.to_json_dict() for r in singles]
         assert calls == list(range(0, 40))
+
+    def test_no_empty_cell_at_t_max(self):
+        # 21 / 0.7 is 30.000000000000004 in floats: a 31st cell would start at 21, be empty
+        # and list 21 as a visit time
+        cert = make_certificate(TranslationGenerator(1), 1)
+        p = assign_placements(compute_thresholds(cert), horizon=80)
+        rep = continuous_visits(SolutionOrbit(p), {1: 1.2 * proximity_bound(1)}, 21.0, 0.7)[0]
+        assert max(rep.visit_times) < 21.0
 
     @settings(max_examples=30, deadline=None)
     @given(continuous_sweeps())
