@@ -7,10 +7,10 @@
 for G the certificate's forward or inverse action.  Forward series of the
 built-in operators die after a finite extinction index, so the forward
 bound is a finite triangle sum (exactly 0 once N passes extinction).
-Inverse series are dominated termwise: disjointly supported single-entry
-targets combine in the space norm, everything else by the triangle
-inequality, and the infinite remainder is closed off with a certified
-geometric ratio.
+Inverse series are dominated termwise: the disjointly supported terms of a
+single-entry target combine in the space norm (``spaces.lp_norm``, the max
+in c0), everything else by the triangle inequality, and the infinite
+remainder is closed off with a certified geometric ratio.
 
 ``compute_thresholds`` searches the minimal N_l making all four displayed
 inequalities hold with constants 1/(l*2^l) and 1/2^l.  With T_n = A^n and
@@ -26,7 +26,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from .operators import OperatorCertificate, apply_forward, apply_inverse
-from .spaces import accumulate, distance, power_sum_root
+from .spaces import accumulate, distance, lp_norm
 
 _NEGLIGIBLE = 1e-34
 _TINY_FLOOR = 1e-300  # smallest decaying tail reported: an upper bound on any that underflows
@@ -80,11 +80,7 @@ class TailCertificate:
 
 def _combined(term_norms, p) -> float:
     """Norm bound of a sum from its termwise norms; p as in ``combine_mode``."""
-    if p is None:
-        return sum(term_norms)
-    if p == math.inf:
-        return max(term_norms)
-    return power_sum_root(sum(t**p for t in term_norms), term_norms, p, lambda s: s ** (1.0 / p))
+    return sum(term_norms) if p is None else lp_norm(term_norms, p)
 
 
 def tail_norm(cert: OperatorCertificate, y, N: int, direction: str) -> float:
@@ -100,15 +96,15 @@ def tail_norm(cert: OperatorCertificate, y, N: int, direction: str) -> float:
 def _tail(cert: OperatorCertificate, y, N: int, direction: str, read_norm) -> float:
     """``tail_norm``'s bound, reading ||G^n y|| from ``read_norm(n)``, n = N, N+1, ...
 
-    A norm beyond the float range (math.exp or a float power raising
-    OverflowError) is a CertificationError naming the direction and n.
+    A term norm or ratio bound beyond the float range (math.exp or a float
+    power raising OverflowError) is a CertificationError naming it and n.
     """
-    def term_norm(n):
+    def checked(what, n, read, *args):
         try:
-            return read_norm(n)
+            return read(*args)
         except OverflowError as exc:
             raise CertificationError(
-                f"the {direction} term norm at {n} is beyond the float range") from exc
+                f"the {direction} {what} at {n} is beyond the float range") from exc
 
     decaying = (direction == "inverse") != cert.swapped
 
@@ -117,17 +113,17 @@ def _tail(cert: OperatorCertificate, y, N: int, direction: str, read_norm) -> fl
         ext = math.ceil(cert.op.extinction(y) / cert.power)
         if N >= ext:
             return 0.0
-        return _not_nan(sum(term_norm(n) for n in range(N, ext)),
+        return _not_nan(sum(checked("term norm", n, read_norm, n) for n in range(N, ext)),
                         f"the {direction} tail from {N}")
 
     terms = []
     n = N
     total_hint = 0.0
     while True:
-        t = _not_nan(term_norm(n), f"the {direction} term norm at {n}")
+        t = _not_nan(checked("term norm", n, read_norm, n), f"the {direction} term norm at {n}")
         terms.append(t)
         total_hint = max(total_hint, t)
-        q = cert.op.inverse_ratio_bound(y, n, cert.power)
+        q = checked("ratio bound", n, cert.op.inverse_ratio_bound, y, n, cert.power)
         if q < 1.0 and (t <= _NEGLIGIBLE * max(total_hint, 1.0) or len(terms) >= _MAX_TERMS):
             remainder = t * q / (1.0 - q)
             break

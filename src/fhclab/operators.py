@@ -17,7 +17,7 @@ Each family is one class that owns everything known about it:
 * ``inverse_ratio_bound(y, n, r)`` -- a bound on ||B^(r(n+1)) y|| / ||B^(r n) y||;
 * ``combine_mode(y)`` -- the exponent the norms of the terms B^(r n) y
   combine with: p when they are provably disjointly supported in an l^p
-  norm, inf in c0, None for the triangle inequality.
+  norm (inf in c0), None for the triangle inequality.
 
 A certificate bundles an operator with its enumerated targets plus two
 formal transforms: a unit-modulus scalar twist and a power r, acting as
@@ -89,9 +89,7 @@ class WeightedBackwardShift:
         return abs(self.w) ** -(r * (y.min_index() + r * n))
 
     def combine_mode(self, y: SparseVector):
-        if len(y.entries) != 1:
-            return None
-        return math.inf if self.space.kind == "c0" else self.space.p
+        return self.space.p if len(y.entries) == 1 else None
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from itertools import chain, combinations, islice
 
 @dataclass(frozen=True)
 class SequenceSpace:
-    """l_p for 1 <= p < inf (kind="lp") or c0 (kind="c0")."""
+    """l_p for 1 <= p < inf (kind="lp") or c0 (kind="c0"), whose norm has p = inf."""
 
     kind: str = "lp"
     p: float = 2.0
@@ -38,7 +38,9 @@ class SequenceSpace:
     def __post_init__(self):
         if self.kind not in ("lp", "c0"):
             raise ValueError(f"unknown sequence space kind {self.kind!r}")
-        if self.kind == "lp" and not 1.0 <= self.p < math.inf:
+        if self.kind == "c0":
+            object.__setattr__(self, "p", math.inf)
+        elif not 1.0 <= self.p < math.inf:
             raise ValueError(f"l_p requires 1 <= p < inf, got p={self.p}")
 
 
@@ -94,25 +96,29 @@ C0_PLUS = HalfLineC0()
 # l^p sums
 
 
-def power_sum_root(total: float, values, p, root) -> float:
-    """root(total), ``total`` being the float sum of |c|^p over ``values``.
+def lp_norm(values, p) -> float:
+    """The l^p norm of the scalars ``values`` (a collection), 1 <= p <= inf.
 
-    A total below the smallest normal float has lost bits to underflow, so it
-    is summed again from the entries scaled by the power of two that brings
-    the largest into [0.5, 1); the root is scaled back by that power.  Squares
-    are products, as ``x ** 2`` (libm pow) is not correctly rounded.
+    p = inf is the largest |c|.  At p = 2 the squares are products summed in
+    the scalars' own type (exact for Fractions) and the root is math.sqrt, as
+    ``x ** 2`` and ``s ** 0.5`` (libm pow) are not correctly rounded; other p
+    sum float(|c|) ** p and take ``** (1/p)``.  A sum below the smallest
+    normal float has lost bits to underflow, so it is summed again from the
+    entries scaled by the power of two that brings the largest into [0.5, 1);
+    the root is scaled back by that power.
     """
+    if p == math.inf:
+        return float(max((abs(c) for c in values), default=0))
+    if p == 2:
+        total, root = float(sum(a * a for a in map(abs, values))), math.sqrt
+    else:
+        total, root = float(sum(float(abs(c)) ** p for c in values)), lambda s: s ** (1.0 / p)
     if total >= sys.float_info.min:
         return root(total)
     mags = [float(abs(c)) for c in values]
     e = -math.frexp(max(mags, default=0.0))[1]
     scaled = [math.ldexp(m, e) for m in mags]
     return math.ldexp(root(sum(s * s if p == 2 else s ** p for s in scaled)), -e)
-
-
-def _l2_norm(values) -> float:
-    """The l2 norm of the scalars ``values``: SparseVector on l2 and the Hardy model."""
-    return power_sum_root(float(sum(a * a for a in map(abs, values))), values, 2, math.sqrt)
 
 
 # --------------------------------------------------------------------------
@@ -142,14 +148,7 @@ class SparseVector:
         return cls({k: 1}, space)
 
     def norm(self) -> float:
-        values = self.entries.values()
-        if self.space.kind == "c0":
-            return float(max((abs(c) for c in values), default=0))
-        p = self.space.p
-        if p == 2:
-            return _l2_norm(values)
-        return power_sum_root(float(sum(float(abs(c)) ** p for c in values)), values, p,
-                              lambda s: s ** (1.0 / p))
+        return lp_norm(self.entries.values(), self.space.p)
 
     def scaled(self, a) -> "SparseVector":
         if a == 0:
@@ -227,7 +226,7 @@ class PolySeries:
 
     def norm(self) -> float:
         if isinstance(self.model, HardyModel):
-            return _l2_norm(self.coeffs)
+            return lp_norm(self.coeffs, 2)
         return self.ck_norm_interval()[1]
 
     def ck_norm_interval(self):

@@ -500,7 +500,11 @@ class TestFailureModes:
          None, "the inverse term norm at 53 is beyond the float range"),
         (["certify", "--op", "differentiation", "--space", "ck", "--b", "1e11", "--L", "1"],
          None, "the inverse term norm at 30 is beyond the float range"),
-    ], ids=["translation-lam=710", "continuous-lam=1e300", "ck-b=1e6", "ck-b=1e11"])
+        (["certify", "--op", "differentiation", "--space", "ck", "--b", "9e11",
+          "--power", "26", "--L", "1"],
+         None, "the inverse ratio bound at 1 is beyond the float range"),
+    ], ids=["translation-lam=710", "continuous-lam=1e300", "ck-b=1e6", "ck-b=1e11",
+            "ck-b=9e11-power=26"])
     def test_overflowing_term_norm_exits_two(self, tmp_path, capsys, argv, body, message):
         if body is not None:
             argv = argv + ["--config", write_cfg(tmp_path, body)]

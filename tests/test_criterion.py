@@ -5,6 +5,7 @@ exact rational partial sums of the squared inverse-term norms, square-rooted
 only at the end.
 """
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -308,6 +309,26 @@ class TestTransformedThresholds:
         y = base.target(1)
         assert tail_norm(sw, y, 1, "forward") == pytest.approx(
             tail_norm(base, y, 1, "inverse"), abs=1e-12)
+
+
+def pinned_certificates():
+    """76 certificates: each operator at power 1 and 2, unrotated and rotated by 1j, L = 3."""
+    ops = [WeightedBackwardShift(w, space) for w in (2, 3, -1.5, 1.25)
+           for space in (L2, SequenceSpace("lp", 1.0), SequenceSpace("lp", 3.0), C0_SEQ)]
+    ops += [Differentiation(HARDY), Differentiation(CkModel(3)), TranslationGenerator(1)]
+    for op in ops:
+        for r in (1, 2):
+            cert = transform_power(make_certificate(op, 3), r)
+            yield cert
+            yield transform_rotation(cert, 1j)
+
+
+class TestRecordsPin:
+    def test_records_of_76_certificates_keep_their_bits(self):
+        records = [compute_thresholds(cert).records for cert in pinned_certificates()]
+        assert len(records) == 76
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+            "5a3b63431c14d5f2a2e965705847f1046292a0711bd20ef988be9bc6a192af25")
 
 
 class TestProbes:

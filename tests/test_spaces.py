@@ -480,6 +480,7 @@ class TestTinyNorms:
     @given(st.sampled_from(sorted(TINY_NORMS)),
            st.lists(st.floats(0.25, 4.0), min_size=1, max_size=5), st.integers(0, 1100))
     @example(kind="hardy", mags=[1.6034566112302815, 2.5437420972507785], k=2)
+    @example(kind="combined", mags=[1.5110482062345847, 3.3103669654279146], k=313)
     def test_scaling_by_a_power_of_two_scales_the_norm(self, kind, mags, k):
         norm = TINY_NORMS[kind]
         want = math.ldexp(norm(mags), -k)
@@ -491,15 +492,93 @@ class TestTinyNorms:
         # a normal sum of subnormal squares has rounded them: only the sums
         # with every square normal, or below the smallest normal, are exact
         assume(min(squares) >= sys.float_info.min or sum(squares) < sys.float_info.min)
-        if kind != "combined":
-            assert norm(scaled) == want
-            return
-        # _combined's root is ** 0.5, which is not correctly rounded (it differs
-        # from math.sqrt on ~0.08 % of doubles), so against the unscaled sum it
-        # is exact to one ulp, and exact between two rescaled sums
-        assert abs(norm(scaled) - want) <= math.ulp(want)
-        if sum(squares) < sys.float_info.min:
-            assert norm(scaled) == math.ldexp(norm([math.ldexp(m, -600) for m in mags]), 600 - k)
+        assert norm(scaled) == want
+
+
+# --------------------------------------------------------------------------
+# lp_norm against the norms it replaced, written out
+
+
+def _former_power_sum_root(total, values, p, root):
+    if total >= sys.float_info.min:
+        return root(total)
+    mags = [float(abs(c)) for c in values]
+    e = -math.frexp(max(mags, default=0.0))[1]
+    scaled = [math.ldexp(m, e) for m in mags]
+    return math.ldexp(root(sum(s * s if p == 2 else s ** p for s in scaled)), -e)
+
+
+def _former_l2_norm(values):
+    """The former Hardy norm, and SparseVector.norm on l2."""
+    return _former_power_sum_root(float(sum(a * a for a in map(abs, values))), values, 2,
+                                  math.sqrt)
+
+
+def _former_sparse_norm(values, space):
+    if space.kind == "c0":
+        return float(max((abs(c) for c in values), default=0))
+    p = space.p
+    if p == 2:
+        return _former_l2_norm(values)
+    return _former_power_sum_root(float(sum(float(abs(c)) ** p for c in values)), values, p,
+                                  lambda s: s ** (1.0 / p))
+
+
+def _former_combined(term_norms, p):
+    """The former ``criterion._combined`` away from p = 2, the one place its bits move."""
+    if p is None:
+        return sum(term_norms)
+    if p == math.inf:
+        return max(term_norms)
+    return _former_power_sum_root(sum(t**p for t in term_norms), term_norms, p,
+                                  lambda s: s ** (1.0 / p))
+
+
+def _outcome(norm, *args):
+    """repr of the norm, or the name of the error it raises (huge entries overflow)."""
+    try:
+        return repr(norm(*args))
+    except OverflowError as exc:
+        return type(exc).__name__
+
+
+ANY_FLOAT = st.floats(allow_nan=False, allow_subnormal=True)
+NORM_SCALARS = st.one_of(
+    st.lists(ANY_FLOAT, max_size=6),
+    st.lists(st.floats(-1e-150, 1e-150, allow_subnormal=True), max_size=6),
+    st.lists(st.fractions(max_denominator=10**400), max_size=6),
+    st.lists(st.builds(complex, ANY_FLOAT, ANY_FLOAT), max_size=6),
+    st.lists(st.one_of(st.just(0), ANY_FLOAT, st.fractions()), max_size=6),
+)
+
+
+class TestLpNorm:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([SequenceSpace("lp", 1.0), SequenceSpace("lp", 1.5), L2,
+                            SequenceSpace("lp", 3.0), C0_SEQ]), NORM_SCALARS)
+    def test_sequence_norms_keep_their_bits(self, space, values):
+        want = _outcome(_former_sparse_norm, values, space)
+        assert _outcome(spaces.lp_norm, values, space.p) == want
+        v = SparseVector(dict(enumerate(values, 1)), space)
+        assert _outcome(v.norm) == _outcome(_former_sparse_norm, v.entries.values(), space)
+
+    @settings(max_examples=300, deadline=None)
+    @given(NORM_SCALARS)
+    def test_hardy_norm_keeps_its_bits(self, coeffs):
+        assert _outcome(PolySeries(coeffs, HARDY).norm) == _outcome(_former_l2_norm, coeffs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([None, 1.0, 1.5, 3.0, math.inf]),
+           st.lists(st.floats(0, allow_infinity=False, allow_subnormal=True), min_size=1,
+                    max_size=6))
+    def test_combined_keeps_its_bits_away_from_p_two(self, p, term_norms):
+        assert (_outcome(criterion._combined, term_norms, p)
+                == _outcome(_former_combined, term_norms, p))
+
+    def test_c0_is_the_max_norm(self):
+        assert C0_SEQ.p == SequenceSpace("c0", 3.0).p == math.inf
+        assert SparseVector({1: -3, 4: Fraction(7, 2)}, C0_SEQ).norm() == 3.5
+        assert spaces.lp_norm([], math.inf) == spaces.lp_norm([], 2) == 0.0
 
 
 # --------------------------------------------------------------------------
