@@ -86,8 +86,10 @@ SCHEMA = {
     "operator": {"kind": ("shift", str), **{key: (None, lambda text: text) for key in (
         "w", "space", "p", "lam", "k", "a", "b")}},
     "run": {"targets": ("5", _COUNT), "horizon": ("1000", _COUNT), "seed": ("0", int),
-            "radius_factor": ("1.2", _checked(float, lambda x: x > 1, "must be > 1")),
-            "grid_step": ("0.05", _checked(float, lambda x: x > 0, "must be > 0")),
+            "radius_factor": ("1.2", _checked(float, lambda x: 1 < x < math.inf,
+                                              "must be finite and > 1")),
+            "grid_step": ("0.05", _checked(float, lambda x: 0 < x < math.inf,
+                                           "must be finite and > 0")),
             "probes": ("0", _checked(int, lambda n: n >= 0, "must be >= 0")),
             "mode": ("discrete", _one_of("discrete", "continuous")),
             "precision": ("float", _one_of("float", "rational"))},

@@ -7,6 +7,11 @@ prefix of the evidence and is reported next to N so scaling is visible.
 Continuous visit sets are measured on a grid with a rigorous Lipschitz
 modulus, yielding inner and outer estimates, in one time-ordered pass over
 the integer checks and the grid cells.
+
+The JSON export keeps the layout of ``json.dump(reports, indent=1)`` byte for
+byte, but streams the visit lists through the C encoder in slices rather than
+through the pure-Python encoder that ``json.dump`` runs;
+``tests/data/run_*_report.json`` pin the bytes.
 """
 
 from __future__ import annotations
@@ -268,6 +273,36 @@ def reports_to_csv_text(reports) -> str:
     return buf.getvalue()
 
 
+_SLICE = 2048  # visit times per C-encoder call
+
+
+def _dump_reports(reports, fh):
+    """json.dump([r.to_json_dict() for r in reports], fh, indent=1), byte for byte.
+
+    json.dump runs the pure-Python encoder (json.dumps does too once an indent
+    is set), one generator step per visit time.  Here the framing of the flat report dicts is written
+    directly, each scalar goes through json.dumps and each list through the C
+    encoder in slices of _SLICE entries, re-indented by replacing ", ".  That
+    split is exact only for lists of numbers, whose JSON never contains ", ":
+    visit_times holds ints in both modes.
+    """
+    fh.write("[")
+    for i, r in enumerate(reports):
+        fh.write(",\n {" if i else "\n {")
+        for j, (key, value) in enumerate(r.to_json_dict().items()):
+            fh.write((",\n  " if j else "\n  ") + json.dumps(key) + ": ")
+            if not isinstance(value, list):
+                fh.write(json.dumps(value))
+                continue
+            fh.write("[")
+            for k in range(0, len(value), _SLICE):
+                fh.write(",\n   " if k else "\n   ")
+                fh.write(json.dumps(value[k:k + _SLICE])[1:-1].replace(", ", ",\n   "))
+            fh.write("\n  ]" if value else "]")
+        fh.write("\n }")
+    fh.write("\n]" if reports else "]")
+
+
 def report_export(reports, csv_path=None, json_path=None):
     """Write reports; CSV carries the summary row per target, JSON everything."""
     try:
@@ -276,7 +311,7 @@ def report_export(reports, csv_path=None, json_path=None):
                 fh.write(reports_to_csv_text(reports))
         if json_path is not None:
             with open(json_path, "w") as fh:
-                json.dump([r.to_json_dict() for r in reports], fh, indent=1)
+                _dump_reports(reports, fh)
     except OSError as exc:
         raise OSError(f"report export failed for {exc.filename!r}: {exc}") from exc
 

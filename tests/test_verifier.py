@@ -397,6 +397,26 @@ class TestSlidingWindows:
             next(orbit_windows(shift_placement(), start, stop))
 
 
+@st.composite
+def orbit_reports(draw):
+    """Any OrbitReport: non-finite and signed-zero floats, bools, large ints,
+    visit lists of every length around the export's slice size."""
+    size = verifier._SLICE
+    n = draw(st.sampled_from([0, 1, 2, size - 1, size, size + 1, 2 * size]))
+    ints = st.integers(-2 ** 80, 2 ** 80)
+    base = draw(st.lists(ints, min_size=1, max_size=4))
+    number = st.one_of(st.floats(), st.sampled_from([-0.0, math.inf, -math.inf]), ints)
+    return OrbitReport(
+        l=draw(ints), epsilon=draw(number), horizon=draw(number),
+        visit_times=[base[i % len(base)] + i for i in range(n)],
+        density_floor=draw(number), covering_set_check=draw(st.booleans()),
+        proof_bound=draw(number), certified_error=draw(number),
+        worst_scheduled=draw(number), guarantee_vacuous=draw(st.booleans()),
+        mode=draw(st.sampled_from(["discrete", "continuous"])),
+        inner_measure=draw(number), outer_measure=draw(number),
+        continuity_window=draw(number))
+
+
 class TestReportIO:
     def _reports(self):
         eps = {1: 1.2 * proximity_bound(1), 2: 1.2 * proximity_bound(2)}
@@ -423,6 +443,42 @@ class TestReportIO:
     def test_export_error_names_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             report_export(self._reports(), csv_path=str(tmp_path / "no/such/x.csv"))
+
+    def test_json_export_error_names_path(self, tmp_path):
+        with pytest.raises(OSError, match="no/such"):
+            report_export(self._reports(), json_path=str(tmp_path / "no/such/x.json"))
+
+    @staticmethod
+    def _exported(reports, path):
+        report_export(reports, json_path=path)
+        with open(path) as fh:
+            return fh.read()
+
+    @given(reports=st.lists(orbit_reports(), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_json_bytes_equal_indented_dump(self, tmp_path_factory, reports):
+        path = tmp_path_factory.mktemp("json") / "report.json"
+        expected = json.dumps([r.to_json_dict() for r in reports], indent=1)
+        assert self._exported(reports, path) == expected
+
+    def test_json_bytes_of_a_sweep_longer_than_a_slice(self, tmp_path):
+        eps = {1: 1.2 * proximity_bound(1), 2: 1.2 * proximity_bound(2)}
+        reports = discrete_report(shift_placement(horizon=2500), eps, 2500)
+        assert len(reports[0].visit_times) > verifier._SLICE
+        expected = json.dumps([r.to_json_dict() for r in reports], indent=1)
+        assert self._exported(reports, tmp_path / "report.json") == expected
+
+    def test_json_export_skips_the_pure_python_encoder(self, tmp_path, monkeypatch):
+        # json.dump builds its encoder with _make_iterencode, one
+        # generator step per visit time; the export must never reach it
+        reports = self._reports()
+        expected = json.dumps([r.to_json_dict() for r in reports], indent=1)
+
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder was used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+        assert self._exported(reports, tmp_path / "report.json") == expected
 
 
 class TestContinuous:
