@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
@@ -462,7 +463,10 @@ class PiecewiseLinearFn:
 
     Invariants: breakpoints strictly increasing and >= 0; value 0 at the
     last breakpoint, and at the first unless it sits at 0 (a clipped
-    function may carry mass into the origin).
+    function may carry mass into the origin).  The breakpoint checks run
+    in C: a strictly increasing list is >= 0 when its first entry is, and
+    a NaN fails both tests.  Only a list that fails them is walked in
+    Python, to name the first fault.
     """
 
     __slots__ = ("breakpoints", "values", "log_scale")
@@ -474,11 +478,13 @@ class PiecewiseLinearFn:
             raise ValueError("breakpoints and values must have equal length")
         if breakpoints and len(breakpoints) < 2:
             raise ValueError("need at least two breakpoints (or none for the zero fn)")
-        for i, b in enumerate(breakpoints):
-            if b < 0:
-                raise ValueError("breakpoints must be >= 0")
-            if i and not breakpoints[i - 1] < b:
-                raise ValueError("breakpoints must be strictly increasing")
+        if breakpoints and not (breakpoints[0] >= 0 and all(
+                map(operator.lt, breakpoints, islice(breakpoints, 1, None)))):
+            for i, b in enumerate(breakpoints):
+                if b < 0:
+                    raise ValueError("breakpoints must be >= 0")
+                if i and not breakpoints[i - 1] < b:
+                    raise ValueError("breakpoints must be strictly increasing")
         if breakpoints:
             if values[-1] != 0:
                 raise ValueError("value at the last breakpoint must be 0")
@@ -683,8 +689,71 @@ def accumulate(values):
 
 
 def distance(u, v) -> float:
-    """||u - v||."""
+    """||u - v||, the norm of ``linear_combine(1, u, -1, v)`` bit for bit.
+
+    Two nonzero piecewise-linear functions take ``_plf_distance``, a walk
+    with ``plf_sum``'s arithmetic that builds no function: NaN exactly when
+    the difference's first union value is NaN, and 0.0 for a zero difference
+    at any log scale.  Any other pair builds the difference.
+    """
+    if type(u) is PiecewiseLinearFn and type(v) is PiecewiseLinearFn and u.breakpoints \
+            and v.breakpoints:
+        return _plf_distance(u, v)
     return linear_combine(1, u, -1, v).norm()
+
+
+def _plf_distance(u: PiecewiseLinearFn, v: PiecewiseLinearFn) -> float:
+    """sup |u - v| of two nonzero functions in one merge walk of their breakpoints.
+
+    At each union point the walk forms the value ``plf_sum([(1, u), (-1, v)])``
+    stores there, with its arithmetic in its order: 0 + 1*U + (-1)*V, where a
+    term is its value at its own breakpoint, f_k + t * (f_(k+1) - f_k) with
+    t = (x - b_k) / (b_(k+1) - b_k) between two, and adds nothing (0 here)
+    outside its support or at its last breakpoint.  A point of both lists is
+    u's.  Where one term adds nothing until the other list's next point, the
+    other's |values| are copied in C: a term's value at its last breakpoint
+    is a zero, and 0 + 1*U or 0 + (-1)*V has the magnitude of U or V.  Mixed
+    log scales fold both through ``folded``; a fold that underflows leaves no
+    breakpoints, so that term adds nothing.
+
+    The result is the old norm's: max of the |values| (seeded with the first
+    union point, replaced on ``>``, so NaN exactly when that first value is
+    NaN), times exp(scale).  When every value is 0 the difference is the zero
+    function, whose norm is 0.0 at any scale, so ``math.exp`` is not called.
+    """
+    if u.log_scale != v.log_scale:
+        u, v = u.folded(), v.folded()
+    ub, uv, vb, vv = u.breakpoints, u.values, v.breakpoints, v.values
+    m, n = len(ub) - 1, len(vb) - 1  # the last breakpoints, where a term adds nothing
+    mags = []  # |value| at each union point, in order
+    i = j = 0
+    while i <= m or j <= n:
+        if j > n or (i <= m and ub[i] < vb[j]):
+            if not 0 < j <= n:  # v adds nothing before vb[0] or past vb[-1]
+                stop = m + 1 if j > n else bisect_left(ub, vb[0], i)
+                mags += map(abs, islice(uv, i, stop))
+                i = stop
+                continue
+            t = (ub[i] - vb[j - 1]) / (vb[j] - vb[j - 1])
+            a, b = uv[i] if i < m else 0, vv[j - 1] + t * (vv[j] - vv[j - 1])
+            i += 1
+        elif i > m or vb[j] < ub[i]:
+            if not 0 < i <= m:  # u adds nothing before ub[0] or past ub[-1]
+                stop = n + 1 if i > m else bisect_left(vb, ub[0], j)
+                mags += map(abs, islice(vv, j, stop))
+                j = stop
+                continue
+            t = (vb[j] - ub[i - 1]) / (ub[i] - ub[i - 1])
+            a, b = uv[i - 1] + t * (uv[i] - uv[i - 1]), vv[j] if j < n else 0
+            j += 1
+        else:
+            a, b = uv[i] if i < m else 0, vv[j] if j < n else 0
+            i += 1
+            j += 1
+        mags.append(abs(0 + 1 * a + -1 * b))
+    if not any(mags):
+        return 0.0
+    return math.exp(float(u.log_scale)) * float(max(mags))
 
 
 # --------------------------------------------------------------------------

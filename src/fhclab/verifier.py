@@ -17,10 +17,12 @@ through the pure-Python encoder that ``json.dump`` runs;
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import takewhile, tee
 
 from .constructor import FhcPlacement, orbit_eval, orbit_windows, proximity_bound
 from .density_partition import running_density_floor
@@ -189,15 +191,17 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
 
     # per target, the integers n whose certified window [n, n + delta] can count
     n_ints = {l: int(math.floor(t_max - delta[l])) + 1 if delta[l] > 0 else 0 for l in ls}
-    # (n, 0) checks integer n, (t, 1) the cell [t, t + grid_step); at equal t, n goes first;
+    # (n, 0) checks integer n, (t, 1) the cell [t, t + grid_step): two ascending streams,
+    # merged lazily in sorted order (at equal t, n goes first), so no cell is listed ahead;
     # a quotient t_max / grid_step rounded up would add an empty cell at t_max
+    checks = ((float(n), 0) for n in range(max(n_ints.values(), default=0)))
     cell_starts = (i * grid_step for i in range(int(math.ceil(t_max / grid_step))))
-    events = sorted([(float(n), 0) for n in range(max(n_ints.values(), default=0))]
-                    + [(t, 1) for t in cell_starts if t < t_max])
+    grid = ((t, 1) for t in takewhile(lambda t: t < t_max, cell_starts))
+    events, times = tee(heapq.merge(checks, grid))
     cells = {l: [] for l in ls}  # inner cells
     windows = {l: [] for l in ls}  # certified windows from integer visits
     outer_measure = dict.fromkeys(ls, 0.0)
-    for (t0, is_cell), (vec, err) in zip(events, orbit.evaluate(t for t, _ in events)):
+    for (t0, is_cell), (vec, err) in zip(events, orbit.evaluate(t for t, _ in times)):
         if not is_cell:
             for l in ls:
                 if t0 < n_ints[l] and distance(vec, targets[l]) + err < epsilons[l] / 2.0:

@@ -147,7 +147,62 @@ class TestSubcommands:
         assert _window_error(p, p.horizon) > 0
 
 
+BENCH_REFERENCE = os.path.join(os.path.dirname(__file__), "..", "bench", "reference")
+
+# the shift_sweep and translation_bridge configs of bench/run.py, at its sizes
+BENCH_RUNS = {
+    "shift_sweep": """\
+[operator]
+kind = shift
+w = 2
+space = lp
+p = 2
+
+[run]
+targets = 5
+horizon = 40000
+radius_factor = 1.2
+seed = 0
+mode = discrete
+precision = float
+probes = 50
+
+[output]
+dir = {out}
+csv = report.csv
+json = report.json
+""",
+    "translation_bridge": """\
+[operator]
+kind = translation
+lam = 1
+
+[run]
+targets = 1
+horizon = 80
+radius_factor = 1.2
+seed = 0
+mode = continuous
+precision = float
+grid_step = 0.1
+
+[output]
+dir = {out}
+csv = report.csv
+json = report.json
+""",
+}
+
+
 class TestRun:
+    @pytest.mark.parametrize("workload", sorted(BENCH_RUNS))
+    def test_bench_workload_matches_reference(self, workload, tmp_path):
+        # the benchmark rejects an iteration whose CSV differs from its reference
+        cfg = write_cfg(tmp_path, BENCH_RUNS[workload].format(out=tmp_path))
+        run_pipeline(load_config(cfg), out=io.StringIO())
+        with open(os.path.join(BENCH_REFERENCE, f"{workload}.csv"), "rb") as fh:
+            assert (tmp_path / "report.csv").read_bytes() == fh.read()
+
     def test_small_run_exits_zero_and_writes_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path))
         assert main(["run", "--config", cfg]) == 0

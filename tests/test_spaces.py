@@ -81,6 +81,37 @@ class TestPolySeries:
         assert f.derivative_coeffs(1) == [2, 6]
 
 
+def _former_breakpoint_fault(breakpoints):
+    """The constructor's former per-element loop: the message it raised, or None."""
+    for i, b in enumerate(breakpoints):
+        if b < 0:
+            return "breakpoints must be >= 0"
+        if i and not breakpoints[i - 1] < b:
+            return "breakpoints must be strictly increasing"
+    return None
+
+
+BREAKPOINT_SCALARS = st.one_of(
+    st.integers(-3, 8),
+    st.fractions(-3, 8, max_denominator=4),
+    st.floats(-3, 8),
+    st.sampled_from([-0.0, math.nan]),
+)
+
+
+@st.composite
+def breakpoint_lists(draw):
+    """int/Fraction/float lists: strictly increasing, sorted (equal entries,
+    negatives and NaNs kept), or in drawn order."""
+    shape = draw(st.sampled_from(["increasing", "sorted", "drawn"]))
+    if shape == "increasing":
+        points = draw(st.sets(BREAKPOINT_SCALARS.filter(lambda b: b >= 0), min_size=2,
+                              max_size=6))
+        return sorted(points)
+    points = draw(st.lists(BREAKPOINT_SCALARS, min_size=2, max_size=6))
+    return sorted(points) if shape == "sorted" else points
+
+
 class TestPiecewiseLinear:
     def test_tent_norm(self):
         t = PiecewiseLinearFn.tent(0, 1, 2, 1)
@@ -122,6 +153,19 @@ class TestPiecewiseLinear:
     def test_shift_left_norm_never_grows(self, dt):
         t = PiecewiseLinearFn.tent(Fraction(0), Fraction(1), Fraction(2), Fraction(1))
         assert plf_shift_left(t, dt).norm() <= t.norm() + 1e-12
+
+    @settings(max_examples=400, deadline=None)
+    @given(breakpoint_lists())
+    def test_breakpoint_checks_match_the_former_loop(self, breakpoints):
+        values = [1] * len(breakpoints)
+        values[0] = values[-1] = 0
+        want = _former_breakpoint_fault(breakpoints)
+        if want is None:
+            PiecewiseLinearFn(breakpoints, values)
+        else:
+            with pytest.raises(ValueError) as exc:
+                PiecewiseLinearFn(breakpoints, values)
+            assert str(exc.value) == want
 
 
 class TestEnumeration:
@@ -282,7 +326,77 @@ def _assert_close(got, want, terms):
         assert abs(got.eval(x) - want.eval(x)) <= tol, x
 
 
+def _difference_norm(u, v):
+    """The former ``distance``: the norm of the built difference."""
+    return linear_combine(1, u, -1, v).norm()
+
+
+def _ks(draw, lo, hi):
+    """Three to six distinct sorted integers in [lo, hi]."""
+    return sorted(draw(st.sets(st.integers(lo, hi), min_size=3, max_size=6)))
+
+
+def _dyadic_bump(draw, ks, den, num, scale):
+    """The function with breakpoints k / den for k in ``ks`` and drawn dyadic values."""
+    vals = [Fraction(draw(st.integers(-8, 8)), 2 ** draw(st.integers(0, 3))) for _ in ks]
+    vals[-1] = 0
+    if ks[0] != 0:
+        vals[0] = 0
+    elif draw(st.integers(0, 5)) == 0:
+        vals[0] = math.nan  # at 0: the first union point
+    if draw(st.integers(0, 5)) == 0:
+        vals[draw(st.integers(1, len(ks) - 2))] = math.nan
+    return PiecewiseLinearFn([num(Fraction(k, den)) for k in ks], [num(x) for x in vals], scale)
+
+
+@st.composite
+def plf_pairs(draw):
+    """(u, v): supports that overlap, touch, nest or are disjoint, or u == v;
+    equal or mixed log scales (a fold past e^-745 underflows, e^800 overflows);
+    either or both may be zero, and a value may be NaN."""
+    num = draw(st.sampled_from([lambda q: q, float]))
+    scales = SCALES + [800]
+    su = draw(st.sampled_from(scales))
+    sv = su if draw(st.booleans()) else draw(st.sampled_from(scales))
+    den = 2 ** draw(st.integers(0, 2))
+    ks = _ks(draw, 0, 16)
+    u = _dyadic_bump(draw, ks, den, num, su)
+    lo, hi = 4 * ks[0], 4 * ks[-1]  # u's support on the grid 4 times finer
+    shape = draw(st.sampled_from(["overlap", "touch", "nest", "disjoint", "equal"]))
+    if shape == "equal":
+        v = PiecewiseLinearFn(u.breakpoints, u.values, u.log_scale)
+    elif shape == "overlap":
+        v = _dyadic_bump(draw, _ks(draw, 0, 16), den, num, sv)
+    else:
+        fine = {"touch": [hi] + _ks(draw, hi + 1, hi + 16), "nest": _ks(draw, lo + 1, hi - 1),
+                "disjoint": _ks(draw, hi + 1, hi + 24)}[shape]
+        v = _dyadic_bump(draw, fine, 4 * den, num, sv)
+    return tuple(f if draw(st.integers(0, 5)) else PiecewiseLinearFn.zero() for f in (u, v))
+
+
 class TestPlfSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans().flatmap(lambda exact: plf_terms(exact=exact)))
+    def test_distance_keeps_the_bits_of_the_difference_norm(self, terms):
+        fs = [f for _, f in terms]
+        for u, v in zip(fs, fs[1:]):
+            assert _outcome(distance, u, v) == _outcome(_difference_norm, u, v)
+
+    @settings(max_examples=600, deadline=None)
+    @given(plf_pairs())
+    # u == v past e^709: the difference trims to the zero function, so 0.0 and no exp
+    @example(pair=(PiecewiseLinearFn([0, 1, 2], [0, 1, 0], 800),
+                   PiecewiseLinearFn([0, 1, 2], [0, 1, 0], 800)))
+    # a NaN seeds max() at the first union point, and never replaces its seed later
+    @example(pair=(PiecewiseLinearFn([0, 1, 2], [math.nan, 1.0, 0.0]),
+                   PiecewiseLinearFn([0, 1, 2], [0.0, 0.5, 0.0])))
+    @example(pair=(PiecewiseLinearFn([0, 1, 2], [0.0, math.nan, 0.0]),
+                   PiecewiseLinearFn([0, 1, 2], [0.0, 0.5, 0.0])))
+    def test_distance_keeps_the_bits_on_every_shape(self, pair):
+        u, v = pair
+        assert _outcome(distance, u, v) == _outcome(_difference_norm, u, v)
+        assert _outcome(distance, v, u) == _outcome(_difference_norm, v, u)
+
     @settings(max_examples=300, deadline=None)
     @given(plf_terms(exact=True))
     def test_exact_mode_matches_the_pairwise_fold(self, terms):

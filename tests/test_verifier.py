@@ -5,6 +5,8 @@ import json
 import math
 import os
 import sys
+import tracemalloc
+import types
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -525,6 +527,35 @@ class TestContinuous:
         p = assign_placements(compute_thresholds(cert), horizon=80)
         rep = continuous_visits(SolutionOrbit(p), {1: 1.2 * proximity_bound(1)}, 21.0, 0.7)[0]
         assert max(rep.visit_times) < 21.0
+
+    def test_cells_are_streamed_not_listed(self):
+        # 10^6 cells: listing every cell start before the sweep would trace tens of MB
+        cert = make_certificate(TranslationGenerator(1), 1)
+        y = cert.target(1)
+
+        class Stop(Exception):
+            pass
+
+        class StubOrbit:
+            placement = types.SimpleNamespace(cert=cert)
+
+            def evaluate(self, times):
+                for k, _ in enumerate(times):
+                    if k == 100:
+                        raise Stop
+                    yield y, 0.0
+
+            def lipschitz_bound(self, t0, t1):
+                return 0.0
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                continuous_visits(StubOrbit(), {1: 0.5}, 1.0, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @settings(max_examples=30, deadline=None)
     @given(continuous_sweeps())
