@@ -248,14 +248,15 @@ def run_pipeline(cfg: dict, out):
                   f"density_floor={rep.density_floor:.4f} "
                   f"bound={rep.proof_bound:.6f}", file=out)
 
-        if run["probes"]:
-            for l in range(1, cert.target_count + 1):
-                rec = tc.records[l - 1]
-                worst = unconditional_probe(cert, cert.target(l), rec.N,
-                                            trials=run["probes"], seed=run["seed"] + l)
-                if worst > rec.inverse_tail_bound:
-                    raise InvariantFailure(f"sub-sum probe under certified tail, l={l}")
-            print(f"probes: {run['probes']} random sub-sums per target within bounds", file=out)
+    # the probes test the certificate's tails, not the sweep: both modes run them
+    if run["probes"]:
+        for l in range(1, cert.target_count + 1):
+            rec = tc.records[l - 1]
+            worst = unconditional_probe(cert, cert.target(l), rec.N,
+                                        trials=run["probes"], seed=run["seed"] + l)
+            if worst > rec.inverse_tail_bound:
+                raise InvariantFailure(f"sub-sum probe under certified tail, l={l}")
+        print(f"probes: {run['probes']} random sub-sums per target within bounds", file=out)
 
     if csv_path or json_path:
         report_export(reports, csv_path, json_path)

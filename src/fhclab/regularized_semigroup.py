@@ -12,7 +12,7 @@ built once per run of times in [n, n + 1) and shifted by W(t - n).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .constructor import FhcPlacement, orbit_eval
@@ -117,21 +117,23 @@ class SolutionOrbit:
         Each active term e^(lam(t-j)) z_j(. + t - j) has time derivative
         bounded by e^(lam(t-j)) (lam ||z_j|| + Lip z_j); sum over placed j
         in reach plus the certified tail.
+
+        Counts the placed j in [t0 - max width - 1, t1 + backward_window] in
+        ascending order, plus the first j past that window: the earlier walk
+        added it before it stopped, and keeping it keeps the bits.  Every j
+        below is past the origin (the extra 1 covers rounding), and so is a j
+        with j + width < t0, which adds nothing.
         """
         p = self.placement
         lam = float(p.cert.op.lam)
         ns = p.placed_ns
+        lo = bisect_left(ns, t0 - self._reach - 1)
+        hi = bisect_right(ns, t1 + p.backward_window) + 1
         total = 0.0
-        # every j below t0 - max width is past the origin; the extra 1 covers rounding
-        for i in range(bisect_left(ns, t0 - self._reach - 1), len(ns)):
-            j, l = ns[i], p.placed_ls[i]
+        for j, l in zip(ns[lo:hi], p.placed_ls[lo:hi]):
             width = self._widths[l - 1]
-            if j + width < t0:
-                continue  # already translated past the origin: term is zero
-            gap = float(t1) - j
-            total += math.exp(lam * min(gap, width)) * self._rates[l - 1]
-            if j > t1 + p.backward_window:
-                break
+            if j + width >= t0:  # else already translated past the origin: term is zero
+                total += math.exp(lam * min(float(t1) - j, width)) * self._rates[l - 1]
         # tail terms: slope/norm ratio of any enumerated tent is <= 16 by the
         # dyadic breakpoint grid, so this stays an upper bound
         total += (lam + 16.0) * p.backward_tail * math.exp(lam)

@@ -144,10 +144,6 @@ class SparseVector:
         self.entries = clean
         self.space = space
 
-    @classmethod
-    def basis(cls, k: int, space: SequenceSpace = L2):
-        return cls({k: 1}, space)
-
     def norm(self) -> float:
         return lp_norm(self.entries.values(), self.space.p)
 
@@ -205,10 +201,6 @@ class PolySeries:
         self.coeffs = coeffs
         self.model = model
 
-    @classmethod
-    def monomial(cls, degree: int, model, coeff=1):
-        return cls([0] * degree + [coeff], model)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -218,12 +210,6 @@ class PolySeries:
         for _ in range(order):
             c = [j * c[j] for j in range(1, len(c))]
         return c
-
-    def eval(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def norm(self) -> float:
         if isinstance(self.model, HardyModel):
@@ -497,7 +483,7 @@ class PiecewiseLinearFn:
         while len(values) >= 3 and values[-1] == 0 and values[-2] == 0:
             breakpoints.pop()
             values.pop()
-        if breakpoints and all(v == 0 for v in values):
+        if breakpoints and not any(values):
             breakpoints, values = [], []
         self.breakpoints = breakpoints
         self.values = values
@@ -527,13 +513,10 @@ class PiecewiseLinearFn:
         t = (x - bp[i]) / (bp[i + 1] - bp[i])
         return v[i] + t * (v[i + 1] - v[i])
 
-    def eval(self, x) -> float:
-        return math.exp(float(self.log_scale)) * float(self.raw_eval(x))
-
     def norm(self) -> float:
         if not self.breakpoints:
             return 0.0
-        return math.exp(float(self.log_scale)) * float(max(abs(v) for v in self.values))
+        return math.exp(float(self.log_scale)) * float(max(map(abs, self.values)))
 
     def max_slope(self) -> float:
         """Upper bound on |d/dx|, including the scale factor."""
@@ -579,21 +562,21 @@ class PiecewiseLinearFn:
 
 
 def plf_shift_left(f: PiecewiseLinearFn, dt, dlog=0) -> PiecewiseLinearFn:
-    """Shift the graph left by dt >= 0, clip at x=0, add dlog to log_scale."""
+    """Shift the graph left by dt >= 0, clip at x=0, add dlog to log_scale.
+
+    The shifted breakpoints stay sorted, so the clip is a ``bisect_right`` at 0:
+    the value at the origin, then the slice of breakpoints > 0 and their values.
+    """
     if f.is_zero():
         return f
     bp = [b - dt for b in f.breakpoints]
     if bp[-1] <= 0:
         return PiecewiseLinearFn.zero()
     if bp[0] >= 0:
-        return PiecewiseLinearFn(bp, list(f.values), f.log_scale + dlog)
+        return PiecewiseLinearFn(bp, f.values, f.log_scale + dlog)
     v0 = f.raw_eval(f.breakpoints[0] + (0 - bp[0]))
-    nb, nv = [0], [v0]
-    for b, v in zip(bp, f.values):
-        if b > 0:
-            nb.append(b)
-            nv.append(v)
-    return PiecewiseLinearFn(nb, nv, f.log_scale + dlog)
+    k = bisect_right(bp, 0)
+    return PiecewiseLinearFn([0, *bp[k:]], [v0, *f.values[k:]], f.log_scale + dlog)
 
 
 def plf_shift_right(f: PiecewiseLinearFn, dt, dlog=0) -> PiecewiseLinearFn:
@@ -605,7 +588,7 @@ def plf_shift_right(f: PiecewiseLinearFn, dt, dlog=0) -> PiecewiseLinearFn:
             "cannot shift right a function with nonzero value at the origin "
             "(the result would jump); right shifts are defined on the dense class"
         )
-    return PiecewiseLinearFn([b + dt for b in f.breakpoints], list(f.values), f.log_scale + dlog)
+    return PiecewiseLinearFn([b + dt for b in f.breakpoints], f.values, f.log_scale + dlog)
 
 
 # --------------------------------------------------------------------------
@@ -647,12 +630,13 @@ def plf_sum(terms) -> PiecewiseLinearFn:
         scale = 0
     if not terms:
         return PiecewiseLinearFn.zero()
-    bps = sorted({x for _, f in terms for x in f.breakpoints})
-    index = {x: i for i, x in enumerate(bps)}
+    # equal breakpoints of different types keep the first term's representative
+    bps = sorted(set().union(*(f.breakpoints for _, f in terms)))
     vals = [0] * len(bps)
     for c, f in terms:
         fb, fv = f.breakpoints, f.values
-        first, last = index[fb[0]], index[fb[-1]]
+        first = bisect_left(bps, fb[0])
+        last = bisect_left(bps, fb[-1], first)
         vals[first] += c * fv[0]
         k = 0
         # raw_eval is 0 at the last breakpoint, so the walk stops short of it

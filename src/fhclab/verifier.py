@@ -121,7 +121,7 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
             epsilon=epsilons[l],
             horizon=N,
             visit_times=visits[l],
-            density_floor=density_proxy(visits[l], N) if visits[l] else 0.0,
+            density_floor=density_proxy(visits[l], N),
             covering_set_check=worst[l] < epsilons[l],
             proof_bound=bound,
             certified_error=max_err,

@@ -212,7 +212,7 @@ def test_acceptance_5_hardy_differentiation(capsys):
     cert = make_certificate(Differentiation(HARDY), 3)
     coeff_err = 0.0
     for k in range(0, 6):
-        f = PolySeries.monomial(k, HARDY)
+        f = PolySeries([0] * k + [1], HARDY)
         for n in range(1, 31):
             out = apply_inverse(cert, f, n)
             expect = math.factorial(k) / math.factorial(k + n)

@@ -259,6 +259,12 @@ class TestRun:
         assert len(lines) == 2 and lines[1].split(",")[5] == "true"
         assert "all certified invariants hold" in capsys.readouterr().out
 
+    def test_continuous_run_runs_the_probes(self, tmp_path, capsys):
+        # the probes check the certificate's tails, which the sweep mode does not change
+        body = CONTINUOUS_RUN.format(out=tmp_path).replace("[output]", "probes = 5\n\n[output]")
+        assert main(["run", "--config", write_cfg(tmp_path, body)]) == 0
+        assert "probes: 5 random sub-sums per target within bounds" in capsys.readouterr().out
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path / "ignored"))
         override = tmp_path / "env_out"

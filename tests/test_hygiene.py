@@ -9,8 +9,8 @@ Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
 the unused-import check: its imports are the package's public re-exports.
 A default that no call in ``src/`` or ``bench/`` overrides has one value in
 use and belongs in a constant (a value that only tests pass is a test-only
-knob).  A public re-export that only tests reach is a name the system does
-not use.
+knob).  A public re-export or a method that only tests reach is a name the
+system does not use.
 """
 
 import ast
@@ -105,6 +105,33 @@ def unused_exports(src: pathlib.Path, users, keep):
                   and node.value.id in modules):
                 used.add(node.attr)
     return [name for name in exported if name not in used | keep]
+
+
+def unused_methods(src: pathlib.Path, users):
+    """``Class.method`` for each non-dunder method defined on a class of ``src``
+    whose name no file of ``users`` references outside the method's own body.
+
+    A reference is a bare name or an attribute ``x.<name>``, so a method counts
+    as used when any object's attribute of its name is read.
+    """
+    methods = [(path, cls.name, func)
+               for path in sorted(src.glob("*.py"))
+               for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(cls, ast.ClassDef)
+               for func in cls.body
+               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (func.name.startswith("__") and func.name.endswith("__"))]
+    refs = {}  # name -> [(path, line)]
+    for path in sorted(p for d in users for p in d.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((path, node.lineno))
+    return [f"{path.name}:{func.lineno}: {cls}.{func.name}"
+            for path, cls, func in methods
+            if all(where == path and func.lineno <= line <= func.end_lineno
+                   for where, line in refs.get(func.name, []))]
 
 
 def numpy_imports(path: pathlib.Path):
@@ -212,6 +239,11 @@ def test_every_export_is_used_outside_tests():
     }
     hits = unused_exports(SRC, [SRC, ROOT / "bench"], keep)
     assert not hits, "public names only tests use:\n" + "\n".join(hits)
+
+
+def test_every_method_is_used_outside_tests():
+    hits = unused_methods(SRC, [ROOT / d for d in CALLERS])
+    assert not hits, "methods only tests call:\n" + "\n".join(hits)
 
 
 def test_no_state_changes_outside_constructors():

@@ -38,24 +38,24 @@ class TestShift:
     def test_forward_action_on_basis(self):
         # (x_k) -> (w^k x_{k+1}): e_3 maps to w^2 e_2
         cert = shift_cert()
-        out = apply_forward(cert, SparseVector.basis(3, L2), 1)
+        out = apply_forward(cert, SparseVector({3: 1}, L2), 1)
         assert out.entries == {2: 4}
 
     def test_kernel_of_forward(self):
         cert = shift_cert()
-        out = apply_forward(cert, SparseVector.basis(1, L2), 1)
+        out = apply_forward(cert, SparseVector({1: 1}, L2), 1)
         assert out.is_zero()
 
     def test_inverse_action_on_basis(self):
         # B e_k = w^{-k} e_{k+1}
         cert = shift_cert(w=Fraction(2), exact=True)
-        out = apply_inverse(cert, SparseVector.basis(1, L2), 1)
+        out = apply_inverse(cert, SparseVector({1: 1}, L2), 1)
         assert out.entries == {2: Fraction(1, 2)}
 
     def test_iterated_inverse_weights(self):
         # B^n e_k carries w^{-(k + ... + k+n-1)}
         cert = shift_cert(w=Fraction(2), exact=True)
-        out = apply_inverse(cert, SparseVector.basis(1, L2), 3)
+        out = apply_inverse(cert, SparseVector({1: 1}, L2), 3)
         assert out.entries == {4: Fraction(1, 2 ** (1 + 2 + 3))}
 
     def test_right_inverse_identity_exact(self):
@@ -71,7 +71,7 @@ class TestShift:
     @settings(max_examples=30, deadline=None)
     def test_forward_undoes_inverse_on_basis(self, k, n):
         cert = shift_cert(w=Fraction(3), exact=True)
-        v = SparseVector.basis(k, L2)
+        v = SparseVector({k: 1}, L2)
         w = apply_forward(cert, apply_inverse(cert, v, n), n)
         assert distance(v, w) == 0.0
 
@@ -82,7 +82,7 @@ class TestDifferentiationHardy:
 
     def test_inverse_is_antiderivative(self):
         # B^n z^k = k!/(k+n)! z^{k+n}
-        f = PolySeries.monomial(2, HARDY, Fraction(1))
+        f = PolySeries([0, 0, Fraction(1)], HARDY)
         out = apply_inverse(self.cert, f, 3)
         assert out.coeffs[5] == Fraction(2 * 1, 5 * 4 * 3 * 2)
         assert out.min_degree() == 5
@@ -103,7 +103,7 @@ class TestDifferentiationCk:
         cert = make_certificate(Differentiation(model), 1, exact=True)
         f = PolySeries((Fraction(1),), model)
         out = apply_inverse(cert, f, 1)
-        assert out.eval(Fraction(0)) == 0
+        assert out.coeffs[0] == 0  # the value at x = 0
         assert out.coeffs == [0, Fraction(1)]
 
 
@@ -219,7 +219,7 @@ class TestTransforms:
     def test_power_composes_forward_action(self):
         base = shift_cert(w=Fraction(2), exact=True)
         sq = transform_power(base, 2)
-        v = SparseVector.basis(5, L2)
+        v = SparseVector({5: 1}, L2)
         assert distance(apply_forward(sq, v, 1), apply_forward(base, v, 2)) == 0.0
 
     def test_power_requires_positive_exponent(self):
@@ -229,7 +229,7 @@ class TestTransforms:
     def test_rotation_twists_each_step(self):
         base = shift_cert()
         rot = transform_rotation(base, -1)
-        v = SparseVector.basis(3, L2)
+        v = SparseVector({3: 1}, L2)
         out = apply_forward(rot, v, 1)
         assert out.entries == {2: -4}
 
@@ -245,7 +245,7 @@ class TestTransforms:
     def test_swap_exchanges_roles(self):
         base = shift_cert(w=Fraction(2), exact=True)
         swapped = transform_inverse(base)
-        v = SparseVector.basis(1, L2)
+        v = SparseVector({1: 1}, L2)
         assert distance(apply_forward(swapped, v, 2),
                         apply_inverse(base, v, 2)) == 0.0
 

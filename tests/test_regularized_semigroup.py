@@ -1,5 +1,6 @@
 """Semigroup law, generator recovery, and solution orbits."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -203,6 +204,24 @@ class TestSolutionOrbit:
         orbit = SolutionOrbit(assign_placements(compute_thresholds(cert), horizon=80))
         for t0 in [i / 4 for i in range(0, 320)]:
             assert orbit.lipschitz_bound(t0, t0 + 0.25) == full_scan_lipschitz(orbit, t0, t0 + 0.25)
+
+    @pytest.mark.parametrize("bw", [0, 1, 3, None])
+    def test_lipschitz_bound_equals_the_full_scan_at_the_window_ends(self, bw):
+        # cells whose window ends land on a placement, cells with placements past
+        # t1 + backward_window (the scan adds the first of them) and cells past the
+        # last; a short window puts that first term within a few units of t1, where
+        # e^(lam (t1 - j)) still moves the sum's bits
+        p = self.p if bw is None else dataclasses.replace(self.p, backward_window=bw)
+        orbit = SolutionOrbit(p)
+        ns, bw, reach = p.placed_ns, p.backward_window, orbit._reach
+        cells = [(j - bw - 0.1, j - bw) for j in ns if j - bw >= 0.1]  # t1 + bw == j
+        cells += [(j - bw - 1.5, j - bw - 1.25) for j in ns if j - bw >= 1.5]
+        cells += [(j + reach + 1, j + reach + 1.1) for j in ns]  # t0 - reach - 1 == j
+        cells += [(ns[-1] + s, ns[-1] + s + 0.1) for s in (0, 0.5, 1, 10, 200)]
+        assert sum(any(j > t1 + bw for j in ns) for _, t1 in cells) >= 50
+        assert sum(t0 > ns[-1] for t0, _ in cells) >= 5
+        for t0, t1 in cells:
+            assert orbit.lipschitz_bound(t0, t1) == full_scan_lipschitz(orbit, t0, t1)
 
     def test_integer_point_is_built_once_per_unit(self, monkeypatch):
         calls = []

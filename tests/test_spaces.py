@@ -58,7 +58,7 @@ class TestSparseVector:
 
     @given(st.integers(min_value=1, max_value=50))
     def test_basis_norm_one(self, k):
-        assert SparseVector.basis(k, L2).norm() == pytest.approx(1.0)
+        assert SparseVector({k: 1}, L2).norm() == pytest.approx(1.0)
 
     def test_index_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ class TestPiecewiseLinear:
     def test_tent_norm(self):
         t = PiecewiseLinearFn.tent(0, 1, 2, 1)
         assert t.norm() == pytest.approx(1.0)
-        assert t.eval(0.5) == pytest.approx(0.5)
+        assert t.raw_eval(0.5) == pytest.approx(0.5)
 
     def test_log_scale_scales_norm(self):
         t = PiecewiseLinearFn.tent(0, 1, 2, 1)
@@ -147,7 +147,7 @@ class TestPiecewiseLinear:
         a = PiecewiseLinearFn.tent(0, 1, 2, 1)
         b = PiecewiseLinearFn.tent(1, 2, 3, 1)
         c = linear_combine(1, a, 1, b)
-        assert c.eval(1.5) == pytest.approx(1.0)
+        assert c.raw_eval(1.5) == pytest.approx(1.0)
 
     @given(st.fractions(min_value=0, max_value=5))
     def test_shift_left_norm_never_grows(self, dt):
@@ -249,7 +249,7 @@ class TestEnumeration:
 
 class TestAccumulate:
     def test_sums_sparse_vectors(self):
-        vs = [SparseVector.basis(k, L2) for k in range(1, 4)]
+        vs = [SparseVector({k: 1}, L2) for k in range(1, 4)]
         s = accumulate(vs)
         assert s.norm() == pytest.approx(math.sqrt(3))
 
@@ -318,12 +318,17 @@ def _points(*fs):
     return sorted({x for f in fs for x in f.breakpoints})
 
 
+def _value(f, x):
+    """f(x) as a float, the scale factor included."""
+    return math.exp(float(f.log_scale)) * float(f.raw_eval(x))
+
+
 def _assert_close(got, want, terms):
     """Equal as functions to a few ulps of the terms' own magnitude."""
     mag = sum(abs(float(c)) * f.norm() for c, f in terms)
     tol = 8 * max(len(terms), 1) * math.ulp(mag)
     for x in _points(got, want):
-        assert abs(got.eval(x) - want.eval(x)) <= tol, x
+        assert abs(_value(got, x) - _value(want, x)) <= tol, x
 
 
 def _difference_norm(u, v):
@@ -442,13 +447,158 @@ class TestPlfSum:
 
     def test_mixed_types_rejected(self):
         with pytest.raises(TypeError):
-            accumulate([PiecewiseLinearFn.tent(0, 1, 2, 1), SparseVector.basis(1, L2)])
+            accumulate([PiecewiseLinearFn.tent(0, 1, 2, 1), SparseVector({1: 1}, L2)])
 
     def test_non_vectors_rejected(self):
         with pytest.raises(TypeError, match="int"):
             linear_combine(1, 3, 1, 4)
         with pytest.raises(TypeError, match="int"):
             accumulate([1, 2])
+
+
+# --------------------------------------------------------------------------
+# the piecewise-linear clip, union and zero rule against the loops they replaced
+
+
+def _former_shift_left(f, dt, dlog=0):
+    """The former ``plf_shift_left``: the clip as an append loop over every breakpoint."""
+    if f.is_zero():
+        return f
+    bp = [b - dt for b in f.breakpoints]
+    if bp[-1] <= 0:
+        return PiecewiseLinearFn.zero()
+    if bp[0] >= 0:
+        return PiecewiseLinearFn(bp, list(f.values), f.log_scale + dlog)
+    v0 = f.raw_eval(f.breakpoints[0] + (0 - bp[0]))
+    nb, nv = [0], [v0]
+    for b, v in zip(bp, f.values):
+        if b > 0:
+            nb.append(b)
+            nv.append(v)
+    return PiecewiseLinearFn(nb, nv, f.log_scale + dlog)
+
+
+def _former_plf_sum(terms):
+    """The former ``plf_sum``: the union from a set comprehension, each term's ends
+    looked up in a dict from union point to index."""
+    terms = [(c, f) for c, f in terms if not f.is_zero()]
+    if len(terms) == 1:
+        c, f = terms[0]
+        return f.scaled(c)
+    scale = terms[0][1].log_scale if terms else 0
+    if any(f.log_scale != scale for _, f in terms):
+        terms = [(c, f.folded()) for c, f in terms]
+        terms = [(c, f) for c, f in terms if not f.is_zero()]
+        scale = 0
+    if not terms:
+        return PiecewiseLinearFn.zero()
+    bps = sorted({x for _, f in terms for x in f.breakpoints})
+    index = {x: i for i, x in enumerate(bps)}
+    vals = [0] * len(bps)
+    for c, f in terms:
+        fb, fv = f.breakpoints, f.values
+        first, last = index[fb[0]], index[fb[-1]]
+        vals[first] += c * fv[0]
+        k = 0
+        for i in range(first + 1, last):
+            x = bps[i]
+            while fb[k + 1] <= x:
+                k += 1
+            if fb[k] == x:
+                vals[i] += c * fv[k]
+            else:
+                t = (x - fb[k]) / (fb[k + 1] - fb[k])
+                vals[i] += c * (fv[k] + t * (fv[k + 1] - fv[k]))
+    return PiecewiseLinearFn(bps, vals, scale)
+
+
+def _built(make, *args):
+    """(repr, the function) of what ``make`` builds, or the message of its ValueError."""
+    try:
+        f = make(*args)
+    except ValueError as exc:
+        return str(exc), None
+    return repr(f), f
+
+
+@st.composite
+def mixed_plf(draw, den):
+    """A function on the grid k / den whose breakpoints and values are drawn as int
+    (when integral), float or Fraction, one type per entry."""
+    def scalar(q):
+        return draw(st.sampled_from([float, Fraction] + ([int] if q.denominator == 1 else [])))(q)
+
+    ks = sorted(draw(st.sets(st.integers(0, 12), min_size=2, max_size=6)))
+    vals = [Fraction(draw(st.integers(-8, 8)), 2 ** draw(st.integers(0, 3))) for _ in ks]
+    vals[-1] = 0
+    if ks[0] != 0:
+        vals[0] = 0
+    scale = draw(st.sampled_from([0, -1, Fraction(1, 2), 0.5]))
+    return PiecewiseLinearFn([scalar(Fraction(k, den)) for k in ks], [scalar(v) for v in vals],
+                             scale)
+
+
+@st.composite
+def shift_cases(draw):
+    """(f, dt, dlog): dt is 0, exactly a breakpoint, between two breakpoints, the last one,
+    past it or drawn, as the breakpoint itself, a float or a Fraction."""
+    f = draw(mixed_plf(2 ** draw(st.integers(0, 2))))
+    bp = f.breakpoints or [0, 1]  # all-zero values give the zero function
+    i = draw(st.integers(0, len(bp) - 2))
+    dt = draw(st.sampled_from([0, bp[i], (bp[i] + bp[i + 1]) / 2, bp[-1], bp[-1] + 1]))
+    dt = draw(st.one_of(st.just(dt), st.builds(float, st.just(dt)),
+                        st.builds(Fraction, st.just(dt)), st.floats(0, 14),
+                        st.fractions(0, 14, max_denominator=12)))
+    return f, dt, draw(st.sampled_from([0, 1, Fraction(-1, 2), 0.25]))
+
+
+@st.composite
+def mixed_terms(draw):
+    """(c, f) terms on one grid, so equal breakpoints of different types meet in the union."""
+    den = 2 ** draw(st.integers(0, 2))
+    return [(draw(st.sampled_from([1, -1, 0.5, Fraction(1, 3)])), draw(mixed_plf(den)))
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+ZERO_LIKE = [0, 0.0, -0.0, Fraction(0), 0j, complex(-0.0, -0.0), math.nan,
+             complex(math.nan, 0), Fraction(1, 2), -1.0]
+
+
+class TestPlfPathOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(shift_cases())
+    @example(case=(PiecewiseLinearFn([0, 1, 2], [0, 1, 0]), 1, 0))  # dt at a breakpoint
+    @example(case=(PiecewiseLinearFn([1, 2.0, Fraction(3)], [0, 1, 0]), 2.5, 0))
+    @example(case=(PiecewiseLinearFn([0, 1, 2], [0, 1, 0]), 7, 1))  # past the last
+    def test_shift_left_matches_the_append_loop(self, case):
+        f, dt, dlog = case
+        got, want = _built(plf_shift_left, f, dt, dlog), _built(_former_shift_left, f, dt, dlog)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_terms())
+    # 1, 1.0 and Fraction(1) are one union point: the first term's 1 represents it
+    @example(terms=[(1, PiecewiseLinearFn([1, 2, 3], [0, 1, 0])),
+                    (1, PiecewiseLinearFn([1.0, Fraction(2), 4], [0, 1, 0])),
+                    (1, PiecewiseLinearFn([Fraction(1), 3.0, 5], [0, 1, 0]))])
+    def test_sum_matches_the_index_dict(self, terms):
+        got, want = plf_sum(terms), _former_plf_sum(terms)
+        assert repr(got) == repr(want)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(ZERO_LIKE), min_size=1, max_size=4),
+           st.sampled_from([0, -1, 2]))
+    @example(inner=[0, math.nan], scale=0)
+    def test_zero_rule_and_norm_match_the_generators(self, inner, scale):
+        # values [*inner, 0] on 0, 1, 2, ...: only the last value must vanish
+        values = [*inner, 0]
+        f = PiecewiseLinearFn(range(len(values)), values, scale)
+        assert f.is_zero() == all(v == 0 for v in values)
+        want = (math.exp(float(f.log_scale)) * float(max(abs(v) for v in f.values))
+                if f.breakpoints else 0.0)
+        assert repr(f.norm()) == repr(want)
 
 
 # --------------------------------------------------------------------------
@@ -555,9 +705,9 @@ class TestSparseSum:
 
     def test_space_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            accumulate([SparseVector.basis(1, L2), SparseVector.basis(1, C0_SEQ)])
+            accumulate([SparseVector({1: 1}, L2), SparseVector({1: 1}, C0_SEQ)])
         with pytest.raises(ValueError):
-            distance(SparseVector.basis(1, L2), SparseVector.basis(1, C0_SEQ))
+            distance(SparseVector({1: 1}, L2), SparseVector({1: 1}, C0_SEQ))
 
     @settings(max_examples=400, deadline=None)
     @given(sparse_pairs())
