@@ -177,11 +177,13 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
             own = inv_tails[-1]
             if own > loose:
                 continue
-            resid = _not_nan(distance(
-                apply_forward(cert, apply_inverse(cert, cert.target(l), N), N),
-                cert.target(l),
-            ), f"the identity residual of target {l}")
+            image = apply_inverse(cert, cert.target(l), N)
+            resid = _not_nan(distance(apply_forward(cert, image, N), cert.target(l)),
+                             f"the identity residual of target {l}")
             if resid > loose:
+                if not cert.swapped and image.is_zero():  # B is injective: underflow, 0 at all larger N
+                    raise CertificationError(
+                        f"the inverse image of target {l} at {N} underflows to zero")
                 continue
             found = ThresholdRecord(N, fwd, inv, own, resid)
             break

@@ -39,7 +39,6 @@ from .spaces import (
     PolySeries,
     SequenceSpace,
     SparseVector,
-    _taylor_shift,
     distance,
     enumerate_targets,
     plf_shift_left,
@@ -94,20 +93,22 @@ class WeightedBackwardShift:
 
 @dataclass(frozen=True)
 class Differentiation:
+    """f -> f' on the Hardy model, or on C^k[a,b] stored in u = x - a (d/du = d/dx).
+
+    ``inverse_ratio_bound`` is proven on the Hardy model only; on C^k some
+    computed norms exceed it (ROADMAP item 2, defect 1).
+    """
+
     space: object = field(default_factory=HardyModel)  # HardyModel or CkModel
 
     def forward(self, v: PolySeries, m: int) -> PolySeries:
         return PolySeries(v.derivative_coeffs(m), v.model)
 
     def inverse(self, v: PolySeries, m: int) -> PolySeries:
-        # the m-fold antiderivative vanishing to order m at the base point
-        # (0 on the Hardy model, a on C^k[a,b]): in powers of (x - base),
-        # B^m (x - base)^j = j!/(j+m)! (x - base)^(j+m); base is exact so
-        # that Fraction coefficients stay Fractions on C^k with a float a
-        base = 0 if isinstance(self.space, HardyModel) else Fraction(self.space.a)
-        coeffs = _taylor_shift(v.coeffs, base)
-        out = [0] * (len(coeffs) + m)
-        for j, c in enumerate(coeffs):
+        # the m-fold antiderivative vanishing to order m at the origin of the
+        # stored coordinate: B^m u^j = j!/(j+m)! u^(j+m)
+        out = [0] * (len(v.coeffs) + m)
+        for j, c in enumerate(v.coeffs):
             if c == 0:
                 continue
             if isinstance(c, (int, Fraction)):
@@ -117,7 +118,7 @@ class Differentiation:
                 for i in range(j + 1, j + m + 1):
                     c = c / i
                 out[j + m] = c
-        return PolySeries(_taylor_shift(out, -base), v.model)
+        return PolySeries(out, v.model)
 
     def extinction(self, v: PolySeries) -> int:
         return v.degree + 1
@@ -129,9 +130,10 @@ class Differentiation:
             for i in range(1, r + 1):
                 q /= base + i
             return q
-        # C^k sup-norms of antiderivatives lose k derivative factors
+        # C^k sup-norms of antiderivatives lose k derivative factors; unproven,
+        # and some cases exceed it (ROADMAP item 2, defect 1)
         model = self.space
-        q = max(abs(model.a), abs(model.b), 1.0) ** r
+        q = max(model.b - model.a, 1.0) ** r
         for i in range(1, r + 1):
             q /= max(1, base + i - model.k)
         return q

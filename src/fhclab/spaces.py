@@ -59,13 +59,13 @@ _CK_MESH = 1e-4  # grid spacing of the C^k sup-norm estimate
 
 @dataclass(frozen=True)
 class CkModel:
-    """Polynomial model of C^k[a,b].
+    """Polynomial model of C^k[a,b], stored in u = x - a: coefficients of p(a + u), u in [0, L].
 
-    Sup-norms of derivatives are sampled on the grid np.arange(a, b + mesh,
-    mesh), mesh = ``_CK_MESH``: the sample is the exact maximum of the
-    floating-point values np.polyval computes there, found without numpy by
-    ``_grid_max``.  It is reported with the rigorous Lipschitz correction
-    mesh * sum(|c_i| * i * M^(i-1)), so ``norm`` is a true upper bound.
+    With L = b - a, sup-norms of derivatives are sampled on the ``_ck_grid``
+    points i * mesh, mesh = ``_CK_MESH``: the sample is the exact maximum of
+    the floating-point values np.polyval computes there, found without numpy
+    by ``_grid_max``.  It is reported with the rigorous Lipschitz correction
+    mesh * sum(|c_i| * i * max(L, 1)^(i-1)), so ``norm`` is a true upper bound.
     """
 
     k: int
@@ -77,9 +77,9 @@ class CkModel:
             raise ValueError("k must be >= 0")
         if not self.a < self.b:
             raise ValueError("CkModel requires a < b")
-        # _ck_grid's point i is a + i * delta with i converted to float, as in
+        # _ck_grid's point i is i * mesh with i converted to float, as in
         # numpy's grid: exact only while i <= 2^53
-        if not (self.b + _CK_MESH - self.a) / _CK_MESH <= 2**53:
+        if not (self.b - self.a + _CK_MESH) / _CK_MESH <= 2**53:
             raise ValueError(
                 f"CkModel requires at most 2^53 grid points on [a, b], {_CK_MESH} apart")
 
@@ -220,24 +220,24 @@ class PolySeries:
         """(grid max, grid max + mesh * Lipschitz bound) over derivatives 0..k.
 
         Each grid max is exactly the largest |value| np.polyval computes on
-        the ``_ck_grid`` points, found by ``_grid_max`` without evaluating
-        every point.  A block of points is skipped only when a proven bound
-        on its computed values is at most the best value found: either
-        fl(Horner(|c|, r)) >= |fl(p(x))| for |x| <= r, since round-to-nearest
-        is monotone and odd, or a mean-value bound in u = x - a plus Higham's
-        gamma_2d margin for the rounding of Horner's rule.
+        the ``_ck_grid`` points of [0, L], found by ``_grid_max`` without
+        evaluating every point.  A block of points is skipped only when a
+        proven bound on its computed values is at most the best value found:
+        either fl(Horner(|c|, r)) >= |fl(p(u))| for 0 <= u <= r, since
+        round-to-nearest is monotone and odd, or a mean-value bound plus
+        Higham's gamma_2d margin for the rounding of Horner's rule.
         """
         m: CkModel = self.model
         if not self.coeffs:
             return (0.0, 0.0)
-        big = max(abs(m.a), abs(m.b), 1.0)
-        grid = _ck_grid(m.a, m.b)
+        big = max(m.b - m.a, 1.0)
+        grid = _ck_grid(m.b - m.a)
         lo = hi = 0.0
         for i in range(m.k + 1):
             d = self.derivative_coeffs(i)
             if not d:
                 continue
-            sample = _grid_max(d, m.a, grid)
+            sample = _grid_max(d, grid)
             if math.isnan(sample):  # max() would drop it and certify (0.0, 0.0)
                 return (math.nan, math.nan)
             lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
@@ -283,9 +283,8 @@ class PolySeries:
 def _taylor_shift(coeffs, a) -> list:
     """Coefficients of p(x + a) from those of p(x), by repeated synthetic division.
 
-    Zero coefficients are never multiplied, so int 0 stays int 0, and a
-    Fraction ``a`` keeps the scalar type of the polynomial (Fraction * float
-    is float).  For a = 0 this is a copy.
+    Zero coefficients are never multiplied, so int 0 stays int 0.  For a = 0
+    this is a copy.
     """
     c = list(coeffs)
     if a != 0:
@@ -296,18 +295,13 @@ def _taylor_shift(coeffs, a) -> list:
     return c
 
 
-def _ck_grid(a, b):
-    """(n, point): the n points of np.arange(a, b + _CK_MESH, _CK_MESH), point(i) the i-th.
+def _ck_grid(length):
+    """(n, point): the size and the i-th point of np.arange(0, length + _CK_MESH, _CK_MESH).
 
-    numpy sizes the range as ceil((stop - start) / step), stores start and
-    start + step, and fills the rest as start + i * delta with delta the
-    difference of those two.  The points never decrease: x_1 >= a, and
-    2 * delta >= x_1 - a puts x_2 at or above x_1.
+    numpy sizes it ceil((stop - start) / step) and fills in start + i * ((start + step) - start),
+    which from start 0 is i * step.
     """
-    n = math.ceil((b + _CK_MESH - a) / _CK_MESH)
-    x1 = a + _CK_MESH
-    delta = x1 - a
-    return n, lambda i: x1 if i == 1 else a + i * delta
+    return math.ceil((length + _CK_MESH) / _CK_MESH), lambda i: i * _CK_MESH
 
 
 def _horner(cs, x):
@@ -340,35 +334,35 @@ def _modulus(z: complex) -> float:
 _DIRECT_BLOCK = 16  # a block with at most this many interior points is evaluated, not split
 
 
-def _grid_max(coeffs, a, grid) -> float:
+def _grid_max(coeffs, grid) -> float:
     """np.max(np.abs(np.polyval(cs, grid))) for cs = ``coeffs`` (lowest degree first), bit for bit.
 
     The coefficients are converted as numpy would: all complex if any is,
     else all float.  A NaN value makes the result NaN, as in np.max.  The
-    search evaluates the two end points, then takes blocks of grid indices
-    off a stack: a block whose points provably have computed |value| <= the
-    best value found so far is skipped, a block of at most ``_DIRECT_BLOCK``
+    grid points (``_ck_grid``) start at 0 and never decrease.  The search
+    evaluates the two end points, then takes blocks of grid indices off a
+    stack: a block whose points provably have computed |value| <= the best
+    value found so far is skipped, a block of at most ``_DIRECT_BLOCK``
     interior points is evaluated, any other is split at its middle point.
-    All points of a block lie in [x_i, x_j], its end points.  Two bounds:
+    All points of a block lie in [u_i, u_j], its end points, with u_i >= 0.
+    Write p for the polynomial with the converted coefficients c, so that a
+    computed value is fl(p(u)), and S(u) = sum |c_i| u^i.  Two bounds:
 
     * Monotone rounding.  Round-to-nearest is monotone and odd, so by
-      induction over Horner's steps |fl(p(x))| <= fl(Horner(|c|, r)) for
-      every float |x| <= r, with no margin.  On a >= 0 a single-sign
-      polynomial reaches this bound at the last grid point, which closes
-      the search after the two end points.  Complex values are bounded
-      through their real and imaginary parts, which Horner's steps on a
-      real x update independently (up to signed zeros), with the margins
-      below.
-    * Mean value in u = x - a.  For real x in [x_i, x_j], |p(x)| <=
-      (|p(x_i)| + |p(x_j)| + (x_j - x_i) max|p'|) / 2, with |p'(a + u)| <=
-      sum j |q_j| u^(j-1), q the Taylor shift of p to a.  Higham's bound for
-      Horner without fused multiply-add, |fl(p(x)) - p(x)| <= gamma_2d
-      sum |c_i| |x|^i, relates the computed values to exact ones; the
-      shifted q carries the same kind of error, bounded by the shift of |c|
-      by |a|.  One slack factor 1 + gamma_(8d+16) covers these margins and
-      the rounding of the bound itself, and a fixed absolute term covers
-      underflow.  Expansions of (x - a)^n, where |c| cancels badly, close
-      through this bound.
+      induction over Horner's steps |fl(p(u))| <= fl(Horner(|c|, u_j)) for
+      every float 0 <= u <= u_j, with no margin.  A single-sign polynomial
+      reaches this bound at the last grid point, which closes the search
+      after the two end points.  Complex values are bounded through their
+      real and imaginary parts, which Horner's steps on a real u update
+      independently (up to signed zeros), with the margins below.
+    * Mean value.  For real u in [u_i, u_j], |p(u)| <= (|p(u_i)| + |p(u_j)|
+      + (u_j - u_i) max|p'|) / 2, where |p'| <= sum j |c_j| u_j^(j-1) as
+      u >= 0.  Higham's bound for Horner without fused multiply-add,
+      |fl(p(u)) - p(u)| <= gamma_2d S(u) <= gamma_2d S(u_j), relates the
+      computed values at u, u_i and u_j to exact ones: three margins that
+      2 g fl(Horner(|c|, u_j)) covers, g = gamma_(8d+16).  One slack factor
+      1 + g covers the rounding of the bound itself, and a fixed absolute
+      term covers underflow.  Cancelling expansions (u - c)^n close through it.
     """
     n, point = grid
     real = not any(isinstance(c, complex) for c in coeffs)
@@ -382,36 +376,34 @@ def _grid_max(coeffs, a, grid) -> float:
         size = _modulus
     d = len(cs) - 1
     g = _gamma(8 * d + 16)
-    x0, xn = point(0), point(n - 1)
+    u0, un = point(0), point(n - 1)
     # underflow: a multiplication loses at most 2^-1075 absolutely; the bounds
-    # gather fewer than (d + 2)^4 such losses (the shift to a makes d^2), each
-    # grown by at most (2 rho^2)^(d + 1) on its way, with rho = 1 + |a| + max|x|
-    rho = 1.0 + abs(a) + max(-x0, xn)
+    # gather fewer than (d + 2)^4 such losses, each grown by at most
+    # (2 rho^2)^(d + 1) on its way, with rho = 1 + max u
+    rho = 1.0 + un
     tiny = math.ldexp((d + 2) ** 4, -1070)
     for _ in range(d + 1):
         tiny *= 2.0 * rho * rho
-    slope = None  # j (|q_j| + g Q_j), highest first; built on the first block needing it
+    slope = None  # k |c_k|, highest first; built on the first block needing it
 
-    v0, vn = _polyval(cs, [x0, xn])
+    v0, vn = _polyval(cs, [u0, un])
     a0, an = size(v0), size(vn)
     if a0 != a0 or an != an:
         return math.nan
     best = max(a0, an)
-    stack = [(0, n - 1, x0, xn, a0, an)]
+    stack = [(0, n - 1, u0, un, a0, an)]
     while stack:
-        i, j, xi, xj, ai, aj = stack.pop()
+        i, j, ui, uj, ai, aj = stack.pop()
         if j - i < 2:
             continue
-        b1 = _horner(mag, max(-xi, xj))
+        b1 = _horner(mag, uj)
         if not real:
             b1 = b1 * (1.0 + g) + tiny
         if b1 <= best < math.inf:
             continue
         if slope is None:
-            q = _taylor_shift(cs[::-1], a)
-            big_q = _taylor_shift(mag[::-1], abs(a))
-            slope = [k * (abs(q[k]) + g * big_q[k]) for k in range(d, 0, -1)]
-        b2 = ((ai + aj + (xj - xi) * _horner(slope, xj - a)) * 0.5
+            slope = [k * size(c) for k, c in zip(range(d, 0, -1), cs)]
+        b2 = ((ai + aj + (uj - ui) * _horner(slope, uj)) * 0.5
               + 2.0 * g * b1) * (1.0 + g) + tiny
         if b2 <= best < math.inf:
             continue
@@ -419,10 +411,10 @@ def _grid_max(coeffs, a, grid) -> float:
             values = _polyval(cs, [point(m) for m in range(i + 1, j)])
         else:
             mid = (i + j) // 2
-            xm = point(mid)
-            values = _polyval(cs, [xm])
+            um = point(mid)
+            values = _polyval(cs, [um])
             am = size(values[0])
-            low, high = (i, mid, xi, xm, ai, am), (mid, j, xm, xj, am, aj)
+            low, high = (i, mid, ui, um, ai, am), (mid, j, um, uj, am, aj)
             # the half with the larger end value is searched first
             stack += (low, high) if aj >= ai else (high, low)
         for v in values:
@@ -813,7 +805,8 @@ def enumerate_targets(space, count: int, exact: bool = False):
     """First ``count`` elements of the frozen dense-set enumeration.
 
     ``space`` is a SequenceSpace, HardyModel, CkModel, or HalfLineC0 tag.
-    With exact=True coefficients stay Fractions.
+    With exact=True coefficients stay Fractions.  C^k[a,b] polynomials are
+    enumerated in x and stored as p(a + u), exactly, since a float a is dyadic.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -822,7 +815,9 @@ def enumerate_targets(space, count: int, exact: bool = False):
         return [SparseVector({k: scalar(c) for k, c in m.items()}, space)
                 for m in _cheapest(count, lambda cost: _indexed(cost, 1))]
     if isinstance(space, (HardyModel, CkModel)):
-        return [PolySeries([scalar(m.get(j, 0)) for j in range(max(m) + 1)], space)
+        base = Fraction(space.a) if isinstance(space, CkModel) else 0
+        return [PolySeries([scalar(c) for c in _taylor_shift(
+                    [m.get(j, 0) for j in range(max(m) + 1)], base)], space)
                 for m in _cheapest(count, lambda cost: _indexed(cost, 0))]
     if isinstance(space, HalfLineC0):
         return [PiecewiseLinearFn([scalar(b) for b in bps], [scalar(v) for v in vals])

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from fhclab import cli, regularized_semigroup, verifier
+from fhclab import cli, criterion, regularized_semigroup, spaces, verifier
 from fhclab.constructor import _window_error, orbit_window
 from fhclab.cli import (
     ConfigError,
@@ -88,7 +88,7 @@ class TestSubcommands:
         (["--k", "2", "--a", "0.5", "--b", "2", "--L", "2"], ["N_1 = 6", "N_2 = 7"]),
     ], ids=["c3[-1,1]", "c2[0.5,2]"])
     def test_certify_ck_off_origin(self, capsys, flags, thresholds):
-        # the antiderivative's Taylor shift to the base point a != 0 must keep N_l
+        # B^m integrates in u = x - a, so the antiderivatives vanish at a
         assert main(["certify", "--op", "differentiation", "--space", "ck", *flags]) == 0
         out = capsys.readouterr().out
         assert [line.split("  ")[0] for line in out.splitlines()] == thresholds
@@ -574,6 +574,37 @@ class TestFailureModes:
         if body is not None:
             argv = argv + ["--config", write_cfg(tmp_path, body)]
         assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--space", "ck", "--a", "1e10", "--b", "1.0001e10"],
+         "the inverse term norm at 53 is beyond the float range"),
+        (["--space", "ck", "--a", "1e20", "--b", "1.0000000000001e20"],
+         "the inverse term norm at 46 is beyond the float range"),
+        (["--power", "200"], "the inverse image of target 1 at 1 underflows to zero"),
+        (["--power", "1000"], "the inverse image of target 1 at 1 underflows to zero"),
+    ], ids=["ck-a=1e10", "ck-a=1e20", "power=200", "power=1000"])
+    def test_runaway_differentiation_exits_two_in_bounded_work(self, monkeypatch, capsys,
+                                                                flags, message):
+        # far from the origin, C^k values stored in u = x - a do not cancel, so the
+        # grid searches skip blocks until the Lipschitz sum overflows; B^(rN) 1
+        # underflows to 0.0 at every N, so no N can pass.  Counters, not wall
+        # time, bound the work
+        work = {}
+
+        def bound(module, name, limit, size):
+            original = getattr(module, name)
+
+            def counted(*args):
+                work[name] = work.get(name, 0) + size(args)
+                assert work[name] <= limit, f"{name} past {limit}"
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        bound(spaces, "_polyval", 10**6, lambda args: len(args[1]))  # grid values
+        bound(criterion, "apply_inverse", 100, lambda args: 1)  # inverse images
+        assert main(["certify", "--op", "differentiation", *flags, "--L", "1"]) == 2
         assert message in capsys.readouterr().err
 
 

@@ -310,6 +310,13 @@ class TestTransformedThresholds:
         assert tail_norm(sw, y, 1, "forward") == pytest.approx(
             tail_norm(base, y, 1, "inverse"), abs=1e-12)
 
+    def test_a_swapped_image_that_dies_is_not_underflow(self, monkeypatch):
+        # swapped, B is the derivative, which maps 1 to 0 exactly: the search goes on
+        monkeypatch.setattr(criterion, "_SEARCH_CAP", 3)
+        cert = transform_inverse(make_certificate(Differentiation(HARDY), 1))
+        with pytest.raises(CertificationError, match="no threshold N_1 <= 3 certifies target 1"):
+            compute_thresholds(cert)
+
 
 def pinned_certificates():
     """76 certificates: each operator at power 1 and 2, unrotated and rotated by 1j, L = 3."""

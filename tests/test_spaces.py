@@ -213,9 +213,9 @@ class TestEnumeration:
         (HARDY, 200, False, "3e3c9873fc52224174ca1e6bc85d6471293cc6c1a69abfff5985cb31916abf48"),
         (HARDY, 200, True, "3b83c46f6bdcb6687cfa84bd829b6b3477b2ad9624fbf30b1218c29eb9d00d1d"),
         (CkModel(2, 0.5, 2.0), 60, False,
-         "5c401573b9a719fe8a730446a6f3828ef19bcbcc081ccb10d19d34e6a59b9c44"),
+         "a66b1fa29dcaed85a9e040c45b33fa857cd21ad31ba83878cc92063b93ff64f9"),
         (CkModel(2, 0.5, 2.0), 60, True,
-         "8991a8edb028dd33707212c659824d8286e9434f4446cb878345faeae3606512"),
+         "834c74b358982195664d086edc3c28184d1b78c24b215e9dfad56054039c905e"),
         (C0_PLUS, 150, False, "fef264b2fd0e6c9aa879fcb47325f1b1b68202c8296e2b1d070758c45cac7dd9"),
         (C0_PLUS, 150, True, "547c41e9024e7043df929c9154d61677b46aec26816ca098c9d8c3d224c4c569"),
     ], ids=["l2", "l2-exact", "c0", "c0-exact", "l1", "l1-exact", "hardy", "hardy-exact",
@@ -850,12 +850,12 @@ class TestLpNorm:
 
 
 def numpy_ck_norm_interval(f):
-    """Oracle: ``ck_norm_interval`` as first written, np.polyval on every grid point."""
+    """Oracle: ``ck_norm_interval`` as first written, np.polyval on every point of the u grid."""
     m = f.model
     if not f.coeffs:
         return (0.0, 0.0)
-    big = max(abs(m.a), abs(m.b), 1.0)
-    grid = np.arange(m.a, m.b + _CK_MESH, _CK_MESH)
+    big = max(m.b - m.a, 1.0)
+    grid = np.arange(0, m.b - m.a + _CK_MESH, _CK_MESH)
     lo = hi = 0.0
     for i in range(m.k + 1):
         d = f.derivative_coeffs(i)
@@ -871,15 +871,14 @@ def numpy_ck_norm_interval(f):
     return (lo, max(lo, hi))
 
 
-def full_scan_grid_max(coeffs, a, b):
-    """Oracle: Horner and abs on every ``_ck_grid`` point, complex coefficients kept complex."""
-    n, point = _ck_grid(a, b)
+def full_scan_grid_max(coeffs, length):
+    """Oracle: Horner and abs on every point of the u grid on [0, length], complex kept complex."""
     cs = [complex(c) for c in reversed(coeffs)]
     best = 0.0
-    for i in range(n):
+    for u in np.arange(0, length + _CK_MESH, _CK_MESH).tolist():
         acc = 0.0
         for c in cs:
-            acc = acc * point(i) + c
+            acc = acc * u + c
         best = max(best, abs(acc))
     return best
 
@@ -888,7 +887,7 @@ CK_INTERVALS = [(0.0, 1.0), (-1.0, 1.0), (-2.0, 2.0), (0.5, 2.0), (0.5, 0.75)]
 
 
 def _expansion(n, base, scalar):
-    """Coefficients of scalar(x - base)^n / n!, exact, then converted by ``scalar``."""
+    """Coefficients of scalar(u - base)^n / n!, exact, then converted by ``scalar``."""
     base = Fraction(base)
     return [scalar(math.comb(n, j) * (-base) ** (n - j) / Fraction(math.factorial(n)))
             for j in range(n + 1)]
@@ -912,8 +911,9 @@ class TestCkGridMax:
     @given(st.integers(-512, 512), st.integers(1, 32), st.integers(4, 8))
     def test_grid_matches_numpy_arange(self, num, width, scale):
         a, b = num / 2**scale, (num + width) / 2**scale
-        n, point = _ck_grid(a, b)
-        assert [point(i) for i in range(n)] == np.arange(a, b + _CK_MESH, _CK_MESH).tolist()
+        length = b - a
+        n, point = _ck_grid(length)
+        assert [point(i) for i in range(n)] == np.arange(0, length + _CK_MESH, _CK_MESH).tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=16),
@@ -927,21 +927,22 @@ class TestCkGridMax:
     @given(st.integers(0, 70), st.sampled_from(CK_INTERVALS), st.integers(0, 3),
            st.sampled_from([Fraction, float, lambda c: -float(c)]))
     def test_expansions_at_the_base_point_match_numpy(self, n, interval, k, scalar):
-        # the antiderivatives the certificates build: (x - a)^n / n! in powers of x,
-        # where the coefficients cancel and only the bound in u = x - a closes
-        f = PolySeries(_expansion(n, interval[0], scalar), CkModel(k, *interval))
+        # (u - c)^n / n! expanded at the centre c of [0, L], where the coefficients
+        # cancel and only the mean-value bound closes
+        a, b = interval
+        f = PolySeries(_expansion(n, (b - a) / 2, scalar), CkModel(k, a, b))
         assert repr(f.ck_norm_interval()) == repr(numpy_ck_norm_interval(f))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 20), st.sampled_from(CK_INTERVALS),
            st.integers(0, 3), st.sampled_from([Fraction, float]))
     def test_interior_maxima_match_numpy(self, i, j, interval, k, scalar):
-        # (x - a)^i (b - x)^j peaks inside [a, b] and vanishes at both ends, so
-        # a block skipped in error loses the maximum
+        # u^i (L - u)^j peaks inside [0, L] and vanishes at both ends, so a
+        # block skipped in error loses the maximum
         a, b = map(Fraction, interval)
         coeffs = [Fraction(1)]
-        for root, sign, times in ((a, 1, i), (b, -1, j)):
-            for _ in range(times):  # multiply by sign * (x - root)
+        for root, sign, times in ((0, 1, i), (b - a, -1, j)):
+            for _ in range(times):  # multiply by sign * (u - root)
                 coeffs = [sign * (lo - root * hi) for lo, hi in zip([0] + coeffs, coeffs + [0])]
         f = PolySeries([scalar(c) for c in coeffs], CkModel(k, *interval))
         assert repr(f.ck_norm_interval()) == repr(numpy_ck_norm_interval(f))
@@ -954,7 +955,7 @@ class TestCkGridMax:
         # np.abs of a complex value may differ from Python's abs by an ulp, so
         # the oracle is the same Horner and abs on every point
         got = PolySeries(coeffs, CkModel(0, *interval)).ck_norm_interval()[0]
-        assert repr(got) == repr(full_scan_grid_max(coeffs, *interval))
+        assert repr(got) == repr(full_scan_grid_max(coeffs, interval[1] - interval[0]))
 
     @pytest.mark.parametrize("coeffs", [
         [1.0, math.nan],  # NaN at the end points
@@ -965,7 +966,7 @@ class TestCkGridMax:
         # it and reports (0.0, 0.0), but the interval is NaN, so nothing built
         # on it certifies
         f = PolySeries(coeffs, CkModel(0))
-        assert repr(spaces._grid_max(coeffs, 0.0, _ck_grid(0.0, 1.0))) == "nan"
+        assert repr(spaces._grid_max(coeffs, _ck_grid(1.0))) == "nan"
         assert repr(f.ck_norm_interval()) == "(nan, nan)"
 
     @pytest.mark.parametrize("coeffs", [[Fraction(1, 3), 2, 0.5, 1e-3], [-1.0, -0.25, 0, -7.0]])
@@ -992,3 +993,87 @@ class TestCkGridMax:
         criterion.compute_thresholds(cert)
         assert calls[0] > 0
         assert count[0] <= 100 * calls[0]
+
+
+# --------------------------------------------------------------------------
+# C^k polynomials stored in u = x - a on [0, L]
+
+
+CK_NORM_INTERVALS = CK_INTERVALS + [(1.0, 3.0), (2.0, 3.0)]
+
+
+def _exact_value(coeffs, t):
+    """The polynomial with lowest-degree-first ``coeffs`` at t, in Fractions."""
+    return reduce(lambda acc, c: acc * t + Fraction(c), reversed(coeffs), Fraction(0))
+
+
+def _exact_sup(c, n, k, length):
+    """max over i <= k of sup over [0, L] of |d^i/du^i c u^n / n!|: |c| L^(n-i) / (n-i)!."""
+    return max(abs(Fraction(c)) * Fraction(length) ** (n - i) / math.factorial(n - i)
+               for i in range(min(k, n) + 1))
+
+
+def _mesh_correction(c, n, k, length):
+    """The documented Lipschitz term: max over i <= k of mesh |c| (n-i) max(L, 1)^(n-i-1) / (n-i)!."""
+    big = max(Fraction(length), 1)
+    return max((Fraction(_CK_MESH) * abs(Fraction(c)) * (n - i) * big ** (n - i - 1)
+                / math.factorial(n - i) for i in range(min(k, n) + 1) if n > i), default=0)
+
+
+class TestCkCoordinate:
+    @pytest.mark.parametrize("interval", CK_NORM_INTERVALS + [(1e10, 1.0001e10)])
+    def test_targets_are_the_x_targets_at_a_plus_u(self, interval):
+        # the C^k enumeration is the Hardy one (in x), stored exactly as p(a + u);
+        # float mode rounds each exact u coefficient once
+        model = CkModel(2, *interval)
+        a = Fraction(interval[0])
+        pairs = zip(enumerate_targets(HARDY, 40, exact=True),
+                    enumerate_targets(model, 40, exact=True), enumerate_targets(model, 40))
+        for x, u, f in pairs:
+            for t in (Fraction(0), Fraction(1, 4), Fraction(3, 8), Fraction(1), Fraction(-5, 2)):
+                assert _exact_value(u.coeffs, t) == _exact_value(x.coeffs, a + t)
+            assert all(isinstance(c, (int, Fraction)) for c in u.coeffs)
+            assert [type(c) for c in f.coeffs] == [float] * len(f.coeffs)
+            assert f.coeffs == [float(c) for c in u.coeffs]
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(CK_NORM_INTERVALS), st.integers(0, 3), st.integers(0, 70),
+           st.integers(1, 6))
+    def test_norm_interval_brackets_the_exact_sup(self, interval, k, n, l):
+        # B^n of a constant target c is c u^n / n!, whose sup-norms are known exactly
+        cert = operators.make_certificate(operators.Differentiation(CkModel(k, *interval)), 6)
+        c = cert.target(l).coeffs[0]
+        lo, hi = operators.apply_inverse(cert, cert.target(l), n).ck_norm_interval()
+        length = interval[1] - interval[0]
+        exact = _exact_sup(c, n, k, length)
+        assert Fraction(hi) >= exact
+        assert Fraction(lo) <= exact * (1 + Fraction(1, 10**12))
+        assert Fraction(hi) - exact <= (_mesh_correction(c, n, k, length) * (1 + Fraction(1, 10**9))
+                                        + exact * Fraction(1, 10**12))
+
+    @pytest.mark.parametrize("interval, k, n", [
+        ((1.0, 3.0), 0, 20), ((0.5, 2.0), 0, 60), ((2.0, 3.0), 0, 30), ((0.5, 2.0), 2, 60),
+        ((-1.0, 1.0), 3, 40)])
+    def test_inverse_images_of_one_are_tight(self, interval, k, n):
+        # stored in u, the coefficients of u^n / n! do not cancel, so the upper end
+        # is within the mesh correction; the lower end is a computed value, so it
+        # may sit a few ulps above the exact sup
+        cert = operators.make_certificate(operators.Differentiation(CkModel(k, *interval)), 1)
+        lo, hi = operators.apply_inverse(cert, cert.target(1), n).ck_norm_interval()
+        exact = _exact_sup(1, n, k, interval[1] - interval[0])
+        assert Fraction(lo) <= exact * (1 + Fraction(1, 10**12))
+        assert exact <= Fraction(hi) <= exact * Fraction(101, 100)
+
+    def test_taylor_shift_runs_only_in_the_enumeration(self, monkeypatch):
+        calls = []
+        shift = spaces._taylor_shift
+
+        def counting(coeffs, a):
+            calls.append(a)
+            return shift(coeffs, a)
+
+        monkeypatch.setattr(spaces, "_taylor_shift", counting)
+        cert = operators.make_certificate(operators.Differentiation(CkModel(2, 0.5, 2.0)), 2)
+        assert calls == [Fraction(1, 2)] * 2  # one conversion per target
+        criterion.compute_thresholds(cert)
+        assert len(calls) == 2
