@@ -5,7 +5,8 @@ and [output]; SCHEMA names every key a config may set, with its default, and
 anything else is a config error.  The output directory can be overridden with
 the FHCLAB_OUTPUT_DIR environment variable.
 
-Exit codes: 0 success, 1 a certified invariant failed, 2 config error.
+Exit codes: 0 success, 1 a certified invariant failed, 2 config error or
+certification failure (stderr starts "config error:" or "certification failed:").
 """
 
 from __future__ import annotations
@@ -458,8 +459,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CertificationError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except CertificationError as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
         return 2
     except InvariantFailure as exc:
         print(f"INVARIANT FAILED: {exc}", file=sys.stderr)

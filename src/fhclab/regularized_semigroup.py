@@ -5,22 +5,25 @@ forward step taken at a real time t >= 0.  With the symbolic log_scale
 carried by PiecewiseLinearFn, the law W(t)W(s) = W(t+s) is an exact identity
 on this class whenever lam, t, s are rationals.
 
-``SolutionOrbit.evaluate`` streams t -> e^(tA) x over given times: A^n x is
-built once per run of times in [n, n + 1) and shifted by W(t - n).
+``SolutionOrbit.evaluate`` streams t -> e^(tA) x over given times with one
+point per window key, as ``discrete_report`` builds them: A^n x is held while
+the times stay in [n, n + 1) and shifted by W(t - n).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .constructor import FhcPlacement, orbit_eval
+from .constructor import FhcPlacement, orbit_eval, orbit_window
 from .operators import TranslationGenerator
 from .spaces import PiecewiseLinearFn, PolySeries, _horner, distance
 
 _BUMP_SUPPORT = (0.0, 1.0)  # generator_residual's bump lives on [0, 1], zero outside
 _GRID_POINTS = 2001  # sup-norm grid of generator_residual over the support
+_NORMAL = sys.float_info.min  # smallest normal float: below it exp's ulp is not relative
 
 
 def w_apply(op: TranslationGenerator, t, f: PiecewiseLinearFn) -> PiecewiseLinearFn:
@@ -91,23 +94,35 @@ class SolutionOrbit:
         self._widths = [float(y.breakpoints[-1]) if not y.is_zero() else 0.0 for y in ys]
         self._rates = [lam * y.norm() + y.max_slope() for y in ys]
         self._reach = max(self._widths)
+        self._peak = max(self._rates)
 
     def evaluate(self, times):
         """Yield (piecewise-linear value of e^(tA) x, certified error bound) per t.
 
-        orbit_eval(n) runs when t enters [n, n + 1) and is held while t stays
-        there: once per n for ascending times, and any order gives what
+        The integer point is looked up when t enters [n, n + 1) and held while
+        t stays there, with one point per window key: for n >= 1,
+        ``orbit_eval(p, n)`` is a pure function of ``orbit_window(p, n)`` (see
+        ``discrete_report``), so a unit whose key was seen in this call reuses
+        that point; n = 0 is ``materialize``.  Any order gives what
         one-element calls give.
         """
-        op = self.placement.cert.op
+        p = self.placement
+        op = p.cert.op
         lam = float(op.lam)
+        points = {}  # window key -> (A^n x, error) for the n >= 1 seen so far
         n = vec = err = None
         for t in times:
             if t < 0:
                 raise ValueError("t must be >= 0")
             if (floor := math.floor(t)) != n:
                 n = floor
-                vec, err = orbit_eval(self.placement, n)
+                if n == 0:
+                    vec, err = orbit_eval(p, 0)
+                else:
+                    key = orbit_window(p, n)
+                    if (point := points.get(key)) is None:
+                        point = points[key] = orbit_eval(p, n)
+                    vec, err = point
             s = t - n
             yield (vec, err) if s == 0 else (w_apply(op, s, vec), err * math.exp(lam * float(s)))
 
@@ -123,17 +138,38 @@ class SolutionOrbit:
         added it before it stopped, and keeping it keeps the bits.  Every j
         below is past the origin (the extra 1 covers rounding), and so is a j
         with j + width < t0, which adds nothing.
+
+        The walk stops at the first j > t1 whose factor e = exp(lam (t1 - j))
+        is normal and has peak * e < ulp(total) / 4, peak the largest rate:
+        no later term can change a bit of the sum.  Proof: for j' > j the
+        exponent t1 - j' < 0 <= width is the term's own, and with lam > 0 and
+        monotone rounding its rounded value is at most j's.  So a faithful
+        math.exp (within one ulp) gives e' at most the float after e, at most
+        e (1 + 2^-52) as e is normal, and the exact term e' * rate is at most
+        peak * e (1 + 2^-52).  Write U = ulp(total) / 4, a power of two
+        >= 2^-1074 whenever the test can pass.  A normal test product puts
+        peak * e below (1 + 2^-53) U, and the term rounds to at most
+        (1 + 2^-50) U; a subnormal one is at most U - 2^-1074, so
+        peak * e <= U - 2^-1075 and the term rounds to at most U.  Either way
+        the term is below 2 U, half the gap above total, and adding it rounds
+        back to total: total, its ulp and the bound stay put to the end.  For
+        total = 0.0, or any total with ulp(total) < 2^-1072, U rounds to 0.0,
+        the test fails and the walk goes on.
         """
         p = self.placement
         lam = float(p.cert.op.lam)
         ns = p.placed_ns
         lo = bisect_left(ns, t0 - self._reach - 1)
         hi = bisect_right(ns, t1 + p.backward_window) + 1
+        t1 = float(t1)
         total = 0.0
         for j, l in zip(ns[lo:hi], p.placed_ls[lo:hi]):
             width = self._widths[l - 1]
             if j + width >= t0:  # else already translated past the origin: term is zero
-                total += math.exp(lam * min(float(t1) - j, width)) * self._rates[l - 1]
+                e = math.exp(lam * min(t1 - j, width))
+                if j > t1 and self._peak * e < math.ulp(total) / 4 and e >= _NORMAL:
+                    break
+                total += e * self._rates[l - 1]
         # tail terms: slope/norm ratio of any enumerated tent is <= 16 by the
         # dyadic breakpoint grid, so this stays an upper bound
         total += (lam + 16.0) * p.backward_tail * math.exp(lam)

@@ -233,10 +233,12 @@ class PolySeries:
         big = max(m.b - m.a, 1.0)
         grid = _ck_grid(m.b - m.a)
         lo = hi = 0.0
+        d = self.coeffs
         for i in range(m.k + 1):
-            d = self.derivative_coeffs(i)
+            if i:  # derivative i from derivative i - 1, as derivative_coeffs(i) builds it
+                d = [j * d[j] for j in range(1, len(d))]
             if not d:
-                continue
+                break
             sample = _grid_max(d, grid)
             if math.isnan(sample):  # max() would drop it and certify (0.0, 0.0)
                 return (math.nan, math.nan)
@@ -430,6 +432,26 @@ def _grid_max(coeffs, grid) -> float:
 # piecewise-linear functions on the half line
 
 
+def _trimmed(breakpoints, values):
+    """(breakpoints, values) without redundant zero tails, so that equal
+    functions compare equal, and empty when every value is 0.
+
+    The first point is dropped while it and the next have value 0, then the
+    last while it and the one before do, keeping two points at least.  The
+    lists are sliced, never changed.
+    """
+    lo, hi = 0, len(values)
+    while hi - lo >= 3 and values[lo] == 0 and values[lo + 1] == 0:
+        lo += 1
+    while hi - lo >= 3 and values[hi - 1] == 0 and values[hi - 2] == 0:
+        hi -= 1
+    if not any(islice(values, lo, hi)):
+        return [], []
+    if lo or hi < len(values):
+        return breakpoints[lo:hi], values[lo:hi]
+    return breakpoints, values
+
+
 class PiecewiseLinearFn:
     """Compactly supported piecewise-linear function on [0, inf).
 
@@ -468,18 +490,8 @@ class PiecewiseLinearFn:
                 raise ValueError("value at the last breakpoint must be 0")
             if values[0] != 0 and breakpoints[0] != 0:
                 raise ValueError("value at the first breakpoint must be 0 unless it is 0")
-        # trim redundant zero tails so equal functions compare equal
-        while len(values) >= 3 and values[0] == 0 and values[1] == 0:
-            breakpoints.pop(0)
-            values.pop(0)
-        while len(values) >= 3 and values[-1] == 0 and values[-2] == 0:
-            breakpoints.pop()
-            values.pop()
-        if breakpoints and not any(values):
-            breakpoints, values = [], []
-        self.breakpoints = breakpoints
-        self.values = values
-        self.log_scale = 0 if not breakpoints else log_scale
+        self.breakpoints, self.values = _trimmed(breakpoints, values)
+        self.log_scale = 0 if not self.breakpoints else log_scale
 
     @classmethod
     def zero(cls):
@@ -521,11 +533,20 @@ class PiecewiseLinearFn:
         return math.exp(float(self.log_scale)) * float(s)
 
     def folded(self) -> "PiecewiseLinearFn":
-        """Equivalent function with log_scale 0 (values go float)."""
+        """Equivalent function with log_scale 0 (values go float).
+
+        The constructor's result, built without its breakpoint and endpoint
+        checks: ``self`` passed them, and the factor e^s is finite and >= 0, so
+        its endpoint zeros stay zero.  Only the trim and all-zero rules run,
+        since scaled values may underflow to 0.  The breakpoint list is shared.
+        """
         if self.log_scale == 0:
             return self
         f = math.exp(float(self.log_scale))
-        return PiecewiseLinearFn(self.breakpoints, [f * v for v in self.values], 0)
+        g = object.__new__(PiecewiseLinearFn)
+        g.breakpoints, g.values = _trimmed(self.breakpoints, [f * v for v in self.values])
+        g.log_scale = 0
+        return g
 
     def scaled(self, a) -> "PiecewiseLinearFn":
         if a == 0:

@@ -180,7 +180,8 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
     is inner measure >= delta * len(visit_times), the visit times being the
     integer parts of the inner intervals' left ends.  The sweep is one pass
     over the integer checks and the cells in time order, so the orbit builds
-    each integer point once; only the distances are per target.
+    one point per window key (``SolutionOrbit.evaluate``); only the distances
+    are per target.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")

@@ -420,6 +420,13 @@ class TestFailureModes:
         assert main(["run", "--config", cfg]) == 2
         assert "radius_factor" in capsys.readouterr().err
 
+    def test_certification_failure_is_named(self, capsys):
+        # no configuration value is at fault: B^200 1 underflows to zero
+        assert main(["certify", "--op", "differentiation", "--power", "200", "--L", "1"]) == 2
+        assert capsys.readouterr().err.startswith("certification failed: ")
+        assert main(["run", "--config", "/nonexistent.cfg"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_missing_config_exits_two(self, capsys):
         assert main(["run", "--config", "/nonexistent.cfg"]) == 2
         assert "config error" in capsys.readouterr().err

@@ -208,6 +208,27 @@ def state_changes(path: pathlib.Path):
     return hits
 
 
+def unchecked_builds(path: pathlib.Path):
+    """(``module:line``, name, enclosing ``Class.function``) for each reference to
+    ``_trimmed`` (the piecewise-linear trim and zero rules, without the breakpoint
+    checks) and to ``__new__`` (an object that ``__init__`` never sees)."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in ("_trimmed", "__new__"):
+                hits.append((f"{path.name}:{child.lineno}", name, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return hits
+
+
 def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
@@ -289,3 +310,16 @@ def test_every_traced_name_resolves():
         if attr not in scope:
             hits.append(name)
     assert not hits, "traced names fhclab does not define:\n" + "\n".join(hits)
+
+
+def test_only_the_constructor_and_the_fold_skip_the_checks():
+    # folded scales a checked function by a finite e^s >= 0, so it may skip the
+    # breakpoint checks; anything else must build through __init__
+    allowed = {"_trimmed": {"PiecewiseLinearFn.__init__", "PiecewiseLinearFn.folded"},
+               "__new__": {"PiecewiseLinearFn.folded"}}
+    found = [hit for path in sorted(p for d in CALLERS for p in (ROOT / d).rglob("*.py"))
+             for hit in unchecked_builds(path)]
+    assert {scope for _, name, scope in found if name == "_trimmed"} == allowed["_trimmed"]
+    hits = [f"{where}: {name} in {scope or 'module'}" for where, name, scope in found
+            if scope not in allowed[name]]
+    assert not hits, "builds that skip the constructor's checks:\n" + "\n".join(hits)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fhclab import regularized_semigroup
-from fhclab.constructor import assign_placements, orbit_eval
+from fhclab.cli import main
+from fhclab.constructor import assign_placements, orbit_eval, orbit_window
 from fhclab.criterion import compute_thresholds
 from fhclab.operators import TranslationGenerator, apply_forward, make_certificate
 from fhclab.regularized_semigroup import (
@@ -223,7 +224,23 @@ class TestSolutionOrbit:
         for t0, t1 in cells:
             assert orbit.lipschitz_bound(t0, t1) == full_scan_lipschitz(orbit, t0, t1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.sampled_from([1, Fraction(1, 2), 3, Fraction(5, 4)]),
+                     st.fractions(Fraction(1, 2), 4, max_denominator=64)),
+           st.integers(1, 3), st.integers(20, 60), st.data())
+    def test_lipschitz_bound_equals_the_full_scan_anywhere(self, lam, targets, horizon, data):
+        # the early stop drops only terms below a quarter ulp of the running sum;
+        # placements reach 2 * horizon, as in a run
+        cert = make_certificate(TranslationGenerator(lam), targets)
+        orbit = SolutionOrbit(assign_placements(compute_thresholds(cert), horizon=2 * horizon))
+        for _ in range(25):
+            width = data.draw(st.floats(0.1, 1))
+            t0 = data.draw(st.floats(0, horizon - width))
+            assert orbit.lipschitz_bound(t0, t0 + width) == full_scan_lipschitz(
+                orbit, t0, t0 + width)
+
     def test_integer_point_is_built_once_per_unit(self, monkeypatch):
+        # one point per window key: 0, then each unit whose key is new
         calls = []
 
         def counted(p, n):
@@ -233,7 +250,31 @@ class TestSolutionOrbit:
         monkeypatch.setattr(regularized_semigroup, "orbit_eval", counted)
         times = [0, 0.5, 3, 3.25, 3.5, 4, 4.75, 6.5, 7, Fraction(29, 4)]
         assert len(list(self.orbit.evaluate(times))) == len(times)
-        assert calls == [0, 3, 4, 6, 7]
+        first = {}  # window key -> the first unit that has it
+        for n in sorted({math.floor(t) for t in times} - {0}):
+            first.setdefault(orbit_window(self.p, n), n)
+        assert calls == [0, *first.values()]
+        assert len(set(calls)) == len(calls)
+
+    def test_continuous_run_builds_one_point_per_window_key(self, monkeypatch, tmp_path):
+        # the run_translation_h10 pin's config: the sweep enters every unit below 10
+        calls = []
+
+        def counted(p, n):
+            calls.append((p, n))
+            return orbit_eval(p, n)
+
+        monkeypatch.setattr(regularized_semigroup, "orbit_eval", counted)
+        monkeypatch.setenv("FHCLAB_OUTPUT_DIR", str(tmp_path))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[operator]\nkind = translation\nlam = 1\n\n[run]\ntargets = 1\n"
+                       "horizon = 10\nmode = continuous\ngrid_step = 0.5\n\n"
+                       "[output]\ncsv = translation_h10_report.csv\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        p = calls[0][0]
+        keys = {orbit_window(p, n) for n in range(1, 10)}
+        assert calls[0][1] == 0
+        assert len(calls) == 1 + len(keys)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from([0, 0.5, 1, 3, 3.25, 3.5, 4, Fraction(31, 4)]),

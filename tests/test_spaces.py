@@ -560,6 +560,32 @@ def mixed_terms(draw):
             for _ in range(draw(st.integers(1, 5)))]
 
 
+def _former_folded(f):
+    """The former ``PiecewiseLinearFn.folded``: the scaled values through the
+    checking constructor."""
+    if f.log_scale == 0:
+        return f
+    e = math.exp(float(f.log_scale))
+    return PiecewiseLinearFn(f.breakpoints, [e * v for v in f.values], 0)
+
+
+@st.composite
+def fold_cases(draw):
+    """A function with int, float or Fraction values, tiny ones among them, at a log
+    scale whose fold underflows all, some or none of them."""
+    ks = sorted(draw(st.sets(st.integers(0, 12), min_size=2, max_size=6)))
+    mags = [0, 1, Fraction(3, 2), 8, 1e-20, 1e-300, 5e-324]
+    vals = [draw(st.sampled_from([1, -1])) * draw(st.sampled_from(mags)) for _ in ks]
+    vals = [draw(st.sampled_from([float, Fraction] + ([int] if v == int(v) else [])))(v)
+            for v in vals]
+    vals[-1] = 0
+    if ks[0] != 0:
+        vals[0] = 0
+    bps = [draw(st.sampled_from([int, float, Fraction]))(k) for k in ks]
+    scale = draw(st.sampled_from([-800, -745.5, -700, -1, Fraction(-3, 2), 0.5, 3]))
+    return PiecewiseLinearFn(bps, vals, scale)
+
+
 ZERO_LIKE = [0, 0.0, -0.0, Fraction(0), 0j, complex(-0.0, -0.0), math.nan,
              complex(math.nan, 0), Fraction(1, 2), -1.0]
 
@@ -586,6 +612,20 @@ class TestPlfPathOracles:
         got, want = plf_sum(terms), _former_plf_sum(terms)
         assert repr(got) == repr(want)
         assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(fold_cases())
+    @example(f=PiecewiseLinearFn([0, 1, 2], [3, 1e-20, 0], -700))  # the origin stays, trim
+    @example(f=PiecewiseLinearFn([0, 1, 2, 3], [0, 1e-20, 5, 0], -700))  # leading trim
+    @example(f=PiecewiseLinearFn([1, 2, 3, 4], [0, 5, 1e-20, 0], -700))  # trailing trim
+    @example(f=PiecewiseLinearFn([0, 1.5, 2], [Fraction(1, 2), 8, 0], -745.5))  # all zero
+    def test_fold_matches_the_checking_constructor(self, f):
+        before = repr(f)
+        got, want = f.folded(), _former_folded(f)
+        assert repr(got) == repr(want)
+        assert got.log_scale == want.log_scale == 0
+        assert got.is_zero() == want.is_zero()
+        assert repr(f) == before  # the shared breakpoint list is left alone
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(ZERO_LIKE), min_size=1, max_size=4),
