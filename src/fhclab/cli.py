@@ -215,11 +215,23 @@ def output_paths(cfg: dict):
 # pipeline
 
 
+# The most cells a continuous run sweeps.  Each cell costs about 56 us (the
+# translation_bridge benchmark sweeps 800 in about 0.045 s on a 2-vCPU VM), so the cap
+# is about a minute of sweep; a finer grid is refused before anything is certified.
+_CELL_CAP = 10**6
+
+
 def run_pipeline(cfg: dict, out):
     run = cfg["run"]
     N, mode = run["horizon"], run["mode"]
-    if mode == "continuous" and cfg["operator"]["kind"] != "translation":
-        raise ConfigError("bad mode = 'continuous': needs kind translation")
+    if mode == "continuous":
+        if cfg["operator"]["kind"] != "translation":
+            raise ConfigError("bad mode = 'continuous': needs kind translation")
+        # ceil(N / grid_step) > _CELL_CAP exactly when the quotient is, which may be inf
+        cells = N / run["grid_step"]
+        if cells > _CELL_CAP:
+            raise ConfigError(f"bad grid_step = {run['grid_step']!r}: {cells:.4g} cells, "
+                              f"more than {_CELL_CAP}")
     csv_path, json_path = output_paths(cfg)
     p = build_placements(cfg)
     cert, tc = p.cert, p.tail_certificate

@@ -55,6 +55,7 @@ class FhcPlacement:
     placed_ns: tuple  # every placed n <= horizon, ascending
     placed_ls: tuple  # placed_ls[i]: the target l placed at placed_ns[i]
     placed_gaps: tuple  # placed_ns[i + 1] - placed_ns[i]
+    period: int  # the schedule's period: n <= horizon - period is placed with l iff n + period is
     forward_window: int  # exact extinction bound for forward terms
     backward_window: int  # inverse terms beyond this are covered by the tail
     backward_tail: float  # certified bound for everything beyond the window
@@ -74,7 +75,8 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     max_n = max(p.nu for p in pairs)
     if horizon < max_n:
         raise ValueError(f"horizon {horizon} is below the largest threshold {max_n}")
-    placed = build_schedule(pairs).placed(horizon)
+    schedule = build_schedule(pairs)
+    placed = schedule.placed(horizon)
     ns, ls = tuple(n for n, _ in placed), tuple(key.l for _, key in placed)
 
     cert = tc.cert
@@ -89,8 +91,8 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     inverse_terms = {l: tuple(apply_inverse(cert, y, k) for k in range(bwd_window + 1))
                      for l, y in targets.items()}
     gaps = tuple(b - a for a, b in zip(ns, ns[1:]))
-    return FhcPlacement(tc, horizon, ns, ls, gaps, fwd_window, bwd_window, bwd_tail,
-                        forward_terms, inverse_terms)
+    return FhcPlacement(tc, horizon, ns, ls, gaps, schedule.period, fwd_window, bwd_window,
+                        bwd_tail, forward_terms, inverse_terms)
 
 
 def _inverse_tail(cert, K: int) -> float:

@@ -11,6 +11,15 @@ consecutive blocks all owned by that pair.
 The head/tail margins of nu inside each block make every gap between
 elements of A(l, nu) and A(k, mu) at least nu + mu, each element at least
 nu, and rank frequencies 2^-(j+1) give every set positive lower density.
+
+The layout is periodic.  With R ranks, blocks t and t + 2^R have the same
+rank when R > 1: v2(t + 2^R) = v2(t) whenever v2(t) < R, and both are
+fillers otherwise.  So blocks 1 .. 2^R, which hold 2^(R-1-j) blocks of rank
+j and one filler, cover [1, P] with P = 1 + sum_j 2^(R-1-j) * 4 nu_j, and
+the next 2^R blocks repeat them shifted by P.  With R = 1 every block is
+the one pair's, and P = 4 nu.  Both elements of a block lie inside it, so
+n is in A(key) exactly when n + P is: every set is its elements in [1, P]
+shifted by the multiples of P.
 """
 
 from __future__ import annotations
@@ -35,8 +44,11 @@ class PairKey:
 class PartitionSchedule:
     """Deterministic block schedule for a finite family of PairKeys.
 
-    Holds no cache: every query walks the blocks from block 1.  ``placed`` is
-    the one flattening of all the sets into an ascending (n, pair) sequence.
+    ``period`` is the P of the module docstring, in closed form; walking to
+    it would not pay once P is far past every horizon (P doubles per rank).
+    A query walks the blocks from block 1 only up to min(horizon, P) and
+    tiles the rest.  ``placed`` is the one flattening of all the sets into an
+    ascending (n, pair) sequence.
     """
 
     def __init__(self, pairs):
@@ -48,6 +60,9 @@ class PartitionSchedule:
             raise ValueError(f"duplicate pairs in schedule: {dup}")
         self.ranked = sorted(pairs, key=lambda p: (p.l + p.nu, p.l))
         self._rank_of = {p: j for j, p in enumerate(self.ranked)}
+        R = len(self.ranked)
+        self.period = 4 * pairs[0].nu if R == 1 else 1 + sum(
+            2 ** (R - 1 - j) * 4 * p.nu for j, p in enumerate(self.ranked))
 
     def _blocks(self, stop: int):
         """(start, length, rank or None) of the blocks t = 1, 2, ... that start <= stop."""
@@ -64,23 +79,18 @@ class PartitionSchedule:
         """Elements of A(key) in [1, horizon], ascending."""
         if key not in self._rank_of:
             raise KeyError(f"pair {key} is not in this schedule")
-        rank, nu = self._rank_of[key], key.nu
-        return [n for start, _, r in self._blocks(horizon) if r == rank
-                for n in (start + nu, start + 3 * nu) if n <= horizon]
+        rank, nu, stop = self._rank_of[key], key.nu, min(horizon, self.period)
+        return tile([n for start, _, r in self._blocks(stop) if r == rank
+                     for n in (start + nu, start + 3 * nu) if n <= stop], self.period, horizon)
 
     def density_floor(self, key, horizon: int) -> float:
         """running_density_floor of A(key) up to horizon."""
         return running_density_floor(self.members(key, horizon), horizon)
 
     def analytic_density(self, key) -> float:
-        """Long-run density of A(key) under the block construction."""
-        lengths = [4 * p.nu for p in self.ranked]
-        nranks = len(lengths)
-        if nranks == 1:
-            return 2.0 / lengths[0]
-        freq = [2.0 ** -(i + 1) for i in range(nranks)]
-        avg_len = sum(f * L for f, L in zip(freq, lengths)) + 2.0 ** -nranks  # fillers
-        return 2.0 * freq[self._rank_of[key]] / avg_len
+        """Long-run density of A(key): 2^(R - rank) elements per period (2 per
+        4 nu when R = 1)."""
+        return 2 ** (len(self.ranked) - self._rank_of[key]) / self.period
 
     def placed(self, horizon: int):
         """[(n, key), ...]: every n of every A(key) in [1, horizon], ascending
@@ -93,6 +103,21 @@ class PartitionSchedule:
             w = csv.writer(fh)
             w.writerow(["n", "l", "nu"])
             w.writerows((n, key.l, key.nu) for n, key in self.placed(horizon))
+
+
+def tile(base, period: int, stop: int):
+    """[n + k * period <= stop for k = 0, 1, ... for n in base], ascending.
+
+    base is ascending and spans less than one period, so each copy starts
+    after the one before ends: the copies whose last element fits are whole,
+    the next is cut at stop, and every later one starts past stop.
+    """
+    if not base:
+        return []
+    full = max(0, (stop - base[-1]) // period + 1)  # copies that fit whole
+    last = full * period
+    return ([n + s for s in range(0, last, period) for n in base]
+            + [n + last for n in base if n + last <= stop])
 
 
 def running_density_floor(members, stop: int) -> float:

@@ -21,11 +21,12 @@ import heapq
 import io
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields
-from itertools import takewhile, tee
+from itertools import islice, takewhile, tee
 
 from .constructor import FhcPlacement, orbit_eval, orbit_windows, proximity_bound
-from .density_partition import running_density_floor
+from .density_partition import running_density_floor, tile
 from .spaces import distance
 
 CSV_COLUMNS = [
@@ -89,6 +90,20 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     targets its point visits, so every n only joins the visit lists of its
     key's targets.  The largest error is taken over the keys, and each
     target's worst scheduled distance over the placed n <= N.
+
+    Most n are not swept at all.  The placements repeat with the schedule's
+    period P: j >= 1 is placed with target l exactly when j + P is, as long
+    as j + P <= horizon.  Let head = forward_window + P + 1 and
+    hi = min(N, horizon - backward_window).  For head <= n <= hi the windows
+    [n - fwd, n + bwd] of n and of n - P are both full and lie in
+    [1, horizon], so shifting by P maps the placements of one onto the other
+    with their targets: key(n) = key(n - P).  The keys of [head, hi] are thus
+    those of [head - P, head), repeated: the key loop runs on [1, head) and
+    on (hi, N], and the visits of the head's last period, shifted by the
+    multiples of P, fill the middle.  The middle adds no new key, and a
+    placed n there has the target and the key of the placed n - P, so the
+    largest error and the worst scheduled distances are already final.  When
+    head > hi the key loop runs over all of [1, N].
     """
     if N > p.horizon:
         raise ValueError("N must not exceed the placement horizon")
@@ -98,21 +113,37 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     worst = dict.fromkeys(ls, 0.0)
     max_err = 0.0
     seen = {}  # window key -> ({l: distance(orbit point, y_l) + err}, visited targets)
-    placed = zip(p.placed_ns, p.placed_ls)  # advanced only when n reaches it
-    next_placed, scheduled = next(placed, (None, None))
-    for n, key in enumerate(orbit_windows(p, 1, N + 1), 1):
-        entry = seen.get(key)
-        if entry is None:
-            vec, err = orbit_eval(p, n)
-            max_err = max(max_err, err)
-            dist = {l: distance(vec, targets[l]) + err for l in ls}
-            entry = seen[key] = dist, tuple(l for l in ls if dist[l] < epsilons[l])
-        for l in entry[1]:
-            visits[l].append(n)
-        if n == next_placed:
-            if scheduled in worst:
-                worst[scheduled] = max(worst[scheduled], entry[0][scheduled])
-            next_placed, scheduled = next(placed, (None, None))
+
+    def sweep(start, stop):
+        """The key loop over n in range(start, stop)."""
+        nonlocal max_err
+        # placements advanced only when n reaches them
+        placed = islice(zip(p.placed_ns, p.placed_ls), bisect_left(p.placed_ns, start), None)
+        next_placed, scheduled = next(placed, (None, None))
+        for n, key in enumerate(orbit_windows(p, start, stop), start):
+            entry = seen.get(key)
+            if entry is None:
+                vec, err = orbit_eval(p, n)
+                max_err = max(max_err, err)
+                dist = {l: distance(vec, targets[l]) + err for l in ls}
+                entry = seen[key] = dist, tuple(l for l in ls if dist[l] < epsilons[l])
+            for l in entry[1]:
+                visits[l].append(n)
+            if n == next_placed:
+                if scheduled in worst:
+                    worst[scheduled] = max(worst[scheduled], entry[0][scheduled])
+                next_placed, scheduled = next(placed, (None, None))
+
+    P = p.period
+    head, hi = p.forward_window + P + 1, min(N, p.horizon - p.backward_window)
+    if head <= hi:
+        sweep(1, head)
+        for l in ls:
+            last = visits[l][bisect_left(visits[l], head - P):]
+            visits[l] += tile([n + P for n in last], P, hi)
+        sweep(hi + 1, N + 1)
+    else:
+        sweep(1, N + 1)
     reports = []
     for l in ls:
         bound = proximity_bound(l)

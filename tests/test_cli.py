@@ -420,6 +420,35 @@ class TestFailureModes:
         assert main(["run", "--config", cfg]) == 2
         assert "radius_factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid_step, message", [
+        ("1e-9", "bad grid_step = 1e-09: 1e+10 cells, more than 1000000"),
+        ("1e-320", "bad grid_step = 1e-320: inf cells, more than 1000000"),
+    ])
+    def test_grid_too_fine_to_sweep_exits_two_before_any_work(
+            self, tmp_path, monkeypatch, capsys, grid_step, message):
+        # such a grid streams its cells without end; the counter ends a sweep early
+        calls = []
+
+        def counted(u, v):
+            calls.append(1)
+            if len(calls) > 1000:
+                raise AssertionError("swept a grid finer than the cell cap")
+            return spaces.distance(u, v)
+
+        monkeypatch.setattr(verifier, "distance", counted)
+        monkeypatch.delenv("FHCLAB_OUTPUT_DIR", raising=False)
+        body = CONTINUOUS_RUN.format(out=tmp_path).replace("0.1", grid_step)
+        assert main(["run", "--config", write_cfg(tmp_path, body)]) == 2
+        assert message in capsys.readouterr().err and not calls
+
+    @pytest.mark.parametrize("cap, code", [(100, 0), (99, 2)])
+    def test_cell_cap_counts_the_cells_of_the_sweep(self, tmp_path, monkeypatch, cap, code):
+        # horizon 10 at grid 0.1 sweeps exactly 100 cells
+        monkeypatch.setattr(cli, "_CELL_CAP", cap)
+        monkeypatch.delenv("FHCLAB_OUTPUT_DIR", raising=False)
+        cfg = write_cfg(tmp_path, CONTINUOUS_RUN.format(out=tmp_path))
+        assert main(["run", "--config", cfg]) == code
+
     def test_certification_failure_is_named(self, capsys):
         # no configuration value is at fault: B^200 1 underflows to zero
         assert main(["certify", "--op", "differentiation", "--power", "200", "--L", "1"]) == 2

@@ -122,6 +122,81 @@ def test_placed_is_every_member_in_ascending_order(pairs, horizon):
     assert rows == [["n", "l", "nu"]] + [[str(n), str(k.l), str(k.nu)] for n, k in placed]
 
 
+def walked_members(pairs, key, horizon):
+    """Oracle: A(key) in [1, horizon] as the schedule first found it, walking every
+    block from block 1 (block t to rank v2(t), a length-1 filler past the last rank)."""
+    ranked = sorted(pairs, key=lambda p: (p.l + p.nu, p.l))
+    out, start, t = [], 1, 1
+    while start <= horizon:
+        rank = 0 if len(ranked) == 1 else (t & -t).bit_length() - 1
+        if rank < len(ranked):
+            if ranked[rank] == key:
+                out += [n for n in (start + key.nu, start + 3 * key.nu) if n <= horizon]
+            start += 4 * ranked[rank].nu
+        else:
+            start += 1
+        t += 1
+    return out
+
+
+def former_analytic_density(pairs, key):
+    """Oracle: the long-run density as first written, from rank frequencies 2^-(j+1)
+    and the mean block length, fillers included."""
+    ranked = sorted(pairs, key=lambda p: (p.l + p.nu, p.l))
+    lengths = [4 * p.nu for p in ranked]
+    if len(lengths) == 1:
+        return 2.0 / lengths[0]
+    freq = [2.0 ** -(i + 1) for i in range(len(lengths))]
+    avg_len = sum(f * L for f, L in zip(freq, lengths)) + 2.0 ** -len(lengths)
+    return 2.0 * freq[ranked.index(key)] / avg_len
+
+
+# R = 1 to 6 ranks, each as likely: a single pair (period 4 nu) is its own layout
+schedules = st.integers(1, 6).flatmap(lambda R: st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 9)), min_size=R, max_size=R, unique=True)).map(
+    lambda pairs: [PairKey(l, nu) for l, nu in pairs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules, st.sampled_from(["below", "at", "above", "turns"]), st.data())
+def test_tiled_sets_equal_the_block_walk(keys, where, data):
+    sched = build_schedule(keys)
+    P = sched.period
+    horizon = {"below": data.draw(st.integers(1, P - 1)), "at": P,
+               "above": P + data.draw(st.integers(1, P)),
+               "turns": data.draw(st.integers(2, 4)) * P + data.draw(st.integers(0, P - 1))
+               }[where]
+    walked = {key: walked_members(keys, key, horizon) for key in keys}
+    for key in keys:
+        assert sched.members(key, horizon) == walked[key]
+    placed = sorted((n, key) for key in keys for n in walked[key])
+    assert sched.placed(horizon) == placed
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "partition.csv")
+        sched.export_csv(path, horizon)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert rows == [["n", "l", "nu"]] + [[str(n), str(k.l), str(k.nu)] for n, k in placed]
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules)
+def test_every_set_repeats_with_the_period(keys):
+    sched = build_schedule(keys)
+    P = sched.period
+    # one turn of the block pattern: 2^R blocks (R > 1), or one block (R = 1)
+    turn = 1 if len(keys) == 1 else 2 ** len(keys)
+    starts = [1]
+    for t in range(1, turn + 1):
+        rank = 0 if len(keys) == 1 else (t & -t).bit_length() - 1
+        starts.append(starts[-1] + (4 * sched.ranked[rank].nu if rank < len(keys) else 1))
+    assert starts[-1] - 1 == P
+    for key in keys:
+        members = set(walked_members(keys, key, 3 * P))
+        assert all((j in members) == (j + P in members) for j in range(1, 2 * P + 1))
+        assert repr(sched.analytic_density(key)) == repr(former_analytic_density(keys, key))
+
+
 def test_csv_export_schema(tmp_path):
     sched = build_schedule([PairKey(1, 2)])
     path = tmp_path / "partition.csv"

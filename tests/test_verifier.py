@@ -1,5 +1,6 @@
 """Visit statistics, density floors, report schema, continuous measure."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -11,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from fhclab import constructor, regularized_semigroup, verifier
 from fhclab.cli import build_placements, load_config
@@ -286,6 +287,9 @@ def continuous_sweeps(draw):
 OPERATORS = {
     "shift-l1": WeightedBackwardShift(2, SequenceSpace("lp", 1.0)),
     "shift-l2": WeightedBackwardShift(2),
+    # N_1 = 1: a single pair's period 4 ends on a placement, so the tiling must not
+    # start before n - period - forward_window >= 1
+    "shift-w4": WeightedBackwardShift(4),
     "shift-c0": WeightedBackwardShift(2, C0_SEQ),
     "hardy": Differentiation(HARDY),
     "ck1": Differentiation(CkModel(1)),
@@ -313,13 +317,93 @@ def sweeps(draw):
     return p, eps, N
 
 
+def tiled_span(p, N):
+    """(head, hi): ``discrete_report`` tiles the n in [head, hi] when head <= hi."""
+    return p.forward_window + p.period + 1, min(N, p.horizon - p.backward_window)
+
+
+def count_keys(monkeypatch):
+    """Counts, per ``orbit_windows`` call of the verifier, the keys it yields."""
+    counted = []
+
+    def counting(p, start, stop):
+        counted.append(0)
+        for key in orbit_windows(p, start, stop):
+            counted[-1] += 1
+            yield key
+
+    monkeypatch.setattr(verifier, "orbit_windows", counting)
+    return counted
+
+
+@st.composite
+def tiled_sweeps(draw):
+    """(placement, epsilons, N) where the sweep tiles a middle: a horizon at least
+    head + period + backward window, and N anywhere from head to the horizon."""
+    family = draw(st.sampled_from(sorted(OPERATORS)))
+    L = draw(st.integers(1, 2))
+    twist, power = draw(st.sampled_from([1, -1])), draw(st.integers(1, 2))
+    q = placement(family, twist, power, L, 160)  # period and windows are the horizon's too
+    head = q.forward_window + q.period + 1
+    least = head + q.period + q.backward_window
+    p = placement(family, twist, power, L, draw(st.integers(least, least + 2 * q.period)))
+    ls = draw(st.lists(st.integers(1, L), min_size=1, max_size=L, unique=True))
+    eps = {l: draw(st.sampled_from([1.2 * proximity_bound(l), proximity_bound(l) / 8]))
+           for l in ls}
+    N = draw(st.integers(head, p.horizon) | st.just(p.horizon))
+    return p, eps, N
+
+
 class TestWindowSweep:
     @settings(max_examples=60, deadline=None)
     @given(sweeps())
     def test_equals_the_per_n_sweep(self, case):
         p, eps, N = case
+        head, hi = tiled_span(p, N)
+        event("tiled" if head <= hi else "one key loop")
         got, want = discrete_report(p, eps, N), per_n_report(p, eps, N)
         assert [repr(r) for r in got] == [repr(r) for r in want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(tiled_sweeps())
+    def test_tiled_middle_equals_the_per_n_sweep(self, case):
+        p, eps, N = case
+        head, hi = tiled_span(p, N)
+        assert head <= hi
+        got, want = discrete_report(p, eps, N), per_n_report(p, eps, N)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+
+    def test_tiled_middle_and_the_shrinking_tail(self):
+        p = placement("shift-l2", 1, 1, 2, 160)
+        head, hi = tiled_span(p, p.horizon)
+        assert head + p.period <= hi < p.horizon  # windows shrink past hi
+        eps = {1: 1.2 * proximity_bound(1), 2: proximity_bound(2) / 8}
+        got, want = discrete_report(p, eps, p.horizon), per_n_report(p, eps, p.horizon)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+
+    def test_period_past_the_horizon_sweeps_every_n(self, monkeypatch):
+        p = shift_placement(L=5, horizon=200)
+        assert p.period > p.horizon
+        counted = count_keys(monkeypatch)
+        eps = {l: 1.2 * proximity_bound(l) for l in range(1, 6)}
+        got, want = discrete_report(p, eps, 150), per_n_report(p, eps, 150)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+        assert counted == [150]
+
+    def test_bench_sized_sweep_reads_one_period_of_keys(self, monkeypatch):
+        cfg = load_config(REPO_CONFIG)
+        cfg["run"]["horizon"] = N = 40_000
+        p = build_placements(cfg)
+        eps = {l: cfg["run"]["radius_factor"] * proximity_bound(l) for l in range(1, 6)}
+        counted = count_keys(monkeypatch)
+        got = discrete_report(p, eps, N)
+        head, hi = tiled_span(p, N)
+        assert head <= hi and sum(counted) == p.forward_window + p.period + (N - hi) < N / 50
+        # the same sweep with a period past the horizon runs the key loop over every n
+        counted.clear()
+        untiled = discrete_report(dataclasses.replace(p, period=2 * p.horizon), eps, N)
+        assert counted == [N]
+        assert [repr(r) for r in got] == [repr(r) for r in untiled]
 
     def test_near_the_horizon_windows_shrink(self):
         p = placement("shift-l2", 1, 1, 3, 100)
