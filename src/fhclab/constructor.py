@@ -1,9 +1,11 @@
 """Assembly of the frequently hypercyclic vector and stable orbit evaluation.
 
 The vector is x = sum_n B^n z_n where z_n = y_l exactly when n lands in the
-scheduled set A(l, N_l); the placement stores n -> l once, as the schedule's
-``placed`` sequence split into ``placed_ns`` and ``placed_ls``, and readers
-take l at the index they hold.  The n-th orbit point is never computed by
+scheduled set A(l, N_l); the placement stores n -> l once, as ``placed_ns``
+and ``placed_ls``, and readers take l at the index they hold.  The schedule
+repeats with its period P, so these tuples and ``placed_gaps`` are one
+period of the schedule's ``placed`` sequence, tiled and repeated up to the
+horizon.  The n-th orbit point is never computed by
 iterating the operator on a truncated float vector; instead it is rebuilt
 term by term from the cancellation identities A^n B^j = B^(j-n) (j >= n) and
 A^(n-j) (j < n) on dense elements, which is numerically stable because
@@ -31,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .criterion import TailCertificate, tail_norm
-from .density_partition import PairKey, build_schedule
+from .density_partition import PairKey, build_schedule, tile
 from .operators import apply_forward, apply_inverse, forward_extinction_index
 from .spaces import accumulate, linear_combine
 
@@ -76,8 +78,17 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     if horizon < max_n:
         raise ValueError(f"horizon {horizon} is below the largest threshold {max_n}")
     schedule = build_schedule(pairs)
-    placed = schedule.placed(horizon)
-    ns, ls = tuple(n for n, _ in placed), tuple(key.l for _, key in placed)
+    P = schedule.period
+    # one period of placements, tiled: every copy but the last is whole and the
+    # last is cut at the horizon, so ls and gaps are the period's, repeated and cut
+    placed = schedule.placed(min(horizon, P))
+    base = [n for n, _ in placed]
+    ns, ls, gaps = tuple(tile(base, P, horizon)), (), ()
+    if placed:
+        copies = -(-len(ns) // len(base))
+        ls = (tuple(key.l for _, key in placed) * copies)[:len(ns)]
+        wrapped = base + [base[0] + P]  # the gap that wraps leads to the next copy
+        gaps = (tuple(b - a for a, b in zip(wrapped, wrapped[1:])) * copies)[:len(ns) - 1]
 
     cert = tc.cert
     fwd_window = max(
@@ -90,8 +101,7 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
                      for l, y in targets.items()}
     inverse_terms = {l: tuple(apply_inverse(cert, y, k) for k in range(bwd_window + 1))
                      for l, y in targets.items()}
-    gaps = tuple(b - a for a, b in zip(ns, ns[1:]))
-    return FhcPlacement(tc, horizon, ns, ls, gaps, schedule.period, fwd_window, bwd_window,
+    return FhcPlacement(tc, horizon, ns, ls, gaps, P, fwd_window, bwd_window,
                         bwd_tail, forward_terms, inverse_terms)
 
 

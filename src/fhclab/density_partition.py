@@ -84,8 +84,14 @@ class PartitionSchedule:
                      for n in (start + nu, start + 3 * nu) if n <= stop], self.period, horizon)
 
     def density_floor(self, key, horizon: int) -> float:
-        """running_density_floor of A(key) up to horizon."""
-        return running_density_floor(self.members(key, horizon), horizon)
+        """running_density_floor of A(key) up to horizon.
+
+        ``members`` tiles the elements in [1, P]: the c of them are followed
+        by their copies shifted by P, so the declared range is the whole list.
+        """
+        members = self.members(key, horizon)
+        c = bisect_right(members, self.period) or 1  # an empty list declares nothing
+        return running_density_floor(members, horizon, (0, len(members), c, self.period))
 
     def analytic_density(self, key) -> float:
         """Long-run density of A(key): 2^(R - rank) elements per period (2 per
@@ -120,19 +126,47 @@ def tile(base, period: int, stop: int):
             + [n + last for n in base if n + last <= stop])
 
 
-def running_density_floor(members, stop: int) -> float:
+def running_density_floor(members, stop: int, tiled=None) -> float:
     """min over n in [max(1, floor(stop/10)), stop] of |members ∩ [1, n]| / n.
 
-    members ascending.  The one density window, shared by the schedule and
-    the verifier.
+    members ascending ints.  The one density window, shared by the schedule
+    and the verifier.
+
+    Between members the count is flat and count(n)/n falls, so the minimum
+    sits at stop or at m - 1 for a member m in (start, stop], with
+    start = max(1, floor(stop/10)), where the count is m's index.  So the
+    candidates are last / stop and i / (members[i] - 1) for first <= i < last,
+    the indices of the members in the window (a repeated m only adds larger
+    candidates).  Without ``tiled`` every candidate is read.
+
+    ``tiled = (a, b, c, P)`` declares that members[i + c] == members[i] + P
+    for a <= i < b - c, as for a list that ``tile`` filled on [a, b) with c
+    elements per copy.  Let lo = max(first, a) and hi = min(last, b).  Every
+    i in [lo, hi) lies on a chain i0, i0 + c, i0 + 2c, ... in [lo, hi) whose
+    first element is in [lo, lo + c) and whose last is in [hi - c, hi).  Along
+    the chain, with M = members[i0] - 1 >= 1 (members[i0] > start >= 1), the
+    k-th candidate is (i0 + kc) / (M + kP).  As a function of a real k it has
+    the derivative (cM - P i0) / (M + kP)^2, of one sign, so it is monotone,
+    and int / int is correctly rounded, which keeps it monotone.  Each chain
+    is thus smallest at one of its ends, and only the indices in
+    [first, lo + c) and [hi - c, last) are read: O(c) and the indices outside
+    the range, at any stop.  The declaration is checked in O(1): its bounds,
+    and the relation at both ends of the range.
     """
     if stop < 1:
         raise ValueError("empty density window")
-    # between members the count is flat and count(n)/n falls, so the minimum
-    # sits at stop or at m - 1 for a member m in (start, stop], where the
-    # count is m's index (a repeated m only adds larger candidates)
     first, last = bisect_right(members, max(1, stop // 10)), bisect_right(members, stop)
-    return min([last / stop] + [i / (members[i] - 1) for i in range(first, last)])
+    spans = [(first, last)]
+    if tiled is not None:
+        a, b, c, P = tiled
+        if not (0 <= a <= b <= len(members) and c >= 1):
+            raise ValueError(f"tiled range {tiled} does not fit {len(members)} members")
+        if any(members[i + c] - members[i] != P for i in ((a, b - 1 - c) if b - a > c else ())):
+            raise ValueError(f"members do not repeat with period {P} on the tiled range {tiled}")
+        lo, hi = max(first, a), min(last, b)
+        if lo + c < hi - c:
+            spans = [(first, lo + c), (hi - c, last)]
+    return min([last / stop] + [i / (members[i] - 1) for s, e in spans for i in range(s, e)])
 
 
 def build_schedule(pairs) -> PartitionSchedule:

@@ -3,7 +3,9 @@
 The lower density (a liminf) is replaced by a windowed running minimum of
 count(n)/n over the window [max(1, floor(N/10)), N] of
 ``density_partition.running_density_floor``; this lower-bounds every finite
-prefix of the evidence and is reported next to N so scaling is visible.
+prefix of the evidence and is reported next to N so scaling is visible.  The
+discrete sweep declares the stretch of each visit list that it tiled with
+the schedule's period, so the floor reads one period at each end of it.
 Continuous visit sets are measured on a grid with a rigorous Lipschitz
 modulus, yielding inner and outer estimates, in one time-ordered pass over
 the integer checks and the grid cells.
@@ -65,9 +67,13 @@ class OrbitReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def density_proxy(visits, N: int) -> float:
-    """running_density_floor of the visits up to N."""
-    return running_density_floor(sorted(visits), N)
+def density_proxy(visits, N: int, tiled=None) -> float:
+    """running_density_floor of the visits up to N.
+
+    Visits that come with a ``tiled`` declaration are ascending already and
+    are read in place; others are sorted first.
+    """
+    return running_density_floor(sorted(visits) if tiled is None else visits, N, tiled)
 
 
 def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
@@ -104,6 +110,12 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     placed n there has the target and the key of the placed n - P, so the
     largest error and the worst scheduled distances are already final.  When
     head > hi the key loop runs over all of [1, N].
+
+    The visit lists come out ascending.  Each tiled list declares its tiled
+    range to the density floor: from index a, the first visit of the head's
+    last period, to b, the end of the tiled middle, each visit recurs c
+    places later shifted by P, with c the visit count of that period.  The
+    floor then reads O(c) visits plus those before a and past b.
     """
     if N > p.horizon:
         raise ValueError("N must not exceed the placement horizon")
@@ -111,6 +123,7 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     targets = {l: p.cert.target(l) for l in ls}
     visits = {l: [] for l in ls}
     worst = dict.fromkeys(ls, 0.0)
+    tiled = dict.fromkeys(ls)  # l -> (a, b, c, P) of its tiled visits
     max_err = 0.0
     seen = {}  # window key -> ({l: distance(orbit point, y_l) + err}, visited targets)
 
@@ -139,8 +152,11 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     if head <= hi:
         sweep(1, head)
         for l in ls:
-            last = visits[l][bisect_left(visits[l], head - P):]
+            a = bisect_left(visits[l], head - P)
+            last = visits[l][a:]
             visits[l] += tile([n + P for n in last], P, hi)
+            if last:
+                tiled[l] = a, len(visits[l]), len(last), P
         sweep(hi + 1, N + 1)
     else:
         sweep(1, N + 1)
@@ -152,7 +168,7 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
             epsilon=epsilons[l],
             horizon=N,
             visit_times=visits[l],
-            density_floor=density_proxy(visits[l], N),
+            density_floor=density_proxy(visits[l], N, tiled[l]),
             covering_set_check=worst[l] < epsilons[l],
             proof_bound=bound,
             certified_error=max_err,

@@ -1,8 +1,10 @@
 """Placement of targets on scheduled times and orbit evaluation."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fhclab import constructor
 from fhclab.constructor import (
@@ -15,6 +17,7 @@ from fhclab.constructor import (
 from fhclab.criterion import compute_thresholds
 from fhclab.density_partition import PairKey, build_schedule
 from fhclab.operators import (
+    Differentiation,
     TranslationGenerator,
     WeightedBackwardShift,
     apply_forward,
@@ -23,7 +26,7 @@ from fhclab.operators import (
     transform_power,
     transform_rotation,
 )
-from fhclab.spaces import accumulate, distance
+from fhclab.spaces import HARDY, CkModel, accumulate, distance
 from fhclab.verifier import discrete_report
 
 
@@ -88,6 +91,42 @@ class TestAssignment:
         tc = compute_thresholds(cert)
         with pytest.raises(ValueError):
             assign_placements(tc, horizon=2)
+
+
+OPERATORS = {
+    "shift-w2": WeightedBackwardShift(2),
+    "shift-w4": WeightedBackwardShift(4),
+    "hardy": Differentiation(HARDY),
+    "ck1": Differentiation(CkModel(1)),
+    "translation": TranslationGenerator(1),
+}
+
+
+@functools.cache
+def thresholds(family, L):
+    return compute_thresholds(make_certificate(OPERATORS[family], L))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(OPERATORS)), st.integers(1, 3), st.data())
+def test_placement_tuples_are_the_split_of_placed(family, L, data):
+    tc = thresholds(family, L)
+    sched = build_schedule([PairKey(l, N) for l, N in tc.pairs()])
+    P = sched.period
+    # the largest threshold, the least horizon, lies below the first placement when L = 1
+    for horizon in (max(N for _, N in tc.pairs()), P - 1, P, P + 1,
+                    data.draw(st.integers(2, 6)) * P + data.draw(st.integers(0, P - 1))):
+        p = assign_placements(tc, horizon)
+        placed = sched.placed(horizon)
+        ns = tuple(n for n, _ in placed)
+        assert p.placed_ns == ns
+        assert p.placed_ls == tuple(key.l for _, key in placed)
+        assert p.placed_gaps == tuple(b - a for a, b in zip(ns, ns[1:]))
+
+
+def test_a_horizon_below_the_first_placement_places_nothing():
+    p = shift_placement(L=1, horizon=2)  # N_1 = 2, first placement 3
+    assert p.placed_ns == p.placed_ls == p.placed_gaps == ()
 
 
 class TestMaterialize:

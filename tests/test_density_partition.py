@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fhclab.density_partition import PairKey, build_schedule, running_density_floor
+from fhclab.density_partition import PairKey, build_schedule, running_density_floor, tile
 
 
 class TestSinglePair:
@@ -219,3 +219,65 @@ def test_density_floor_matches_numpy_oracle(members, stop):
     # repeated members and members outside the window included
     members = sorted(members)
     assert repr(running_density_floor(members, stop)) == repr(numpy_density_floor(members, stop))
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules, st.sampled_from(["below", "at", "above", "turns"]), st.data())
+def test_declared_floor_equals_the_full_scan(keys, where, data):
+    sched = build_schedule(keys)
+    P = sched.period
+    horizon = {"below": data.draw(st.integers(1, P - 1)), "at": P,
+               "above": P + data.draw(st.integers(1, P)),
+               "turns": data.draw(st.integers(2, 40)) * P + data.draw(st.integers(0, P - 1))
+               }[where]
+    for key in keys:
+        full = running_density_floor(sched.members(key, horizon), horizon)
+        assert sched.density_floor(key, horizon).hex() == full.hex()
+
+
+@st.composite
+def tiled_lists(draw):
+    """(members, (a, b, c, P), stop): an ascending head, ``tile(base, P, hi)``, and an
+    ascending tail past hi, with stop // 10 before, inside or after the tiled range,
+    or stop inside its last copy."""
+    head = sorted(draw(st.sets(st.integers(1, 60), max_size=12)))
+    P = draw(st.integers(1, 40))
+    start = (head[-1] if head else 0) + draw(st.integers(1, 5))
+    base = sorted(draw(st.sets(st.integers(start, start + P - 1), min_size=1, max_size=8)))
+    hi = base[-1] + draw(st.integers(0, 60)) * P + draw(st.integers(0, P - 1))
+    tail = sorted(draw(st.sets(st.integers(hi + 1, hi + 200), max_size=12)))
+    middle = tile(base, P, hi)
+    members = head + middle + tail
+    a, b, c = len(head), len(head) + len(middle), len(base)
+    lo_n, hi_n = members[a], members[b - 1]
+    where = draw(st.sampled_from(["before", "inside", "after", "last copy"]))
+    stop = {"before": st.integers(1, 10 * lo_n - 1),
+            "inside": st.integers(10 * lo_n, max(10 * lo_n, 10 * hi_n - 1)),
+            "after": st.integers(10 * hi_n, 10 * hi_n + 3000),
+            "last copy": st.integers(members[a + (b - a - 1) // c * c], hi)}[where]
+    return members, (a, b, c, P), draw(stop)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tiled_lists())
+def test_declared_floor_of_a_tiled_list_equals_the_full_scan(case):
+    members, tiled, stop = case
+    full = running_density_floor(members, stop)
+    assert running_density_floor(members, stop, tiled).hex() == full.hex()
+
+
+class TestTiledDeclaration:
+    members = [1, 2] + tile([5, 7], 10, 40) + [41, 50]  # [5, 7, 15, ..., 37] at 2..9
+
+    @pytest.mark.parametrize("tiled", [
+        (-1, 10, 2, 10), (3, 2, 2, 10), (2, 13, 2, 10), (2, 10, 0, 10),  # bounds
+        (2, 10, 2, 9), (1, 10, 2, 10), (2, 11, 2, 10), (2, 10, 3, 10),  # relation
+    ])
+    def test_a_wrong_declaration_raises(self, tiled):
+        with pytest.raises(ValueError):
+            running_density_floor(self.members, 50, tiled)
+
+    def test_the_right_declaration_reads_as_the_full_scan(self):
+        for stop in range(1, 60):
+            assert (running_density_floor(self.members, stop, (2, 10, 2, 10)).hex()
+                    == running_density_floor(self.members, stop).hex())

@@ -25,7 +25,7 @@ from fhclab.constructor import (
     window_pairs,
 )
 from fhclab.criterion import compute_thresholds
-from fhclab.density_partition import PairKey, build_schedule
+from fhclab.density_partition import PairKey, build_schedule, tile
 from fhclab.operators import (
     Differentiation,
     TranslationGenerator,
@@ -73,6 +73,56 @@ class TestDensityProxy:
         # all visits late: the early part of the window drags the floor down
         visits = list(range(500, 1001))
         assert density_proxy(visits, 1000) == 0.0
+
+
+    def test_a_declared_list_is_read_in_place(self):
+        # no sorted copy: the floor reads the two copies at the window's ends
+        visits = ReadCounter(tile([3, 5], 10, 10_000))
+        floor = density_proxy(visits, 10_000, (0, len(visits), 2, 10))
+        assert visits.reads < 50
+        assert floor.hex() == density_proxy(list(visits), 10_000).hex()
+
+    def test_bench_sized_floors_read_one_period(self, monkeypatch):
+        cfg = load_config(REPO_CONFIG)
+        cfg["run"]["horizon"] = N = 40_000
+        p = build_placements(cfg)
+        eps = {l: cfg["run"]["radius_factor"] * proximity_bound(l) for l in range(1, 6)}
+        real, lists = verifier.density_proxy, []
+
+        def counted(visits, *args):
+            lists.append(ReadCounter(visits))
+            return real(lists[-1], *args)
+
+        monkeypatch.setattr(verifier, "density_proxy", counted)
+        reports = discrete_report(p, eps, N)
+        head, hi = tiled_span(p, N)
+        assert head <= hi and len(lists) == len(reports) == 5
+        for rep, visits in zip(reports, lists):
+            v = rep.visit_times
+            a, b = bisect_left(v, head - p.period), bisect_right(v, hi)
+            c = bisect_left(v, head) - a  # the head's last period, which the middle repeats
+            # two bisections and the spot checks at both ends of the range add the rest
+            assert visits.reads <= 2 * c + a + (len(v) - b) + 2 * len(v).bit_length() + 4
+            assert rep.density_floor.hex() == density_proxy(list(v), N).hex()
+        assert sum(map(len, lists)) > 75_000 > 10 * sum(r.reads for r in lists)
+
+
+class ReadCounter(list):
+    """A list that counts the elements read from it, by index, slice or iteration."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+    def __iter__(self):
+        for x in super().__iter__():
+            self.reads += 1
+            yield x
 
 
 class TestDiscreteVisits:
