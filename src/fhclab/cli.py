@@ -78,6 +78,7 @@ def _one_of(*names: str):
 
 
 _COUNT = _checked(int, lambda n: n >= 1, "must be >= 1")
+_LP_EXPONENT = _checked(float, lambda p: p != math.inf, "l_p requires p < inf: c0 is space = c0")
 
 # The whole config schema: section -> key -> (default text, parser that also
 # checks the value).  [operator] values stay text for build_operator, which
@@ -132,7 +133,8 @@ def _scalar(text: str, exact: bool):
 
 
 # kind -> the spaces it takes, its default first -> the keys its operator
-# reads, with their defaults; translation takes no space
+# reads, with their defaults; translation takes no space.  The one place
+# operator parameters get defaults: the operator classes take every value.
 _OPERATORS = {
     "shift": {"lp": {"w": "2", "p": "2"}, "c0": {"w": "2"}},
     "differentiation": {"hardy": {}, "ck": {"k": "3", "a": "0", "b": "1"}},
@@ -160,7 +162,7 @@ def build_operator(sec: dict, exact: bool):
     sec = {**spaces[space], **{key: text for key, text in sec.items() if text is not None}}
     if kind == "shift":
         space = C0_SEQ if space == "c0" else _parsed(
-            "p", sec["p"], lambda t: SequenceSpace("lp", float(t)))
+            "p", sec["p"], lambda t: SequenceSpace(_LP_EXPONENT(t)))
         return _parsed("w", sec["w"], lambda t: WeightedBackwardShift(_scalar(t, exact), space))
     if kind == "differentiation":
         if space != "ck":

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .spaces import (
@@ -53,7 +53,7 @@ from .spaces import (
 @dataclass(frozen=True)
 class WeightedBackwardShift:
     w: object  # real/complex scalar with |w| > 1 (Fraction allowed)
-    space: SequenceSpace = field(default_factory=lambda: SequenceSpace("lp", 2.0))
+    space: SequenceSpace
 
     def __post_init__(self):
         if abs(self.w) <= 1:
@@ -99,7 +99,7 @@ class Differentiation:
     computed norms exceed it (ROADMAP item 2, defect 1).
     """
 
-    space: object = field(default_factory=HardyModel)  # HardyModel or CkModel
+    space: object  # HardyModel or CkModel
 
     def forward(self, v: PolySeries, m: int) -> PolySeries:
         return PolySeries(v.derivative_coeffs(m), v.model)
@@ -147,7 +147,7 @@ class Differentiation:
 
 @dataclass(frozen=True)
 class TranslationGenerator:
-    lam: object = 1  # growth rate lambda > 0; keep it an int/Fraction for exactness
+    lam: object  # growth rate lambda > 0; keep it an int/Fraction for exactness
     space = C0_PLUS  # class attribute, not a dataclass field
 
     def __post_init__(self):
@@ -256,15 +256,11 @@ def forward_extinction_index(cert: OperatorCertificate, v) -> int:
 
 def transform_power(cert: OperatorCertificate, r: int) -> OperatorCertificate:
     """Certificate for the r-th power: forward (A^r)^n, inverse (B^r)^n."""
-    if r < 1:
-        raise ValueError("power must be >= 1")
     return replace(cert, power=cert.power * r)
 
 
 def transform_rotation(cert: OperatorCertificate, lam) -> OperatorCertificate:
     """Certificate for the rotated operator lam*A, |lam| = 1."""
-    if abs(abs(lam) - 1) > 1e-12:
-        raise ValueError(f"rotation scalar must have |lam| = 1, got {lam}")
     return replace(cert, scalar_twist=cert.scalar_twist * lam)
 
 

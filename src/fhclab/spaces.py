@@ -31,22 +31,17 @@ from itertools import chain, combinations, islice
 
 @dataclass(frozen=True)
 class SequenceSpace:
-    """l_p for 1 <= p < inf (kind="lp") or c0 (kind="c0"), whose norm has p = inf."""
+    """l_p for 1 <= p < inf, or c0 at p = inf: the exponent of its norm."""
 
-    kind: str = "lp"
-    p: float = 2.0
+    p: float
 
     def __post_init__(self):
-        if self.kind not in ("lp", "c0"):
-            raise ValueError(f"unknown sequence space kind {self.kind!r}")
-        if self.kind == "c0":
-            object.__setattr__(self, "p", math.inf)
-        elif not 1.0 <= self.p < math.inf:
-            raise ValueError(f"l_p requires 1 <= p < inf, got p={self.p}")
+        if not 1.0 <= self.p <= math.inf:
+            raise ValueError(f"a sequence space requires 1 <= p <= inf, got p={self.p}")
 
 
-L2 = SequenceSpace("lp", 2.0)
-C0_SEQ = SequenceSpace("c0")
+L2 = SequenceSpace(2.0)
+C0_SEQ = SequenceSpace(math.inf)
 
 
 @dataclass(frozen=True)
@@ -69,8 +64,8 @@ class CkModel:
     """
 
     k: int
-    a: float = 0.0
-    b: float = 1.0
+    a: float
+    b: float
 
     def __post_init__(self):
         if self.k < 0:
@@ -182,7 +177,7 @@ class SparseVector:
 
     def __repr__(self):
         items = ", ".join(f"{k}: {c}" for k, c in sorted(self.entries.items()))
-        return f"SparseVector({{{items}}}, {self.space.kind})"
+        return f"SparseVector({{{items}}}, {'c0' if self.space.p == math.inf else 'lp'})"
 
 
 # --------------------------------------------------------------------------

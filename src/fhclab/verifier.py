@@ -68,12 +68,12 @@ class OrbitReport:
 
 
 def density_proxy(visits, N: int, tiled=None) -> float:
-    """running_density_floor of the visits up to N.
+    """running_density_floor of the visits up to N, under its ``tiled`` declaration.
 
-    Visits that come with a ``tiled`` declaration are ascending already and
-    are read in place; others are sorted first.
+    ``visits`` must be ascending, as ``discrete_report`` builds every list;
+    they are read in place.
     """
-    return running_density_floor(sorted(visits) if tiled is None else visits, N, tiled)
+    return running_density_floor(visits, N, tiled)
 
 
 def discrete_report(p: FhcPlacement, epsilons: dict, N: int):

@@ -77,7 +77,7 @@ def announce(capsys, num: int, ok: bool, detail: str, elapsed=None):
 
 @pytest.fixture(scope="module")
 def shift_tc():
-    cert = make_certificate(WeightedBackwardShift(2), 5)
+    cert = make_certificate(WeightedBackwardShift(2, L2), 5)
     return compute_thresholds(cert)
 
 
@@ -133,7 +133,7 @@ def test_acceptance_1_schedule_laws_exhaustive(shift_tc, capsys):
 
 def test_acceptance_2_threshold_exactness(capsys):
     """N_1 = 2 for the w=2 shift; tails straddle 0.5, oracle tolerance 1e-6."""
-    cert = make_certificate(WeightedBackwardShift(2), 1)
+    cert = make_certificate(WeightedBackwardShift(2, L2), 1)
     tc = compute_thresholds(cert)
     y = cert.target(1)
     t1 = tail_norm(cert, y, 1, "inverse")
@@ -283,7 +283,7 @@ def test_acceptance_7_continuous_bridge(capsys):
 def test_acceptance_8_unconditional_probes(capsys):
     """10^3 random sub-sums beyond each N_l stay under the certified tail."""
     builtins = [
-        make_certificate(WeightedBackwardShift(2), 3),
+        make_certificate(WeightedBackwardShift(2, L2), 3),
         make_certificate(WeightedBackwardShift(2, C0_SEQ), 2),
         make_certificate(Differentiation(HARDY), 3),
         make_certificate(Differentiation(CkModel(3, 0.0, 1.0)), 1),
@@ -313,7 +313,7 @@ def test_acceptance_9_certificate_transforms(capsys):
 
     # criterion-2 analogue: thresholds against the rational oracle
     for r in (2, 3):
-        cert = transform_power(make_certificate(WeightedBackwardShift(2), 1), r)
+        cert = transform_power(make_certificate(WeightedBackwardShift(2, L2), 1), r)
         tc = compute_thresholds(cert)
         want = next(N for N in range(1, 50)
                     if rational_shift_tail(2, N, r=r) <= 0.5)
@@ -323,15 +323,15 @@ def test_acceptance_9_certificate_transforms(capsys):
                   - rational_shift_tail(2, 1, r=r)) <= 1e-9
         notes.append(f"power r={r}: N_1={tc.threshold(1)}")
     for lam in (1j, -1):
-        base = make_certificate(WeightedBackwardShift(2), 3)
+        base = make_certificate(WeightedBackwardShift(2, L2), 3)
         rot = transform_rotation(base, lam)
         ok &= compute_thresholds(rot).pairs() == compute_thresholds(base).pairs()
         notes.append(f"rotation {lam}: thresholds preserved")
 
     # criterion 3-4 analogues on transformed certificates
     for cert in (
-        transform_rotation(make_certificate(WeightedBackwardShift(2), 3), -1),
-        transform_power(make_certificate(WeightedBackwardShift(2), 3), 2),
+        transform_rotation(make_certificate(WeightedBackwardShift(2, L2), 3), -1),
+        transform_power(make_certificate(WeightedBackwardShift(2, L2), 3), 2),
     ):
         tc = compute_thresholds(cert)
         p = assign_placements(tc, horizon=4000)
@@ -348,7 +348,7 @@ def test_acceptance_9_certificate_transforms(capsys):
             ok &= right_inverse_identity_check(cert, cert.target(l)) == 0.0
 
     # double swap is the identity on random dense vectors
-    base = make_certificate(WeightedBackwardShift(Fraction(2)), 1, exact=True)
+    base = make_certificate(WeightedBackwardShift(Fraction(2), L2), 1, exact=True)
     twice = transform_inverse(transform_inverse(base))
     rng = random.Random(9)
     for _ in range(100):

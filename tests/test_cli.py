@@ -544,6 +544,7 @@ class TestFailureModes:
          "radius_factor"),
         (["run"], "[operator]\nkind = translation\n[run]\ntargets = 1\nhorizon = 10\n"
          "mode = continuous\ngrid_step = inf\n", "grid_step"),
+        (["certify", "--op", "shift", "--space", "lp", "--p", "inf"], None, "p"),
     ], ids=["w=1", "w=abc", "w=1e400", "lam=0", "ck-a>b", "rotate=2", "power=0", "L=0",
             "config-w=1/2", "config-p=abc", "config-horizon=abc", "config-w=2%",
             "config-w=1e400",
@@ -560,7 +561,8 @@ class TestFailureModes:
             "partition-horizon<0", "partition-horizon=0-csv", "translation-flags-w-p-k",
             "hardy-flag-k", "config-translation-w-p", "ck-b=inf", "config-ck-b=inf",
             "lam=1e400", "config-lam=1e400", "semigroup-lam=1e400", "semigroup-lam=1e300",
-            "ck-b=1e15", "ck-b=1e300", "config-radius_factor=inf", "config-grid_step=inf"])
+            "ck-b=1e15", "ck-b=1e300", "config-radius_factor=inf", "config-grid_step=inf",
+            "lp-p=inf"])
     def test_bad_operator_or_run_value_exits_two(self, tmp_path, capsys, argv, body, key):
         argv = [arg.format(out=tmp_path) for arg in argv]
         if body is not None:

@@ -26,12 +26,12 @@ from fhclab.operators import (
     transform_power,
     transform_rotation,
 )
-from fhclab.spaces import HARDY, CkModel, accumulate, distance
+from fhclab.spaces import HARDY, L2, CkModel, accumulate, distance
 from fhclab.verifier import discrete_report
 
 
 def shift_placement(L=1, horizon=200, w=2, exact=False):
-    cert = make_certificate(WeightedBackwardShift(w), L, exact=exact)
+    cert = make_certificate(WeightedBackwardShift(w, L2), L, exact=exact)
     return assign_placements(compute_thresholds(cert), horizon)
 
 
@@ -87,17 +87,17 @@ class TestAssignment:
             assert n >= tc.threshold(l)
 
     def test_horizon_below_thresholds_rejected(self):
-        cert = make_certificate(WeightedBackwardShift(2), 5)
+        cert = make_certificate(WeightedBackwardShift(2, L2), 5)
         tc = compute_thresholds(cert)
         with pytest.raises(ValueError):
             assign_placements(tc, horizon=2)
 
 
 OPERATORS = {
-    "shift-w2": WeightedBackwardShift(2),
-    "shift-w4": WeightedBackwardShift(4),
+    "shift-w2": WeightedBackwardShift(2, L2),
+    "shift-w4": WeightedBackwardShift(4, L2),
     "hardy": Differentiation(HARDY),
-    "ck1": Differentiation(CkModel(1)),
+    "ck1": Differentiation(CkModel(1, 0.0, 1.0)),
     "translation": TranslationGenerator(1),
 }
 
@@ -205,9 +205,9 @@ class TestOrbit:
 
 class TestTermTable:
     @pytest.mark.parametrize("cert", [
-        make_certificate(WeightedBackwardShift(2), 2),
-        transform_rotation(make_certificate(WeightedBackwardShift(2), 3), -1),
-        transform_power(make_certificate(WeightedBackwardShift(2), 3), 2),
+        make_certificate(WeightedBackwardShift(2, L2), 2),
+        transform_rotation(make_certificate(WeightedBackwardShift(2, L2), 3), -1),
+        transform_power(make_certificate(WeightedBackwardShift(2, L2), 3), 2),
         make_certificate(TranslationGenerator(1), 1),
     ], ids=["shift-L2", "rotated", "powered", "translation"])
     def test_entries_are_the_certificate_actions(self, cert):

@@ -60,7 +60,7 @@ def rational_shift_tail(w: int, N: int, terms: int = 40) -> float:
 
 class TestShiftTails:
     def setup_method(self):
-        self.cert = make_certificate(WeightedBackwardShift(2), 1)
+        self.cert = make_certificate(WeightedBackwardShift(2, L2), 1)
 
     def test_inverse_tail_matches_rational_oracle(self):
         y = self.cert.target(1)
@@ -95,12 +95,12 @@ class TestShiftTails:
 
 class TestThresholds:
     def test_shift_w2_first_threshold(self):
-        cert = make_certificate(WeightedBackwardShift(2), 1)
+        cert = make_certificate(WeightedBackwardShift(2, L2), 1)
         tc = compute_thresholds(cert)
         assert tc.threshold(1) == 2
 
     def test_shift_w2_five_targets(self):
-        cert = make_certificate(WeightedBackwardShift(2), 5)
+        cert = make_certificate(WeightedBackwardShift(2, L2), 5)
         tc = compute_thresholds(cert)
         assert [tc.threshold(l) for l in range(1, 6)] == [2, 3, 3, 4, 4]
 
@@ -114,7 +114,7 @@ class TestThresholds:
         assert compute_thresholds(cert).threshold(1) == 2
 
     def test_record_inequalities(self):
-        cert = make_certificate(WeightedBackwardShift(2), 4)
+        cert = make_certificate(WeightedBackwardShift(2, L2), 4)
         tc = compute_thresholds(cert)
         for l, rec in enumerate(tc.records, start=1):
             assert rec.forward_tail_bound <= 1 / (l * 2**l)
@@ -123,7 +123,7 @@ class TestThresholds:
             assert rec.identity_residual <= 1 / 2**l
 
     def test_thresholds_are_minimal(self):
-        cert = make_certificate(WeightedBackwardShift(2), 3)
+        cert = make_certificate(WeightedBackwardShift(2, L2), 3)
         tc = compute_thresholds(cert)
         for l, rec in enumerate(tc.records, start=1):
             if rec.N == 1:
@@ -139,11 +139,11 @@ class TestThresholds:
 
     def test_search_cap_raises(self, monkeypatch):
         monkeypatch.setattr(criterion, "_SEARCH_CAP", 2)
-        cert = make_certificate(WeightedBackwardShift(Fraction(101, 100)), 3)
+        cert = make_certificate(WeightedBackwardShift(Fraction(101, 100), L2), 3)
         with pytest.raises(CertificationError):
             compute_thresholds(cert)
 
-    @pytest.mark.parametrize("model", [CkModel(0), HARDY], ids=["ck0", "hardy"])
+    @pytest.mark.parametrize("model", [CkModel(0, 0.0, 1.0), HARDY], ids=["ck0", "hardy"])
     def test_nan_target_does_not_certify(self, model):
         # a NaN bound fails every `>` test: this target used to certify N = 1
         # with every bound 0.0 (C^k, its NaN sample dropped) or NaN (Hardy)
@@ -152,7 +152,7 @@ class TestThresholds:
             compute_thresholds(OperatorCertificate(Differentiation(model), (y,)))
 
     def test_json_export_shape(self):
-        cert = make_certificate(WeightedBackwardShift(2), 2)
+        cert = make_certificate(WeightedBackwardShift(2, L2), 2)
         obj = compute_thresholds(cert).to_json_dict()
         assert [r["l"] for r in obj["records"]] == [1, 2]
         assert all("inverse_tail_bound" in r for r in obj["records"])
@@ -200,7 +200,7 @@ def draw_certificate(data, family):
     """
     if family == "shift":
         space = data.draw(st.sampled_from(
-            [SequenceSpace("lp", 1.0), L2, SequenceSpace("lp", 3.0), C0_SEQ]))
+            [SequenceSpace(1.0), L2, SequenceSpace(3.0), C0_SEQ]))
         w = data.draw(st.sampled_from([2, 3, -2, Fraction(3, 2), 1.25]))
         op, L = WeightedBackwardShift(w, space), data.draw(st.integers(1, 5))
     elif family == "hardy":
@@ -257,7 +257,7 @@ class TestTermNormLists:
         assert [repr(r) for r in new] == [repr(r) for r in reference_search(cert)]
 
     @pytest.mark.parametrize("cert", [
-        make_certificate(WeightedBackwardShift(2), 5),
+        make_certificate(WeightedBackwardShift(2, L2), 5),
         transform_rotation(make_certificate(WeightedBackwardShift(Fraction(3, 2), C0_SEQ), 3), -1),
         transform_power(make_certificate(Differentiation(HARDY), 3), 2),
         make_certificate(Differentiation(CkModel(3, 0.0, 1.0)), 2),
@@ -286,25 +286,25 @@ class TestTermNormLists:
 
 class TestTransformedThresholds:
     def test_power_two_first_threshold(self):
-        cert = transform_power(make_certificate(WeightedBackwardShift(2), 1), 2)
+        cert = transform_power(make_certificate(WeightedBackwardShift(2, L2), 1), 2)
         assert compute_thresholds(cert).threshold(1) == 1
 
     def test_power_oracle(self):
         # (A^2)-inverse terms are B^{2n} e_1 = 2^{-n(2n+1)} e_{2n+1}
-        cert = transform_power(make_certificate(WeightedBackwardShift(2), 1), 2)
+        cert = transform_power(make_certificate(WeightedBackwardShift(2, L2), 1), 2)
         y = cert.target(1)
         s = sum(Fraction(1, 2 ** (n * (2 * n + 1))) ** 2 for n in range(1, 30))
         assert tail_norm(cert, y, 1, "inverse") == pytest.approx(
             math.sqrt(float(s)), abs=1e-9)
 
     def test_rotation_keeps_thresholds(self):
-        base = make_certificate(WeightedBackwardShift(2), 3)
+        base = make_certificate(WeightedBackwardShift(2, L2), 3)
         rot = transform_rotation(base, 1j)
         assert ([compute_thresholds(rot).threshold(l) for l in range(1, 4)]
                 == [compute_thresholds(base).threshold(l) for l in range(1, 4)])
 
     def test_swapped_certificate_exchanges_tail_roles(self):
-        base = make_certificate(WeightedBackwardShift(2), 1)
+        base = make_certificate(WeightedBackwardShift(2, L2), 1)
         sw = transform_inverse(base)
         y = base.target(1)
         assert tail_norm(sw, y, 1, "forward") == pytest.approx(
@@ -321,8 +321,8 @@ class TestTransformedThresholds:
 def pinned_certificates():
     """76 certificates: each operator at power 1 and 2, unrotated and rotated by 1j, L = 3."""
     ops = [WeightedBackwardShift(w, space) for w in (2, 3, -1.5, 1.25)
-           for space in (L2, SequenceSpace("lp", 1.0), SequenceSpace("lp", 3.0), C0_SEQ)]
-    ops += [Differentiation(HARDY), Differentiation(CkModel(3)), TranslationGenerator(1)]
+           for space in (L2, SequenceSpace(1.0), SequenceSpace(3.0), C0_SEQ)]
+    ops += [Differentiation(HARDY), Differentiation(CkModel(3, 0.0, 1.0)), TranslationGenerator(1)]
     for op in ops:
         for r in (1, 2):
             cert = transform_power(make_certificate(op, 3), r)
@@ -340,7 +340,7 @@ class TestRecordsPin:
 
 class TestProbes:
     def test_probe_under_certified_bound(self):
-        cert = make_certificate(WeightedBackwardShift(2), 2)
+        cert = make_certificate(WeightedBackwardShift(2, L2), 2)
         tc = compute_thresholds(cert)
         for l in (1, 2):
             N = tc.threshold(l)
@@ -348,7 +348,7 @@ class TestProbes:
             assert worst <= tail_norm(cert, cert.target(l), N + 1, "inverse") + 1e-15
 
     def test_probe_deterministic(self):
-        cert = make_certificate(WeightedBackwardShift(2), 1)
+        cert = make_certificate(WeightedBackwardShift(2, L2), 1)
         y = cert.target(1)
         a = unconditional_probe(cert, y, 2, trials=50, seed=11)
         b = unconditional_probe(cert, y, 2, trials=50, seed=11)

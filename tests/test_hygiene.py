@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used by that module,
 every import sits at module level, and every defaulted parameter of a
-module-level function is passed by some call, no method outside a
+module-level function is passed by some call, every defaulted field of a
+dataclass is left out by some constructor call, no method outside a
 constructor changes its object's attributes, no module imports
 numpy, and no module keeps a memo (``functools.cache``,
 ``functools.lru_cache``) or has a ``global`` statement.
@@ -9,8 +10,10 @@ Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
 the unused-import check: its imports are the package's public re-exports.
 A default that no call in ``src/`` or ``bench/`` overrides has one value in
 use and belongs in a constant (a value that only tests pass is a test-only
-knob).  A public re-export or a method that only tests reach is a name the
-system does not use.
+knob).  A dataclass default that every constructor call in ``src/`` or
+``bench/`` overrides states a value a second time, beside the value its
+callers pass, and can drift away from theirs.  A public re-export or a
+method that only tests reach is a name the system does not use.
 """
 
 import ast
@@ -83,6 +86,47 @@ def never_passed_defaults(src: pathlib.Path, callers):
             for fname, params in sorted(defaulted.items())
             for where, param, i in params
             if not {(fname, "*"), (fname, param), (fname, i)} & passed]
+
+
+def _is_dataclass(cls: ast.ClassDef):
+    """True for a class under ``@dataclass`` or ``@dataclass(...)``."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def never_omitted_fields(src: pathlib.Path, callers):
+    """``module:line: Class.field`` for each defaulted field of a ``@dataclass``
+    of ``src`` that no constructor call in ``callers`` leaves out.
+
+    A call ``Class(...)`` or ``x.Class(...)`` leaves a field out when it passes
+    it neither by position nor by keyword; a call with ``*args`` or
+    ``**kwargs`` leaves nothing out.
+    """
+    defaulted = {}  # class name -> [(where, field, positional index)]
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls):
+                continue
+            fields = [s for s in cls.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            defaulted[cls.name] = [(f"{path.name}:{s.lineno}", s.target.id, i)
+                                   for i, s in enumerate(fields) if s.value is not None]
+    omitted = set()  # (class name, field)
+    for path in sorted(p for d in callers for p in d.rglob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name not in defaulted or any(isinstance(x, ast.Starred) for x in call.args) \
+                    or any(k.arg is None for k in call.keywords):
+                continue
+            passed = {k.arg for k in call.keywords}
+            omitted.update((name, field) for _, field, i in defaulted[name]
+                           if i >= len(call.args) and field not in passed)
+    return [f"{where}: {cls}.{field}"
+            for cls, fields in sorted(defaulted.items())
+            for where, field, _ in fields if (cls, field) not in omitted]
 
 
 def unused_exports(src: pathlib.Path, users, keep):
@@ -250,6 +294,11 @@ def test_every_default_is_passed_somewhere():
     hits = [hit for hit in never_passed_defaults(SRC, [ROOT / d for d in CALLERS])
             if (hit.split(":")[0], hit.rsplit(": ", 1)[1]) not in exempt]
     assert not hits, "defaults no call overrides (make them constants):\n" + "\n".join(hits)
+
+
+def test_every_dataclass_default_is_used():
+    hits = never_omitted_fields(SRC, [ROOT / d for d in CALLERS])
+    assert not hits, "dataclass defaults every call overrides (drop them):\n" + "\n".join(hits)
 
 
 def test_every_export_is_used_outside_tests():

@@ -32,7 +32,7 @@ from fhclab.spaces import (
 
 
 def shift_cert(w=2, L=3, exact=False):
-    return make_certificate(WeightedBackwardShift(w), L, exact=exact)
+    return make_certificate(WeightedBackwardShift(w, L2), L, exact=exact)
 
 
 class TestShift:
@@ -66,7 +66,7 @@ class TestShift:
 
     def test_weight_must_expand(self):
         with pytest.raises(ValueError):
-            WeightedBackwardShift(1)
+            WeightedBackwardShift(1, L2)
 
     @given(st.integers(1, 8), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)

@@ -19,7 +19,7 @@ from fhclab.regularized_semigroup import (
     semigroup_law_residual,
     w_apply,
 )
-from fhclab.spaces import HARDY, PiecewiseLinearFn, PolySeries, distance
+from fhclab.spaces import HARDY, L2, PiecewiseLinearFn, PolySeries, distance
 
 UNIT_TENT = PiecewiseLinearFn.tent(Fraction(0), Fraction(1), Fraction(2), Fraction(1))
 OP = TranslationGenerator(1)
@@ -300,7 +300,7 @@ class TestSolutionOrbit:
     def test_requires_translation_certificate(self):
         from fhclab.operators import WeightedBackwardShift
 
-        cert = make_certificate(WeightedBackwardShift(2), 1)
+        cert = make_certificate(WeightedBackwardShift(2, L2), 1)
         p = assign_placements(compute_thresholds(cert), horizon=100)
         with pytest.raises(TypeError):
             SolutionOrbit(p)

@@ -47,9 +47,19 @@ class TestSparseVector:
         assert v.norm() == pytest.approx(3.0)
 
     def test_lp_norm_general_p(self):
-        sp = SequenceSpace("lp", 3.0)
+        sp = SequenceSpace(3.0)
         v = SparseVector({1: 1, 2: 1}, sp)
         assert v.norm() == pytest.approx(2 ** (1 / 3))
+
+    def test_c0_is_the_infinite_exponent(self):
+        assert SequenceSpace(math.inf) == C0_SEQ
+        assert repr(SparseVector({2: 1}, C0_SEQ)) == "SparseVector({2: 1}, c0)"
+        assert repr(SparseVector({2: 1}, SequenceSpace(3.0))) == "SparseVector({2: 1}, lp)"
+
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_exponent_outside_one_to_inf_is_rejected(self, p):
+        with pytest.raises(ValueError):
+            SequenceSpace(p)
 
     def test_rational_entries_stay_exact(self):
         v = SparseVector({1: Fraction(1, 3)}, L2)
@@ -206,9 +216,9 @@ class TestEnumeration:
         (L2, 200, True, "964bd5b7401c25c08e18ecfa79143f9697340b8ef130e39e814c8521b8d6c1ce"),
         (C0_SEQ, 60, False, "e6175c25560162eaf1c8e30aca28a477e39e304235afb4dcd96b4927c24edad5"),
         (C0_SEQ, 60, True, "0c99dace4fe24177acefeee717244f67025ad25d6bd02edfdca3fc6f122bc09e"),
-        (SequenceSpace("lp", 1.0), 60, False,
+        (SequenceSpace(1.0), 60, False,
          "6fa3e10a5841347b7e5daf8d4863bbe69fce0503bf71320dae3ea9e68db1697f"),
-        (SequenceSpace("lp", 1.0), 60, True,
+        (SequenceSpace(1.0), 60, True,
          "ca0fefa74f5cc453f7eea265d6f3ef035afcfee7d419737787f7d505a2ba5f44"),
         (HARDY, 200, False, "3e3c9873fc52224174ca1e6bc85d6471293cc6c1a69abfff5985cb31916abf48"),
         (HARDY, 200, True, "3b83c46f6bdcb6687cfa84bd829b6b3477b2ad9624fbf30b1218c29eb9d00d1d"),
@@ -662,7 +672,7 @@ def _pairwise_norm(v):
     values = v.entries.values()
     if not values:
         return 0.0
-    if v.space.kind == "c0":
+    if v.space.p == math.inf:
         return float(max(abs(c) for c in values))
     p = v.space.p
     if p == 2:
@@ -679,7 +689,7 @@ def _items(v):
     return repr(list(v.entries.items()))
 
 
-SEQ_SPACES = [SequenceSpace("lp", 1.0), L2, SequenceSpace("lp", 3.0), C0_SEQ]
+SEQ_SPACES = [SequenceSpace(1.0), L2, SequenceSpace(3.0), C0_SEQ]
 # sums of these round (0.1, 1/3) or stay exact (dyadics), and can cancel to 0
 FLOATS = [0.1, -0.1, 0.3, 1 / 3, -2 / 3, 0.5, -0.5, 1.0, -3.0, 1e-17, 2.5e-300]
 FRACTIONS = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(5), -1]
@@ -777,7 +787,7 @@ class TestTinyNorms:
         assert SparseVector({2: 1e-160}, L2).norm() == 1e-160
         assert PolySeries([0, 1e-200], HARDY).norm() == 1e-200
         assert criterion._combined([1e-200, 0.0], 2.0) == 1e-200
-        assert SparseVector({1: 1e-110, 2: 1e-110}, SequenceSpace("lp", 3.0)).norm() \
+        assert SparseVector({1: 1e-110, 2: 1e-110}, SequenceSpace(3.0)).norm() \
             == pytest.approx(2 ** (1 / 3) * 1e-110, rel=1e-15)
 
     @settings(max_examples=300, deadline=None)
@@ -819,7 +829,7 @@ def _former_l2_norm(values):
 
 
 def _former_sparse_norm(values, space):
-    if space.kind == "c0":
+    if space.p == math.inf:
         return float(max((abs(c) for c in values), default=0))
     p = space.p
     if p == 2:
@@ -858,8 +868,8 @@ NORM_SCALARS = st.one_of(
 
 class TestLpNorm:
     @settings(max_examples=400, deadline=None)
-    @given(st.sampled_from([SequenceSpace("lp", 1.0), SequenceSpace("lp", 1.5), L2,
-                            SequenceSpace("lp", 3.0), C0_SEQ]), NORM_SCALARS)
+    @given(st.sampled_from([SequenceSpace(1.0), SequenceSpace(1.5), L2,
+                            SequenceSpace(3.0), C0_SEQ]), NORM_SCALARS)
     def test_sequence_norms_keep_their_bits(self, space, values):
         want = _outcome(_former_sparse_norm, values, space)
         assert _outcome(spaces.lp_norm, values, space.p) == want
@@ -880,7 +890,6 @@ class TestLpNorm:
                 == _outcome(_former_combined, term_norms, p))
 
     def test_c0_is_the_max_norm(self):
-        assert C0_SEQ.p == SequenceSpace("c0", 3.0).p == math.inf
         assert SparseVector({1: -3, 4: Fraction(7, 2)}, C0_SEQ).norm() == 3.5
         assert spaces.lp_norm([], math.inf) == spaces.lp_norm([], 2) == 0.0
 
@@ -1005,7 +1014,7 @@ class TestCkGridMax:
         # the sample is NaN, as np.max makes it; the oracle's max() then drops
         # it and reports (0.0, 0.0), but the interval is NaN, so nothing built
         # on it certifies
-        f = PolySeries(coeffs, CkModel(0))
+        f = PolySeries(coeffs, CkModel(0, 0.0, 1.0))
         assert repr(spaces._grid_max(coeffs, _ck_grid(1.0))) == "nan"
         assert repr(f.ck_norm_interval()) == "(nan, nan)"
 

@@ -35,7 +35,7 @@ from fhclab.operators import (
     transform_rotation,
 )
 from fhclab.regularized_semigroup import SolutionOrbit, w_apply
-from fhclab.spaces import C0_SEQ, HARDY, CkModel, SequenceSpace, distance
+from fhclab.spaces import C0_SEQ, HARDY, L2, CkModel, SequenceSpace, distance
 from fhclab.verifier import (
     OrbitReport,
     continuity_window,
@@ -52,7 +52,7 @@ REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "shift_w2
 
 
 def shift_placement(L=2, horizon=400):
-    cert = make_certificate(WeightedBackwardShift(2), L)
+    cert = make_certificate(WeightedBackwardShift(2, L2), L)
     return assign_placements(compute_thresholds(cert), horizon)
 
 
@@ -169,9 +169,9 @@ def revisit_worst(p, l, N):
 
 class TestWorstScheduled:
     @pytest.mark.parametrize("cert, horizon", [
-        (make_certificate(WeightedBackwardShift(2), 2), 400),
-        (transform_rotation(make_certificate(WeightedBackwardShift(2), 3), -1), 1000),
-        (transform_power(make_certificate(WeightedBackwardShift(2), 3), 2), 1000),
+        (make_certificate(WeightedBackwardShift(2, L2), 2), 400),
+        (transform_rotation(make_certificate(WeightedBackwardShift(2, L2), 3), -1), 1000),
+        (transform_power(make_certificate(WeightedBackwardShift(2, L2), 3), 2), 1000),
     ], ids=["shift-L2", "rotated", "powered"])
     def test_equals_revisit_loop(self, cert, horizon):
         p = assign_placements(compute_thresholds(cert), horizon)
@@ -335,14 +335,14 @@ def continuous_sweeps(draw):
 
 
 OPERATORS = {
-    "shift-l1": WeightedBackwardShift(2, SequenceSpace("lp", 1.0)),
-    "shift-l2": WeightedBackwardShift(2),
+    "shift-l1": WeightedBackwardShift(2, SequenceSpace(1.0)),
+    "shift-l2": WeightedBackwardShift(2, L2),
     # N_1 = 1: a single pair's period 4 ends on a placement, so the tiling must not
     # start before n - period - forward_window >= 1
-    "shift-w4": WeightedBackwardShift(4),
+    "shift-w4": WeightedBackwardShift(4, L2),
     "shift-c0": WeightedBackwardShift(2, C0_SEQ),
     "hardy": Differentiation(HARDY),
-    "ck1": Differentiation(CkModel(1)),
+    "ck1": Differentiation(CkModel(1, 0.0, 1.0)),
 }
 
 
@@ -477,7 +477,8 @@ class TestWindowSweep:
 
     def test_shift_w2_config_reads_107_one_point_windows(self, monkeypatch):
         # the sweep slides its windows; the one-point window is read only by
-        # orbit_parts, once per distinct window (a per-n lookup would add 1,000)
+        # orbit_parts, once per distinct window (a per-n lookup would add one
+        # per swept n: 322 of the 1,000, the rest are tiled)
         cfg = load_config(REPO_CONFIG)
         p = build_placements(cfg)
         callers = []
