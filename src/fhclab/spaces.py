@@ -157,13 +157,8 @@ class SparseVector:
         return not self.entries
 
     def combine(self, a, b, other) -> "SparseVector":
-        """a*self + b*other."""
-        if self.space is not other.space and self.space != other.space:
-            raise ValueError("sequence space mismatch")
-        out = {k: a * c for k, c in self.entries.items()}
-        for k, c in other.entries.items():
-            out[k] = out.get(k, 0) + b * c
-        return SparseVector(out, self.space)
+        """a*self + b*other, the two-term ``sparse_sum``."""
+        return sparse_sum([(a, self), (b, other)])
 
     def __eq__(self, other):
         return (
@@ -221,6 +216,15 @@ class PolySeries:
         either fl(Horner(|c|, r)) >= |fl(p(u))| for 0 <= u <= r, since
         round-to-nearest is monotone and odd, or a mean-value bound plus
         Higham's gamma_2d margin for the rounding of Horner's rule.
+
+        The Lipschitz sum skips zero coefficients, keeping every bit: a zero
+        term is +0.0 added to a sum of nonnegative terms (or a NaN or inf
+        one), which changes nothing.  Nor does it hide an overflow: the top
+        coefficient of each derivative is nonzero and carries the largest
+        power of max(L, 1) >= 1, so a power the full sum overflows on raises
+        the same OverflowError there.  A grid sample or a Lipschitz sum that
+        is inf is no bound either and raises OverflowError; a NaN one gives
+        (nan, nan).
         """
         m: CkModel = self.model
         if not self.coeffs:
@@ -237,7 +241,10 @@ class PolySeries:
             sample = _grid_max(d, grid)
             if math.isnan(sample):  # max() would drop it and certify (0.0, 0.0)
                 return (math.nan, math.nan)
-            lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
+            lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j and c)
+            if sample == math.inf or lip == math.inf:
+                raise OverflowError(f"the C^{i} sup norm of a degree-{self.degree} polynomial "
+                                    "is beyond the float range")
             lo = max(lo, sample)
             hi = max(hi, sample + _CK_MESH * lip)
         return (lo, max(lo, hi))
@@ -255,13 +262,8 @@ class PolySeries:
         return not self.coeffs
 
     def combine(self, a, b, other) -> "PolySeries":
-        """a*self + b*other."""
-        if self.model != other.model:
-            raise ValueError("polynomial model mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
-        cu = self.coeffs + [0] * (n - len(self.coeffs))
-        cv = other.coeffs + [0] * (n - len(other.coeffs))
-        return PolySeries([a * x + b * y for x, y in zip(cu, cv)], self.model)
+        """a*self + b*other, the two-term ``poly_sum``."""
+        return poly_sum([(a, self), (b, other)])
 
     def __eq__(self, other):
         return (
@@ -603,14 +605,79 @@ def plf_shift_right(f: PiecewiseLinearFn, dt, dlog=0) -> PiecewiseLinearFn:
 # algebra
 
 
-_VECTOR_CLASSES = (SparseVector, PolySeries, PiecewiseLinearFn)
-
-
 def linear_combine(a, u, b, v):
     """a*u + b*v with exact coefficient / breakpoint-union arithmetic."""
-    if type(u) is not type(v) or type(u) not in _VECTOR_CLASSES:
+    if type(u) is not type(v) or type(u) not in _SUMS:
         raise TypeError(f"cannot combine {type(u).__name__} with {type(v).__name__}")
     return u.combine(a, b, v)
+
+
+def sparse_sum(terms) -> SparseVector:
+    """sum of c * v over the nonempty list of (c, v) pairs, in one pass over the entries.
+
+    Entry for entry and in dict order, this is the pairwise fold it replaced
+    (``combine`` for two terms, then 1*acc + 1*v for each later one, as
+    ``accumulate`` sums): each index is summed in list order, 0 + c*x where
+    the running sum lacks it, an index first met at a later term is
+    appended, and an index whose running sum is 0 leaves the dict and
+    re-enters at the end if a later term brings it back.  A zero of c1*v1
+    (a zero or underflowing weight) keeps its place until the constructor
+    drops it, as in ``combine``; a fold of three or more terms would drop it
+    after the second.  The fold's 1*acc is skipped: exact for real scalars,
+    and for finite complex ones up to the sign of a zero part.
+    """
+    (a, first), *rest = terms
+    space = first.space
+    out = {k: a * c for k, c in first.entries.items()}
+    for b, v in rest:
+        if v.space is not space and v.space != space:
+            raise ValueError("sequence space mismatch")
+        get = out.get
+        for k, c in v.entries.items():
+            s = get(k, 0) + b * c
+            if s != 0:
+                out[k] = s
+            elif k in out:
+                del out[k]
+    return SparseVector(out, space)
+
+
+def poly_sum(terms) -> PolySeries:
+    """sum of c * p over the nonempty list of (c, p) pairs, into one coefficient list.
+
+    It matches the pairwise fold it replaced, combine(c1, p1, c2, p2) and
+    then 1*acc + c*p for each later term, in length, coefficient types and
+    values.  Each coefficient is summed in list order, and trailing zeros are
+    trimmed after each term, so a coefficient past the running sum's end
+    starts from the fold's int 0 padding, never from a 0.0 that would turn a
+    later Fraction into a float.  The fold pads the shorter operand with 0
+    and multiplies it by its weight: a pad c*0 that is not int 0 (a float,
+    Fraction or complex weight) can change a coefficient's type and is
+    added where the fold adds it; an int 0 pad, and the fold's 1*acc, are
+    skipped.  For finite values only the sign of a zero can differ: a -0.0
+    coefficient, or a zero part of a complex one, can stay -0.0 where the
+    fold writes 0.0.  No norm, comparison or hash reads that sign.
+    """
+    (a, first), *rest = terms
+    model = first.model
+    out = [a * c for c in first.coeffs]
+    lead = a * 0  # the fold's pad of c1*p1, where p2 is longer
+    for b, p in rest:
+        if p.model != model:
+            raise ValueError("polynomial model mismatch")
+        pc = p.coeffs
+        n, m = len(out), len(pc)
+        head = [x + b * c for x, c in zip(out, pc)]
+        pad = b * 0  # the fold's pad of c*p, where the running sum is longer
+        if m > n:
+            more = pc[n:]
+            head += [b * c for c in more] if type(lead) is int else [lead + b * c for c in more]
+        else:
+            head += out[m:] if type(pad) is int else [x + pad for x in out[m:]]
+        while head and head[-1] == 0:
+            head.pop()
+        out, lead = head, 0
+    return PolySeries(out, model)
 
 
 def plf_sum(terms) -> PiecewiseLinearFn:
@@ -663,21 +730,26 @@ def plf_sum(terms) -> PiecewiseLinearFn:
     return PiecewiseLinearFn(bps, vals, scale)
 
 
-def accumulate(values):
-    """Sum of a nonempty list of same-type values.
+_SUMS = {SparseVector: sparse_sum, PolySeries: poly_sum, PiecewiseLinearFn: plf_sum}
 
-    Piecewise-linear lists go through ``plf_sum`` in one pass; the other
-    types are folded in pairs with ``linear_combine``.
+
+def accumulate(values):
+    """Sum of a nonempty list of same-type values: its type's one-pass sum, every weight 1.
+
+    The zero rules are the sums' own.  A sequence index whose running sum is
+    0 leaves and re-enters at the end (``sparse_sum``); a polynomial drops
+    its trailing zeros after each term, so later terms extend it from int 0
+    padding (``poly_sum``); a piecewise-linear function drops terms that
+    fold to zero (``plf_sum``).
     """
     values = list(values)
     if not values:
         raise ValueError("accumulate needs at least one value")
-    if all(type(v) is PiecewiseLinearFn for v in values):
-        return plf_sum([(1, v) for v in values])
-    acc = values[0]
-    for v in values[1:]:
-        acc = linear_combine(1, acc, 1, v)
-    return acc
+    kind = type(values[0])
+    for v in values:
+        if type(v) is not kind or kind not in _SUMS:
+            raise TypeError(f"cannot combine {kind.__name__} with {type(v).__name__}")
+    return _SUMS[kind]([(1, v) for v in values])
 
 
 def distance(u, v) -> float:

@@ -151,6 +151,16 @@ class TestThresholds:
         with pytest.raises(CertificationError, match="NaN"):
             compute_thresholds(OperatorCertificate(Differentiation(model), (y,)))
 
+    def test_infinite_term_norm_does_not_certify(self):
+        # B y has a finite grid sample (1.5e308) but an inf Lipschitz sum: an
+        # overflow, not a certified tail of inf
+        model = CkModel(0, 0.0, 1.0)
+        y = PolySeries([1e308, 1e308], model)
+        cert = make_certificate(Differentiation(model), 1)
+        with pytest.raises(CertificationError,
+                           match="the inverse term norm at 1 is beyond the float range"):
+            tail_norm(cert, y, 1, "inverse")
+
     def test_json_export_shape(self):
         cert = make_certificate(WeightedBackwardShift(2, L2), 2)
         obj = compute_thresholds(cert).to_json_dict()
@@ -353,3 +363,18 @@ class TestProbes:
         a = unconditional_probe(cert, y, 2, trials=50, seed=11)
         b = unconditional_probe(cert, y, 2, trials=50, seed=11)
         assert a == b
+
+    def test_probe_sums_make_no_pairwise_calls(self, monkeypatch):
+        # accumulate sums each sub-sum in one pass, with no linear_combine fold
+        cert = make_certificate(Differentiation(CkModel(3, 0.0, 1.0)), 1)
+        calls = []
+        combine = spaces.linear_combine
+
+        def counting(*args):
+            calls.append(args)
+            return combine(*args)
+
+        monkeypatch.setattr(spaces, "linear_combine", counting)
+        worst = unconditional_probe(cert, cert.target(1), 6, trials=40, seed=5)
+        assert calls == []
+        assert repr(worst) == "0.04307305555636929"  # the pairwise fold's value

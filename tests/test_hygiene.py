@@ -3,8 +3,9 @@ every import sits at module level, and every defaulted parameter of a
 module-level function is passed by some call, every defaulted field of a
 dataclass is left out by some constructor call, no method outside a
 constructor changes its object's attributes, no module imports
-numpy, and no module keeps a memo (``functools.cache``,
-``functools.lru_cache``) or has a ``global`` statement.
+numpy, no module keeps a memo (``functools.cache``,
+``functools.lru_cache``) or has a ``global`` statement, and each vector
+type has one weighted sum, with no pairwise fold beside it.
 
 Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
 the unused-import check: its imports are the package's public re-exports.
@@ -273,6 +274,34 @@ def unchecked_builds(path: pathlib.Path):
     return hits
 
 
+def second_sum_paths(path: pathlib.Path):
+    """``module:line: what`` for each pairwise path beside a vector type's one-pass sum.
+
+    ``accumulate`` may hold no loop, comprehension or lambda that calls
+    ``linear_combine`` or ``.combine`` (a pairwise fold), and a class's
+    ``combine`` must be one ``return`` of a call (the two-term case of its sum).
+    """
+    hits = []
+    loops = (ast.For, ast.While, ast.comprehension, ast.Lambda)
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.FunctionDef) and node.name == "accumulate":
+            hits += [f"{path.name}:{call.lineno}: a pairwise fold in accumulate"
+                     for loop in ast.walk(node) if isinstance(loop, loops)
+                     for call in ast.walk(loop) if isinstance(call, ast.Call)
+                     and (getattr(call.func, "id", None) == "linear_combine"
+                          or getattr(call.func, "attr", None) == "combine")]
+        elif isinstance(node, ast.ClassDef):
+            for func in node.body:
+                if not (isinstance(func, ast.FunctionDef) and func.name == "combine"):
+                    continue
+                body = func.body[1:] if ast.get_docstring(func) else func.body
+                if not (len(body) == 1 and isinstance(body[0], ast.Return)
+                        and isinstance(body[0].value, ast.Call)):
+                    hits.append(f"{path.name}:{func.lineno}: {node.name}.combine "
+                                "is more than a call into its sum")
+    return sorted(set(hits))
+
+
 def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
@@ -372,3 +401,10 @@ def test_only_the_constructor_and_the_fold_skip_the_checks():
     hits = [f"{where}: {name} in {scope or 'module'}" for where, name, scope in found
             if scope not in allowed[name]]
     assert not hits, "builds that skip the constructor's checks:\n" + "\n".join(hits)
+
+
+def test_one_sum_per_vector_type():
+    # each vector type has one weighted sum; combine is its two-term call and
+    # accumulate its all-ones call, so no second, pairwise path sits beside it
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in second_sum_paths(path)]
+    assert not hits, "pairwise paths beside a one-pass sum:\n" + "\n".join(hits)

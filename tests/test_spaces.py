@@ -693,6 +693,7 @@ SEQ_SPACES = [SequenceSpace(1.0), L2, SequenceSpace(3.0), C0_SEQ]
 # sums of these round (0.1, 1/3) or stay exact (dyadics), and can cancel to 0
 FLOATS = [0.1, -0.1, 0.3, 1 / 3, -2 / 3, 0.5, -0.5, 1.0, -3.0, 1e-17, 2.5e-300]
 FRACTIONS = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(5), -1]
+WEIGHTS = [0, 0.5, Fraction(1, 3), -1]  # a and b of linear_combine
 
 
 @st.composite
@@ -768,6 +769,177 @@ class TestSparseSum:
         assert repr(got) == repr(_pairwise_norm(_pairwise_sparse(1, u, -1, v)))
         if u == v:
             assert repr(got) == "0.0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_pairs(), st.sampled_from(WEIGHTS), st.sampled_from(WEIGHTS))
+    def test_combine_matches_the_pairwise_code(self, pair, a, b):
+        u, v = pair
+        got, want = linear_combine(a, u, b, v), _pairwise_sparse(a, u, b, v)
+        assert _items(got) == _items(want)
+        assert repr(got.norm()) == repr(want.norm())
+
+
+# --------------------------------------------------------------------------
+# polynomial sums against the pairwise code written out
+
+
+def _pairwise_poly(a, u, b, v):
+    """The former ``PolySeries.combine``: both lists padded with int 0, then a*x + b*y."""
+    n = max(len(u.coeffs), len(v.coeffs))
+    cu = u.coeffs + [0] * (n - len(u.coeffs))
+    cv = v.coeffs + [0] * (n - len(v.coeffs))
+    return PolySeries([a * x + b * y for x, y in zip(cu, cv)], u.model)
+
+
+def _unsigned(c):
+    """c with the sign of each zero part dropped (x + 0.0 keeps every other float)."""
+    if isinstance(c, complex):
+        return complex(c.real + 0.0, c.imag + 0.0)
+    return c + 0.0 if isinstance(c, float) else c
+
+
+def _assert_same_poly(got, want):
+    """Same length and coefficient types, equal coefficients, repr equal up to zero signs."""
+    assert len(got.coeffs) == len(want.coeffs)
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert got.coeffs == want.coeffs
+    assert repr([_unsigned(c) for c in got.coeffs]) == repr([_unsigned(c) for c in want.coeffs])
+
+
+POLY_MODELS = [HARDY, CkModel(2, 0.5, 0.75), CkModel(1, -0.5, 0.5)]
+INTS = [1, -1, 2, -3, 5]
+
+
+@st.composite
+def poly_lists(draw):
+    """Polynomials of different lengths in one model, with runs of int 0 coefficients.
+
+    Scalars are ints, floats, Fractions or a mix.  Some polynomials are
+    negated, as a -1 twist does.  Some lists get, after a prefix, a term that
+    cancels the prefix's sum exactly at its top degree (so the trim runs), at
+    a middle degree, or everywhere, and a longer term after it.
+    """
+    model = draw(st.sampled_from(POLY_MODELS))
+    scalars = draw(st.sampled_from([INTS, FLOATS, FRACTIONS, INTS + FLOATS + FRACTIONS]))
+    coeff = st.one_of(st.just(0), st.sampled_from(scalars))
+    polys = []
+    for _ in range(draw(st.integers(1, 7))):
+        p = PolySeries(draw(st.lists(coeff, max_size=8)), model)
+        polys.append(p.scaled(-1) if draw(st.booleans()) else p)
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, len(polys)))
+        prefix = reduce(lambda acc, p: _pairwise_poly(1, acc, 1, p), polys[:cut])
+        if prefix.coeffs:
+            where = draw(st.sampled_from(["top", "middle", "all"]))
+            if where == "all":
+                cancel = prefix.scaled(-1)
+            else:
+                j = prefix.degree if where == "top" else draw(st.integers(0, prefix.degree))
+                cancel = PolySeries([0] * j + [-prefix.coeffs[j]], model)
+            polys.insert(cut, cancel)
+            polys.append(PolySeries(draw(st.lists(coeff, min_size=1, max_size=10)), model))
+    return polys
+
+
+class TestPolySum:
+    # the float sum cancels at degree 1 and is trimmed there, so the last
+    # Fraction is added to int 0 padding and stays a Fraction
+    @example(polys=[PolySeries([1.0, 0.5], HARDY), PolySeries([0, -0.5], HARDY),
+                    PolySeries([0, Fraction(1, 3)], HARDY)])
+    @settings(max_examples=300, deadline=None)
+    @given(poly_lists())
+    def test_accumulate_matches_the_pairwise_fold(self, polys):
+        want = reduce(lambda acc, p: _pairwise_poly(1, acc, 1, p), polys)
+        got = accumulate(polys)
+        _assert_same_poly(got, want)
+        assert repr(got.norm()) == repr(want.norm())
+        if isinstance(got.model, CkModel):
+            assert repr(got.ck_norm_interval()) == repr(want.ck_norm_interval())
+
+    # 0.5 * 0 = 0.0 pads v, so the Fraction past v's end turns float
+    @example(polys=[PolySeries([Fraction(1, 3), Fraction(2)], HARDY), PolySeries([1], HARDY)],
+             a=Fraction(1, 3), b=0.5)
+    @settings(max_examples=300, deadline=None)
+    @given(poly_lists(), st.sampled_from(WEIGHTS), st.sampled_from(WEIGHTS))
+    def test_combine_matches_the_pairwise_code(self, polys, a, b):
+        u, v = polys[0], polys[-1]
+        got, want = linear_combine(a, u, b, v), _pairwise_poly(a, u, b, v)
+        _assert_same_poly(got, want)
+        assert repr(got.norm()) == repr(want.norm())
+
+    def test_model_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="model"):
+            accumulate([PolySeries([1], HARDY), PolySeries([1], CkModel(1, 0.0, 1.0))])
+
+
+# --------------------------------------------------------------------------
+# the C^k Lipschitz term over the nonzero coefficients
+
+
+def _full_lipschitz_interval(f):
+    """Oracle: ``ck_norm_interval`` with the Lipschitz sum over every coefficient, zeros too."""
+    m = f.model
+    if not f.coeffs:
+        return (0.0, 0.0)
+    big = max(m.b - m.a, 1.0)
+    grid = _ck_grid(m.b - m.a)
+    lo = hi = 0.0
+    d = f.coeffs
+    for i in range(m.k + 1):
+        if i:
+            d = [j * d[j] for j in range(1, len(d))]
+        if not d:
+            break
+        sample = spaces._grid_max(d, grid)
+        if math.isnan(sample):
+            return (math.nan, math.nan)
+        lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
+        lo = max(lo, sample)
+        hi = max(hi, sample + _CK_MESH * lip)
+    return (lo, max(lo, hi))
+
+
+ZEROS = [0, 0.0, -0.0, Fraction(0), 0j]
+NONZEROS = [3, -1, 0.7, -2.5e-3, 1e-200, Fraction(-5, 3), Fraction(1, 7), 1.5 - 2j, -0.25j]
+
+
+@st.composite
+def runs_of_zeros(draw):
+    """Coefficients in runs: a nonzero scalar, then up to 9 zeros of any type."""
+    coeffs = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs.append(draw(st.sampled_from(NONZEROS)))
+        coeffs += [draw(st.sampled_from(ZEROS)) for _ in range(draw(st.integers(0, 9)))]
+    return coeffs
+
+
+class TestLipschitzSkip:
+    @settings(max_examples=120, deadline=None)
+    @given(runs_of_zeros(), st.integers(0, 3),
+           st.sampled_from([(0.5, 0.75), (0.0, 1.0), (-1.0, 0.5)]))  # L < 1, = 1, > 1
+    def test_skipping_zero_coefficients_keeps_every_bit(self, coeffs, k, ab):
+        f = PolySeries(coeffs, CkModel(k, *ab))
+        assert repr(f.ck_norm_interval()) == repr(_full_lipschitz_interval(f))
+
+    def test_an_overflowing_power_still_raises(self):
+        # the powers 10^309..10^317 of the zero coefficients overflow in the full
+        # sum; the top coefficient's 10^318 overflows in the skipping one
+        f = PolySeries([1.0] + [0] * 318 + [1e-300], CkModel(1, 0.0, 10.0))
+        assert f.degree == 319
+        with pytest.raises(OverflowError):
+            _full_lipschitz_interval(f)
+        with pytest.raises(OverflowError):
+            f.ck_norm_interval()
+
+    @pytest.mark.parametrize("coeffs", [
+        [1e308, 1e308],  # the sample at u = 1 is inf
+        [0, 1e308, 5e307],  # B of that: the sample is 1.5e308, the Lipschitz sum inf
+    ])
+    def test_an_infinite_norm_is_an_overflow(self, coeffs):
+        f = PolySeries(coeffs, CkModel(0, 0.0, 1.0))
+        assert math.isinf(_full_lipschitz_interval(f)[1])
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            f.ck_norm_interval()
 
 
 # --------------------------------------------------------------------------
