@@ -217,9 +217,10 @@ def output_paths(cfg: dict):
 # pipeline
 
 
-# The most cells a continuous run sweeps.  Each cell costs about 56 us (the
-# translation_bridge benchmark sweeps 800 in about 0.045 s on a 2-vCPU VM), so the cap
-# is about a minute of sweep; a finer grid is refused before anything is certified.
+# The most cells a continuous run sweeps.  Each cell costs at most about 45 us (the
+# translation_bridge benchmark runs a pipeline that sweeps 800 cells in about 0.036 s,
+# at bench/run.py's reference machine speed), so the cap is under a minute of sweep;
+# a finer grid is refused before anything is certified.
 _CELL_CAP = 10**6
 
 

@@ -6,8 +6,13 @@ carried by PiecewiseLinearFn, the law W(t)W(s) = W(t+s) is an exact identity
 on this class whenever lam, t, s are rationals.
 
 ``SolutionOrbit.evaluate`` streams t -> e^(tA) x over given times with one
-point per window key, as ``discrete_report`` builds them: A^n x is held while
-the times stay in [n, n + 1) and shifted by W(t - n).
+point per window key, as ``discrete_report`` builds them: it yields A^n x,
+held while the times stay in [n, n + 1), with s = t - n, and leaves the shift
+W(s) to the caller.  ``continuous_visits`` never builds W(s) A^n x: it passes
+s and dlog = lam*s to ``spaces.distance``, whose walk measures the shifted
+point against each target in place.  At s == 0 it measures the point itself,
+never W(0.0) A^n x, whose breakpoints b - 0.0 would turn exact Fractions into
+floats.
 """
 
 from __future__ import annotations
@@ -97,18 +102,19 @@ class SolutionOrbit:
         self._peak = max(self._rates)
 
     def evaluate(self, times):
-        """Yield (piecewise-linear value of e^(tA) x, certified error bound) per t.
+        """Yield (point, s, err) per t: e^(tA) x is W(s) point, within err.
 
-        The integer point is looked up when t enters [n, n + 1) and held while
-        t stays there, with one point per window key: for n >= 1,
-        ``orbit_eval(p, n)`` is a pure function of ``orbit_window(p, n)`` (see
-        ``discrete_report``), so a unit whose key was seen in this call reuses
-        that point; n = 0 is ``materialize``.  Any order gives what
-        one-element calls give.
+        point is A^n x for n = floor(t) and s = t - n, so the value at t is
+        ``w_apply(op, s, point)``, and the point itself when s == 0; err is
+        the certified error bound of that value.  The integer point is looked
+        up when t enters [n, n + 1) and held while t stays there, with one
+        point per window key: for n >= 1, ``orbit_eval(p, n)`` is a pure
+        function of ``orbit_window(p, n)`` (see ``discrete_report``), so a
+        unit whose key was seen in this call reuses that point; n = 0 is
+        ``materialize``.  Any order gives what one-element calls give.
         """
         p = self.placement
-        op = p.cert.op
-        lam = float(op.lam)
+        lam = float(p.cert.op.lam)
         points = {}  # window key -> (A^n x, error) for the n >= 1 seen so far
         n = vec = err = None
         for t in times:
@@ -124,7 +130,7 @@ class SolutionOrbit:
                         point = points[key] = orbit_eval(p, n)
                     vec, err = point
             s = t - n
-            yield (vec, err) if s == 0 else (w_apply(op, s, vec), err * math.exp(lam * float(s)))
+            yield vec, s, (err if s == 0 else err * math.exp(lam * float(s)))
 
     def lipschitz_bound(self, t0, t1) -> float:
         """Upper bound on the t-Lipschitz constant of the orbit over [t0, t1].

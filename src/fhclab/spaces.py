@@ -233,12 +233,15 @@ class PolySeries:
         grid = _ck_grid(m.b - m.a)
         lo = hi = 0.0
         d = self.coeffs
+        # derivative i holds c_j times an int for each j >= i, and j * c keeps c's
+        # type, so it is complex exactly when a complex c_j sits at an index >= i
+        top = max((j for j, c in enumerate(d) if isinstance(c, complex)), default=-1)
         for i in range(m.k + 1):
             if i:  # derivative i from derivative i - 1, as derivative_coeffs(i) builds it
                 d = [j * d[j] for j in range(1, len(d))]
             if not d:
                 break
-            sample = _grid_max(d, grid)
+            sample = _grid_max(d, grid, real=i > top)
             if math.isnan(sample):  # max() would drop it and certify (0.0, 0.0)
                 return (math.nan, math.nan)
             lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j and c)
@@ -333,12 +336,13 @@ def _modulus(z: complex) -> float:
 _DIRECT_BLOCK = 16  # a block with at most this many interior points is evaluated, not split
 
 
-def _grid_max(coeffs, grid) -> float:
+def _grid_max(coeffs, grid, real: bool) -> float:
     """np.max(np.abs(np.polyval(cs, grid))) for cs = ``coeffs`` (lowest degree first), bit for bit.
 
     The coefficients are converted as numpy would: all complex if any is,
-    else all float.  A NaN value makes the result NaN, as in np.max.  The
-    grid points (``_ck_grid``) start at 0 and never decrease.  The search
+    else all float; ``real`` says which, as the caller knows it.  A NaN
+    value makes the result NaN, as in np.max.  The grid points
+    (``_ck_grid``) start at 0 and never decrease.  The search
     evaluates the two end points, then takes blocks of grid indices off a
     stack: a block whose points provably have computed |value| <= the best
     value found so far is skipped, a block of at most ``_DIRECT_BLOCK``
@@ -364,7 +368,6 @@ def _grid_max(coeffs, grid) -> float:
       term covers underflow.  Cancelling expansions (u - c)^n close through it.
     """
     n, point = grid
-    real = not any(isinstance(c, complex) for c in coeffs)
     if real:
         cs = [float(c) for c in reversed(coeffs)]
         mag = [abs(c) for c in cs]
@@ -429,19 +432,26 @@ def _grid_max(coeffs, grid) -> float:
 # piecewise-linear functions on the half line
 
 
-def _trimmed(breakpoints, values):
-    """(breakpoints, values) without redundant zero tails, so that equal
-    functions compare equal, and empty when every value is 0.
+def _trim_bounds(at, lo, hi):
+    """(lo, hi) with the redundant zero tails of the values at(lo), ..., at(hi - 1) cut off.
 
     The first point is dropped while it and the next have value 0, then the
-    last while it and the one before do, keeping two points at least.  The
-    lists are sliced, never changed.
+    last while it and the one before do, keeping two points at least.
     """
-    lo, hi = 0, len(values)
-    while hi - lo >= 3 and values[lo] == 0 and values[lo + 1] == 0:
+    while hi - lo >= 3 and at(lo) == 0 and at(lo + 1) == 0:
         lo += 1
-    while hi - lo >= 3 and values[hi - 1] == 0 and values[hi - 2] == 0:
+    while hi - lo >= 3 and at(hi - 1) == 0 and at(hi - 2) == 0:
         hi -= 1
+    return lo, hi
+
+
+def _trimmed(breakpoints, values):
+    """(breakpoints, values) without redundant zero tails (``_trim_bounds``), so
+    that equal functions compare equal, and empty when every value is 0.
+
+    The lists are sliced, never changed.
+    """
+    lo, hi = _trim_bounds(values.__getitem__, 0, len(values))
     if not any(islice(values, lo, hi)):
         return [], []
     if lo or hi < len(values):
@@ -752,72 +762,164 @@ def accumulate(values):
     return _SUMS[kind]([(1, v) for v in values])
 
 
-def distance(u, v) -> float:
-    """||u - v||, the norm of ``linear_combine(1, u, -1, v)`` bit for bit.
+def distance(u, v, dt=0, dlog=0) -> float:
+    """||W(dt)u - v||, the norm of ``linear_combine(1, plf_shift_left(u, dt, dlog), -1, v)``
+    bit for bit; without dt and dlog, ||u - v|| for two values of any one type.
 
-    Two nonzero piecewise-linear functions take ``_plf_distance``, a walk
-    with ``plf_sum``'s arithmetic that builds no function: NaN exactly when
-    the difference's first union value is NaN, and 0.0 for a zero difference
-    at any log scale.  Any other pair builds the difference.
+    W(dt)u is the shift a piecewise-linear u takes in the translation
+    semigroup, dt >= 0.  Two nonzero piecewise-linear functions take
+    ``_plf_distance``, a walk that builds no function; any other pair builds
+    the shift and the difference.
     """
     if type(u) is PiecewiseLinearFn and type(v) is PiecewiseLinearFn and u.breakpoints \
             and v.breakpoints:
-        return _plf_distance(u, v)
+        return _plf_distance(u, v, dt, dlog)
+    if type(u) is PiecewiseLinearFn:
+        u = plf_shift_left(u, dt, dlog)
     return linear_combine(1, u, -1, v).norm()
 
 
-def _plf_distance(u: PiecewiseLinearFn, v: PiecewiseLinearFn) -> float:
-    """sup |u - v| of two nonzero functions in one merge walk of their breakpoints.
+def _plf_distance(u: PiecewiseLinearFn, v: PiecewiseLinearFn, dt=0, dlog=0) -> float:
+    """sup |g - v| for g = plf_shift_left(u, dt, dlog), in one merge walk that reads u's lists.
 
-    At each union point the walk forms the value ``plf_sum([(1, u), (-1, v)])``
-    stores there, with its arithmetic in its order: 0 + 1*U + (-1)*V, where a
+    g is read in place.  Its points are u's indices lo..hi - 1 at breakpoints
+    b - dt, except that a clip (u's first breakpoint minus dt below 0) puts
+    g's first point at the origin, index c, with ``raw_eval``'s value there;
+    dt is subtracted only from the breakpoints the walk visits, and the
+    clip's index is found by bisecting on b - dt, which is monotone in b.
+    g's trims are the constructor's: the clipped lists are cut by
+    ``_trim_bounds``, and g is the zero function when its values are all
+    zero or every breakpoint is at or below 0; then the difference is
+    ``plf_sum``'s lone term v.scaled(-1).  u's own lists were trimmed, so an
+    unclipped g needs no trim, and a clipped one only when its first two
+    values are 0.
+
+    At each union point the walk forms the value ``plf_sum([(1, g), (-1, v)])``
+    stores there, with its arithmetic in its order: 0 + 1*G + (-1)*V, where a
     term is its value at its own breakpoint, f_k + t * (f_(k+1) - f_k) with
     t = (x - b_k) / (b_(k+1) - b_k) between two, and adds nothing (0 here)
     outside its support or at its last breakpoint.  A point of both lists is
-    u's.  Where one term adds nothing until the other list's next point, the
-    other's |values| are copied in C: a term's value at its last breakpoint
-    is a zero, and 0 + 1*U or 0 + (-1)*V has the magnitude of U or V.  Mixed
-    log scales fold both through ``folded``; a fold that underflows leaves no
-    breakpoints, so that term adds nothing.
+    g's.  Mixed log scales fold both, as ``folded`` does: each value of g the
+    walk reads is multiplied by the fold factor F = e^(scale) (none at scale
+    0), and g's fold trims again by ``_trim_bounds`` on the products; a fold
+    that underflows to all zeros leaves g no points, so it adds nothing.
 
     The result is the old norm's: max of the |values| (seeded with the first
     union point, replaced on ``>``, so NaN exactly when that first value is
     NaN), times exp(scale).  When every value is 0 the difference is the zero
     function, whose norm is 0.0 at any scale, so ``math.exp`` is not called.
+    Where one term adds nothing (a term's value at its last breakpoint is a
+    zero), the union points form runs of 0 + 1*G or of 0 + (-1)*V alone,
+    which enter as ``_run_peak`` lists them: the max and the zero test do
+    not change.
+
+    Exact wherever ``plf_shift_left`` returns.  It subtracts dt from every
+    breakpoint, so it can refuse a shift the walk still measures: two
+    breakpoints within two ulps of each other that round to one float, or a
+    breakpoint beyond the float range.
     """
-    if u.log_scale != v.log_scale:
-        u, v = u.folded(), v.folded()
-    ub, uv, vb, vv = u.breakpoints, u.values, v.breakpoints, v.values
-    m, n = len(ub) - 1, len(vb) - 1  # the last breakpoints, where a term adds nothing
-    mags = []  # |value| at each union point, in order
-    i = j = 0
+    ub, uv = u.breakpoints, u.values
+    lo, hi, c, v0, first = 0, len(ub), -1, None, ub[0] - dt
+
+    def at(i):  # g's value at index i, before a fold
+        return v0 if i == c else uv[i]
+
+    if ub[-1] - dt <= 0:
+        return v.scaled(-1).norm()
+    if first < 0:
+        c = lo = bisect_right(ub, 0, key=lambda b: b - dt) - 1
+        v0 = u.raw_eval(ub[0] + (0 - first))
+        if v0 == 0 and uv[lo + 1] == 0:
+            lo, hi = _trim_bounds(at, lo, hi)
+            if not any(map(at, range(lo, hi))):
+                return v.scaled(-1).norm()
+    scale, fold = u.log_scale + dlog, None
+    if scale != v.log_scale:
+        if scale != 0:
+            fold = math.exp(float(scale))
+            lo, hi = _trim_bounds(lambda i: fold * at(i), lo, hi)
+            if not any(fold * at(i) for i in range(lo, hi)):
+                hi = lo
+        if v.log_scale != 0:
+            v = v.folded()
+        scale = 0
+
+    def gx(i):  # g's breakpoint at index i
+        return 0 if i == c else ub[i] - dt
+
+    def gy(i):  # g's value at index i
+        y = v0 if i == c else uv[i]
+        return y if fold is None else fold * y
+
+    vb, vv = v.breakpoints, v.values
+    m, n = hi - 1, len(vb) - 1  # the last breakpoints, where a term adds nothing
+    mags = []  # |value| at each union point, in order; a run as _run_peak lists it
+    i, j = lo, 0
+    x = gx(i) if i <= m else None  # g's breakpoint at i
     while i <= m or j <= n:
-        if j > n or (i <= m and ub[i] < vb[j]):
+        if j > n or (i <= m and x < vb[j]):
             if not 0 < j <= n:  # v adds nothing before vb[0] or past vb[-1]
-                stop = m + 1 if j > n else bisect_left(ub, vb[0], i)
-                mags += map(abs, islice(uv, i, stop))
+                stop = hi if j > n else bisect_left(ub, vb[0], i, hi, key=lambda b: b - dt)
+                mags += _run_peak([at(i), *uv[i + 1:stop]], fold, 1)
                 i = stop
+                x = gx(i) if i <= m else None
                 continue
-            t = (ub[i] - vb[j - 1]) / (vb[j] - vb[j - 1])
-            a, b = uv[i] if i < m else 0, vv[j - 1] + t * (vv[j] - vv[j - 1])
+            t = (x - vb[j - 1]) / (vb[j] - vb[j - 1])
+            a, b = gy(i) if i < m else 0, vv[j - 1] + t * (vv[j] - vv[j - 1])
             i += 1
-        elif i > m or vb[j] < ub[i]:
-            if not 0 < i <= m:  # u adds nothing before ub[0] or past ub[-1]
-                stop = n + 1 if i > m else bisect_left(vb, ub[0], j)
-                mags += map(abs, islice(vv, j, stop))
+            x = gx(i) if i <= m else None
+        elif i > m or vb[j] < x:
+            if not lo < i <= m:  # g adds nothing before its first point or past its last
+                stop = n + 1 if i > m else bisect_left(vb, x, j)
+                mags += _run_peak(vv[j:stop], None, -1)
                 j = stop
                 continue
-            t = (vb[j] - ub[i - 1]) / (ub[i] - ub[i - 1])
-            a, b = uv[i - 1] + t * (uv[i] - uv[i - 1]), vv[j] if j < n else 0
+            p = gx(i - 1)
+            t = (vb[j] - p) / (x - p)
+            a, b = gy(i - 1) + t * (gy(i) - gy(i - 1)), vv[j] if j < n else 0
             j += 1
         else:
-            a, b = uv[i] if i < m else 0, vv[j] if j < n else 0
+            a, b = gy(i) if i < m else 0, vv[j] if j < n else 0
             i += 1
             j += 1
+            x = gx(i) if i <= m else None
         mags.append(abs(0 + 1 * a + -1 * b))
     if not any(mags):
         return 0.0
-    return math.exp(float(u.log_scale)) * float(max(mags))
+    return math.exp(float(scale)) * float(max(mags))
+
+
+def _run_peak(values, fold, sign) -> list:
+    """A list that stands for [|0 + sign * fold * x| for x in values] (no fold
+    when None), sign = 1 or -1, anywhere in the magnitudes of
+    ``_plf_distance``: max(), seeded with the first magnitude and replaced on
+    ``>``, and any() stay the same.
+
+    For a real y, |0 + sign * y| = |y|.  For real values, max and min, each
+    seeded with the first value, give the largest |x| among the values that
+    are not NaN, unless the first is NaN; and round-to-nearest is monotone
+    and odd, so max |fl(F x)| = fl(F max |x|) over them for a finite F > 0
+    (the fold factor; F = 1 exactly without a fold).  A peak p > 0 stands
+    for the run: the zero test sees a nonzero either way, and a NaN that is
+    not the seed is never kept by max().  If the seed is before the run, max()
+    is NaN or the largest entry that is not NaN, p among them; if the run
+    holds the seed, that seed is |fl(F x_0)|, not NaN, and the max is p.
+    Anything else is listed in full: complex values (their comparisons raise
+    TypeError, and sign * z is a complex product, NaN for infinite parts), a
+    NaN first value (then hi >= lo fails), and a zero or NaN peak (zeros, an
+    underflow, or F = 0.0 times inf).
+    """
+    try:
+        hi, lo = max(values), min(values)
+        if hi >= lo:
+            peak = max(abs(hi), abs(lo))
+            if fold is not None:
+                peak = fold * peak
+            if peak > 0:
+                return [peak]
+    except TypeError:
+        pass
+    return [abs(0 + sign * (x if fold is None else fold * x)) for x in values]
 
 
 # --------------------------------------------------------------------------

@@ -228,7 +228,9 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
     integer parts of the inner intervals' left ends.  The sweep is one pass
     over the integer checks and the cells in time order, so the orbit builds
     one point per window key (``SolutionOrbit.evaluate``); only the distances
-    are per target.
+    are per target.  A cell at t = n + s measures W(s) A^n x against y_l by
+    ``distance(point, y_l, s, lam * s)``, which builds no function; at
+    s == 0 it measures the point itself, with no shift.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -249,16 +251,17 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
     cells = {l: [] for l in ls}  # inner cells
     windows = {l: [] for l in ls}  # certified windows from integer visits
     outer_measure = dict.fromkeys(ls, 0.0)
-    for (t0, is_cell), (vec, err) in zip(events, orbit.evaluate(t for t, _ in times)):
-        if not is_cell:
+    for (t0, is_cell), (vec, s, err) in zip(events, orbit.evaluate(t for t, _ in times)):
+        if not is_cell:  # at an integer, s == 0
             for l in ls:
                 if t0 < n_ints[l] and distance(vec, targets[l]) + err < epsilons[l] / 2.0:
                     windows[l].append((t0, t0 + delta[l]))
             continue
         t1 = min(t_max, t0 + grid_step)
         lip = orbit.lipschitz_bound(t0, t1)
+        shift = (s, lam * s) if s else ()  # W(s) with dlog = lam*s; none at s == 0
         for l in ls:
-            d = distance(vec, targets[l])
+            d = distance(vec, targets[l], *shift)
             if d + err + lip * (t1 - t0) < epsilons[l]:
                 cells[l].append((t0, t1))
             if d - err - lip * (t1 - t0) < epsilons[l]:

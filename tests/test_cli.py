@@ -319,6 +319,18 @@ class TestRun:
             with open(os.path.join(DATA, f"run_translation_h10_report.{ext}"), "rb") as fh:
                 assert (tmp_path / f"translation_h10_report.{ext}").read_bytes() == fh.read()
 
+    def test_rational_continuous_run_matches_the_pins(self, monkeypatch, tmp_path):
+        # at s == 0 the sweep measures the exact point itself, never W(0.0) of it
+        monkeypatch.setenv("FHCLAB_OUTPUT_DIR", str(tmp_path))
+        cfg = write_cfg(tmp_path, "[operator]\nkind = translation\nlam = 1\n\n[run]\n"
+                        "targets = 1\nhorizon = 10\nmode = continuous\ngrid_step = 0.5\n"
+                        "precision = rational\n\n[output]\ncsv = translation_h10_report.csv\n"
+                        "json = translation_h10_report.json\n")
+        assert main(["run", "--config", cfg]) == 0
+        for ext in ("csv", "json"):
+            with open(os.path.join(DATA, f"run_translation_h10_report.{ext}"), "rb") as fh:
+                assert (tmp_path / f"translation_h10_report.{ext}").read_bytes() == fh.read()
+
     def test_rational_run_writes_the_float_csv(self, monkeypatch, tmp_path):
         # exact arithmetic end to end is the oracle of the float pipeline
         with open(REPO_CONFIG) as fh:

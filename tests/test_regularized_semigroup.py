@@ -166,6 +166,12 @@ def full_scan_lipschitz(orbit, t0, t1):
     return total
 
 
+def orbit_values(orbit, times):
+    """(value, error) per t, the value of each (point, s, err) read as W(s) point."""
+    op = orbit.placement.cert.op
+    return [(w_apply(op, s, point), err) for point, s, err in orbit.evaluate(times)]
+
+
 class TestSolutionOrbit:
     def setup_method(self):
         cert = make_certificate(TranslationGenerator(1), 1)
@@ -173,12 +179,12 @@ class TestSolutionOrbit:
         self.orbit = SolutionOrbit(self.p)
 
     def test_integer_times_match_discrete_orbit(self):
-        for n, (cont, _) in zip((0, 1, 3, 7), self.orbit.evaluate([0, 1, 3, 7])):
+        for n, (cont, _) in zip((0, 1, 3, 7), orbit_values(self.orbit, [0, 1, 3, 7])):
             disc, _ = orbit_eval(self.p, n)
             assert distance(cont, disc) == 0.0
 
     def test_fractional_step_is_exact_w_apply(self):
-        (base, err), (got, got_err) = self.orbit.evaluate([3, 3.25])
+        (base, err), (got, got_err) = orbit_values(self.orbit, [3, 3.25])
         expected = w_apply(self.p.cert.op, Fraction(1, 4), base)
         assert distance(got, expected) <= 1e-12
         assert got_err >= err
@@ -193,7 +199,7 @@ class TestSolutionOrbit:
     def test_lipschitz_bound_dominates_observed_slope(self):
         for t0 in (2.0, 3.0, 6.5):
             bound = self.orbit.lipschitz_bound(t0, t0 + 0.5)
-            (u, _), (v, _) = self.orbit.evaluate([t0, t0 + 0.5])
+            (u, _), (v, _) = orbit_values(self.orbit, [t0, t0 + 0.5])
             assert distance(u, v) <= bound * 0.5 + 1e-9
 
     def test_lipschitz_bound_equals_the_full_scan(self):
@@ -249,7 +255,7 @@ class TestSolutionOrbit:
 
         monkeypatch.setattr(regularized_semigroup, "orbit_eval", counted)
         times = [0, 0.5, 3, 3.25, 3.5, 4, 4.75, 6.5, 7, Fraction(29, 4)]
-        assert len(list(self.orbit.evaluate(times))) == len(times)
+        assert len(orbit_values(self.orbit, times)) == len(times)
         first = {}  # window key -> the first unit that has it
         for n in sorted({math.floor(t) for t in times} - {0}):
             first.setdefault(orbit_window(self.p, n), n)
@@ -281,19 +287,19 @@ class TestSolutionOrbit:
                     max_size=8))
     def test_any_order_gives_the_one_element_values(self, times):
         # descending and repeated times rebuild the integer point they leave
-        want = [next(self.orbit.evaluate([t])) for t in times]
-        got = list(self.orbit.evaluate(times))
+        want = [orbit_values(self.orbit, [t])[0] for t in times]
+        got = orbit_values(self.orbit, times)
         assert [(repr(v), repr(e)) for v, e in got] == [(repr(v), repr(e)) for v, e in want]
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            list(self.orbit.evaluate([1.5, -0.5]))
+            orbit_values(self.orbit, [1.5, -0.5])
 
     def test_semigroup_rate_is_the_certificates(self):
         cert = make_certificate(TranslationGenerator(Fraction(3, 2)), 1)
         p = assign_placements(compute_thresholds(cert), horizon=100)
         orbit = SolutionOrbit(p)
-        (base, err), (got, got_err) = orbit.evaluate([2, 2.5])
+        (base, err), (got, got_err) = orbit_values(orbit, [2, 2.5])
         assert distance(got, w_apply(TranslationGenerator(Fraction(3, 2)), 0.5, base)) == 0.0
         assert got_err == err * math.exp(1.5 * 0.5)
 

@@ -467,6 +467,183 @@ class TestPlfSum:
 
 
 # --------------------------------------------------------------------------
+# the shift-aware distance walk against the built shift
+
+
+def _grid_scalar(draw, q):
+    """q as a float or a Fraction, or an int when it is integral."""
+    return draw(st.sampled_from([float, Fraction] + ([int] if q.denominator == 1 else [])))(q)
+
+
+# zero runs and magnitudes down to 2^-12: at e^-744 a fold keeps 1 and loses 2^-12
+SHIFT_VALUES = [0, 0, 0, 1, -2, Fraction(3, 4), Fraction(-1, 4096), 8]
+
+
+@st.composite
+def shifted_distances(draw):
+    """(u, v, dt, dlog) for ``distance(u, v, dt, dlog)``.
+
+    Breakpoints are int, float or Fraction on a dyadic grid, one type per
+    entry.  dt is 0, 0.0, a breakpoint, between two, the last one, past it or
+    drawn.  Values have zero runs (so a clip can leave 0 at the origin and
+    at the next point, which the constructor trims) and magnitudes down to
+    2^-12, at scales down to -800, so that a fold underflows at the ends or
+    everywhere.  v is drawn on a finer grid anywhere in [0, 15], at g's scale
+    or its own.  A NaN may sit at the first union point (v's value at 0),
+    at a point of u inside v's support, or at u's first point past it.
+    """
+    den = 2 ** draw(st.integers(0, 2))
+    ks = sorted(draw(st.sets(st.integers(0, 12 * den), min_size=3, max_size=8)))
+    vals = [draw(st.sampled_from(SHIFT_VALUES)) for _ in ks]
+    vals[draw(st.integers(1, len(ks) - 2))] = draw(st.sampled_from([1, -2, 8]))
+    vals[-1] = 0
+    if ks[0] != 0:
+        vals[0] = 0
+    xs = [Fraction(k, den) for k in ks]
+    i = draw(st.integers(0, len(xs) - 2))
+    runs = [p for p in range(len(xs) - 1) if vals[p] == vals[p + 1] == 0] or [i]
+    r = draw(st.sampled_from(runs))  # in a zero run, a clip leaves two zeros in front
+    dt = draw(st.sampled_from([0, 0.0, xs[i], (xs[i] + xs[i + 1]) / 2, xs[-1], xs[-1] + 1,
+                               xs[r], (xs[r] + xs[r + 1]) / 2]))
+    dt = draw(st.one_of(st.just(dt), st.builds(float, st.just(dt)), st.floats(0, 14),
+                        st.fractions(0, 14, max_denominator=12)))
+    dlog = draw(st.sampled_from([0, 1, Fraction(3, 2), 1.5])) * dt + draw(st.sampled_from([0, -1]))
+    su = draw(st.sampled_from([0, -1, Fraction(-5, 2), 2, -740, -744, -745.5, -800]))
+
+    fine = 4 * den
+    vks = sorted(draw(st.sets(st.integers(0, 15 * fine), min_size=3, max_size=6)))
+    where = draw(st.sampled_from([None, None, "first", "inside", "past"]))
+    if where == "first":
+        vks = sorted({0, *vks})
+    vvals = [Fraction(draw(st.integers(-8, 8).filter(bool)), 2 ** draw(st.integers(0, 3)))
+             for _ in vks]
+    vvals[-1] = 0
+    if vks[0] != 0:
+        vvals[0] = 0
+    elif where == "first":
+        vvals[0] = math.nan  # at 0, the first union point
+    shifted = [x - dt for x in xs]
+    lo, hi = Fraction(vks[0], fine), Fraction(vks[-1], fine)
+    free = range(0 if ks[0] == 0 else 1, len(xs) - 1)  # the end values must be 0
+    inside = [p for p in free if lo < shifted[p] < hi]
+    past = [p for p, x in enumerate(shifted) if x > hi]
+    if where == "inside" and inside:
+        vals[draw(st.sampled_from(inside))] = math.nan
+    elif where == "past" and past and past[0] in free:
+        vals[past[0]] = math.nan  # the first point of the run past v's end
+    u = PiecewiseLinearFn([_grid_scalar(draw, x) for x in xs],
+                          [v if v != v else _grid_scalar(draw, v) for v in vals], su)
+    sv = su + dlog if draw(st.booleans()) else draw(st.sampled_from([0, -1, 2, -800]))
+    v = PiecewiseLinearFn([_grid_scalar(draw, Fraction(k, fine)) for k in vks],
+                          [v if v != v else _grid_scalar(draw, v) for v in vvals], sv)
+    u, v = (f if draw(st.integers(0, 9)) else PiecewiseLinearFn.zero() for f in (u, v))
+    return u, v, dt, dlog
+
+
+class TestShiftedDistance:
+    @settings(max_examples=800, deadline=None)
+    @given(shifted_distances())
+    # past v's end a run opens with NaN, which no later max may keep as its seed:
+    # the run's 8 is the answer, not the 0.3 inside v's support
+    @example(case=(PiecewiseLinearFn([0, 0.5, 1.5, 2, 3], [0.25, 0.3, math.nan, 8, 0]),
+                   PiecewiseLinearFn.tent(0, 0.5, 1, 0.5), 0.25, 0.25))
+    # dt inside a zero run: 0 at the origin and at the next point, trimmed
+    @example(case=(PiecewiseLinearFn(range(7), [0, 3, 0, 0, 0, 5, 0]),
+                   PiecewiseLinearFn.tent(0, 1, 2), 2.5, 2.5))
+    # the fold keeps 8 and loses 2^-12 at both ends, or loses everything
+    @example(case=(PiecewiseLinearFn(range(6), [0, Fraction(1, 4096), 8, 1, Fraction(1, 4096), 0],
+                                     -744), PiecewiseLinearFn.tent(0, 1, 2), 0.5, 0.5))
+    @example(case=(PiecewiseLinearFn(range(4), [0, 8, 1, 0], -800),
+                   PiecewiseLinearFn.tent(0, 1, 2, 3), 0.5, 0.5))
+    # NaN at the first union point; v at its own nonzero scale
+    @example(case=(PiecewiseLinearFn(range(4), [0, 8, 1, 0]),
+                   PiecewiseLinearFn([0, 1, 2], [math.nan, 1, 0], -1), 0.75, 0.75))
+    # dt at the end of the support: the zero function, so ||v||
+    @example(case=(PiecewiseLinearFn(range(4), [0, 8, 1, 0]),
+                   PiecewiseLinearFn([0, 1, 2], [5, 1, 0], 2), 3, 3))
+    # the clip's origin value is raw_eval at ub[0] + (0 - (ub[0] - dt)), which is not dt
+    @example(case=(PiecewiseLinearFn([0.1, 1 / 3, Fraction(4, 3), Fraction(3)], [0, 5, 0.1, 0]),
+                   PiecewiseLinearFn([0, 1.25, Fraction(8, 3)], [0.1, 1, 0]), Fraction(4, 3), 2.0))
+    # the clip bisects on b - dt: 12/7 > dt, but 12/7 - dt is float(12/7) - dt = 0.0
+    @example(case=(PiecewiseLinearFn([Fraction(5, 6), Fraction(12, 7), Fraction(25, 3)], [0, 1, 0]),
+                   PiecewiseLinearFn([0, 0.6572032465389499, 1.6232147782296882],
+                                     [Fraction(2, 7), 1, 0], -1), float(Fraction(12, 7)), 0))
+    # at scale 0, g is not folded, so its Fraction values stay exact beside v's fold
+    @example(case=(PiecewiseLinearFn([0, Fraction(1, 2), Fraction(29, 6), Fraction(26, 3)],
+                                     [5, 0.1, 1, 0]),
+                   PiecewiseLinearFn([1.25, Fraction(5, 3), 2.747051441528491], [0, -1 / 3, 0], 0.5),
+                   Fraction(29, 6), 0))
+    # g is zero: the difference is v.scaled(-1), whose -1 * (inf + inf j) is NaN
+    @example(case=(PiecewiseLinearFn([0, 1, 3], [1, -2, 0]),
+                   PiecewiseLinearFn([0, 1.729785184832969, 2.4298051714949773],
+                                     [complex(math.inf, math.inf), 1, 0]), 3.5, 3.5))
+    def test_equals_the_built_shift(self, case):
+        u, v, dt, dlog = case
+        got = _outcome(distance, u, v, dt, dlog)
+        assert got == _outcome(distance, plf_shift_left(u, dt, dlog), v)
+        assert got == _outcome(_difference_norm, plf_shift_left(u, dt, dlog), v)
+
+    @pytest.mark.parametrize("case", [
+        # complex values: the run's comparisons raise, so its |fold * x| are listed
+        (PiecewiseLinearFn(range(6), [0, 1, 2j, 3, 1 + 1j, 0]), PiecewiseLinearFn.tent(0, 1, 2),
+         0.5, 0.5),
+        (PiecewiseLinearFn(range(5), [0, 1, 2, 1.5 - 2.5j, 0]), PiecewiseLinearFn.tent(0, 1, 2),
+         0.5, 0.5),
+        # the rest of the run opens with NaN
+        (PiecewiseLinearFn(range(6), [0, 1, 2, math.nan, 9, 0]), PiecewiseLinearFn.tent(0, 1, 2),
+         0.5, 0.5),
+        # a fold to 0.0 turns inf into NaN
+        (PiecewiseLinearFn(range(6), [0, 1, 2, math.inf, 9, 0], -800),
+         PiecewiseLinearFn.tent(0, 1, 2), 0.5, 0.5),
+        # every value 0 but a NaN in the rest of the run: not the zero function, so
+        # e^800 is taken and overflows
+        (PiecewiseLinearFn(range(7), [0, 1, 0, 0, 0, math.nan, 0], 800),
+         PiecewiseLinearFn([0, 1, 2], [0, 1, 0], 800), 0, 0),
+        # complex infinities: 0 + 1*z and 0 + (-1)*z are complex products, NaN here
+        (PiecewiseLinearFn(range(4), [0, complex(math.inf, math.inf), 1, 0]),
+         PiecewiseLinearFn.tent(0, 0.5, 1), 1.5, 1.5),
+        (PiecewiseLinearFn([5, 6, 7], [0, 1, 0]),
+         PiecewiseLinearFn([0, 1.5, 2.5], [complex(math.inf, math.inf), 1, 0]), 0, 0),
+    ], ids=["complex", "complex-last", "nan-second", "zero-fold-inf", "zero-but-nan",
+            "complex-inf-in-g", "complex-inf-in-v"])
+    def test_runs_the_peak_cannot_stand_for_are_listed(self, case):
+        u, v, dt, dlog = case
+        got = _outcome(distance, u, v, dt, dlog)
+        assert got == _outcome(_difference_norm, plf_shift_left(u, dt, dlog), v)
+
+    def test_a_shift_the_constructor_refuses_is_still_measured(self):
+        # the one documented difference: 1/3 and Fraction(1, 3) minus 0.0 are one
+        # float, so the shift's constructor raises, while the walk, which builds no
+        # list, measures the function as it stands
+        u = PiecewiseLinearFn([0, 0.1, 1 / 3, Fraction(1, 3), Fraction(9, 4)],
+                              [0.7, 1 / 3, 0, -2, 0])
+        v = PiecewiseLinearFn([0, 2], [Fraction(2, 7), 0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            plf_shift_left(u, 0.0, 0.0)
+        assert repr(distance(u, v, 0.0, 0.0)) == repr(_difference_norm(u, v))
+
+    def test_the_run_past_v_keeps_its_peak_after_a_nan(self):
+        u = PiecewiseLinearFn([0, 0.5, 1.5, 2, 3], [0.25, 0.3, math.nan, 8, 0])
+        got = distance(u, PiecewiseLinearFn.tent(0, 0.5, 1, 0.5), 0.25, 0.25)
+        assert got == math.exp(0.25) * 8
+
+    def test_builds_no_function(self, monkeypatch):
+        # no shift, no fold of u and no constructor call: the lists are read in place
+        u = PiecewiseLinearFn([0, 0.5, 1.5, 2, 3], [0.25, 0.3, 2, 8, 0])
+        v = PiecewiseLinearFn.tent(0, 0.5, 1, 0.5)
+        want = distance(plf_shift_left(u, 0.25, 0.25), v)
+        built = []
+        for name in ("__init__", "folded"):
+            real = getattr(PiecewiseLinearFn, name)
+            monkeypatch.setattr(PiecewiseLinearFn, name,
+                                lambda self, *a, real=real, name=name:
+                                built.append(name) or real(self, *a))
+        monkeypatch.setattr(spaces, "plf_shift_left", None)
+        assert repr(distance(u, v, 0.25, 0.25)) == repr(want)
+        assert built == []
+
+
+# --------------------------------------------------------------------------
 # the piecewise-linear clip, union and zero rule against the loops they replaced
 
 
@@ -890,7 +1067,7 @@ def _full_lipschitz_interval(f):
             d = [j * d[j] for j in range(1, len(d))]
         if not d:
             break
-        sample = spaces._grid_max(d, grid)
+        sample = spaces._grid_max(d, grid, real=not any(isinstance(c, complex) for c in d))
         if math.isnan(sample):
             return (math.nan, math.nan)
         lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
@@ -1179,6 +1356,30 @@ class TestCkGridMax:
         assert repr(got) == repr(full_scan_grid_max(coeffs, interval[1] - interval[0]))
 
     @pytest.mark.parametrize("coeffs", [
+        [0.5 - 1j, 3, Fraction(-7, 4), 2.0, -1],  # only the constant: derivatives 1..3 real
+        [1, -2.5, Fraction(1, 3), 0.25 + 2j],  # the top one: every derivative complex
+    ], ids=["constant", "top"])
+    def test_derivatives_take_the_path_of_their_own_coefficients(self, monkeypatch, coeffs):
+        f = PolySeries(coeffs, CkModel(3, 0.0, 1.0))
+        paths, grid_max = [], spaces._grid_max
+
+        def recorded(d, grid, real):
+            paths.append(real)
+            return grid_max(d, grid, real)
+
+        monkeypatch.setattr(spaces, "_grid_max", recorded)
+        lo, hi = f.ck_norm_interval()
+        ds = [f.derivative_coeffs(i) for i in range(4)]
+        assert paths == [not any(isinstance(c, complex) for c in d) for d in ds]
+        samples = [full_scan_grid_max(d, 1.0) for d in ds]
+        assert repr(lo) == repr(max(samples))
+        real = [i for i, d in enumerate(ds) if paths[i]]
+        assert [repr(grid_max(ds[i], _ck_grid(1.0), True)) for i in real] == [
+            repr(numpy_ck_norm_interval(PolySeries(ds[i], CkModel(0, 0.0, 1.0)))[0])
+            for i in real]
+        assert lo <= hi
+
+    @pytest.mark.parametrize("coeffs", [
         [1.0, math.nan],  # NaN at the end points
         [1j, 0, 1.5e308, 1.5e308, -1.5e308],  # inf * 0 in the imaginary part, inside only
     ], ids=["ends", "inside"])
@@ -1187,7 +1388,8 @@ class TestCkGridMax:
         # it and reports (0.0, 0.0), but the interval is NaN, so nothing built
         # on it certifies
         f = PolySeries(coeffs, CkModel(0, 0.0, 1.0))
-        assert repr(spaces._grid_max(coeffs, _ck_grid(1.0))) == "nan"
+        real = not any(isinstance(c, complex) for c in coeffs)
+        assert repr(spaces._grid_max(coeffs, _ck_grid(1.0), real)) == "nan"
         assert repr(f.ck_norm_interval()) == "(nan, nan)"
 
     @pytest.mark.parametrize("coeffs", [[Fraction(1, 3), 2, 0.5, 1e-3], [-1.0, -0.25, 0, -7.0]])

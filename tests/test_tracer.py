@@ -18,10 +18,11 @@ CONFIGS = {
                     "mode = continuous\ngrid_step = 0.5\n"),
 }
 
-# installs the tracer, runs every config given on the command line, and prints
-# the per-layer calls of the dumped trace
+# installs the tracer, runs every config given on the command line and the
+# semigroup check (the continuous sweep measures W(s) x without w_apply), and
+# prints the per-layer calls of the dumped trace
 SCRIPT = """
-import json, sys
+import contextlib, json, sys
 from tracer import TRACED, Tracer, summarize
 
 tracer = Tracer()
@@ -32,6 +33,8 @@ out_dir, configs = sys.argv[1], sys.argv[2:]
 with open(f"{out_dir}/stdout.txt", "w") as sink:
     for path in configs:
         cli.run_pipeline(cli.load_config(path), out=sink)
+    with contextlib.redirect_stdout(sink):
+        cli.main(["semigroup"])
 tracer.dump(f"{out_dir}/trace.npz")
 metrics = summarize(f"{out_dir}/trace.npz")
 print(json.dumps({name: metrics[f"{name}.calls"] for name in TRACED}))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from fhclab import constructor, regularized_semigroup, verifier
+from fhclab import constructor, operators, regularized_semigroup, spaces, verifier
 from fhclab.cli import build_placements, load_config
 from fhclab.constructor import (
     assign_placements,
@@ -35,7 +35,7 @@ from fhclab.operators import (
     transform_rotation,
 )
 from fhclab.regularized_semigroup import SolutionOrbit, w_apply
-from fhclab.spaces import C0_SEQ, HARDY, L2, CkModel, SequenceSpace, distance
+from fhclab.spaces import C0_SEQ, HARDY, L2, CkModel, PiecewiseLinearFn, SequenceSpace, distance
 from fhclab.verifier import (
     OrbitReport,
     continuity_window,
@@ -663,6 +663,51 @@ class TestContinuous:
         rep = continuous_visits(SolutionOrbit(p), {1: 1.2 * proximity_bound(1)}, 21.0, 0.7)[0]
         assert max(rep.visit_times) < 21.0
 
+    @staticmethod
+    def h10_sweep_builds(tmp_path, monkeypatch, grid_step):
+        """Calls to plf_shift_left, PiecewiseLinearFn.__init__ and PiecewiseLinearFn.folded
+        made inside ``continuous_visits`` on the run_translation_h10 config at ``grid_step``."""
+        path = tmp_path / f"h10_{grid_step}.cfg"
+        path.write_text("[operator]\nkind = translation\nlam = 1\n\n[run]\ntargets = 1\n"
+                        f"horizon = 10\nmode = continuous\ngrid_step = {grid_step}\n")
+        cfg = load_config(str(path))
+        orbit = SolutionOrbit(build_placements(cfg))
+        eps = {1: cfg["run"]["radius_factor"] * proximity_bound(1)}
+        counts = dict.fromkeys(["plf_shift_left", "__init__", "folded"], 0)
+        with monkeypatch.context() as patch:
+            for owner, name in [(spaces, "plf_shift_left"), (operators, "plf_shift_left"),
+                                (PiecewiseLinearFn, "__init__"), (PiecewiseLinearFn, "folded")]:
+                def counted(*args, real=getattr(owner, name), name=name, **kwargs):
+                    counts[name] += 1
+                    return real(*args, **kwargs)
+
+                patch.setattr(owner, name, counted)
+            continuous_visits(orbit, eps, 10.0, grid_step)
+        return counts
+
+    def test_cells_build_no_function(self, tmp_path, monkeypatch):
+        # every build in the sweep belongs to a window key's point: halving the
+        # grid doubles the cells but leaves the counts alone
+        coarse = self.h10_sweep_builds(tmp_path, monkeypatch, 0.5)
+        assert coarse["__init__"] > 0
+        assert self.h10_sweep_builds(tmp_path, monkeypatch, 0.25) == coarse
+
+    def test_integer_times_measure_the_point_itself(self, monkeypatch):
+        # W(0.0) would subtract 0.0 from every breakpoint and turn exact Fractions
+        # into floats, so at s == 0 no shift is passed
+        cert = make_certificate(TranslationGenerator(Fraction(3, 2)), 1, exact=True)
+        orbit = SolutionOrbit(assign_placements(compute_thresholds(cert), horizon=40))
+        shifts = []
+
+        def recorded(u, v, *shift):
+            shifts.append(shift)
+            return distance(u, v, *shift)
+
+        monkeypatch.setattr(verifier, "distance", recorded)
+        continuous_visits(orbit, {1: 1.2 * proximity_bound(1)}, 20.0, 0.25)
+        assert () in shifts
+        assert all(s == () or (s[0] != 0 and s[1] == 1.5 * s[0]) for s in shifts)
+
     def test_cells_are_streamed_not_listed(self):
         # 10^6 cells: listing every cell start before the sweep would trace tens of MB
         cert = make_certificate(TranslationGenerator(1), 1)
@@ -678,7 +723,7 @@ class TestContinuous:
                 for k, _ in enumerate(times):
                     if k == 100:
                         raise Stop
-                    yield y, 0.0
+                    yield y, 0, 0.0
 
             def lipschitz_bound(self, t0, t1):
                 return 0.0
