@@ -4,12 +4,14 @@ The vector is x = sum_n B^n z_n where z_n = y_l exactly when n lands in the
 scheduled set A(l, N_l); the placement stores n -> l once, as ``placed_ns``
 and ``placed_ls``, and readers take l at the index they hold.  The schedule
 repeats with its period P, so these tuples and ``placed_gaps`` are one
-period of the schedule's ``placed`` sequence, tiled and repeated up to the
-horizon.  The n-th orbit point is never computed by
-iterating the operator on a truncated float vector; instead it is rebuilt
-term by term from the cancellation identities A^n B^j = B^(j-n) (j >= n) and
-A^(n-j) (j < n) on dense elements, which is numerically stable because
-growing weights never multiply truncated small entries.
+period of the schedule's ``placed`` sequence repeated up to the horizon:
+``placed_ns`` is a ``Tiled`` of that period stored as a tuple, since the
+sweeps bisect and slice it at C speed.  The n-th orbit point is never
+computed by iterating the operator on a truncated float vector; instead it
+is rebuilt term by term from the cancellation identities
+A^n B^j = B^(j-n) (j >= n) and A^(n-j) (j < n) on dense elements, which is
+numerically stable because growing weights never multiply truncated small
+entries.
 
 Every term of an orbit point is some A^k y_l (k up to the forward window) or
 B^k y_l (k up to the backward window), so ``assign_placements`` builds these
@@ -31,9 +33,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import cycle, islice
+from operator import sub
 
 from .criterion import TailCertificate, tail_norm
-from .density_partition import PairKey, build_schedule, tile
+from .density_partition import PairKey, Tiled, build_schedule
 from .operators import apply_forward, apply_inverse, forward_extinction_index
 from .spaces import accumulate, linear_combine
 
@@ -79,16 +83,12 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
         raise ValueError(f"horizon {horizon} is below the largest threshold {max_n}")
     schedule = build_schedule(pairs)
     P = schedule.period
-    # one period of placements, tiled: every copy but the last is whole and the
-    # last is cut at the horizon, so ls and gaps are the period's, repeated and cut
+    # one period of placements, tiled up to the horizon, with its targets and gaps
     placed = schedule.placed(min(horizon, P))
     base = [n for n, _ in placed]
-    ns, ls, gaps = tuple(tile(base, P, horizon)), (), ()
-    if placed:
-        copies = -(-len(ns) // len(base))
-        ls = (tuple(key.l for _, key in placed) * copies)[:len(ns)]
-        wrapped = base + [base[0] + P]  # the gap that wraps leads to the next copy
-        gaps = (tuple(b - a for a, b in zip(wrapped, wrapped[1:])) * copies)[:len(ns) - 1]
+    ns = tuple(Tiled((), base, P, horizon))
+    ls = tuple(islice(cycle([key.l for _, key in placed]), len(ns)))
+    gaps = tuple(islice(cycle(map(sub, base[1:] + [n + P for n in base[:1]], base)), len(ns)))[:-1]
 
     cert = tc.cert
     fwd_window = max(

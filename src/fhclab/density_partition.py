@@ -19,7 +19,7 @@ j and one filler, cover [1, P] with P = 1 + sum_j 2^(R-1-j) * 4 nu_j, and
 the next 2^R blocks repeat them shifted by P.  With R = 1 every block is
 the one pair's, and P = 4 nu.  Both elements of a block lie inside it, so
 n is in A(key) exactly when n + P is: every set is its elements in [1, P]
-shifted by the multiples of P.
+shifted by the multiples of P, which a ``Tiled`` holds in O(P) memory.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 
 @dataclass(frozen=True, order=True)
@@ -46,9 +47,8 @@ class PartitionSchedule:
 
     ``period`` is the P of the module docstring, in closed form; walking to
     it would not pay once P is far past every horizon (P doubles per rank).
-    A query walks the blocks from block 1 only up to min(horizon, P) and
-    tiles the rest.  ``placed`` is the one flattening of all the sets into an
-    ascending (n, pair) sequence.
+    A query walks the blocks only up to min(horizon, P), and ``placed`` is
+    the one flattening of all the sets into an ascending (n, pair) sequence.
     """
 
     def __init__(self, pairs):
@@ -75,23 +75,17 @@ class PartitionSchedule:
             yield start, length, rank
             start, t = start + length, t + 1
 
-    def members(self, key, horizon: int):
-        """Elements of A(key) in [1, horizon], ascending."""
+    def members(self, key, horizon: int) -> "Tiled":
+        """Elements of A(key) in [1, horizon], ascending: those in [1, P], tiled."""
         if key not in self._rank_of:
             raise KeyError(f"pair {key} is not in this schedule")
         rank, nu, stop = self._rank_of[key], key.nu, min(horizon, self.period)
-        return tile([n for start, _, r in self._blocks(stop) if r == rank
-                     for n in (start + nu, start + 3 * nu) if n <= stop], self.period, horizon)
+        return Tiled((), [n for start, _, r in self._blocks(stop) if r == rank
+                          for n in (start + nu, start + 3 * nu) if n <= stop], self.period, horizon)
 
     def density_floor(self, key, horizon: int) -> float:
-        """running_density_floor of A(key) up to horizon.
-
-        ``members`` tiles the elements in [1, P]: the c of them are followed
-        by their copies shifted by P, so the declared range is the whole list.
-        """
-        members = self.members(key, horizon)
-        c = bisect_right(members, self.period) or 1  # an empty list declares nothing
-        return running_density_floor(members, horizon, (0, len(members), c, self.period))
+        """running_density_floor of A(key) up to horizon, one period read at each end."""
+        return running_density_floor(self.members(key, horizon), horizon)
 
     def analytic_density(self, key) -> float:
         """Long-run density of A(key): 2^(R - rank) elements per period (2 per
@@ -111,62 +105,93 @@ class PartitionSchedule:
             w.writerows((n, key.l, key.nu) for n, key in self.placed(horizon))
 
 
-def tile(base, period: int, stop: int):
-    """[n + k * period <= stop for k = 0, 1, ... for n in base], ascending.
-
-    base is ascending and spans less than one period, so each copy starts
-    after the one before ends: the copies whose last element fits are whole,
-    the next is cut at stop, and every later one starts past stop.
+class Tiled:
+    """head, then base shifted by 0, P, 2P, ... and cut at stop, then tail: an
+    immutable ascending int sequence that reads as that list (len, indexing,
+    slices as lists, iteration, == and repr) in the memory of its parts, kept
+    as given.  base spans less than P, so only the last copy can be cut; head
+    ends before base starts, and tail starts past the last copy.
     """
-    if not base:
-        return []
-    full = max(0, (stop - base[-1]) // period + 1)  # copies that fit whole
-    last = full * period
-    return ([n + s for s in range(0, last, period) for n in base]
-            + [n + last for n in base if n + last <= stop])
+
+    __slots__ = ("head", "base", "period", "stop", "tail", "_middle")
+
+    def __init__(self, head, base, period: int, stop: int, tail=()):
+        if base and not 0 <= base[-1] - base[0] < period:
+            raise ValueError(f"base {base[0]} .. {base[-1]} spans a period {period}")
+        self.head, self.base, self.period, self.stop, self.tail = head, base, period, stop, tail
+        full = max(0, (stop - base[-1]) // period + 1) if base else 0  # copies that fit whole
+        self._middle = full * len(base) + bisect_right(base, stop - full * period)
+
+    def __len__(self):
+        return len(self.head) + self._middle + len(self.tail)
+
+    def _between(self, i: int, j: int) -> list:
+        """The elements at indices i <= k < j, for i, j >= 0, as a list."""
+        h, m, c, P, base = len(self.head), self._middle, len(self.base), self.period, self.base
+        lo, hi = min(max(i - h, 0), m), min(max(j - h, 0), m)  # into the copies
+        (q, r), (last, end) = divmod(lo, c or 1), divmod(max(lo, hi), c or 1)  # copy, place
+        if q == last:
+            copies = [n + q * P for n in base[r:end]]
+        else:  # copy q from r on, the whole copies between, and copy last up to end
+            copies = [n + q * P for n in base[r:]]
+            copies += [n + s for s in range((q + 1) * P, last * P, P) for n in base]
+            copies += [n + last * P for n in base[:end]]
+        return [*self.head[i:j], *copies, *self.tail[max(i - h - m, 0):max(j - h - m, 0)]]
+
+    def __iter__(self):  # in lists of 4096: the copies are never all built at once
+        return chain.from_iterable(self._between(k, k + 4096) for k in range(0, len(self), 4096))
+
+    def __getitem__(self, i):
+        k = range(len(self))[i]  # an IndexError, or a range for a slice
+        if isinstance(i, slice):
+            return self._between(k.start, k.stop) if k.step == 1 else [self[j] for j in k]
+        h, m = len(self.head), self._middle
+        if h <= k < h + m:
+            q, r = divmod(k - h, len(self.base))
+            return self.base[r] + q * self.period
+        return self.head[k] if k < h else self.tail[k - h - m]
+
+    def __eq__(self, other):
+        return list(self) == other if isinstance(other, (list, Tiled)) else NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
 
 
-def running_density_floor(members, stop: int, tiled=None) -> float:
+def running_density_floor(members, stop: int) -> float:
     """min over n in [max(1, floor(stop/10)), stop] of |members ∩ [1, n]| / n.
 
-    members ascending ints.  The one density window, shared by the schedule
-    and the verifier.
+    members ascending ints, a ``Tiled`` or a list (read as a Tiled with no
+    base).  The one density window, shared by the schedule and the verifier.
 
     Between members the count is flat and count(n)/n falls, so the minimum
     sits at stop or at m - 1 for a member m in (start, stop], with
     start = max(1, floor(stop/10)), where the count is m's index.  So the
     candidates are last / stop and i / (members[i] - 1) for first <= i < last,
     the indices of the members in the window (a repeated m only adds larger
-    candidates).  Without ``tiled`` every candidate is read.
+    candidates).
 
-    ``tiled = (a, b, c, P)`` declares that members[i + c] == members[i] + P
-    for a <= i < b - c, as for a list that ``tile`` filled on [a, b) with c
-    elements per copy.  Let lo = max(first, a) and hi = min(last, b).  Every
-    i in [lo, hi) lies on a chain i0, i0 + c, i0 + 2c, ... in [lo, hi) whose
-    first element is in [lo, lo + c) and whose last is in [hi - c, hi).  Along
-    the chain, with M = members[i0] - 1 >= 1 (members[i0] > start >= 1), the
-    k-th candidate is (i0 + kc) / (M + kP).  As a function of a real k it has
-    the derivative (cM - P i0) / (M + kP)^2, of one sign, so it is monotone,
-    and int / int is correctly rounded, which keeps it monotone.  Each chain
-    is thus smallest at one of its ends, and only the indices in
-    [first, lo + c) and [hi - c, last) are read: O(c) and the indices outside
-    the range, at any stop.  The declaration is checked in O(1): its bounds,
-    and the relation at both ends of the range.
+    The copies of a Tiled sit at [a, b), a = len(head), with c = len(base)
+    elements per copy: members[i + c] == members[i] + P for a <= i < b - c.
+    Let lo = max(first, a) and hi = min(last, b).  Every i in [lo, hi) lies
+    on a chain i0, i0 + c, i0 + 2c, ... in [lo, hi) whose first element is in
+    [lo, lo + c) and whose last is in [hi - c, hi).  Along the chain, with
+    M = members[i0] - 1 >= 1 (members[i0] > start >= 1), the k-th candidate
+    is (i0 + kc) / (M + kP).  As a function of a real k it has the
+    derivative (cM - P i0) / (M + kP)^2, of one sign, so it is monotone, and
+    int / int is correctly rounded, which keeps it monotone.  Each chain is
+    thus smallest at one of its ends, and only the indices in
+    [first, lo + c) and [hi - c, last) are read: O(c) and the head and tail,
+    at any stop.  With no base, every candidate is read.
     """
     if stop < 1:
         raise ValueError("empty density window")
-    first, last = bisect_right(members, max(1, stop // 10)), bisect_right(members, stop)
-    spans = [(first, last)]
-    if tiled is not None:
-        a, b, c, P = tiled
-        if not (0 <= a <= b <= len(members) and c >= 1):
-            raise ValueError(f"tiled range {tiled} does not fit {len(members)} members")
-        if any(members[i + c] - members[i] != P for i in ((a, b - 1 - c) if b - a > c else ())):
-            raise ValueError(f"members do not repeat with period {P} on the tiled range {tiled}")
-        lo, hi = max(first, a), min(last, b)
-        if lo + c < hi - c:
-            spans = [(first, lo + c), (hi - c, last)]
-    return min([last / stop] + [i / (members[i] - 1) for s, e in spans for i in range(s, e)])
+    t = members if isinstance(members, Tiled) else Tiled(members, (), 1, 0)
+    first, last = bisect_right(t, max(1, stop // 10)), bisect_right(t, stop)
+    a, c = len(t.head), len(t.base)  # the copies sit at [a, a + t._middle)
+    lo, hi = max(first, a), min(last, a + t._middle)
+    spans = [(first, lo + c), (hi - c, last)] if lo + c < hi - c else [(first, last)]
+    return min([last / stop] + [i / (m - 1) for s, e in spans for i, m in enumerate(t[s:e], s)])
 
 
 def build_schedule(pairs) -> PartitionSchedule:

@@ -156,10 +156,6 @@ class SparseVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def combine(self, a, b, other) -> "SparseVector":
-        """a*self + b*other, the two-term ``sparse_sum``."""
-        return sparse_sum([(a, self), (b, other)])
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseVector)
@@ -263,10 +259,6 @@ class PolySeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def combine(self, a, b, other) -> "PolySeries":
-        """a*self + b*other, the two-term ``poly_sum``."""
-        return poly_sum([(a, self), (b, other)])
 
     def __eq__(self, other):
         return (
@@ -560,10 +552,6 @@ class PiecewiseLinearFn:
             return PiecewiseLinearFn.zero()
         return PiecewiseLinearFn(self.breakpoints, [a * v for v in self.values], self.log_scale)
 
-    def combine(self, a, b, other) -> "PiecewiseLinearFn":
-        """a*self + b*other, one pass over the breakpoint union."""
-        return plf_sum([(a, self), (b, other)])
-
     def __eq__(self, other):
         return (
             isinstance(other, PiecewiseLinearFn)
@@ -619,22 +607,22 @@ def linear_combine(a, u, b, v):
     """a*u + b*v with exact coefficient / breakpoint-union arithmetic."""
     if type(u) is not type(v) or type(u) not in _SUMS:
         raise TypeError(f"cannot combine {type(u).__name__} with {type(v).__name__}")
-    return u.combine(a, b, v)
+    return _SUMS[type(u)]([(a, u), (b, v)])
 
 
 def sparse_sum(terms) -> SparseVector:
     """sum of c * v over the nonempty list of (c, v) pairs, in one pass over the entries.
 
     Entry for entry and in dict order, this is the pairwise fold it replaced
-    (``combine`` for two terms, then 1*acc + 1*v for each later one, as
+    (``linear_combine`` for two terms, then 1*acc + 1*v for each later one, as
     ``accumulate`` sums): each index is summed in list order, 0 + c*x where
     the running sum lacks it, an index first met at a later term is
     appended, and an index whose running sum is 0 leaves the dict and
     re-enters at the end if a later term brings it back.  A zero of c1*v1
     (a zero or underflowing weight) keeps its place until the constructor
-    drops it, as in ``combine``; a fold of three or more terms would drop it
-    after the second.  The fold's 1*acc is skipped: exact for real scalars,
-    and for finite complex ones up to the sign of a zero part.
+    drops it, as in ``linear_combine``; a fold of three or more terms would
+    drop it after the second.  The fold's 1*acc is skipped: exact for real
+    scalars, and for finite complex ones up to the sign of a zero part.
     """
     (a, first), *rest = terms
     space = first.space
@@ -655,8 +643,8 @@ def sparse_sum(terms) -> SparseVector:
 def poly_sum(terms) -> PolySeries:
     """sum of c * p over the nonempty list of (c, p) pairs, into one coefficient list.
 
-    It matches the pairwise fold it replaced, combine(c1, p1, c2, p2) and
-    then 1*acc + c*p for each later term, in length, coefficient types and
+    It matches the pairwise fold it replaced, linear_combine(c1, p1, c2, p2)
+    and then 1*acc + c*p for each later term, in length, coefficient types and
     values.  Each coefficient is summed in list order, and trailing zeros are
     trimmed after each term, so a coefficient past the running sum's end
     starts from the fold's int 0 padding, never from a 0.0 that would turn a

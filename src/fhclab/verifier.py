@@ -4,16 +4,17 @@ The lower density (a liminf) is replaced by a windowed running minimum of
 count(n)/n over the window [max(1, floor(N/10)), N] of
 ``density_partition.running_density_floor``; this lower-bounds every finite
 prefix of the evidence and is reported next to N so scaling is visible.  The
-discrete sweep declares the stretch of each visit list that it tiled with
-the schedule's period, so the floor reads one period at each end of it.
+discrete sweep returns each visit list as a ``Tiled``: the visits it swept
+and one period of them repeated with the schedule's period, so a list takes
+O(period) memory and the floor reads one period at each end of the copies.
 Continuous visit sets are measured on a grid with a rigorous Lipschitz
 modulus, yielding inner and outer estimates, in one time-ordered pass over
 the integer checks and the grid cells.
 
 The JSON export keeps the layout of ``json.dump(reports, indent=1)`` byte for
-byte, but streams the visit lists through the C encoder in slices rather than
-through the pure-Python encoder that ``json.dump`` runs;
-``tests/data/run_*_report.json`` pin the bytes.
+byte, a ``Tiled`` written as its list, but streams the visit lists through
+the C encoder in slices rather than through the pure-Python encoder that
+``json.dump`` runs; ``tests/data/run_*_report.json`` pin the bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields
 from itertools import islice, takewhile, tee
 
 from .constructor import FhcPlacement, orbit_eval, orbit_windows, proximity_bound
-from .density_partition import running_density_floor, tile
+from .density_partition import Tiled, running_density_floor
 from .spaces import distance
 
 CSV_COLUMNS = [
@@ -67,13 +68,9 @@ class OrbitReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def density_proxy(visits, N: int, tiled=None) -> float:
-    """running_density_floor of the visits up to N, under its ``tiled`` declaration.
-
-    ``visits`` must be ascending, as ``discrete_report`` builds every list;
-    they are read in place.
-    """
-    return running_density_floor(visits, N, tiled)
+def density_proxy(visits, N: int) -> float:
+    """running_density_floor of the ascending visits up to N, read in place."""
+    return running_density_floor(visits, N)
 
 
 def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
@@ -105,31 +102,25 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     [1, horizon], so shifting by P maps the placements of one onto the other
     with their targets: key(n) = key(n - P).  The keys of [head, hi] are thus
     those of [head - P, head), repeated: the key loop runs on [1, head) and
-    on (hi, N], and the visits of the head's last period, shifted by the
-    multiples of P, fill the middle.  The middle adds no new key, and a
-    placed n there has the target and the key of the placed n - P, so the
-    largest error and the worst scheduled distances are already final.  When
-    head > hi the key loop runs over all of [1, N].
-
-    The visit lists come out ascending.  Each tiled list declares its tiled
-    range to the density floor: from index a, the first visit of the head's
-    last period, to b, the end of the tiled middle, each visit recurs c
-    places later shifted by P, with c the visit count of that period.  The
-    floor then reads O(c) visits plus those before a and past b.
+    on (hi, N], and each visit list is a ``Tiled`` whose base, the visits of
+    the head's last period, repeats up to hi, after the visits before head - P
+    and before those past hi.  The middle adds no new key, and a placed n
+    there has the target and the key of the placed n - P, so the largest
+    error and the worst scheduled distances are already final.  When
+    head > hi the key loop runs over all of [1, N], and the base is empty.
     """
     if N > p.horizon:
         raise ValueError("N must not exceed the placement horizon")
     ls = sorted(epsilons)
     targets = {l: p.cert.target(l) for l in ls}
-    visits = {l: [] for l in ls}
     worst = dict.fromkeys(ls, 0.0)
-    tiled = dict.fromkeys(ls)  # l -> (a, b, c, P) of its tiled visits
     max_err = 0.0
     seen = {}  # window key -> ({l: distance(orbit point, y_l) + err}, visited targets)
 
     def sweep(start, stop):
-        """The key loop over n in range(start, stop)."""
+        """The key loop over n in range(start, stop): {l: its visits there}."""
         nonlocal max_err
+        visits = {l: [] for l in ls}
         # placements advanced only when n reaches them
         placed = islice(zip(p.placed_ns, p.placed_ls), bisect_left(p.placed_ns, start), None)
         next_placed, scheduled = next(placed, (None, None))
@@ -146,29 +137,24 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
                 if scheduled in worst:
                     worst[scheduled] = max(worst[scheduled], entry[0][scheduled])
                 next_placed, scheduled = next(placed, (None, None))
+        return visits
 
     P = p.period
     head, hi = p.forward_window + P + 1, min(N, p.horizon - p.backward_window)
-    if head <= hi:
-        sweep(1, head)
-        for l in ls:
-            a = bisect_left(visits[l], head - P)
-            last = visits[l][a:]
-            visits[l] += tile([n + P for n in last], P, hi)
-            if last:
-                tiled[l] = a, len(visits[l]), len(last), P
-        sweep(hi + 1, N + 1)
-    else:
-        sweep(1, N + 1)
+    repeats = head <= hi  # a middle of repeated periods
+    swept = sweep(1, head if repeats else N + 1)
+    tails = sweep(hi + 1, N + 1) if repeats else dict.fromkeys(ls, ())
     reports = []
     for l in ls:
-        bound = proximity_bound(l)
+        v, bound = swept[l], proximity_bound(l)
+        a = bisect_left(v, head - P) if repeats else len(v)
+        visits = Tiled(v[:a], v[a:], P, hi, tails[l])
         reports.append(OrbitReport(
             l=l,
             epsilon=epsilons[l],
             horizon=N,
-            visit_times=visits[l],
-            density_floor=density_proxy(visits[l], N, tiled[l]),
+            visit_times=visits,
+            density_floor=density_proxy(visits, N),
             covering_set_check=worst[l] < epsilons[l],
             proof_bound=bound,
             certified_error=max_err,
@@ -332,21 +318,22 @@ _SLICE = 2048  # visit times per C-encoder call
 
 
 def _dump_reports(reports, fh):
-    """json.dump([r.to_json_dict() for r in reports], fh, indent=1), byte for byte.
+    """json.dump([r.to_json_dict() for r in reports], fh, indent=1, default=list),
+    byte for byte: a ``Tiled`` visit list is written as its list.
 
     json.dump runs the pure-Python encoder (json.dumps does too once an indent
-    is set), one generator step per visit time.  Here the framing of the flat report dicts is written
-    directly, each scalar goes through json.dumps and each list through the C
-    encoder in slices of _SLICE entries, re-indented by replacing ", ".  That
-    split is exact only for lists of numbers, whose JSON never contains ", ":
-    visit_times holds ints in both modes.
+    is set), one generator step per visit time.  Here the framing of the flat
+    report dicts is written directly, each scalar goes through json.dumps and
+    each list through the C encoder in slices of _SLICE entries, re-indented
+    by replacing ", ".  That split is exact only for lists of numbers, whose
+    JSON never contains ", ": visit_times holds ints in both modes.
     """
     fh.write("[")
     for i, r in enumerate(reports):
         fh.write(",\n {" if i else "\n {")
         for j, (key, value) in enumerate(r.to_json_dict().items()):
             fh.write((",\n  " if j else "\n  ") + json.dumps(key) + ": ")
-            if not isinstance(value, list):
+            if not isinstance(value, (list, Tiled)):
                 fh.write(json.dumps(value))
                 continue
             fh.write("[")

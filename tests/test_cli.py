@@ -68,6 +68,13 @@ class TestSubcommands:
         assert main(["partition", "--pairs", "(1,2)", "--horizon", "16"]) == 0
         assert "[3, 7, 11, 15]" in capsys.readouterr().out
 
+    def test_partition_prints_the_floor_of_an_empty_set(self, capsys):
+        # horizon 5: A(2,3) has no element yet, and no floor counts one
+        assert main(["partition", "--pairs", "(1,2),(2,3)", "--horizon", "5", "--density"]) == 0
+        out = capsys.readouterr().out
+        assert "A(1,2) on [1,5]: [3]\n" in out and "A(2,3) on [1,5]: []\n" in out
+        assert out.count("  density floor: 0.000000 ") == 2
+
     def test_certify_prints_first_threshold(self, capsys):
         assert main(["certify", "--op", "shift", "--w", "2", "--L", "1"]) == 0
         assert "N_1 = 2" in capsys.readouterr().out

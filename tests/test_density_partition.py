@@ -4,12 +4,13 @@ import csv
 import io
 import os
 import tempfile
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fhclab.density_partition import PairKey, build_schedule, running_density_floor, tile
+from fhclab.density_partition import PairKey, Tiled, build_schedule, running_density_floor
 
 
 class TestSinglePair:
@@ -237,47 +238,96 @@ def test_declared_floor_equals_the_full_scan(keys, where, data):
 
 @st.composite
 def tiled_lists(draw):
-    """(members, (a, b, c, P), stop): an ascending head, ``tile(base, P, hi)``, and an
-    ascending tail past hi, with stop // 10 before, inside or after the tiled range,
-    or stop inside its last copy."""
+    """(Tiled(head, base, P, hi, tail), stop): an ascending head, base tiled up to hi,
+    and an ascending tail past hi, with stop // 10 before, inside or after the
+    copies, or stop inside the last copy."""
     head = sorted(draw(st.sets(st.integers(1, 60), max_size=12)))
     P = draw(st.integers(1, 40))
     start = (head[-1] if head else 0) + draw(st.integers(1, 5))
     base = sorted(draw(st.sets(st.integers(start, start + P - 1), min_size=1, max_size=8)))
     hi = base[-1] + draw(st.integers(0, 60)) * P + draw(st.integers(0, P - 1))
     tail = sorted(draw(st.sets(st.integers(hi + 1, hi + 200), max_size=12)))
-    middle = tile(base, P, hi)
-    members = head + middle + tail
-    a, b, c = len(head), len(head) + len(middle), len(base)
+    t = Tiled(head, base, P, hi, tail)
+    members = list(t)
+    a, b, c = len(head), len(t) - len(tail), len(base)
     lo_n, hi_n = members[a], members[b - 1]
     where = draw(st.sampled_from(["before", "inside", "after", "last copy"]))
     stop = {"before": st.integers(1, 10 * lo_n - 1),
             "inside": st.integers(10 * lo_n, max(10 * lo_n, 10 * hi_n - 1)),
             "after": st.integers(10 * hi_n, 10 * hi_n + 3000),
             "last copy": st.integers(members[a + (b - a - 1) // c * c], hi)}[where]
-    return members, (a, b, c, P), draw(stop)
+    return t, draw(stop)
 
 
 @settings(max_examples=400, deadline=None)
 @given(tiled_lists())
 def test_declared_floor_of_a_tiled_list_equals_the_full_scan(case):
-    members, tiled, stop = case
-    full = running_density_floor(members, stop)
-    assert running_density_floor(members, stop, tiled).hex() == full.hex()
+    t, stop = case
+    want = numpy_density_floor(list(t), stop)
+    assert running_density_floor(t, stop).hex() == want.hex()
+    assert running_density_floor(list(t), stop).hex() == want.hex()
 
 
 class TestTiledDeclaration:
-    members = [1, 2] + tile([5, 7], 10, 40) + [41, 50]  # [5, 7, 15, ..., 37] at 2..9
-
-    @pytest.mark.parametrize("tiled", [
-        (-1, 10, 2, 10), (3, 2, 2, 10), (2, 13, 2, 10), (2, 10, 0, 10),  # bounds
-        (2, 10, 2, 9), (1, 10, 2, 10), (2, 11, 2, 10), (2, 10, 3, 10),  # relation
-    ])
-    def test_a_wrong_declaration_raises(self, tiled):
-        with pytest.raises(ValueError):
-            running_density_floor(self.members, 50, tiled)
+    members = Tiled([1, 2], [5, 7], 10, 40, [41, 50])  # [5, 7, 15, ..., 37] at 2..9
 
     def test_the_right_declaration_reads_as_the_full_scan(self):
+        assert self.members == [1, 2, 5, 7, 15, 17, 25, 27, 35, 37, 41, 50]
         for stop in range(1, 60):
-            assert (running_density_floor(self.members, stop, (2, 10, 2, 10)).hex()
-                    == running_density_floor(self.members, stop).hex())
+            assert (running_density_floor(self.members, stop).hex()
+                    == running_density_floor(list(self.members), stop).hex())
+
+    def test_a_base_that_spans_a_period_is_refused(self):
+        with pytest.raises(ValueError):
+            Tiled([], [5, 15], 10, 40)
+
+
+@st.composite
+def tileds(draw):
+    """Tiled(head, base, P, stop, tail) with any part empty, stop anywhere from
+    below base[0] to past several copies, and the last copy whole or cut."""
+    head = sorted(draw(st.sets(st.integers(-20, 40), max_size=6)))
+    P = draw(st.integers(1, 12))
+    start = (head[-1] if head else 0) + draw(st.integers(1, 4))
+    base = sorted(draw(st.sets(st.integers(start, start + P - 1), max_size=5)))
+    stop = start + draw(st.integers(-3, 6 * P))
+    end = max([*head, *Tiled([], base, P, stop)], default=0)
+    tail = sorted(draw(st.sets(st.integers(end + 1, end + 30), max_size=6)))
+    return Tiled(head, base, P, stop, tail)
+
+
+indexes = st.integers(-40, 40) | st.none()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tileds(), st.data())
+def test_a_tiled_sequence_reads_as_its_list(t, data):
+    # stop <= base[0] + 6 P, so no copy past k = 6 is kept
+    want = [*t.head, *(n + k * t.period for k in range(8) for n in t.base
+                       if n + k * t.period <= t.stop), *t.tail]
+    assert len(t) == len(want) and list(t) == want and list(iter(t)) == want
+    for i in range(-len(want) - 2, len(want) + 2):
+        if -len(want) <= i < len(want):
+            assert t[i] == want[i]
+        else:
+            with pytest.raises(IndexError):
+                t[i]
+    for _ in range(10):
+        s = slice(data.draw(indexes), data.draw(indexes),
+                  data.draw(st.sampled_from([None, 1, 2, 3, -1, -2])))
+        assert type(t[s]) is list and t[s] == want[s]
+    for x in range(min(want, default=0) - 2, max(want, default=0) + 3):
+        assert bisect_left(t, x) == bisect_left(want, x)
+        assert bisect_right(t, x) == bisect_right(want, x)
+    assert t == want and want == t and not t != want and t == Tiled(want, [], 1, 0)
+    assert t != want + [10**6] and t != tuple(want)
+    assert repr(t) == repr(want) and str(t) == str(want) and f"{t}" == f"{want}"
+
+
+def test_a_long_tiled_sequence_reads_as_its_list():
+    # iteration builds lists of 4096 elements at a time; a slice may span two of them
+    t = Tiled([1, 2], [5, 6, 9], 7, 30_000, [30_001])
+    want = [1, 2, *(n + 7 * k for k in range(4300) for n in (5, 6, 9) if n + 7 * k <= 30_000),
+            30_001]
+    assert len(t) == len(want) > 3 * 4096 and list(t) == want
+    assert t[4000:8300] == want[4000:8300] and t[-5000::-3] == want[-5000::-3]

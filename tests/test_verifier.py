@@ -25,7 +25,7 @@ from fhclab.constructor import (
     window_pairs,
 )
 from fhclab.criterion import compute_thresholds
-from fhclab.density_partition import PairKey, build_schedule, tile
+from fhclab.density_partition import PairKey, Tiled, build_schedule
 from fhclab.operators import (
     Differentiation,
     TranslationGenerator,
@@ -76,10 +76,10 @@ class TestDensityProxy:
 
 
     def test_a_declared_list_is_read_in_place(self):
-        # no sorted copy: the floor reads the two copies at the window's ends
-        visits = ReadCounter(tile([3, 5], 10, 10_000))
-        floor = density_proxy(visits, 10_000, (0, len(visits), 2, 10))
-        assert visits.reads < 50
+        # no list is built: the floor reads the two copies at the window's ends
+        visits = counting_parts(Tiled([], [3, 5], 10, 10_000))
+        floor = density_proxy(visits, 10_000)
+        assert parts_read(visits) < 50
         assert floor.hex() == density_proxy(list(visits), 10_000).hex()
 
     def test_bench_sized_floors_read_one_period(self, monkeypatch):
@@ -90,7 +90,7 @@ class TestDensityProxy:
         real, lists = verifier.density_proxy, []
 
         def counted(visits, *args):
-            lists.append(ReadCounter(visits))
+            lists.append(counting_parts(visits))
             return real(lists[-1], *args)
 
         monkeypatch.setattr(verifier, "density_proxy", counted)
@@ -101,10 +101,23 @@ class TestDensityProxy:
             v = rep.visit_times
             a, b = bisect_left(v, head - p.period), bisect_right(v, hi)
             c = bisect_left(v, head) - a  # the head's last period, which the middle repeats
-            # two bisections and the spot checks at both ends of the range add the rest
-            assert visits.reads <= 2 * c + a + (len(v) - b) + 2 * len(v).bit_length() + 4
+            # two bisections add the rest
+            assert parts_read(visits) <= 2 * c + a + (len(v) - b) + 2 * len(v).bit_length() + 4
             assert rep.density_floor.hex() == density_proxy(list(v), N).hex()
-        assert sum(map(len, lists)) > 75_000 > 10 * sum(r.reads for r in lists)
+        assert sum(map(len, lists)) > 75_000 > 10 * sum(map(parts_read, lists))
+
+
+def counting_parts(t):
+    """t with each of its head, base and tail in a ReadCounter that counts the
+    reads after the Tiled is built."""
+    counted = Tiled(ReadCounter(t.head), ReadCounter(t.base), t.period, t.stop,
+                    ReadCounter(t.tail))
+    counted.head.reads = counted.base.reads = counted.tail.reads = 0
+    return counted
+
+
+def parts_read(t):
+    return t.head.reads + t.base.reads + t.tail.reads
 
 
 class ReadCounter(list):
@@ -455,6 +468,23 @@ class TestWindowSweep:
         assert counted == [N]
         assert [repr(r) for r in got] == [repr(r) for r in untiled]
 
+    def test_long_horizon_reports_keep_one_period(self):
+        # shift w = 2, 3 targets, horizon 10^6: 1.88 M visits, held as each list's
+        # swept head, one period and its tail (a built list of them took 72 MB)
+        cfg = load_config(REPO_CONFIG)
+        cfg["run"]["targets"] = 3
+        cfg["run"]["horizon"] = N = 10**6
+        p = build_placements(cfg)
+        eps = {l: cfg["run"]["radius_factor"] * proximity_bound(l) for l in range(1, 4)}
+        tracemalloc.start()
+        try:
+            reports = discrete_report(p, eps, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(r.visit_times) for r in reports) > 1_880_000
+        assert peak < 2**20
+
     def test_near_the_horizon_windows_shrink(self):
         p = placement("shift-l2", 1, 1, 3, 100)
         assert p.backward_window < 100
@@ -595,21 +625,21 @@ class TestReportIO:
     @settings(max_examples=60, deadline=None)
     def test_json_bytes_equal_indented_dump(self, tmp_path_factory, reports):
         path = tmp_path_factory.mktemp("json") / "report.json"
-        expected = json.dumps([r.to_json_dict() for r in reports], indent=1)
+        expected = json.dumps([r.to_json_dict() for r in reports], indent=1, default=list)
         assert self._exported(reports, path) == expected
 
     def test_json_bytes_of_a_sweep_longer_than_a_slice(self, tmp_path):
         eps = {1: 1.2 * proximity_bound(1), 2: 1.2 * proximity_bound(2)}
         reports = discrete_report(shift_placement(horizon=2500), eps, 2500)
         assert len(reports[0].visit_times) > verifier._SLICE
-        expected = json.dumps([r.to_json_dict() for r in reports], indent=1)
+        expected = json.dumps([r.to_json_dict() for r in reports], indent=1, default=list)
         assert self._exported(reports, tmp_path / "report.json") == expected
 
     def test_json_export_skips_the_pure_python_encoder(self, tmp_path, monkeypatch):
         # json.dump builds its encoder with _make_iterencode, one
         # generator step per visit time; the export must never reach it
         reports = self._reports()
-        expected = json.dumps([r.to_json_dict() for r in reports], indent=1)
+        expected = json.dumps([r.to_json_dict() for r in reports], indent=1, default=list)
 
         def pure_python_encoder(*args, **kwargs):
             raise AssertionError("the pure-Python JSON encoder was used")
