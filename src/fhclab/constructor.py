@@ -3,15 +3,14 @@
 The vector is x = sum_n B^n z_n where z_n = y_l exactly when n lands in the
 scheduled set A(l, N_l); the placement stores n -> l once, as ``placed_ns``
 and ``placed_ls``, and readers take l at the index they hold.  The schedule
-repeats with its period P, so these tuples and ``placed_gaps`` are one
-period of the schedule's ``placed`` sequence repeated up to the horizon:
-``placed_ns`` is a ``Tiled`` of that period stored as a tuple, since the
-sweeps bisect and slice it at C speed.  The n-th orbit point is never
-computed by iterating the operator on a truncated float vector; instead it
-is rebuilt term by term from the cancellation identities
-A^n B^j = B^(j-n) (j >= n) and A^(n-j) (j < n) on dense elements, which is
-numerically stable because growing weights never multiply truncated small
-entries.
+repeats with its period P, so these tuples are one period of the schedule's
+``placed`` sequence repeated up to the horizon: ``placed_ns`` is a ``Tiled``
+of that period stored as a tuple, since the sweeps bisect and slice it at C
+speed.  The n-th orbit point is never computed by iterating the operator on
+a truncated float vector; instead it is rebuilt term by term from the
+cancellation identities A^n B^j = B^(j-n) (j >= n) and A^(n-j) (j < n) on
+dense elements, which is numerically stable because growing weights never
+multiply truncated small entries.
 
 Every term of an orbit point is some A^k y_l (k up to the forward window) or
 B^k y_l (k up to the backward window), so ``assign_placements`` builds these
@@ -20,9 +19,8 @@ once per target and the sweep reads them from that table.  Only x itself,
 B for the terms beyond it.  Orbit point n reads only the placements of its
 window, so two points with the same window key are one point.
 ``orbit_windows(p, start, stop)`` slides that window over the placed n in
-one pass and yields each point's key, built from slices of tuples stored on
-the placement; ``orbit_window(p, n)`` is its one-point case and
-``window_pairs`` decodes a key into offsets and targets.
+one pass and yields each point's key, the window itself: its offsets j - n
+and their targets; ``orbit_window(p, n)`` is its one-point case.
 
 Everything beyond the evaluation window is closed off with the certified
 inverse-tail bound and reported as an explicit error bar.
@@ -30,11 +28,9 @@ inverse-tail bound and reported as an explicit error bar.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import cycle, islice
-from operator import sub
 
 from .criterion import TailCertificate, tail_norm
 from .density_partition import PairKey, Tiled, build_schedule
@@ -60,7 +56,6 @@ class FhcPlacement:
     horizon: int
     placed_ns: tuple  # every placed n <= horizon, ascending
     placed_ls: tuple  # placed_ls[i]: the target l placed at placed_ns[i]
-    placed_gaps: tuple  # placed_ns[i + 1] - placed_ns[i]
     period: int  # the schedule's period: n <= horizon - period is placed with l iff n + period is
     forward_window: int  # exact extinction bound for forward terms
     backward_window: int  # inverse terms beyond this are covered by the tail
@@ -83,12 +78,10 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
         raise ValueError(f"horizon {horizon} is below the largest threshold {max_n}")
     schedule = build_schedule(pairs)
     P = schedule.period
-    # one period of placements, tiled up to the horizon, with its targets and gaps
+    # one period of placements, tiled up to the horizon, with its targets
     placed = schedule.placed(min(horizon, P))
-    base = [n for n, _ in placed]
-    ns = tuple(Tiled((), base, P, horizon))
+    ns = tuple(Tiled((), [n for n, _ in placed], P, horizon))
     ls = tuple(islice(cycle([key.l for _, key in placed]), len(ns)))
-    gaps = tuple(islice(cycle(map(sub, base[1:] + [n + P for n in base[:1]], base)), len(ns)))[:-1]
 
     cert = tc.cert
     fwd_window = max(
@@ -101,7 +94,7 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
                      for l, y in targets.items()}
     inverse_terms = {l: tuple(apply_inverse(cert, y, k) for k in range(bwd_window + 1))
                      for l, y in targets.items()}
-    return FhcPlacement(tc, horizon, ns, ls, gaps, P, fwd_window, bwd_window,
+    return FhcPlacement(tc, horizon, ns, ls, P, fwd_window, bwd_window,
                         bwd_tail, forward_terms, inverse_terms)
 
 
@@ -139,21 +132,18 @@ def materialize(p: FhcPlacement):
 
 
 def orbit_windows(p: FhcPlacement, start: int, stop: int):
-    """The window key of each orbit point n in range(start, stop), in order.
+    """The window key (W, offsets, targets) of each orbit point n in range(start, stop).
 
     Point n reads every placed j in [n - forward_window, n + W], where
-    W = min(backward_window, horizon - n) is its backward window.  Its key is
-    (W, j_0 - n, the gaps between consecutive j, their targets l_j), with j_0
-    the first placed j, or (W, None, (), ()) when none is placed; so two keys
+    W = min(backward_window, horizon - n) is its backward window; ``offsets``
+    are those j - n in ascending order and ``targets`` their l_j, so two keys
     are equal exactly when their windows hold the same (j - n, l_j) pairs.
-    ``window_pairs`` decodes a key.  Neither end of the window moves back as
-    n grows, so after one bisection at start two indices slide forward over
-    ``placed_ns``; the gaps and targets are slices of the placement's tuples,
-    taken again only when an index moves.
+    Neither end of the window moves back as n grows, so after one bisection
+    at start two indices slide forward over ``placed_ns``.
     """
     if not 0 <= start <= stop <= p.horizon + 1:
         raise ValueError("need 0 <= start <= stop <= horizon + 1")
-    ns, gaps, ls = p.placed_ns, p.placed_gaps, p.placed_ls
+    ns, ls = p.placed_ns, p.placed_ls
     fwd, bwd, horizon, count = p.forward_window, p.backward_window, p.horizon, len(ns)
     lo = bisect_left(ns, start - fwd)
     hi = bisect_right(ns, min(start + bwd, horizon))
@@ -161,36 +151,23 @@ def orbit_windows(p: FhcPlacement, start: int, stop: int):
     # leaves the window at n = ns[lo] + fwd + 1, ns[hi] enters at n = ns[hi] - bwd
     leave = ns[lo] + fwd + 1 if lo < count else -1
     enter = ns[hi] - bwd if hi < count else -1
-    moved = True
+    window, targets = ns[lo:hi], ls[lo:hi]
     for n in range(start, stop):
         if n == leave:
             lo += 1
             leave = ns[lo] + fwd + 1 if lo < count else -1
-            moved = True
+            window, targets = ns[lo:hi], ls[lo:hi]
         if n == enter:
             hi += 1
             enter = ns[hi] - bwd if hi < count else -1
-            moved = True
-        if moved:
-            moved = False
-            first, placed_gaps, placed_ls = (
-                (ns[lo], gaps[lo:hi - 1], ls[lo:hi]) if lo < hi else (None, (), ()))
+            window, targets = ns[lo:hi], ls[lo:hi]
         W = bwd if n + bwd <= horizon else horizon - n
-        yield W, None if first is None else first - n, placed_gaps, placed_ls
+        yield W, tuple([j - n for j in window]), targets
 
 
 def orbit_window(p: FhcPlacement, n: int):
     """The window key of orbit point n: ``orbit_windows`` at the one point n."""
     return next(orbit_windows(p, n, n + 1))
-
-
-def window_pairs(key):
-    """(W, ((j - n, l_j), ...)): a window key's backward window and its placed
-    j in increasing order, each with its offset from n and its target."""
-    W, first, gaps, ls = key
-    if first is None:
-        return W, ()
-    return W, tuple(zip(itertools.accumulate(gaps, initial=first), ls))
 
 
 def orbit_parts(p: FhcPlacement, n: int):
@@ -201,9 +178,8 @@ def orbit_parts(p: FhcPlacement, n: int):
     j in (n, n + W] with the certified tail bound for the rest; every part
     is read from the window key ``orbit_window(p, n)`` and the term table.
     """
-    if not 0 <= n <= p.horizon:
-        raise ValueError("n must lie in [0, horizon]")
-    W, placed = window_pairs(orbit_window(p, n))
+    W, offsets, ls = orbit_window(p, n)
+    placed = list(zip(offsets, ls))
     zero = p.cert.target(1).scaled(0)
     fwd = [p.forward_terms[l][-d] for d, l in placed if d < 0]
     middle = next((p.cert.target(l) for d, l in placed if d == 0), None)

@@ -10,9 +10,7 @@ point per window key, as ``discrete_report`` builds them: it yields A^n x,
 held while the times stay in [n, n + 1), with s = t - n, and leaves the shift
 W(s) to the caller.  ``continuous_visits`` never builds W(s) A^n x: it passes
 s and dlog = lam*s to ``spaces.distance``, whose walk measures the shifted
-point against each target in place.  At s == 0 it measures the point itself,
-never W(0.0) A^n x, whose breakpoints b - 0.0 would turn exact Fractions into
-floats.
+point against each target in place.
 """
 
 from __future__ import annotations

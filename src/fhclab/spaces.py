@@ -574,8 +574,9 @@ def plf_shift_left(f: PiecewiseLinearFn, dt, dlog=0) -> PiecewiseLinearFn:
 
     The shifted breakpoints stay sorted, so the clip is a ``bisect_right`` at 0:
     the value at the origin, then the slice of breakpoints > 0 and their values.
+    W(0) is the identity: a zero dt and dlog return f itself.
     """
-    if f.is_zero():
+    if f.is_zero() or dt == dlog == 0:
         return f
     bp = [b - dt for b in f.breakpoints]
     if bp[-1] <= 0:
@@ -757,8 +758,12 @@ def distance(u, v, dt=0, dlog=0) -> float:
     W(dt)u is the shift a piecewise-linear u takes in the translation
     semigroup, dt >= 0.  Two nonzero piecewise-linear functions take
     ``_plf_distance``, a walk that builds no function; any other pair builds
-    the shift and the difference.
+    the shift and the difference.  W(0) is the identity: a zero dt and dlog
+    become the ints 0, so b - dt keeps a ``Fraction`` breakpoint and
+    log_scale + dlog a ``Fraction`` scale.
     """
+    if dt == dlog == 0:
+        dt = dlog = 0
     if type(u) is PiecewiseLinearFn and type(v) is PiecewiseLinearFn and u.breakpoints \
             and v.breakpoints:
         return _plf_distance(u, v, dt, dlog)

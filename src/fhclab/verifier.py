@@ -26,7 +26,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from itertools import islice, takewhile, tee
+from itertools import takewhile, tee
 
 from .constructor import FhcPlacement, orbit_eval, orbit_windows, proximity_bound
 from .density_partition import Tiled, running_density_floor
@@ -89,10 +89,11 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     zero vector that does not depend on n, and reports the error bar of the
     window W: ``backward_tail`` when W is the full backward window, else
     ``_inverse_tail(W + 1)``.  So points with equal keys have equal vectors
-    and errors.  Each key keeps its distances (error included) and the
-    targets its point visits, so every n only joins the visit lists of its
-    key's targets.  The largest error is taken over the keys, and each
-    target's worst scheduled distance over the placed n <= N.
+    and errors.  Each key keeps its distances (error included), the targets
+    its point visits and the target at offset 0, the one scheduled at n if
+    any, so every n only joins the visit lists of its key's targets and
+    updates its scheduled target's worst distance, in ascending n.  The
+    largest error is taken over the keys.
 
     Most n are not swept at all.  The placements repeat with the schedule's
     period P: j >= 1 is placed with target l exactly when j + P is, as long
@@ -115,28 +116,25 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     targets = {l: p.cert.target(l) for l in ls}
     worst = dict.fromkeys(ls, 0.0)
     max_err = 0.0
-    seen = {}  # window key -> ({l: distance(orbit point, y_l) + err}, visited targets)
+    seen = {}  # window key -> ({l: distance + err}, visited targets, target at offset 0)
 
     def sweep(start, stop):
         """The key loop over n in range(start, stop): {l: its visits there}."""
         nonlocal max_err
         visits = {l: [] for l in ls}
-        # placements advanced only when n reaches them
-        placed = islice(zip(p.placed_ns, p.placed_ls), bisect_left(p.placed_ns, start), None)
-        next_placed, scheduled = next(placed, (None, None))
         for n, key in enumerate(orbit_windows(p, start, stop), start):
             entry = seen.get(key)
             if entry is None:
                 vec, err = orbit_eval(p, n)
                 max_err = max(max_err, err)
                 dist = {l: distance(vec, targets[l]) + err for l in ls}
-                entry = seen[key] = dist, tuple(l for l in ls if dist[l] < epsilons[l])
-            for l in entry[1]:
+                entry = seen[key] = (dist, tuple(l for l in ls if dist[l] < epsilons[l]),
+                                     dict(zip(key[1], key[2])).get(0))
+            dist, visited, scheduled = entry
+            for l in visited:
                 visits[l].append(n)
-            if n == next_placed:
-                if scheduled in worst:
-                    worst[scheduled] = max(worst[scheduled], entry[0][scheduled])
-                next_placed, scheduled = next(placed, (None, None))
+            if scheduled in worst:
+                worst[scheduled] = max(worst[scheduled], dist[scheduled])
         return visits
 
     P = p.period
@@ -215,8 +213,7 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
     over the integer checks and the cells in time order, so the orbit builds
     one point per window key (``SolutionOrbit.evaluate``); only the distances
     are per target.  A cell at t = n + s measures W(s) A^n x against y_l by
-    ``distance(point, y_l, s, lam * s)``, which builds no function; at
-    s == 0 it measures the point itself, with no shift.
+    ``distance(point, y_l, s, lam * s)``, which builds no function.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -245,9 +242,8 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
             continue
         t1 = min(t_max, t0 + grid_step)
         lip = orbit.lipschitz_bound(t0, t1)
-        shift = (s, lam * s) if s else ()  # W(s) with dlog = lam*s; none at s == 0
         for l in ls:
-            d = distance(vec, targets[l], *shift)
+            d = distance(vec, targets[l], s, lam * s)
             if d + err + lip * (t1 - t0) < epsilons[l]:
                 cells[l].append((t0, t1))
             if d - err - lip * (t1 - t0) < epsilons[l]:

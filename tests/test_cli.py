@@ -327,7 +327,7 @@ class TestRun:
                 assert (tmp_path / f"translation_h10_report.{ext}").read_bytes() == fh.read()
 
     def test_rational_continuous_run_matches_the_pins(self, monkeypatch, tmp_path):
-        # at s == 0 the sweep measures the exact point itself, never W(0.0) of it
+        # at s == 0 the sweep measures the exact point itself: W(0) is the identity
         monkeypatch.setenv("FHCLAB_OUTPUT_DIR", str(tmp_path))
         cfg = write_cfg(tmp_path, "[operator]\nkind = translation\nlam = 1\n\n[run]\n"
                         "targets = 1\nhorizon = 10\nmode = continuous\ngrid_step = 0.5\n"

@@ -74,7 +74,6 @@ class TestAssignment:
         assert list(p.placed_ns) == sorted(n for ns in members.values() for n in ns)
         assert {n: key.l for key, ns in members.items() for n in ns} \
             == dict(zip(p.placed_ns, p.placed_ls))
-        assert p.placed_gaps == tuple(b - a for a, b in zip(p.placed_ns, p.placed_ns[1:]))
 
     def test_every_target_is_placed(self):
         p = shift_placement(L=3, horizon=500)
@@ -121,12 +120,11 @@ def test_placement_tuples_are_the_split_of_placed(family, L, data):
         ns = tuple(n for n, _ in placed)
         assert p.placed_ns == ns
         assert p.placed_ls == tuple(key.l for _, key in placed)
-        assert p.placed_gaps == tuple(b - a for a, b in zip(ns, ns[1:]))
 
 
 def test_a_horizon_below_the_first_placement_places_nothing():
     p = shift_placement(L=1, horizon=2)  # N_1 = 2, first placement 3
-    assert p.placed_ns == p.placed_ls == p.placed_gaps == ()
+    assert p.placed_ns == p.placed_ls == ()
 
 
 class TestMaterialize:

@@ -278,27 +278,30 @@ def second_sum_paths(path: pathlib.Path):
     """``module:line: what`` for each pairwise path beside a vector type's one-pass sum.
 
     ``accumulate`` may hold no loop, comprehension or lambda that calls
-    ``linear_combine`` or ``.combine`` (a pairwise fold), and a class's
-    ``combine`` must be one ``return`` of a call (the two-term case of its sum).
+    ``linear_combine`` (a pairwise fold), and ``linear_combine`` must be, after
+    its docstring, at most one ``if ...: raise`` and one ``return`` of a
+    ``_SUMS[...]`` call (the two-term case of its type's sum).
     """
     hits = []
     loops = (ast.For, ast.While, ast.comprehension, ast.Lambda)
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.FunctionDef) and node.name == "accumulate":
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if node.name == "accumulate":
             hits += [f"{path.name}:{call.lineno}: a pairwise fold in accumulate"
                      for loop in ast.walk(node) if isinstance(loop, loops)
                      for call in ast.walk(loop) if isinstance(call, ast.Call)
-                     and (getattr(call.func, "id", None) == "linear_combine"
-                          or getattr(call.func, "attr", None) == "combine")]
-        elif isinstance(node, ast.ClassDef):
-            for func in node.body:
-                if not (isinstance(func, ast.FunctionDef) and func.name == "combine"):
-                    continue
-                body = func.body[1:] if ast.get_docstring(func) else func.body
-                if not (len(body) == 1 and isinstance(body[0], ast.Return)
-                        and isinstance(body[0].value, ast.Call)):
-                    hits.append(f"{path.name}:{func.lineno}: {node.name}.combine "
-                                "is more than a call into its sum")
+                     and getattr(call.func, "id", None) == "linear_combine"]
+        elif node.name == "linear_combine":
+            *guard, last = node.body[1:] if ast.get_docstring(node) else node.body
+            guarded = all(isinstance(g, ast.If) and not g.orelse and len(g.body) == 1
+                          and isinstance(g.body[0], ast.Raise) for g in guard)
+            summed = (isinstance(last, ast.Return) and isinstance(last.value, ast.Call)
+                      and isinstance(last.value.func, ast.Subscript)
+                      and getattr(last.value.func.value, "id", None) == "_SUMS")
+            if len(guard) > 1 or not guarded or not summed:
+                hits.append(f"{path.name}:{node.lineno}: linear_combine "
+                            "is more than a call into its type's sum")
     return sorted(set(hits))
 
 
@@ -404,7 +407,8 @@ def test_only_the_constructor_and_the_fold_skip_the_checks():
 
 
 def test_one_sum_per_vector_type():
-    # each vector type has one weighted sum; combine is its two-term call and
+    # each vector type has one weighted sum; linear_combine is its two-term call and
     # accumulate its all-ones call, so no second, pairwise path sits beside it
+    assert "def linear_combine(" in (SRC / "spaces.py").read_text()
     hits = [hit for path in sorted(SRC.glob("*.py")) for hit in second_sum_paths(path)]
     assert not hits, "pairwise paths beside a one-pass sum:\n" + "\n".join(hits)

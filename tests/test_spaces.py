@@ -612,15 +612,27 @@ class TestShiftedDistance:
         assert got == _outcome(_difference_norm, plf_shift_left(u, dt, dlog), v)
 
     def test_a_shift_the_constructor_refuses_is_still_measured(self):
-        # the one documented difference: 1/3 and Fraction(1, 3) minus 0.0 are one
+        # the one documented difference: 1/3 and Fraction(1, 3) minus 0.05 are one
         # float, so the shift's constructor raises, while the walk, which builds no
-        # list, measures the function as it stands
+        # list, measures the jump there: its peak |-2 - v(x)|, in plf_sum's arithmetic
         u = PiecewiseLinearFn([0, 0.1, 1 / 3, Fraction(1, 3), Fraction(9, 4)],
                               [0.7, 1 / 3, 0, -2, 0])
         v = PiecewiseLinearFn([0, 2], [Fraction(2, 7), 0])
         with pytest.raises(ValueError, match="strictly increasing"):
-            plf_shift_left(u, 0.0, 0.0)
-        assert repr(distance(u, v, 0.0, 0.0)) == repr(_difference_norm(u, v))
+            plf_shift_left(u, 0.05, 0.0)
+        x = 1 / 3 - 0.05
+        v_at_x = Fraction(2, 7) + (x - 0) / (2 - 0) * (0 - Fraction(2, 7))
+        assert repr(distance(u, v, 0.05, 0.0)) == repr(abs(0 + 1 * -2 + -1 * v_at_x))
+
+    def test_a_zero_shift_is_the_identity(self):
+        # W(0) returns the function itself, where 1/3 and Fraction(1, 3) minus 0.0
+        # would round to one float
+        u = PiecewiseLinearFn([0, 0.1, 1 / 3, Fraction(1, 3), Fraction(9, 4)],
+                              [0.7, 1 / 3, 0, -2, 0])
+        v = PiecewiseLinearFn([0, 2], [Fraction(2, 7), 0])
+        assert plf_shift_left(u, 0.0, 0.0) is u
+        assert repr(distance(u, v, 0.0, 0.0)) == repr(distance(u, v)) \
+            == repr(_difference_norm(u, v))
 
     def test_the_run_past_v_keeps_its_peak_after_a_nan(self):
         u = PiecewiseLinearFn([0, 0.5, 1.5, 2, 3], [0.25, 0.3, math.nan, 8, 0])
@@ -648,8 +660,9 @@ class TestShiftedDistance:
 
 
 def _former_shift_left(f, dt, dlog=0):
-    """The former ``plf_shift_left``: the clip as an append loop over every breakpoint."""
-    if f.is_zero():
+    """The former ``plf_shift_left``: the clip as an append loop over every breakpoint,
+    with the rule that W(0) is the identity."""
+    if f.is_zero() or dt == dlog == 0:
         return f
     bp = [b - dt for b in f.breakpoints]
     if bp[-1] <= 0:

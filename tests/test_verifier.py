@@ -22,7 +22,6 @@ from fhclab.constructor import (
     orbit_window,
     orbit_windows,
     proximity_bound,
-    window_pairs,
 )
 from fhclab.criterion import compute_thresholds
 from fhclab.density_partition import PairKey, Tiled, build_schedule
@@ -537,11 +536,10 @@ class TestSlidingWindows:
     def check(self, p, start, stop):
         keys = list(orbit_windows(p, start, stop))
         assert keys == [orbit_window(p, n) for n in range(start, stop)]
+        # the key is the window: (W, its offsets j - n, their targets l_j)
         windows = [window_as_pairs(p, n) for n in range(start, stop)]
-        assert [window_pairs(key) for key in keys] == windows
-        # decoding is a function of the key, so equal counts make keys equal
-        # exactly when their windows are
-        assert len(set(keys)) == len(set(windows))
+        assert keys == [(W, tuple(d for d, _ in pairs), tuple(l for _, l in pairs))
+                        for W, pairs in windows]
         return keys
 
     @settings(max_examples=60, deadline=None)
@@ -556,7 +554,22 @@ class TestSlidingWindows:
         keys = self.check(p, 0, p.horizon + 1)
         assert keys[-1][0] == 0  # n = horizon
         assert any(0 < key[0] < p.backward_window for key in keys)
-        assert any(key[1] is None for key in keys)
+        assert any(key[1] == key[2] == () for key in keys)
+
+    @pytest.mark.parametrize("op", [WeightedBackwardShift(2, L2),
+                                    Differentiation(CkModel(1, 0.0, 1.0)),
+                                    TranslationGenerator(1)], ids=["shift", "ck1", "translation"])
+    def test_offset_zero_is_the_target_placed_at_n(self, op):
+        # discrete_report reads the scheduled target from the key alone
+        tc = compute_thresholds(make_certificate(op, 2))
+        P = assign_placements(tc, max(N for _, N in tc.pairs())).period
+        for horizon in (P - 1, P, P + 1, 3 * P + 2):
+            p = assign_placements(tc, horizon)
+            placed = dict(zip(p.placed_ns, p.placed_ls))
+            assert placed
+            for n, (_, offsets, targets) in enumerate(orbit_windows(p, 1, horizon + 1), 1):
+                at_zero = targets[offsets.index(0)] if 0 in offsets else None
+                assert at_zero == placed.get(n)
 
     @pytest.mark.parametrize("start, stop", [(-1, 5), (5, 4), (0, 402)])
     def test_range_outside_the_horizon_rejected(self, start, stop):
@@ -723,20 +736,30 @@ class TestContinuous:
         assert self.h10_sweep_builds(tmp_path, monkeypatch, 0.25) == coarse
 
     def test_integer_times_measure_the_point_itself(self, monkeypatch):
-        # W(0.0) would subtract 0.0 from every breakpoint and turn exact Fractions
-        # into floats, so at s == 0 no shift is passed
+        # every cell passes its shift (s, lam * s); at s == 0.0 W(0) is the identity,
+        # so the walk reads the exact Fraction breakpoints and log scale unrounded
         cert = make_certificate(TranslationGenerator(Fraction(3, 2)), 1, exact=True)
         orbit = SolutionOrbit(assign_placements(compute_thresholds(cert), horizon=40))
-        shifts = []
+        shifts, walked = [], []
 
         def recorded(u, v, *shift):
             shifts.append(shift)
             return distance(u, v, *shift)
 
+        def walk(u, v, dt, dlog, real=spaces._plf_distance):
+            if dt == 0:
+                walked.append(([b - dt for b in u.breakpoints], u.log_scale + dlog))
+            return real(u, v, dt, dlog)
+
         monkeypatch.setattr(verifier, "distance", recorded)
+        monkeypatch.setattr(spaces, "_plf_distance", walk)
         continuous_visits(orbit, {1: 1.2 * proximity_bound(1)}, 20.0, 0.25)
-        assert () in shifts
-        assert all(s == () or (s[0] != 0 and s[1] == 1.5 * s[0]) for s in shifts)
+        assert (0.0, 0.0) in shifts
+        assert all(len(s) == 2 and s[1] == 1.5 * s[0] for s in shifts if s)
+        assert walked
+        for bps, scale in walked:
+            assert any(type(b) is Fraction for b in bps)
+            assert not any(isinstance(b, float) for b in bps) and type(scale) is not float
 
     def test_cells_are_streamed_not_listed(self):
         # 10^6 cells: listing every cell start before the sweep would trace tens of MB
