@@ -14,7 +14,11 @@ multiply truncated small entries.
 
 Every term of an orbit point is some A^k y_l (k up to the forward window) or
 B^k y_l (k up to the backward window), so ``assign_placements`` builds these
-once per target and the sweep reads them from that table.  Only x itself,
+once per target and the sweep reads them from that table.  Each B^n y_l is
+built once: the backward-window search reads its norm from one list per
+target, the table is that list's prefix, and the tails of shorter windows
+read the norms the search kept.  A piecewise-linear term is folded to log
+scale 0 once, in the table, for every sum that folds it.  Only x itself,
 ``materialize(p)`` with the horizon past the backward window, still applies
 B for the terms beyond it.  Orbit point n reads only the placements of its
 window, so two points with the same window key are one point.
@@ -30,12 +34,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import cycle, islice
 
 from .criterion import TailCertificate, tail_norm
 from .density_partition import PairKey, Tiled, build_schedule
 from .operators import apply_forward, apply_inverse, forward_extinction_index
-from .spaces import accumulate, linear_combine
+from .spaces import PiecewiseLinearFn, accumulate, linear_combine, plf_sum
 
 _WINDOW_GOAL = 1e-30  # summed inverse tail the backward window aims for
 _WINDOW_CAP = 4096  # the window never grows past this; the tail is reported instead
@@ -64,6 +69,12 @@ class FhcPlacement:
     forward_terms: dict
     # l -> (B^0 y_l, ..., B^backward_window y_l), each apply_inverse(cert, y_l, k)
     inverse_terms: dict
+    # l -> (||B^0 y_l||, ||B^1 y_l||, ...): every inverse term norm the window search read
+    inverse_norms: dict
+    # l -> the forward_terms[l] (inverse_terms[l]) each folded to log scale 0, for the
+    # piecewise-linear sums; None for other vector types, which have no fold
+    forward_folds: dict | None
+    inverse_folds: dict | None
 
     @property
     def cert(self):
@@ -71,7 +82,14 @@ class FhcPlacement:
 
 
 def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
-    """Build the schedule over {(l, N_l)} and record z_n up to the horizon."""
+    """Build the schedule over {(l, N_l)} and record z_n up to the horizon.
+
+    Each B^n y_l is built once, into one list per target that grows as the
+    backward-window search reads its norms; the term table is its prefix, and
+    the norms are kept for the shorter windows' tails (``_window_error``).
+    Each piecewise-linear table term is folded here, once, for every sum that
+    folds it.
+    """
     pairs = [PairKey(l, N) for l, N in tc.pairs()]
     max_n = max(p.nu for p in pairs)
     if horizon < max_n:
@@ -84,50 +102,101 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     ls = tuple(islice(cycle([key.l for _, key in placed]), len(ns)))
 
     cert = tc.cert
-    fwd_window = max(
-        forward_extinction_index(cert, cert.target(l))
-        for l in range(1, cert.target_count + 1)
-    )
-    bwd_window, bwd_tail = _backward_window(tc)
     targets = {l: cert.target(l) for l in range(1, cert.target_count + 1)}
+    fwd_window = max(forward_extinction_index(cert, y) for y in targets.values())
+    inverse = {l: [y] for l, y in targets.items()}  # l -> [B^0 y_l, B^1 y_l, ...]
+    norms = {l: [y.norm()] for l, y in targets.items()}  # norms[l][n] = ||B^n y_l||
+
+    def through(l, n):
+        """Extend target l's lists through B^n y_l; return its norm."""
+        terms, known = inverse[l], norms[l]
+        while len(terms) <= n:
+            terms.append(apply_inverse(cert, targets[l], len(terms)))
+            known.append(terms[-1].norm())
+        return known[n]
+
+    bwd_window, bwd_tail = _backward_window(
+        tc, {l: partial(through, l) for l in targets})
+    for l in targets:  # the table is the lists' prefix, whatever the tails read
+        through(l, bwd_window)
     forward_terms = {l: tuple(apply_forward(cert, y, k) for k in range(fwd_window + 1))
                      for l, y in targets.items()}
-    inverse_terms = {l: tuple(apply_inverse(cert, y, k) for k in range(bwd_window + 1))
-                     for l, y in targets.items()}
-    return FhcPlacement(tc, horizon, ns, ls, P, fwd_window, bwd_window,
-                        bwd_tail, forward_terms, inverse_terms)
+    inverse_terms = {l: tuple(terms[:bwd_window + 1]) for l, terms in inverse.items()}
+    forward_folds = inverse_folds = None
+    if type(targets[1]) is PiecewiseLinearFn:
+        forward_folds, inverse_folds = (
+            {l: tuple(t.folded() for t in terms) for l, terms in table.items()}
+            for table in (forward_terms, inverse_terms))
+    return FhcPlacement(tc, horizon, ns, ls, P, fwd_window, bwd_window, bwd_tail,
+                        forward_terms, inverse_terms,
+                        {l: tuple(known) for l, known in norms.items()},
+                        forward_folds, inverse_folds)
 
 
-def _inverse_tail(cert, K: int) -> float:
-    """sum_l tail_norm(y_l, K, "inverse"), summed in target order."""
+def _inverse_tail(cert, K: int, norms=None) -> float:
+    """sum_l tail_norm(y_l, K, "inverse"), summed in target order.
+
+    ``norms``, when given, maps l to a function n -> ||B^n y_l|| that the
+    tail reads instead of building B^n y_l.
+    """
     return sum(
-        tail_norm(cert, cert.target(l), K, "inverse")
+        tail_norm(cert, cert.target(l), K, "inverse", None if norms is None else norms[l])
         for l in range(1, cert.target_count + 1)
     )
 
 
-def _backward_window(tc: TailCertificate):
-    """Smallest window K with sum_l tail(y_l, K+1) <= _WINDOW_GOAL (or the cap)."""
+def _backward_window(tc: TailCertificate, norms):
+    """Smallest window K with sum_l tail(y_l, K+1) <= _WINDOW_GOAL (or the cap),
+    reading the term norms from ``norms`` as ``_inverse_tail`` does."""
     K = max(rec.N for rec in tc.records)
     while True:
         K = min(K, _WINDOW_CAP)
-        tail = _inverse_tail(tc.cert, K + 1)
+        tail = _inverse_tail(tc.cert, K + 1, norms)
         if tail <= _WINDOW_GOAL or K == _WINDOW_CAP:
             return K, tail
         K *= 2
 
 
 def _window_error(p: FhcPlacement, W: int) -> float:
-    """Certified bound on the inverse terms past a backward window of W."""
-    return p.backward_tail if W == p.backward_window else _inverse_tail(p.cert, W + 1)
+    """Certified bound on the inverse terms past a backward window of W.
+
+    A window shorter than the full one reads its tails' norms from
+    ``inverse_norms``, and none lies past the list's end.  Proof: the window
+    search read every norm of the walk from backward_window + 1, which stops
+    at some n* where the ratio bound q_(n*) < 1 and either its term count
+    reached _MAX_TERMS or t_(n*) <= _NEGLIGIBLE * max(peak, 1), peak the
+    largest term read so far.  The walk from W + 1 <= backward_window meets
+    the same q and t at n*, with at least as many terms and a peak at least
+    as large, so it stops at n* or before (or gives up past its own term
+    cap first).  A longer window (x itself, at a horizon past the window)
+    builds its terms in ``tail_norm``.
+    """
+    if W == p.backward_window:
+        return p.backward_tail
+    if W > p.backward_window:
+        return _inverse_tail(p.cert, W + 1)
+    return _inverse_tail(p.cert, W + 1, {l: known.__getitem__
+                                         for l, known in p.inverse_norms.items()})
+
+
+def _summed(terms, folds, zero):
+    """accumulate(terms), or ``zero`` for no terms; piecewise-linear terms take their
+    folds from the list ``folds`` (None: fold the term in the sum), other types None."""
+    if not terms:
+        return zero
+    if folds is None:
+        return accumulate(terms)
+    return plf_sum([(1, t) for t in terms], folds)
 
 
 def materialize(p: FhcPlacement):
     """(x = sum_{n <= horizon} B^n z_n, certified bound on the omitted tail)."""
     bwd = p.backward_window  # the table ends here
+    placed = list(zip(p.placed_ns, p.placed_ls))
     terms = [p.inverse_terms[l][j] if j <= bwd else apply_inverse(p.cert, p.cert.target(l), j)
-             for j, l in zip(p.placed_ns, p.placed_ls)]
-    vec = accumulate(terms) if terms else p.cert.target(1).scaled(0)  # the space's zero
+             for j, l in placed]
+    folds = p.inverse_folds and [p.inverse_folds[l][j] if j <= bwd else None for j, l in placed]
+    vec = _summed(terms, folds, p.cert.target(1).scaled(0))  # the space's zero
     return vec, _window_error(p, p.horizon)
 
 
@@ -181,11 +250,16 @@ def orbit_parts(p: FhcPlacement, n: int):
     W, offsets, ls = orbit_window(p, n)
     placed = list(zip(offsets, ls))
     zero = p.cert.target(1).scaled(0)
-    fwd = [p.forward_terms[l][-d] for d, l in placed if d < 0]
+
+    def side(terms, folds, picks):  # the sum of the table's terms[l][k], (l, k) in picks
+        return _summed([terms[l][k] for l, k in picks],
+                       folds and [folds[l][k] for l, k in picks], zero)
+
     middle = next((p.cert.target(l) for d, l in placed if d == 0), None)
-    bwd = [p.inverse_terms[l][d] for d, l in placed if d > 0]
-    return (accumulate(fwd) if fwd else zero, middle,
-            accumulate(bwd) if bwd else zero, _window_error(p, W))
+    return (side(p.forward_terms, p.forward_folds, [(l, -d) for d, l in placed if d < 0]),
+            middle,
+            side(p.inverse_terms, p.inverse_folds, [(l, d) for d, l in placed if d > 0]),
+            _window_error(p, W))
 
 
 def orbit_eval(p: FhcPlacement, n: int):

@@ -83,14 +83,18 @@ def _combined(term_norms, p) -> float:
     return sum(term_norms) if p is None else lp_norm(term_norms, p)
 
 
-def tail_norm(cert: OperatorCertificate, y, N: int, direction: str) -> float:
-    """Certified upper bound on the tail of the forward or inverse series."""
+def tail_norm(cert: OperatorCertificate, y, N: int, direction: str, read_norm=None) -> float:
+    """Certified upper bound on the tail of the forward or inverse series.
+
+    ``read_norm``, when given, returns ||G^n y|| for n >= N, as the caller has
+    it; otherwise each G^n y is built and its norm taken.
+    """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if N < 1:
         raise ValueError("N must be >= 1")
     apply_n = apply_inverse if direction == "inverse" else apply_forward
-    return _tail(cert, y, N, direction, lambda n: apply_n(cert, y, n).norm())
+    return _tail(cert, y, N, direction, read_norm or (lambda n: apply_n(cert, y, n).norm()))
 
 
 def _tail(cert: OperatorCertificate, y, N: int, direction: str, read_norm) -> float:
@@ -145,11 +149,31 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
 
     Every tail reads its term norms from one list per target and direction,
     so each ||G^n y_lam|| is computed once for the whole search; the sums are
-    ``tail_norm``'s, term for term.
+    ``tail_norm``'s, term for term.  Each tail(lam, N, direction) is computed
+    once for the whole search too, and its float is reused.
+
+    Target l's search starts where target l - 1's ended, at N_(l-1), or at
+    the first N where target l - 1 failed only its identity residual, if
+    that is lower.  Below the start, target l - 1 failed a tail condition
+    at every N, and each tail condition of l - 1 is one of l with a smaller
+    constant, so target l fails there too: its forward and inverse maxima
+    run over lam <= l, a superset of lam <= l - 1, and
+    1/(l 2^l) < 1/((l-1) 2^(l-1)); target l - 1's own tail is one of the
+    inverse tails target l compares with 1/(l 2^l) < 1/2^(l-1).  Both
+    constants are correctly rounded quotients of exact integers, so their
+    order holds in float.  The residual is the one condition of l - 1 that
+    target l does not share.  So every N_l is the one a search from N = 1
+    finds, with the same record.  The tails at an N below a target's start
+    are not computed: one of them that would raise a CertificationError (a
+    NaN or an overflowing term norm) ended the search from N = 1 there, and
+    is not met here.
     """
     norms = {}  # (lam, direction) -> [||G^1 y_lam||, ||G^2 y_lam||, ...]
+    tails = {}  # (lam, N, direction) -> its tail
 
     def tail(lam: int, N: int, direction: str) -> float:
+        if (lam, N, direction) in tails:
+            return tails[lam, N, direction]
         y = cert.target(lam)
         apply_n = apply_inverse if direction == "inverse" else apply_forward
         known = norms.setdefault((lam, direction), [])
@@ -159,14 +183,16 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
                 known.append(apply_n(cert, y, len(known) + 1).norm())
             return known[n - 1]
 
-        return _tail(cert, y, N, direction, term_norm)
+        tails[lam, N, direction] = _tail(cert, y, N, direction, term_norm)
+        return tails[lam, N, direction]
 
     records = []
+    start = 1
     for l in range(1, cert.target_count + 1):
         strict = 1.0 / (l * 2**l)
         loose = 1.0 / 2**l
-        found = None
-        for N in range(1, _SEARCH_CAP + 1):
+        found = residual_failed = None
+        for N in range(start, _SEARCH_CAP + 1):
             fwd = max(tail(lam, N, "forward") for lam in range(1, l + 1))
             if fwd > strict:
                 continue
@@ -184,6 +210,7 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
                 if not cert.swapped and image.is_zero():  # B is injective: underflow, 0 at all larger N
                     raise CertificationError(
                         f"the inverse image of target {l} at {N} underflows to zero")
+                residual_failed = residual_failed or N
                 continue
             found = ThresholdRecord(N, fwd, inv, own, resid)
             break
@@ -192,6 +219,7 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
                 f"no threshold N_{l} <= {_SEARCH_CAP} certifies target {l}"
             )
         records.append(found)
+        start = residual_failed or found.N
     return TailCertificate(cert, tuple(records))
 
 

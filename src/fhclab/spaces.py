@@ -22,7 +22,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, repeat
 
 
 # --------------------------------------------------------------------------
@@ -679,7 +679,7 @@ def poly_sum(terms) -> PolySeries:
     return PolySeries(out, model)
 
 
-def plf_sum(terms) -> PiecewiseLinearFn:
+def plf_sum(terms, folds=None) -> PiecewiseLinearFn:
     """sum of c * f over the (c, f) pairs, in one pass over the breakpoint union.
 
     Each term is evaluated with ``raw_eval``'s formula only at the union points
@@ -687,21 +687,26 @@ def plf_sum(terms) -> PiecewiseLinearFn:
     breakpoints when supports are local.  One log scale shared by every nonzero
     term is kept; mixed scales fold every term to scale 0 first, and a term
     whose fold underflows to zero (e^s is 0.0 once s < -745) adds nothing.
+    ``folds``, when given, holds each f's ``f.folded()`` in the order of the
+    terms (None where the sum is to fold f itself), so that a caller summing
+    the same functions again and again folds each of them once.
 
     Two terms give the pairwise sum value for value.  With more, folding in
     pairs interpolates the running sum at each new breakpoint where this sums
     the terms' own interpolations: equal in rational arithmetic without a fold,
     a few ulps apart in floats.
     """
-    terms = [(c, f) for c, f in terms if not f.is_zero()]
-    if len(terms) == 1:
-        c, f = terms[0]
+    kept = [(c, f, g) for (c, f), g in zip(terms, folds or repeat(None)) if not f.is_zero()]
+    if len(kept) == 1:
+        c, f, _ = kept[0]
         return f.scaled(c)
-    scale = terms[0][1].log_scale if terms else 0
-    if any(f.log_scale != scale for _, f in terms):
-        terms = [(c, f.folded()) for c, f in terms]
+    scale = kept[0][1].log_scale if kept else 0
+    if any(f.log_scale != scale for _, f, _ in kept):
+        terms = [(c, f.folded() if g is None else g) for c, f, g in kept]
         terms = [(c, f) for c, f in terms if not f.is_zero()]
         scale = 0
+    else:
+        terms = [(c, f) for c, f, _ in kept]
     if not terms:
         return PiecewiseLinearFn.zero()
     # equal breakpoints of different types keep the first term's representative
@@ -751,7 +756,7 @@ def accumulate(values):
     return _SUMS[kind]([(1, v) for v in values])
 
 
-def distance(u, v, dt=0, dlog=0) -> float:
+def distance(u, v, dt=0, dlog=0, peaks=None) -> float:
     """||W(dt)u - v||, the norm of ``linear_combine(1, plf_shift_left(u, dt, dlog), -1, v)``
     bit for bit; without dt and dlog, ||u - v|| for two values of any one type.
 
@@ -760,19 +765,37 @@ def distance(u, v, dt=0, dlog=0) -> float:
     ``_plf_distance``, a walk that builds no function; any other pair builds
     the shift and the difference.  W(0) is the identity: a zero dt and dlog
     become the ints 0, so b - dt keeps a ``Fraction`` breakpoint and
-    log_scale + dlog a ``Fraction`` scale.
+    log_scale + dlog a ``Fraction`` scale.  ``peaks``, if given, must be
+    ``suffix_peaks(u)``: a caller measuring one u often builds it once.
     """
     if dt == dlog == 0:
         dt = dlog = 0
     if type(u) is PiecewiseLinearFn and type(v) is PiecewiseLinearFn and u.breakpoints \
             and v.breakpoints:
-        return _plf_distance(u, v, dt, dlog)
+        return _plf_distance(u, v, dt, dlog, peaks)
     if type(u) is PiecewiseLinearFn:
         u = plf_shift_left(u, dt, dlog)
     return linear_combine(1, u, -1, v).norm()
 
 
-def _plf_distance(u: PiecewiseLinearFn, v: PiecewiseLinearFn, dt=0, dlog=0) -> float:
+def suffix_peaks(f: PiecewiseLinearFn):
+    """[max |x| over f.values[i:] for each index i], or None if a value is NaN,
+    complex, or not an int or float; ``_plf_distance`` reads a run of f past
+    v's support from it in one step."""
+    values = f.values
+    if not set(map(type, values)) <= {int, float} or not all(map(operator.eq, values, values)):
+        return None
+    peaks, top = [], 0
+    for x in map(abs, reversed(values)):  # about 3x faster than accumulate(..., max)
+        if x > top:
+            top = x
+        peaks.append(top)
+    peaks.reverse()
+    return peaks
+
+
+def _plf_distance(u: PiecewiseLinearFn, v: PiecewiseLinearFn, dt=0, dlog=0,
+                  peaks=None) -> float:
     """sup |g - v| for g = plf_shift_left(u, dt, dlog), in one merge walk that reads u's lists.
 
     g is read in place.  Its points are u's indices lo..hi - 1 at breakpoints
@@ -805,6 +828,19 @@ def _plf_distance(u: PiecewiseLinearFn, v: PiecewiseLinearFn, dt=0, dlog=0) -> f
     zero), the union points form runs of 0 + 1*G or of 0 + (-1)*V alone,
     which enter as ``_run_peak`` lists them: the max and the zero test do
     not change.
+
+    Given ``peaks`` (``suffix_peaks(u)``), the run of g past v's last
+    breakpoint, which ends at g's last point, is the one entry fl(F p) with
+    p = peaks[i], when it starts at an index i other than the clip and
+    fl(F p) > 0 (F = 1 without a fold); any other run goes through
+    ``_run_peak``.  Proof: the run lists u's own values x_i, ..., x_(hi-1),
+    and p is the largest |x| from x_i to the end of u's list.  The values
+    past hi - 1 were trimmed away: zeros without a fold, and with one each
+    has fl(F x) = 0.  If p is one of them, fl(F p) = 0, as round-to-nearest
+    is monotone and odd, and the run is listed; else p is the run's largest
+    |x|.  No value is NaN or complex, so ``_run_peak`` finds that same p from
+    the run's max and min and returns [fl(F p)].  (The run cannot start at
+    the clip anyway: g's origin lies inside v's support.)
 
     Exact wherever ``plf_shift_left`` returns.  It subtracts dt from every
     breakpoint, so it can refuse a shift the walk still measures: two
@@ -852,6 +888,11 @@ def _plf_distance(u: PiecewiseLinearFn, v: PiecewiseLinearFn, dt=0, dlog=0) -> f
     while i <= m or j <= n:
         if j > n or (i <= m and x < vb[j]):
             if not 0 < j <= n:  # v adds nothing before vb[0] or past vb[-1]
+                if j > n and peaks is not None and i != c:  # the run of g past v, as one
+                    top = peaks[i] if fold is None else fold * peaks[i]
+                    if top > 0:
+                        mags.append(top)
+                        break
                 stop = hi if j > n else bisect_left(ub, vb[0], i, hi, key=lambda b: b - dt)
                 mags += _run_peak([at(i), *uv[i + 1:stop]], fold, 1)
                 i = stop

@@ -30,7 +30,7 @@ from itertools import takewhile, tee
 
 from .constructor import FhcPlacement, orbit_eval, orbit_windows, proximity_bound
 from .density_partition import Tiled, running_density_floor
-from .spaces import distance
+from .spaces import distance, suffix_peaks
 
 CSV_COLUMNS = [
     "l",
@@ -234,16 +234,20 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
     cells = {l: [] for l in ls}  # inner cells
     windows = {l: [] for l in ls}  # certified windows from integer visits
     outer_measure = dict.fromkeys(ls, 0.0)
+    point = peaks = None
     for (t0, is_cell), (vec, s, err) in zip(events, orbit.evaluate(t for t, _ in times)):
+        if vec is not point:  # a new orbit point: its suffix peaks, once
+            point, peaks = vec, suffix_peaks(vec)
         if not is_cell:  # at an integer, s == 0
             for l in ls:
-                if t0 < n_ints[l] and distance(vec, targets[l]) + err < epsilons[l] / 2.0:
+                if t0 < n_ints[l] and distance(vec, targets[l], peaks=peaks) + err \
+                        < epsilons[l] / 2.0:
                     windows[l].append((t0, t0 + delta[l]))
             continue
         t1 = min(t_max, t0 + grid_step)
         lip = orbit.lipschitz_bound(t0, t1)
         for l in ls:
-            d = distance(vec, targets[l], s, lam * s)
+            d = distance(vec, targets[l], s, lam * s, peaks=peaks)
             if d + err + lip * (t1 - t0) < epsilons[l]:
                 cells[l].append((t0, t1))
             if d - err - lip * (t1 - t0) < epsilons[l]:

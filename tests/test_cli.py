@@ -3,11 +3,12 @@
 import io
 import os
 import re
+from collections import Counter
 
 import pytest
 
-from fhclab import cli, criterion, regularized_semigroup, spaces, verifier
-from fhclab.constructor import _window_error, orbit_window
+from fhclab import cli, constructor, criterion, regularized_semigroup, spaces, verifier
+from fhclab.constructor import _window_error, assign_placements, orbit_window, proximity_bound
 from fhclab.cli import (
     ConfigError,
     _cert_from_args,
@@ -18,6 +19,10 @@ from fhclab.cli import (
     main,
     run_pipeline,
 )
+from fhclab.criterion import compute_thresholds
+from fhclab.regularized_semigroup import SolutionOrbit
+from fhclab.spaces import PiecewiseLinearFn
+from fhclab.verifier import continuous_visits
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "shift_w2.cfg")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -209,6 +214,34 @@ class TestRun:
         run_pipeline(load_config(cfg), out=io.StringIO())
         with open(os.path.join(BENCH_REFERENCE, f"{workload}.csv"), "rb") as fh:
             assert (tmp_path / "report.csv").read_bytes() == fh.read()
+
+    def test_bridge_builds_and_folds_each_table_term_once(self, tmp_path, monkeypatch):
+        # on the translation_bridge config, placing x and sweeping its orbit build each
+        # B^n y_l once, and fold each table term once, not once per window key
+        cfg = load_config(write_cfg(tmp_path,
+                                    BENCH_RUNS["translation_bridge"].format(out=tmp_path)))
+        run = cfg["run"]
+        tc = compute_thresholds(build_certificate(cfg))
+        built, folded = [], []
+        real_inverse, real_fold = constructor.apply_inverse, PiecewiseLinearFn.folded
+
+        def counted(cert, v, n):
+            built.append((id(v), n))
+            return real_inverse(cert, v, n)
+
+        for module in (constructor, criterion):
+            monkeypatch.setattr(module, "apply_inverse", counted)
+        monkeypatch.setattr(PiecewiseLinearFn, "folded",
+                            lambda self: folded.append(self) or real_fold(self))
+        p = assign_placements(tc, 2 * run["horizon"])
+        continuous_visits(SolutionOrbit(p), {1: run["radius_factor"] * proximity_bound(1)},
+                          run["horizon"], run["grid_step"])
+        assert len(built) > p.backward_window and len(set(built)) == len(built)
+        # a term at scale 0, such as y_l = A^0 y_l = B^0 y_l, is its own fold
+        scaled = {id(t) for terms in [*p.forward_terms.values(), *p.inverse_terms.values()]
+                  for t in terms if t.log_scale != 0}
+        times = Counter(id(f) for f in folded if id(f) in scaled)
+        assert len(scaled) > p.backward_window and times == Counter(scaled)
 
     def test_small_run_exits_zero_and_writes_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path))

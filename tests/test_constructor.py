@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fhclab import constructor
+from fhclab import constructor, criterion
 from fhclab.constructor import (
     assign_placements,
     materialize,
@@ -14,7 +14,7 @@ from fhclab.constructor import (
     orbit_parts,
     proximity_bound,
 )
-from fhclab.criterion import compute_thresholds
+from fhclab.criterion import compute_thresholds, tail_norm
 from fhclab.density_partition import PairKey, build_schedule
 from fhclab.operators import (
     Differentiation,
@@ -26,7 +26,7 @@ from fhclab.operators import (
     transform_power,
     transform_rotation,
 )
-from fhclab.spaces import HARDY, L2, CkModel, accumulate, distance
+from fhclab.spaces import HARDY, L2, CkModel, accumulate, distance, linear_combine
 from fhclab.verifier import discrete_report
 
 
@@ -240,3 +240,91 @@ class TestTermTable:
         assert err == tail
         assert repr(list(vec.entries.items())) == repr(list(x.entries.items())) \
             == repr(list(direct.entries.items()))
+
+
+# --------------------------------------------------------------------------
+# the orbit point as it was evaluated before the table held folds and norms
+
+
+def _former_window_error(p, W):
+    """The former ``_window_error``: every shorter window's tail built its own terms."""
+    if W == p.backward_window:
+        return p.backward_tail
+    return sum(tail_norm(p.cert, p.cert.target(l), W + 1, "inverse")
+               for l in range(1, p.cert.target_count + 1))
+
+
+def _former_orbit_eval(p, n):
+    """The former ``orbit_eval``: sums through ``accumulate`` and ``linear_combine``,
+    so every sum folds its own terms."""
+    zero = p.cert.target(1).scaled(0)
+    if n == 0:
+        terms = [p.inverse_terms[l][j] if j <= p.backward_window
+                 else apply_inverse(p.cert, p.cert.target(l), j)
+                 for j, l in zip(p.placed_ns, p.placed_ls)]
+        return (accumulate(terms) if terms else zero), _former_window_error(p, p.horizon)
+    W, offsets, ls = constructor.orbit_window(p, n)
+    placed = list(zip(offsets, ls))
+    fwd = [p.forward_terms[l][-d] for d, l in placed if d < 0]
+    middle = next((p.cert.target(l) for d, l in placed if d == 0), None)
+    bwd = [p.inverse_terms[l][d] for d, l in placed if d > 0]
+    vec = linear_combine(1, accumulate(fwd) if fwd else zero, 1, accumulate(bwd) if bwd else zero)
+    if middle is not None:
+        vec = linear_combine(1, vec, 1, middle)
+    return vec, _former_window_error(p, W)
+
+
+class TestFoldedTable:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, Fraction(1, 2), 400]), st.integers(1, 3), st.integers(20, 60),
+           st.booleans())
+    def test_orbit_points_are_the_former_ones(self, lam, targets, horizon, exact):
+        # every point from n = 0 (x itself) to the horizon, repr for repr; lam = 400
+        # folds B^2 y to zero inside a window, and a window with one nonzero term on
+        # a side keeps that term's raw log scale
+        cert = make_certificate(TranslationGenerator(lam), targets, exact=exact)
+        p = assign_placements(compute_thresholds(cert), horizon)
+        for n in range(horizon + 1):
+            assert repr(orbit_eval(p, n)) == repr(_former_orbit_eval(p, n)), n
+
+    @pytest.mark.parametrize("lam", [1, Fraction(1, 2), 400])
+    def test_one_term_windows_keep_their_raw_scale(self, lam):
+        cert = make_certificate(TranslationGenerator(lam), 2)
+        p = assign_placements(compute_thresholds(cert), 60)
+        one_term = [n for n in range(1, 61)
+                    if any(part.log_scale != 0 for part in orbit_parts(p, n)[::2])]
+        assert one_term
+        for n in one_term:
+            assert repr(orbit_eval(p, n)) == repr(_former_orbit_eval(p, n)), n
+
+    def test_the_folds_are_the_table_terms_folded(self):
+        cert = make_certificate(TranslationGenerator(Fraction(3, 2)), 2)
+        p = assign_placements(compute_thresholds(cert), 80)
+        for terms, folds in [(p.forward_terms, p.forward_folds),
+                             (p.inverse_terms, p.inverse_folds)]:
+            assert folds.keys() == terms.keys()
+            for l in terms:
+                assert [repr(t.folded()) for t in terms[l]] == list(map(repr, folds[l]))
+
+    def test_other_vector_types_have_no_folds(self):
+        p = shift_placement(L=2)
+        assert p.forward_folds is None and p.inverse_folds is None
+
+    @pytest.mark.parametrize("cert", [
+        make_certificate(WeightedBackwardShift(2, L2), 3),
+        make_certificate(WeightedBackwardShift(Fraction(3, 2), L2), 2, exact=True),
+        make_certificate(TranslationGenerator(1), 2),
+    ], ids=["shift", "shift-exact", "translation"])
+    def test_short_windows_read_the_kept_norms(self, cert, monkeypatch):
+        # the norms the window search read cover every shorter window's tail, whose
+        # bits are those of tails that build their own terms; no term is built again
+        p = assign_placements(compute_thresholds(cert), 300)
+        norms = p.inverse_norms
+        for l in norms:
+            assert len(norms[l]) > p.backward_window + 1
+            assert list(norms[l][:p.backward_window + 1]) == [t.norm() for t in p.inverse_terms[l]]
+        want = [repr(_former_window_error(p, W)) for W in range(p.backward_window)]
+        calls = count_inverse_calls(monkeypatch)
+        monkeypatch.setattr(criterion, "apply_inverse", None)
+        assert [repr(constructor._window_error(p, W)) for W in range(p.backward_window)] == want
+        assert calls == []

@@ -7,6 +7,7 @@ only at the end.
 
 import hashlib
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -378,3 +379,49 @@ class TestProbes:
         worst = unconditional_probe(cert, cert.target(1), 6, trials=40, seed=5)
         assert calls == []
         assert repr(worst) == "0.04307305555636929"  # the pairwise fold's value
+
+
+class TestSearchReuse:
+    @pytest.mark.parametrize("cert", [
+        make_certificate(WeightedBackwardShift(1.001, L2), 4),
+        transform_rotation(make_certificate(WeightedBackwardShift(Fraction(3, 2), C0_SEQ), 3), -1),
+        transform_power(make_certificate(Differentiation(HARDY), 3), 2),
+        make_certificate(Differentiation(CkModel(3, 0.0, 1.0)), 2),
+        make_certificate(TranslationGenerator(1), 4),
+    ], ids=["shift-near-1", "shift-c0-rotated", "hardy-power2", "c3", "translation"])
+    def test_each_tail_is_computed_once(self, monkeypatch, cert):
+        targets = {id(y): l for l, y in enumerate(cert.targets, start=1)}
+        tails = Counter()
+        real = criterion._tail
+
+        def counted(c, y, N, direction, read_norm):
+            tails[targets[id(y)], N, direction] += 1
+            return real(c, y, N, direction, read_norm)
+
+        monkeypatch.setattr(criterion, "_tail", counted)
+        records = compute_thresholds(cert).records
+        assert tails and set(tails.values()) == {1}
+        # every later target starts at the threshold before it: no tail below it
+        assert all(N >= records[l - 2].N for (l, N, _) in tails if l > 1)
+
+    def test_a_residual_failure_starts_the_next_search_there(self, monkeypatch):
+        # target 1 fails only its identity residual at N = 2 and 3, so N_1 = 4;
+        # target 2 is searched from N = 2, where a start at N_1 would find 4, not 3
+        cert = make_certificate(WeightedBackwardShift(2, L2), 3)
+        y1 = cert.target(1)
+
+        def failing_twice(real):
+            fails = [2]
+
+            def residual(u, v):
+                if v is y1 and fails[0]:
+                    fails[0] -= 1
+                    return 1.0
+                return real(u, v)
+            return residual
+
+        monkeypatch.setattr(criterion, "distance", failing_twice(distance))
+        records = compute_thresholds(cert).records
+        monkeypatch.setattr(sys.modules[__name__], "distance", failing_twice(distance))
+        assert [repr(r) for r in records] == [repr(r) for r in reference_search(cert)]
+        assert [r.N for r in records][:2] == [4, 3]

@@ -1,7 +1,7 @@
-"""Source hygiene: every name a module imports is used by that module,
-every import sits at module level, and every defaulted parameter of a
-module-level function is passed by some call, every defaulted field of a
-dataclass is left out by some constructor call, no method outside a
+"""Source hygiene: every name a module imports is used by that module and
+not rebound at module level, every import sits at module level, and every
+defaulted parameter of a module-level function is passed by some call,
+every defaulted field of a dataclass is left out by some constructor call, no method outside a
 constructor changes its object's attributes, no module imports
 numpy, no module keeps a memo (``functools.cache``,
 ``functools.lru_cache``) or has a ``global`` statement, and each vector
@@ -39,6 +39,29 @@ def unused_imports(path: pathlib.Path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{path.name}:{line}: {name}"
             for name, line in sorted(imported.items()) if name not in used]
+
+
+def rebound_imports(path: pathlib.Path):
+    """``module:line: name`` for each module-level ``def``, ``class`` or assignment
+    that binds a name the module imports, which hides the import from every reader
+    after it (``test_no_unused_imports`` cannot see it: the name is used)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                    and node.module != "__future__")
+                for alias in node.names}
+    hits = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        hits += [f"{path.name}:{node.lineno}: {name}" for name in names if name in imported]
+    return hits
 
 
 def function_local_imports(path: pathlib.Path):
@@ -310,6 +333,20 @@ def test_no_unused_imports():
     assert modules
     hits = [hit for path in modules for hit in unused_imports(path)]
     assert not hits, "unused imports:\n" + "\n".join(hits)
+
+
+def test_no_module_level_name_rebinds_an_import():
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in rebound_imports(path)]
+    assert not hits, "module-level names that rebind an import:\n" + "\n".join(hits)
+
+
+def test_a_rebound_import_is_reported(tmp_path):
+    # the vector sum named like itertools' accumulate, which it would hide
+    mutant = tmp_path / "spaces.py"
+    mutant.write_text((SRC / "spaces.py").read_text().replace(
+        "import itertools\n", "import itertools\nfrom itertools import accumulate\n", 1))
+    hits = rebound_imports(mutant)
+    assert len(hits) == 1 and hits[0].endswith(": accumulate")
 
 
 def test_no_function_local_imports():

@@ -30,6 +30,7 @@ from fhclab.spaces import (
     plf_shift_left,
     plf_shift_right,
     plf_sum,
+    suffix_peaks,
 )
 
 
@@ -653,6 +654,101 @@ class TestShiftedDistance:
         monkeypatch.setattr(spaces, "plf_shift_left", None)
         assert repr(distance(u, v, 0.25, 0.25)) == repr(want)
         assert built == []
+
+
+# --------------------------------------------------------------------------
+# the run past v read from the suffix peaks
+
+
+def _bits(x):
+    """float.hex of a float result (repr for NaN, whose sign and payload no output
+    reads), or the name of the error raised on the way."""
+    try:
+        d = x()
+    except OverflowError as exc:
+        return type(exc).__name__
+    return repr(d) if d != d else float.hex(d)
+
+
+@st.composite
+def peak_cases(draw):
+    """``shifted_distances`` with u's values made ints or floats (a zero as 0, 0.0
+    or -0.0), NaNs kept, and now and then one value made complex."""
+    u, v, dt, dlog = draw(shifted_distances())
+    if u.is_zero():
+        return u, v, dt, dlog
+    if not v.is_zero() and draw(st.booleans()):  # v ends early, so a run of g passes it
+        w = Fraction(draw(st.integers(1, 8)), 4)
+        v = PiecewiseLinearFn([0, w / 2, w], [draw(st.sampled_from([0, 1, -0.5, math.nan])),
+                                              draw(st.sampled_from([1, -3, 0.25])), 0],
+                              draw(st.sampled_from([v.log_scale, u.log_scale + dlog])))
+
+    def real(x):
+        if x != x:
+            return x
+        if x == 0:
+            return draw(st.sampled_from([0, 0.0, -0.0]))
+        if x == int(x) and draw(st.booleans()):
+            return int(x)
+        return float(x)
+
+    vals = [real(x) for x in u.values]
+    # abs() of a complex NaN raises OverflowError or not as a stale errno says, so
+    # complex values come only where no NaN can meet them
+    if len(vals) > 2 and all(x == x for x in [*vals, *v.values]) and not draw(st.integers(0, 7)):
+        k = draw(st.integers(1, len(vals) - 2))
+        vals[k] = complex(vals[k], draw(st.sampled_from([0, 1])))
+    return PiecewiseLinearFn(u.breakpoints, vals, u.log_scale), v, dt, dlog
+
+
+class TestSuffixPeaks:
+    def test_each_index_holds_the_largest_magnitude_from_it_on(self):
+        f = PiecewiseLinearFn([0, 1, 2, 3, 4, 5], [0, -3, 1, -0.0, 2.5, 0])
+        assert suffix_peaks(f) == [3, 3, 2.5, 2.5, 2.5, 0]
+        assert suffix_peaks(PiecewiseLinearFn.zero()) == []
+
+    @pytest.mark.parametrize("value", [math.nan, 1j, Fraction(1, 2), True])
+    def test_no_peaks_for_values_a_run_lists(self, value):
+        assert suffix_peaks(PiecewiseLinearFn([0, 1, 2, 3], [0, 1, value, 0])) is None
+
+    @settings(max_examples=800, deadline=None)
+    @given(peak_cases())
+    # NaN as u's first value, at the origin, and a later NaN past v
+    @example(case=(PiecewiseLinearFn([0, 1, 2, 3], [math.nan, 1, 2, 0]),
+                   PiecewiseLinearFn.tent(0, 0.5, 1), 0, 0))
+    @example(case=(PiecewiseLinearFn([0, 0.5, 1.5, 2, 3], [0.25, 0.3, math.nan, 8, 0]),
+                   PiecewiseLinearFn.tent(0, 0.5, 1, 0.5), 0.25, 0.25))
+    # int and float peaks with -0.0 around them, no fold, a clipped first point
+    @example(case=(PiecewiseLinearFn([0, 1, 2, 3, 4, 5], [0, 3, -0.0, 3.0, -2, 0]),
+                   PiecewiseLinearFn.tent(0, 0.25, 0.5), 1.5, 0))
+    # a fold that underflows at the end of the run: its largest value is lost first
+    @example(case=(PiecewiseLinearFn(range(6), [0, 8, 1, 2.0**-12, 2.0**12, 0], -744),
+                   PiecewiseLinearFn.tent(0, 0.5, 1), 0.5, 0.5))
+    @example(case=(PiecewiseLinearFn(range(6), [0, 1, 8, 2.0**-12, 2.0**-12, 0], -744),
+                   PiecewiseLinearFn.tent(0, 0.5, 1), 0.5, 0.5))
+    # complex values: no peaks, the run is listed
+    @example(case=(PiecewiseLinearFn(range(6), [0, 1, 2j, 3, 1 + 1j, 0]),
+                   PiecewiseLinearFn.tent(0, 1, 2), 0.5, 0.5))
+    # v past u's support: no run of u past v
+    @example(case=(PiecewiseLinearFn([0, 1, 2], [0, 5, 0]),
+                   PiecewiseLinearFn([1, 3, 4], [0, 1, 0]), 0.5, 0.5))
+    def test_the_peaks_walk_keeps_every_bit(self, case):
+        u, v, dt, dlog = case
+        peaks = suffix_peaks(u)
+        assert _bits(lambda: distance(u, v, dt, dlog, peaks=peaks)) \
+            == _bits(lambda: distance(u, v, dt, dlog))
+
+    def test_a_run_past_v_is_one_entry(self, monkeypatch):
+        u = PiecewiseLinearFn(range(9), [0, 1, 2, 7, 3, 1, 5, 2, 0])
+        v = PiecewiseLinearFn.tent(0, 0.5, 1)
+        runs = []
+        real = spaces._run_peak
+        monkeypatch.setattr(spaces, "_run_peak", lambda *a: runs.append(a) or real(*a))
+        want = distance(u, v, 0.5, 0.5)
+        assert runs
+        runs.clear()
+        assert repr(distance(u, v, 0.5, 0.5, peaks=suffix_peaks(u))) == repr(want)
+        assert runs == []
 
 
 # --------------------------------------------------------------------------

@@ -742,14 +742,14 @@ class TestContinuous:
         orbit = SolutionOrbit(assign_placements(compute_thresholds(cert), horizon=40))
         shifts, walked = [], []
 
-        def recorded(u, v, *shift):
+        def recorded(u, v, *shift, peaks=None):
             shifts.append(shift)
-            return distance(u, v, *shift)
+            return distance(u, v, *shift, peaks=peaks)
 
-        def walk(u, v, dt, dlog, real=spaces._plf_distance):
+        def walk(u, v, dt, dlog, peaks, real=spaces._plf_distance):
             if dt == 0:
                 walked.append(([b - dt for b in u.breakpoints], u.log_scale + dlog))
-            return real(u, v, dt, dlog)
+            return real(u, v, dt, dlog, peaks)
 
         monkeypatch.setattr(verifier, "distance", recorded)
         monkeypatch.setattr(spaces, "_plf_distance", walk)
