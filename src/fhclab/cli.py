@@ -217,8 +217,8 @@ def output_paths(cfg: dict):
 # pipeline
 
 
-# The most cells a continuous run sweeps.  Each cell costs at most about 32 us (the
-# translation_bridge benchmark runs a pipeline that sweeps 800 cells in about 0.026 s,
+# The most cells a continuous run sweeps.  Each cell costs at most about 31 us (the
+# translation_bridge benchmark runs a pipeline that sweeps 800 cells in about 0.025 s,
 # at bench/run.py's reference machine speed), so the cap is under a minute of sweep;
 # a finer grid is refused before anything is certified.
 _CELL_CAP = 10**6

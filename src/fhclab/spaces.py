@@ -317,12 +317,21 @@ def _gamma(m: int) -> float:
     return mu / (1.0 - mu)
 
 
+def _abs(z) -> float:
+    """abs(z), but nan for a complex NaN with no infinite part, whose abs() raises
+    OverflowError when an earlier libm call left ERANGE in errno (CPython does not
+    clear it there).  A genuine overflow still raises; callers try abs() first."""
+    if z != z and not (math.isinf(z.real) or math.isinf(z.imag)):
+        return math.nan
+    return abs(z)
+
+
 def _modulus(z: complex) -> float:
     """abs(z), or inf where that overflows, as np.abs gives it."""
     try:
         return abs(z)
     except OverflowError:
-        return math.inf
+        return math.inf if z == z else _abs(z)
 
 
 _DIRECT_BLOCK = 16  # a block with at most this many interior points is evaluated, not split
@@ -519,7 +528,11 @@ class PiecewiseLinearFn:
     def norm(self) -> float:
         if not self.breakpoints:
             return 0.0
-        return math.exp(float(self.log_scale)) * float(max(map(abs, self.values)))
+        try:
+            peak = max(map(abs, self.values))
+        except OverflowError:
+            peak = max(map(_abs, self.values))
+        return math.exp(float(self.log_scale)) * float(peak)
 
     def max_slope(self) -> float:
         """Upper bound on |d/dx|, including the scale factor."""
@@ -778,10 +791,12 @@ def distance(u, v, dt=0, dlog=0, peaks=None) -> float:
     return linear_combine(1, u, -1, v).norm()
 
 
-def suffix_peaks(f: PiecewiseLinearFn):
-    """[max |x| over f.values[i:] for each index i], or None if a value is NaN,
-    complex, or not an int or float; ``_plf_distance`` reads a run of f past
-    v's support from it in one step."""
+def suffix_peaks(f):
+    """[max |x| over f.values[i:] for each index i], or None if f is not piecewise-linear or
+    a value is NaN, complex, or not an int or float; ``_plf_distance`` reads the run of f
+    past v's support from it as one entry instead of listing it."""
+    if type(f) is not PiecewiseLinearFn:
+        return None
     values = f.values
     if not set(map(type, values)) <= {int, float} or not all(map(operator.eq, values, values)):
         return None
@@ -820,27 +835,21 @@ def _plf_distance(u: PiecewiseLinearFn, v: PiecewiseLinearFn, dt=0, dlog=0,
     0), and g's fold trims again by ``_trim_bounds`` on the products; a fold
     that underflows to all zeros leaves g no points, so it adds nothing.
 
-    The result is the old norm's: max of the |values| (seeded with the first
-    union point, replaced on ``>``, so NaN exactly when that first value is
-    NaN), times exp(scale).  When every value is 0 the difference is the zero
-    function, whose norm is 0.0 at any scale, so ``math.exp`` is not called.
-    Where one term adds nothing (a term's value at its last breakpoint is a
-    zero), the union points form runs of 0 + 1*G or of 0 + (-1)*V alone,
-    which enter as ``_run_peak`` lists them: the max and the zero test do
-    not change.
+    Every union point is listed, in order.  The result is the old norm's: max
+    of the |values| (seeded with the first, replaced on ``>``, so NaN exactly
+    when the first value is NaN; a complex NaN's is nan, ``_abs``), times
+    exp(scale); when every value is 0 it is the zero function's 0.0.
 
-    Given ``peaks`` (``suffix_peaks(u)``), the run of g past v's last
-    breakpoint, which ends at g's last point, is the one entry fl(F p) with
-    p = peaks[i], when it starts at an index i other than the clip and
-    fl(F p) > 0 (F = 1 without a fold); any other run goes through
-    ``_run_peak``.  Proof: the run lists u's own values x_i, ..., x_(hi-1),
-    and p is the largest |x| from x_i to the end of u's list.  The values
-    past hi - 1 were trimmed away: zeros without a fold, and with one each
-    has fl(F x) = 0.  If p is one of them, fl(F p) = 0, as round-to-nearest
-    is monotone and odd, and the run is listed; else p is the run's largest
-    |x|.  No value is NaN or complex, so ``_run_peak`` finds that same p from
-    the run's max and min and returns [fl(F p)].  (The run cannot start at
-    the clip anyway: g's origin lies inside v's support.)
+    The one exception is the run of g past v's last breakpoint.  Given
+    ``peaks`` (``suffix_peaks(u)``), it is the one entry fl(F p), p = peaks[i],
+    when it starts at an index i other than the clip and fl(F p) > 0 (F = 1
+    without a fold).  Proof: peaks exist, so the values are real and not NaN,
+    and the run lists |0 + 1 * fl(F x) + (-1) * 0| = |fl(F x)| for u's values
+    x_i, ..., x_(hi-2), then 0.  p is the largest |x| from x_i to the end of
+    u's list, where fl(F x) = 0 from hi - 1 on (u's last value is 0, a fold
+    trimmed the rest).  Round-to-nearest is monotone and odd, so fl(F p) > 0
+    makes p the |x| of an x in the run and fl(F p) its largest entry, which
+    alone leaves the max and the zero test as they were.
 
     Exact wherever ``plf_shift_left`` returns.  It subtracts dt from every
     breakpoint, so it can refuse a shift the walk still measures: two
@@ -882,78 +891,40 @@ def _plf_distance(u: PiecewiseLinearFn, v: PiecewiseLinearFn, dt=0, dlog=0,
 
     vb, vv = v.breakpoints, v.values
     m, n = hi - 1, len(vb) - 1  # the last breakpoints, where a term adds nothing
-    mags = []  # |value| at each union point, in order; a run as _run_peak lists it
+    diffs = []  # the value at each union point, in order; the run past v as its peak
     i, j = lo, 0
     x = gx(i) if i <= m else None  # g's breakpoint at i
     while i <= m or j <= n:
         if j > n or (i <= m and x < vb[j]):
-            if not 0 < j <= n:  # v adds nothing before vb[0] or past vb[-1]
-                if j > n and peaks is not None and i != c:  # the run of g past v, as one
-                    top = peaks[i] if fold is None else fold * peaks[i]
-                    if top > 0:
-                        mags.append(top)
-                        break
-                stop = hi if j > n else bisect_left(ub, vb[0], i, hi, key=lambda b: b - dt)
-                mags += _run_peak([at(i), *uv[i + 1:stop]], fold, 1)
-                i = stop
-                x = gx(i) if i <= m else None
-                continue
-            t = (x - vb[j - 1]) / (vb[j] - vb[j - 1])
-            a, b = gy(i) if i < m else 0, vv[j - 1] + t * (vv[j] - vv[j - 1])
+            if j > n and peaks is not None and i != c:  # the run of g past v, as one
+                top = peaks[i] if fold is None else fold * peaks[i]
+                if top > 0:
+                    diffs.append(top)
+                    break
+            a, b = gy(i) if i < m else 0, 0  # v adds nothing before vb[0] or past vb[-1]
+            if 0 < j <= n:
+                b = vv[j - 1] + (x - vb[j - 1]) / (vb[j] - vb[j - 1]) * (vv[j] - vv[j - 1])
             i += 1
             x = gx(i) if i <= m else None
         elif i > m or vb[j] < x:
-            if not lo < i <= m:  # g adds nothing before its first point or past its last
-                stop = n + 1 if i > m else bisect_left(vb, x, j)
-                mags += _run_peak(vv[j:stop], None, -1)
-                j = stop
-                continue
-            p = gx(i - 1)
-            t = (vb[j] - p) / (x - p)
-            a, b = gy(i - 1) + t * (gy(i) - gy(i - 1)), vv[j] if j < n else 0
+            a, b = 0, vv[j] if j < n else 0  # g adds nothing outside [gx(lo), gx(m))
+            if lo < i <= m:
+                p = gx(i - 1)
+                a = gy(i - 1) + (vb[j] - p) / (x - p) * (gy(i) - gy(i - 1))
             j += 1
         else:
             a, b = gy(i) if i < m else 0, vv[j] if j < n else 0
             i += 1
             j += 1
             x = gx(i) if i <= m else None
-        mags.append(abs(0 + 1 * a + -1 * b))
-    if not any(mags):
+        diffs.append(0 + 1 * a + -1 * b)
+    if not any(diffs):  # a value is nonzero exactly when its modulus is
         return 0.0
-    return math.exp(float(scale)) * float(max(mags))
-
-
-def _run_peak(values, fold, sign) -> list:
-    """A list that stands for [|0 + sign * fold * x| for x in values] (no fold
-    when None), sign = 1 or -1, anywhere in the magnitudes of
-    ``_plf_distance``: max(), seeded with the first magnitude and replaced on
-    ``>``, and any() stay the same.
-
-    For a real y, |0 + sign * y| = |y|.  For real values, max and min, each
-    seeded with the first value, give the largest |x| among the values that
-    are not NaN, unless the first is NaN; and round-to-nearest is monotone
-    and odd, so max |fl(F x)| = fl(F max |x|) over them for a finite F > 0
-    (the fold factor; F = 1 exactly without a fold).  A peak p > 0 stands
-    for the run: the zero test sees a nonzero either way, and a NaN that is
-    not the seed is never kept by max().  If the seed is before the run, max()
-    is NaN or the largest entry that is not NaN, p among them; if the run
-    holds the seed, that seed is |fl(F x_0)|, not NaN, and the max is p.
-    Anything else is listed in full: complex values (their comparisons raise
-    TypeError, and sign * z is a complex product, NaN for infinite parts), a
-    NaN first value (then hi >= lo fails), and a zero or NaN peak (zeros, an
-    underflow, or F = 0.0 times inf).
-    """
     try:
-        hi, lo = max(values), min(values)
-        if hi >= lo:
-            peak = max(abs(hi), abs(lo))
-            if fold is not None:
-                peak = fold * peak
-            if peak > 0:
-                return [peak]
-    except TypeError:
-        pass
-    return [abs(0 + sign * (x if fold is None else fold * x)) for x in values]
+        top = max(map(abs, diffs))
+    except OverflowError:
+        top = max(map(_abs, diffs))
+    return math.exp(float(scale)) * float(top)
 
 
 # --------------------------------------------------------------------------

@@ -89,11 +89,12 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     zero vector that does not depend on n, and reports the error bar of the
     window W: ``backward_tail`` when W is the full backward window, else
     ``_inverse_tail(W + 1)``.  So points with equal keys have equal vectors
-    and errors.  Each key keeps its distances (error included), the targets
-    its point visits and the target at offset 0, the one scheduled at n if
-    any, so every n only joins the visit lists of its key's targets and
-    updates its scheduled target's worst distance, in ascending n.  The
-    largest error is taken over the keys.
+    and errors.  Each key keeps its distances (error included; the point's
+    suffix peaks are built once for all of them), the targets its point
+    visits and the target at offset 0, the one scheduled at n if any, so
+    every n only joins the visit lists of its key's targets and updates its
+    scheduled target's worst distance, in ascending n.  The largest error is
+    taken over the keys.
 
     Most n are not swept at all.  The placements repeat with the schedule's
     period P: j >= 1 is placed with target l exactly when j + P is, as long
@@ -127,7 +128,8 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
             if entry is None:
                 vec, err = orbit_eval(p, n)
                 max_err = max(max_err, err)
-                dist = {l: distance(vec, targets[l]) + err for l in ls}
+                peaks = suffix_peaks(vec)
+                dist = {l: distance(vec, targets[l], peaks=peaks) + err for l in ls}
                 entry = seen[key] = (dist, tuple(l for l in ls if dist[l] < epsilons[l]),
                                      dict(zip(key[1], key[2])).get(0))
             dist, visited, scheduled = entry

@@ -13,13 +13,15 @@ A default that no call in ``src/`` or ``bench/`` overrides has one value in
 use and belongs in a constant (a value that only tests pass is a test-only
 knob).  A dataclass default that every constructor call in ``src/`` or
 ``bench/`` overrides states a value a second time, beside the value its
-callers pass, and can drift away from theirs.  A public re-export or a
-method that only tests reach is a name the system does not use.
+callers pass, and can drift away from theirs.  A public re-export, a
+method or a module-level function (private ones too) that only tests reach
+is a name the system does not use.
 """
 
 import ast
 import importlib
 import pathlib
+import shutil
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fhclab"
@@ -175,20 +177,13 @@ def unused_exports(src: pathlib.Path, users, keep):
     return [name for name in exported if name not in used | keep]
 
 
-def unused_methods(src: pathlib.Path, users):
-    """``Class.method`` for each non-dunder method defined on a class of ``src``
-    whose name no file of ``users`` references outside the method's own body.
+def unreferenced(defs, users):
+    """``file:line: label`` for each (path, label, func) of ``defs`` whose function
+    name no file of ``users`` references outside the function's own body.
 
     A reference is a bare name or an attribute ``x.<name>``, so a method counts
-    as used when any object's attribute of its name is read.
+    as used when any object's attribute of its name is read; imports do not count.
     """
-    methods = [(path, cls.name, func)
-               for path in sorted(src.glob("*.py"))
-               for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-               if isinstance(cls, ast.ClassDef)
-               for func in cls.body
-               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and not (func.name.startswith("__") and func.name.endswith("__"))]
     refs = {}  # name -> [(path, line)]
     for path in sorted(p for d in users for p in d.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -196,10 +191,36 @@ def unused_methods(src: pathlib.Path, users):
                 refs.setdefault(node.id, []).append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append((path, node.lineno))
-    return [f"{path.name}:{func.lineno}: {cls}.{func.name}"
-            for path, cls, func in methods
+    return [f"{path.name}:{func.lineno}: {label}"
+            for path, label, func in defs
             if all(where == path and func.lineno <= line <= func.end_lineno
                    for where, line in refs.get(func.name, []))]
+
+
+def _functions(body):
+    return [f for f in body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def unused_methods(src: pathlib.Path, users):
+    """``Class.method`` for each non-dunder method defined on a class of ``src``
+    that no file of ``users`` references (``unreferenced``)."""
+    return unreferenced([(path, f"{cls.name}.{func.name}", func)
+                         for path in sorted(src.glob("*.py"))
+                         for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                         if isinstance(cls, ast.ClassDef)
+                         for func in _functions(cls.body)
+                         if not (func.name.startswith("__") and func.name.endswith("__"))],
+                        users)
+
+
+def unused_functions(src: pathlib.Path, users):
+    """Each module-level function of ``src``, public or private, that no file of
+    ``users`` references (``unreferenced``)."""
+    return unreferenced([(path, func.name, func)
+                         for path in sorted(src.glob("*.py"))
+                         for func in _functions(ast.parse(path.read_text(),
+                                                          filename=str(path)).body)],
+                        users)
 
 
 def numpy_imports(path: pathlib.Path):
@@ -370,19 +391,41 @@ def test_every_dataclass_default_is_used():
     assert not hits, "dataclass defaults every call overrides (drop them):\n" + "\n".join(hits)
 
 
+# exported for the paper's sake although only tests call them
+PAPER_EXPORTS = {
+    "right_inverse_identity_check",  # acceptance 9: A B = I on the targets
+    "transform_inverse",  # acceptance 9: the criterion with A and B swapped
+}
+
+
 def test_every_export_is_used_outside_tests():
-    # exported for the paper's sake although only tests call them
-    keep = {
-        "right_inverse_identity_check",  # acceptance 9: A B = I on the targets
-        "transform_inverse",  # acceptance 9: the criterion with A and B swapped
-    }
-    hits = unused_exports(SRC, [SRC, ROOT / "bench"], keep)
+    hits = unused_exports(SRC, [SRC, ROOT / "bench"], PAPER_EXPORTS)
     assert not hits, "public names only tests use:\n" + "\n".join(hits)
 
 
 def test_every_method_is_used_outside_tests():
     hits = unused_methods(SRC, [ROOT / d for d in CALLERS])
     assert not hits, "methods only tests call:\n" + "\n".join(hits)
+
+
+def test_every_module_function_is_used_outside_tests():
+    # a private helper that a refactor stops calling is as dead as an unused export
+    hits = [hit for hit in unused_functions(SRC, [ROOT / d for d in CALLERS])
+            if hit.rsplit(": ", 1)[1] not in PAPER_EXPORTS]
+    assert not hits, "module-level functions only tests call:\n" + "\n".join(hits)
+
+
+def test_an_uncalled_helper_is_reported(tmp_path):
+    # a former shortcut of the distance walk, kept beside the loop that replaced it
+    src = tmp_path / "fhclab"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    spaces = src / "spaces.py"
+    text = spaces.read_text() + "\n\ndef _run_max(values):\n    return [max(map(abs, values))]\n"
+    spaces.write_text(text)
+    line = len(text.splitlines()) - 1  # the def, above its one-line body
+    hits = [hit for hit in unused_functions(src, [src, ROOT / "bench"])
+            if hit.rsplit(": ", 1)[1] not in PAPER_EXPORTS]
+    assert hits == [f"spaces.py:{line}: _run_max"]
 
 
 def test_no_state_changes_outside_constructors():

@@ -355,6 +355,8 @@ OPERATORS = {
     "shift-c0": WeightedBackwardShift(2, C0_SEQ),
     "hardy": Differentiation(HARDY),
     "ck1": Differentiation(CkModel(1, 0.0, 1.0)),
+    # piecewise-linear points: the sweep hands distance their suffix peaks
+    "translation": TranslationGenerator(1),
 }
 
 
@@ -434,6 +436,19 @@ class TestWindowSweep:
         assert head <= hi
         got, want = discrete_report(p, eps, N), per_n_report(p, eps, N)
         assert [repr(r) for r in got] == [repr(r) for r in want]
+
+    @pytest.mark.parametrize("family", ["translation", "shift-l2"])
+    def test_suffix_peaks_are_built_once_per_new_key(self, family, monkeypatch):
+        p = placement(family, 1, 1, 2, 160)
+        keys, built = [], []
+        monkeypatch.setattr(verifier, "orbit_windows",
+                            lambda *a: (keys.append(k) or k for k in orbit_windows(*a)))
+        monkeypatch.setattr(verifier, "suffix_peaks",
+                            lambda vec: built.append(vec) or spaces.suffix_peaks(vec))
+        eps = {l: 1.2 * proximity_bound(l) for l in (1, 2)}
+        got = discrete_report(p, eps, p.horizon)
+        assert len(built) == len(set(keys)) < len(keys)
+        assert [repr(r) for r in got] == [repr(r) for r in per_n_report(p, eps, p.horizon)]
 
     def test_tiled_middle_and_the_shrinking_tail(self):
         p = placement("shift-l2", 1, 1, 2, 160)
