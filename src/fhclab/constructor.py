@@ -33,9 +33,9 @@ inverse-tail bound and reported as an explicit error bar.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import partial
 from itertools import cycle, islice
+from typing import NamedTuple
 
 from .criterion import TailCertificate, tail_norm
 from .density_partition import PairKey, Tiled, build_schedule
@@ -53,8 +53,7 @@ def proximity_bound(l: int) -> float:
     return 5.0 / 2**l
 
 
-@dataclass
-class FhcPlacement:
+class FhcPlacement(NamedTuple):
     """Symbolic description of x up to a horizon, plus certified tails."""
 
     tail_certificate: TailCertificate

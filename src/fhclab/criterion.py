@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .operators import OperatorCertificate, apply_forward, apply_inverse
 from .spaces import accumulate, distance, lp_norm
@@ -46,8 +46,7 @@ def _not_nan(bound: float, what: str) -> float:
     return bound
 
 
-@dataclass(frozen=True)
-class ThresholdRecord:
+class ThresholdRecord(NamedTuple):
     N: int
     forward_tail_bound: float
     inverse_tail_bound: float
@@ -55,10 +54,12 @@ class ThresholdRecord:
     identity_residual: float
 
 
-@dataclass(frozen=True)
 class TailCertificate:
-    cert: OperatorCertificate
-    records: tuple  # ThresholdRecord per l = 1..L
+    __slots__ = ("cert", "records")
+
+    def __init__(self, cert: OperatorCertificate, records: tuple):
+        self.cert = cert
+        self.records = records  # ThresholdRecord per l = 1..L
 
     def threshold(self, l: int) -> int:
         return self.records[l - 1].N
@@ -70,7 +71,7 @@ class TailCertificate:
     def to_json_dict(self):
         return {
             "type": "tail_certificate",
-            "records": [{"l": l + 1, **asdict(r)} for l, r in enumerate(self.records)],
+            "records": [{"l": l + 1, **r._asdict()} for l, r in enumerate(self.records)],
         }
 
 

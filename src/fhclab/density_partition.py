@@ -26,20 +26,34 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain
 
 
-@dataclass(frozen=True, order=True)
 class PairKey:
     """Index pair (l, nu); the gap budget of the set A(l, nu) is nu."""
 
-    l: int
-    nu: int
+    __slots__ = ("l", "nu")
 
-    def __post_init__(self):
-        if self.l < 1 or self.nu < 1:
+    def __init__(self, l: int, nu: int):
+        self.l, self.nu = l, nu
+        if l < 1 or nu < 1:
             raise ValueError(f"PairKey requires l >= 1 and nu >= 1, got {self}")
+
+    def __repr__(self):
+        return f"PairKey(l={self.l!r}, nu={self.nu!r})"
+
+    def __eq__(self, other):
+        if type(other) is not PairKey:
+            return NotImplemented
+        return (self.l, self.nu) == (other.l, other.nu)
+
+    def __hash__(self):
+        return hash((self.l, self.nu))
+
+    def __lt__(self, other):  # sorts the duplicates a schedule rejects
+        if type(other) is not PairKey:
+            return NotImplemented
+        return (self.l, self.nu) < (other.l, other.nu)
 
 
 class PartitionSchedule:

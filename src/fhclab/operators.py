@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .spaces import (
@@ -50,14 +49,19 @@ from .spaces import (
 # operator models
 
 
-@dataclass(frozen=True)
 class WeightedBackwardShift:
-    w: object  # real/complex scalar with |w| > 1 (Fraction allowed)
-    space: SequenceSpace
+    __slots__ = ("w", "space")
 
-    def __post_init__(self):
-        if abs(self.w) <= 1:
-            raise ValueError(f"shift weight must satisfy |w| > 1, got {self.w}")
+    def __init__(self, w, space: SequenceSpace):
+        if abs(w) <= 1:
+            raise ValueError(f"shift weight must satisfy |w| > 1, got {w}")
+        self.w = w  # real/complex scalar with |w| > 1 (Fraction allowed)
+        self.space = space
+
+    def __eq__(self, other):
+        if type(other) is not WeightedBackwardShift:
+            return NotImplemented
+        return (self.w, self.space) == (other.w, other.space)
 
     def forward(self, v: SparseVector, m: int) -> SparseVector:
         # entry at index i moves to i-m with weight w^((i-m) + ... + (i-1))
@@ -91,7 +95,6 @@ class WeightedBackwardShift:
         return self.space.p if len(y.entries) == 1 else None
 
 
-@dataclass(frozen=True)
 class Differentiation:
     """f -> f' on the Hardy model, or on C^k[a,b] stored in u = x - a (d/du = d/dx).
 
@@ -99,7 +102,13 @@ class Differentiation:
     computed norms exceed it (ROADMAP item 2, defect 1).
     """
 
-    space: object  # HardyModel or CkModel
+    __slots__ = ("space",)
+
+    def __init__(self, space):
+        self.space = space  # HardyModel or CkModel
+
+    def __eq__(self, other):
+        return self.space == other.space if type(other) is Differentiation else NotImplemented
 
     def forward(self, v: PolySeries, m: int) -> PolySeries:
         return PolySeries(v.derivative_coeffs(m), v.model)
@@ -145,16 +154,19 @@ class Differentiation:
         return None
 
 
-@dataclass(frozen=True)
 class TranslationGenerator:
-    lam: object  # growth rate lambda > 0; keep it an int/Fraction for exactness
-    space = C0_PLUS  # class attribute, not a dataclass field
+    __slots__ = ("lam",)
+    space = C0_PLUS
 
-    def __post_init__(self):
-        if not self.lam > 0:
+    def __init__(self, lam):
+        if not lam > 0:
             raise ValueError("translation generator requires lam > 0")
-        if self.lam > sys.float_info.max:  # the tail bounds and w_apply read float(lam)
+        if lam > sys.float_info.max:  # the tail bounds and w_apply read float(lam)
             raise ValueError("beyond the float range")
+        self.lam = lam  # growth rate lambda > 0; keep it an int/Fraction for exactness
+
+    def __eq__(self, other):
+        return self.lam == other.lam if type(other) is TranslationGenerator else NotImplemented
 
     def forward(self, f: PiecewiseLinearFn, m: int) -> PiecewiseLinearFn:
         return plf_shift_left(f, m, dlog=self.lam * m)
@@ -172,21 +184,25 @@ class TranslationGenerator:
         return None
 
 
-@dataclass(frozen=True)
 class OperatorCertificate:
     """Operator + right inverse + enumerated dense targets (the criterion data)."""
 
-    op: object
-    targets: tuple
-    scalar_twist: object = 1
-    power: int = 1
-    swapped: bool = False
+    __slots__ = ("op", "targets", "scalar_twist", "power", "swapped")
 
-    def __post_init__(self):
-        if self.power < 1:
+    def __init__(self, op, targets: tuple, scalar_twist=1, power: int = 1,
+                 swapped: bool = False):
+        if power < 1:
             raise ValueError("power must be >= 1")
-        if abs(abs(self.scalar_twist) - 1) > 1e-12:
+        if abs(abs(scalar_twist) - 1) > 1e-12:
             raise ValueError("scalar twist must have unit modulus")
+        self.op, self.targets = op, targets
+        self.scalar_twist, self.power, self.swapped = scalar_twist, power, swapped
+
+    def __eq__(self, other):
+        if type(other) is not OperatorCertificate:
+            return NotImplemented
+        return ((self.op, self.targets, self.scalar_twist, self.power, self.swapped)
+                == (other.op, other.targets, other.scalar_twist, other.power, other.swapped))
 
     @property
     def target_count(self) -> int:
@@ -256,14 +272,17 @@ def forward_extinction_index(cert: OperatorCertificate, v) -> int:
 
 def transform_power(cert: OperatorCertificate, r: int) -> OperatorCertificate:
     """Certificate for the r-th power: forward (A^r)^n, inverse (B^r)^n."""
-    return replace(cert, power=cert.power * r)
+    return OperatorCertificate(cert.op, cert.targets, cert.scalar_twist, cert.power * r,
+                               cert.swapped)
 
 
 def transform_rotation(cert: OperatorCertificate, lam) -> OperatorCertificate:
     """Certificate for the rotated operator lam*A, |lam| = 1."""
-    return replace(cert, scalar_twist=cert.scalar_twist * lam)
+    return OperatorCertificate(cert.op, cert.targets, cert.scalar_twist * lam, cert.power,
+                               cert.swapped)
 
 
 def transform_inverse(cert: OperatorCertificate) -> OperatorCertificate:
     """Formally swap the forward and inverse roles (an involution)."""
-    return replace(cert, swapped=not cert.swapped)
+    return OperatorCertificate(cert.op, cert.targets, cert.scalar_twist, cert.power,
+                               not cert.swapped)

@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .constructor import FhcPlacement, orbit_eval, orbit_window
 from .operators import TranslationGenerator
-from .spaces import PiecewiseLinearFn, PolySeries, _horner, distance
+from .spaces import PiecewiseLinearFn, PolySeries, _horner, distance, suffix_peaks
 
 _BUMP_SUPPORT = (0.0, 1.0)  # generator_residual's bump lives on [0, 1], zero outside
 _GRID_POINTS = 2001  # sup-norm grid of generator_residual over the support
@@ -75,7 +74,6 @@ def generator_residual(op: TranslationGenerator, f: PolySeries, t_step) -> float
     return worst
 
 
-@dataclass
 class SolutionOrbit:
     """Evaluator t -> e^(tA) x for the constructed x of a translation certificate.
 
@@ -85,10 +83,11 @@ class SolutionOrbit:
     discrete-to-continuous bridge.
     """
 
-    placement: FhcPlacement
+    __slots__ = ("placement", "_widths", "_rates", "_reach", "_peak")
 
-    def __post_init__(self):
-        cert = self.placement.cert
+    def __init__(self, placement: FhcPlacement):
+        self.placement = placement
+        cert = placement.cert
         if not isinstance(cert.op, TranslationGenerator):
             raise TypeError("solution orbits require a translation certificate")
         lam = float(cert.op.lam)
@@ -100,35 +99,41 @@ class SolutionOrbit:
         self._peak = max(self._rates)
 
     def evaluate(self, times):
-        """Yield (point, s, err) per t: e^(tA) x is W(s) point, within err.
+        """Yield (point, s, err, peaks) per t: e^(tA) x is W(s) point, within err.
 
         point is A^n x for n = floor(t) and s = t - n, so the value at t is
         ``w_apply(op, s, point)``, and the point itself when s == 0; err is
-        the certified error bound of that value.  The integer point is looked
+        the certified error bound of that value, and peaks is
+        ``suffix_peaks(point)``, for ``distance``.  The integer point is looked
         up when t enters [n, n + 1) and held while t stays there, with one
         point per window key: for n >= 1, ``orbit_eval(p, n)`` is a pure
         function of ``orbit_window(p, n)`` (see ``discrete_report``), so a
-        unit whose key was seen in this call reuses that point; n = 0 is
-        ``materialize``.  Any order gives what one-element calls give.
+        unit whose key was seen in this call reuses that point and its peaks;
+        n = 0 is ``materialize``.  Any order gives what one-element calls give.
         """
         p = self.placement
         lam = float(p.cert.op.lam)
-        points = {}  # window key -> (A^n x, error) for the n >= 1 seen so far
-        n = vec = err = None
+        points = {}  # window key -> (A^n x, error, peaks) for the n >= 1 seen so far
+
+        def point_at(n):
+            vec, err = orbit_eval(p, n)
+            return vec, err, suffix_peaks(vec)
+
+        n = vec = err = peaks = None
         for t in times:
             if t < 0:
                 raise ValueError("t must be >= 0")
             if (floor := math.floor(t)) != n:
                 n = floor
                 if n == 0:
-                    vec, err = orbit_eval(p, 0)
+                    vec, err, peaks = point_at(0)
                 else:
                     key = orbit_window(p, n)
                     if (point := points.get(key)) is None:
-                        point = points[key] = orbit_eval(p, n)
-                    vec, err = point
+                        point = points[key] = point_at(n)
+                    vec, err, peaks = point
             s = t - n
-            yield vec, s, (err if s == 0 else err * math.exp(lam * float(s)))
+            yield vec, s, (err if s == 0 else err * math.exp(lam * float(s))), peaks
 
     def lipschitz_bound(self, t0, t1) -> float:
         """Upper bound on the t-Lipschitz constant of the orbit over [t0, t1].

@@ -20,7 +20,6 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, repeat
 
@@ -29,30 +28,42 @@ from itertools import chain, combinations, islice, repeat
 # space tags
 
 
-@dataclass(frozen=True)
 class SequenceSpace:
     """l_p for 1 <= p < inf, or c0 at p = inf: the exponent of its norm."""
 
-    p: float
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not 1.0 <= self.p <= math.inf:
-            raise ValueError(f"a sequence space requires 1 <= p <= inf, got p={self.p}")
+    def __init__(self, p: float):
+        if not 1.0 <= p <= math.inf:
+            raise ValueError(f"a sequence space requires 1 <= p <= inf, got p={p}")
+        self.p = p
+
+    def __eq__(self, other):
+        return self.p == other.p if type(other) is SequenceSpace else NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
 
 
 L2 = SequenceSpace(2.0)
 C0_SEQ = SequenceSpace(math.inf)
 
 
-@dataclass(frozen=True)
 class HardyModel:
     """Polynomial model of H^2: norm is l2 of the coefficient list."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if type(other) is HardyModel else NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
 
 _CK_MESH = 1e-4  # grid spacing of the C^k sup-norm estimate
 
 
-@dataclass(frozen=True)
 class CkModel:
     """Polynomial model of C^k[a,b], stored in u = x - a: coefficients of p(a + u), u in [0, L].
 
@@ -63,25 +74,33 @@ class CkModel:
     mesh * sum(|c_i| * i * max(L, 1)^(i-1)), so ``norm`` is a true upper bound.
     """
 
-    k: int
-    a: float
-    b: float
+    __slots__ = ("k", "a", "b")
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, k: int, a: float, b: float):
+        if k < 0:
             raise ValueError("k must be >= 0")
-        if not self.a < self.b:
+        if not a < b:
             raise ValueError("CkModel requires a < b")
         # _ck_grid's point i is i * mesh with i converted to float, as in
         # numpy's grid: exact only while i <= 2^53
-        if not (self.b - self.a + _CK_MESH) / _CK_MESH <= 2**53:
+        if not (b - a + _CK_MESH) / _CK_MESH <= 2**53:
             raise ValueError(
                 f"CkModel requires at most 2^53 grid points on [a, b], {_CK_MESH} apart")
+        self.k, self.a, self.b = k, a, b
+
+    def __eq__(self, other):
+        if type(other) is not CkModel:
+            return NotImplemented
+        return (self.k, self.a, self.b) == (other.k, other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.k, self.a, self.b))
 
 
-@dataclass(frozen=True)
 class HalfLineC0:
     """Tag for C0(R+), the home of PiecewiseLinearFn."""
+
+    __slots__ = ()
 
 
 HARDY = HardyModel()
@@ -101,17 +120,21 @@ def lp_norm(values, p) -> float:
     sum float(|c|) ** p and take ``** (1/p)``.  A sum below the smallest
     normal float has lost bits to underflow, so it is summed again from the
     entries scaled by the power of two that brings the largest into [0.5, 1);
-    the root is scaled back by that power.
+    the root is scaled back by that power.  A complex NaN reads nan (``_abs``).
     """
+    try:
+        mags = list(map(abs, values))
+    except OverflowError:
+        mags = list(map(_abs, values))
     if p == math.inf:
-        return float(max((abs(c) for c in values), default=0))
+        return float(max(mags, default=0))
     if p == 2:
-        total, root = float(sum(a * a for a in map(abs, values))), math.sqrt
+        total, root = float(sum(map(operator.mul, mags, mags))), math.sqrt
     else:
-        total, root = float(sum(float(abs(c)) ** p for c in values)), lambda s: s ** (1.0 / p)
+        total, root = float(sum(float(a) ** p for a in mags)), lambda s: s ** (1.0 / p)
     if total >= sys.float_info.min:
         return root(total)
-    mags = [float(abs(c)) for c in values]
+    mags = list(map(float, mags))
     e = -math.frexp(max(mags, default=0.0))[1]
     scaled = [math.ldexp(m, e) for m in mags]
     return math.ldexp(root(sum(s * s if p == 2 else s ** p for s in scaled)), -e)

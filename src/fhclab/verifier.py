@@ -25,8 +25,8 @@ import io
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 from itertools import takewhile, tee
+from typing import NamedTuple
 
 from .constructor import FhcPlacement, orbit_eval, orbit_windows, proximity_bound
 from .density_partition import Tiled, running_density_floor
@@ -44,8 +44,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass
-class OrbitReport:
+class OrbitReport(NamedTuple):
     l: int
     epsilon: float
     horizon: float
@@ -64,8 +63,7 @@ class OrbitReport:
     continuity_window: float = 0.0
 
     def to_json_dict(self):
-        # shallow: dataclasses.asdict would deep-copy every visit time
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def density_proxy(visits, N: int) -> float:
@@ -213,9 +211,10 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
     is inner measure >= delta * len(visit_times), the visit times being the
     integer parts of the inner intervals' left ends.  The sweep is one pass
     over the integer checks and the cells in time order, so the orbit builds
-    one point per window key (``SolutionOrbit.evaluate``); only the distances
-    are per target.  A cell at t = n + s measures W(s) A^n x against y_l by
-    ``distance(point, y_l, s, lam * s)``, which builds no function.
+    one point and its suffix peaks per window key (``SolutionOrbit.evaluate``);
+    only the distances are per target.  A cell at t = n + s measures W(s) A^n x
+    against y_l by ``distance(point, y_l, s, lam * s, peaks)``, which builds no
+    function.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -236,10 +235,8 @@ def continuous_visits(orbit, epsilons: dict, t_max: float, grid_step: float):
     cells = {l: [] for l in ls}  # inner cells
     windows = {l: [] for l in ls}  # certified windows from integer visits
     outer_measure = dict.fromkeys(ls, 0.0)
-    point = peaks = None
-    for (t0, is_cell), (vec, s, err) in zip(events, orbit.evaluate(t for t, _ in times)):
-        if vec is not point:  # a new orbit point: its suffix peaks, once
-            point, peaks = vec, suffix_peaks(vec)
+    values = orbit.evaluate(t for t, _ in times)
+    for (t0, is_cell), (vec, s, err, peaks) in zip(events, values):
         if not is_cell:  # at an integer, s == 0
             for l in ls:
                 if t0 < n_ints[l] and distance(vec, targets[l], peaks=peaks) + err \

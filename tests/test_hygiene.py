@@ -1,9 +1,9 @@
 """Source hygiene: every name a module imports is used by that module and
 not rebound at module level, every import sits at module level, and every
 defaulted parameter of a module-level function is passed by some call,
-every defaulted field of a dataclass is left out by some constructor call, no method outside a
+every defaulted field of a record class is left out by some constructor call, no method outside a
 constructor changes its object's attributes, no module imports
-numpy, no module keeps a memo (``functools.cache``,
+numpy or dataclasses, no module keeps a memo (``functools.cache``,
 ``functools.lru_cache``) or has a ``global`` statement, and each vector
 type has one weighted sum, with no pairwise fold beside it.
 
@@ -11,7 +11,7 @@ Runs on the standard library alone (``ast``).  ``__init__.py`` is skipped by
 the unused-import check: its imports are the package's public re-exports.
 A default that no call in ``src/`` or ``bench/`` overrides has one value in
 use and belongs in a constant (a value that only tests pass is a test-only
-knob).  A dataclass default that every constructor call in ``src/`` or
+knob).  A record default that every constructor call in ``src/`` or
 ``bench/`` overrides states a value a second time, beside the value its
 callers pass, and can drift away from theirs.  A public re-export, a
 method or a module-level function (private ones too) that only tests reach
@@ -20,8 +20,11 @@ is a name the system does not use.
 
 import ast
 import importlib
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fhclab"
@@ -114,29 +117,45 @@ def never_passed_defaults(src: pathlib.Path, callers):
             if not {(fname, "*"), (fname, param), (fname, i)} & passed]
 
 
-def _is_dataclass(cls: ast.ClassDef):
-    """True for a class under ``@dataclass`` or ``@dataclass(...)``."""
-    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-               for d in cls.decorator_list)
+def _constructor_defaults(cls: ast.ClassDef):
+    """(line, field, positional index) for each defaulted constructor parameter of
+    ``cls``: a field with a value in a ``NamedTuple`` subclass, else a defaulted
+    positional parameter of the class's own ``__init__`` (index 0 follows ``self``)."""
+    if any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in cls.bases):
+        fields = [s for s in cls.body
+                  if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+        return [(s.lineno, s.target.id, i) for i, s in enumerate(fields) if s.value is not None]
+    for init in _functions(cls.body):
+        if init.name == "__init__":
+            a = init.args
+            positional = (a.posonlyargs + a.args)[1:]
+            first = len(positional) - len(a.defaults)
+            return [(arg.lineno, arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+    return []
+
+
+def record_defaults(src: pathlib.Path):
+    """Class name -> [(``module:line``, field, positional index)] for each
+    class of ``src`` with a defaulted constructor parameter (``_constructor_defaults``)."""
+    defaulted = {}
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef) and (found := _constructor_defaults(cls)):
+                defaulted[cls.name] = [(f"{path.name}:{line}", field, i)
+                                       for line, field, i in found]
+    return defaulted
 
 
 def never_omitted_fields(src: pathlib.Path, callers):
-    """``module:line: Class.field`` for each defaulted field of a ``@dataclass``
-    of ``src`` that no constructor call in ``callers`` leaves out.
+    """``module:line: Class.field`` for each defaulted constructor parameter of a
+    class of ``src`` (``record_defaults``) that no constructor call in ``callers``
+    leaves out.
 
     A call ``Class(...)`` or ``x.Class(...)`` leaves a field out when it passes
     it neither by position nor by keyword; a call with ``*args`` or
     ``**kwargs`` leaves nothing out.
     """
-    defaulted = {}  # class name -> [(where, field, positional index)]
-    for path in sorted(src.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls):
-                continue
-            fields = [s for s in cls.body
-                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
-            defaulted[cls.name] = [(f"{path.name}:{s.lineno}", s.target.id, i)
-                                   for i, s in enumerate(fields) if s.value is not None]
+    defaulted = record_defaults(src)
     omitted = set()  # (class name, field)
     for path in sorted(p for d in callers for p in d.rglob("*.py")):
         for call in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -223,8 +242,8 @@ def unused_functions(src: pathlib.Path, users):
                         users)
 
 
-def numpy_imports(path: pathlib.Path):
-    """``module:line`` for each ``import numpy...`` or ``from numpy... import``."""
+def module_imports(path: pathlib.Path, module: str):
+    """``module:line`` for each ``import <module>...`` or ``from <module>... import``."""
     hits = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -233,7 +252,7 @@ def numpy_imports(path: pathlib.Path):
             names = [node.module]
         else:
             continue
-        if any(name.partition(".")[0] == "numpy" for name in names):
+        if any(name.partition(".")[0] == module for name in names):
             hits.append(f"{path.name}:{node.lineno}")
     return hits
 
@@ -282,7 +301,7 @@ def state_changes(path: pathlib.Path):
             continue
         for func in cls.body:
             if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    or func.name in ("__init__", "__post_init__")):
+                    or func.name == "__init__"):
                 continue
             for node in ast.walk(func):
                 if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -386,9 +405,18 @@ def test_every_default_is_passed_somewhere():
     assert not hits, "defaults no call overrides (make them constants):\n" + "\n".join(hits)
 
 
-def test_every_dataclass_default_is_used():
+def test_every_record_default_is_used():
     hits = never_omitted_fields(SRC, [ROOT / d for d in CALLERS])
-    assert not hits, "dataclass defaults every call overrides (drop them):\n" + "\n".join(hits)
+    assert not hits, "record defaults every call overrides (drop them):\n" + "\n".join(hits)
+
+
+def test_record_defaults_are_read_from_namedtuples_and_constructors():
+    # the gate above checks only what this finds: a NamedTuple's fields, an __init__'s parameters
+    defaults = {cls: [field for _, field, _ in found]
+                for cls, found in record_defaults(SRC).items()}
+    assert defaults["OrbitReport"] == ["worst_scheduled", "guarantee_vacuous", "mode",
+                                       "inner_measure", "outer_measure", "continuity_window"]
+    assert defaults["OperatorCertificate"] == ["scalar_twist", "power", "swapped"]
 
 
 # exported for the paper's sake although only tests call them
@@ -435,8 +463,26 @@ def test_no_state_changes_outside_constructors():
 
 def test_no_numpy_in_src():
     # numpy is a test-only oracle: fhclab runs on the standard library alone
-    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in numpy_imports(path)]
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in module_imports(path, "numpy")]
     assert not hits, "numpy imported in src/fhclab:\n" + "\n".join(hits)
+
+
+def test_no_dataclasses_in_src():
+    # every process starts by importing fhclab: a dataclass generates and execs its
+    # methods at import, and the dataclasses module loads inspect (README, Start-up cost)
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in module_imports(path, "dataclasses")]
+    assert not hits, "dataclasses imported in src/fhclab:\n" + "\n".join(hits)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site's own imports out, so sys.modules holds what fhclab loads
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = ("import sys, fhclab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_no_hidden_memos():

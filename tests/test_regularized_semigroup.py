@@ -1,6 +1,5 @@
 """Semigroup law, generator recovery, and solution orbits."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -169,7 +168,7 @@ def full_scan_lipschitz(orbit, t0, t1):
 def orbit_values(orbit, times):
     """(value, error) per t, the value of each (point, s, err) read as W(s) point."""
     op = orbit.placement.cert.op
-    return [(w_apply(op, s, point), err) for point, s, err in orbit.evaluate(times)]
+    return [(w_apply(op, s, point), err) for point, s, err, _ in orbit.evaluate(times)]
 
 
 class TestSolutionOrbit:
@@ -218,7 +217,7 @@ class TestSolutionOrbit:
         # t1 + backward_window (the scan adds the first of them) and cells past the
         # last; a short window puts that first term within a few units of t1, where
         # e^(lam (t1 - j)) still moves the sum's bits
-        p = self.p if bw is None else dataclasses.replace(self.p, backward_window=bw)
+        p = self.p if bw is None else self.p._replace(backward_window=bw)
         orbit = SolutionOrbit(p)
         ns, bw, reach = p.placed_ns, p.backward_window, orbit._reach
         cells = [(j - bw - 0.1, j - bw) for j in ns if j - bw >= 0.1]  # t1 + bw == j

@@ -1379,6 +1379,20 @@ class TestLpNorm:
         assert SparseVector({1: -3, 4: Fraction(7, 2)}, C0_SEQ).norm() == 3.5
         assert spaces.lp_norm([], math.inf) == spaces.lp_norm([], 2) == 0.0
 
+    @pytest.mark.parametrize("space", [SequenceSpace(1.0), L2, C0_SEQ])
+    def test_a_complex_nan_reads_nan_whatever_errno_holds(self, space):
+        # as in the piecewise-linear walk: complex abs() takes its NaN path without
+        # clearing the ERANGE an underflowing exp() left in errno
+        z = complex(math.nan, 1)
+        math.exp(-800)
+        assert math.isnan(spaces.lp_norm([z], space.p))
+        math.exp(-800)
+        assert math.isnan(SparseVector({1: z}, space).norm())
+        math.exp(-800)
+        assert math.isnan(distance(SparseVector({1: z}, space), SparseVector({2: 1.0}, space)))
+        with pytest.raises(OverflowError):
+            spaces.lp_norm([complex(1.5e308, 1.5e308)], space.p)
+
 
 # --------------------------------------------------------------------------
 # the C^k grid maximum against numpy's full sweep

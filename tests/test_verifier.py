@@ -1,6 +1,5 @@
 """Visit statistics, density floors, report schema, continuous measure."""
 
-import dataclasses
 import functools
 import json
 import math
@@ -478,7 +477,7 @@ class TestWindowSweep:
         assert head <= hi and sum(counted) == p.forward_window + p.period + (N - hi) < N / 50
         # the same sweep with a period past the horizon runs the key loop over every n
         counted.clear()
-        untiled = discrete_report(dataclasses.replace(p, period=2 * p.horizon), eps, N)
+        untiled = discrete_report(p._replace(period=2 * p.horizon), eps, N)
         assert counted == [N]
         assert [repr(r) for r in got] == [repr(r) for r in untiled]
 
@@ -713,6 +712,21 @@ class TestContinuous:
         assert [r.to_json_dict() for r in batch] == [r.to_json_dict() for r in singles]
         assert calls == list(range(0, 40))
 
+    def test_suffix_peaks_are_built_once_per_point(self, monkeypatch):
+        # the bench's translation bridge: 80 units, 53 window keys, so keys come back
+        p = assign_placements(compute_thresholds(make_certificate(TranslationGenerator(1), 1)),
+                              horizon=160)
+        eps = {1: 1.2 * proximity_bound(1)}
+        points, built = [], []
+        monkeypatch.setattr(regularized_semigroup, "orbit_eval",
+                            lambda placement, n: points.append(n) or orbit_eval(placement, n))
+        monkeypatch.setattr(regularized_semigroup, "suffix_peaks",
+                            lambda vec: built.append(vec) or spaces.suffix_peaks(vec))
+        got = continuous_visits(SolutionOrbit(p), eps, 80.0, 0.1)
+        assert len(built) == len(points) < 80
+        want = interleaved_visits(SolutionOrbit(p), eps, 80.0, 0.1)
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+
     def test_no_empty_cell_at_t_max(self):
         # 21 / 0.7 is 30.000000000000004 in floats: a 31st cell would start at 21, be empty
         # and list 21 as a visit time
@@ -791,7 +805,7 @@ class TestContinuous:
                 for k, _ in enumerate(times):
                     if k == 100:
                         raise Stop
-                    yield y, 0, 0.0
+                    yield y, 0, 0.0, None
 
             def lipschitz_bound(self, t0, t1):
                 return 0.0
