@@ -12,11 +12,11 @@ certification failure (stderr starts "config error:" or "certification failed:")
 from __future__ import annotations
 
 import argparse
-import ast
 import configparser
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -286,14 +286,17 @@ def run_pipeline(cfg: dict, out):
 # subcommands
 
 
+_PAIR = r"\(\s*([+-]?[0-9]+)\s*,\s*([+-]?[0-9]+)\s*\)"  # (l, nu), two integers
+
+
 def _parse_pairs(text: str):
-    try:
-        raw = ast.literal_eval(text if text.strip().startswith("[") else f"[{text}]")
-        if any(type(v) is not int for pair in raw for v in pair):
-            raise TypeError("l and nu must be integers")
-        return [PairKey(l, nu) for l, nu in raw]
-    except (SyntaxError, TypeError) as exc:
-        raise ValueError(f"expected (l, nu) pairs: {exc}") from exc
+    """The pairs of "(l, nu), (l, nu), ...", in brackets or not; a trailing comma is allowed."""
+    body = text.strip()
+    if body.startswith("[") and body.endswith("]"):
+        body = body[1:-1]
+    if not re.fullmatch(rf"\s*(?:{_PAIR}\s*,\s*)*(?:{_PAIR}\s*)?", body):
+        raise ValueError("expected (l, nu) pairs of integers")
+    return [PairKey(int(l), int(nu)) for l, nu in re.findall(_PAIR, body)]
 
 
 def cmd_partition(args):

@@ -13,18 +13,17 @@ dense elements, which is numerically stable because growing weights never
 multiply truncated small entries.
 
 Every term of an orbit point is some A^k y_l (k up to the forward window) or
-B^k y_l (k up to the backward window), so ``assign_placements`` builds these
-once per target and the sweep reads them from that table.  Each B^n y_l is
-built once: the backward-window search reads its norm from one list per
-target, the table is that list's prefix, and the tails of shorter windows
-read the norms the search kept.  A piecewise-linear term is folded to log
-scale 0 once, in the table, for every sum that folds it.  Only x itself,
-``materialize(p)`` with the horizon past the backward window, still applies
-B for the terms beyond it.  Orbit point n reads only the placements of its
-window, so two points with the same window key are one point.
-``orbit_windows(p, start, stop)`` slides that window over the placed n in
-one pass and yields each point's key, the window itself: its offsets j - n
-and their targets; ``orbit_window(p, n)`` is its one-point case.
+B^k y_l (k up to the backward window), so ``assign_placements`` gathers these
+into a table per target and the sweep reads them from that table.  The table
+and every tail, from the threshold search on, are read from the tail
+certificate's store, which builds each G^n y_l once.  A piecewise-linear term
+is folded to log scale 0 once, in the table, for every sum that folds it.
+Only x itself, ``materialize(p)`` with the horizon past the backward window,
+still applies B for the terms beyond it.  Orbit point n reads only the
+placements of its window, so two points with the same window key are one
+point.  ``orbit_windows(p, start, stop)`` slides that window over the placed
+n in one pass and yields each point's key, the window itself: its offsets
+j - n and their targets; ``orbit_window(p, n)`` is its one-point case.
 
 Everything beyond the evaluation window is closed off with the certified
 inverse-tail bound and reported as an explicit error bar.
@@ -33,13 +32,12 @@ inverse-tail bound and reported as an explicit error bar.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import partial
 from itertools import cycle, islice
 from typing import NamedTuple
 
-from .criterion import TailCertificate, tail_norm
+from .criterion import TailCertificate
 from .density_partition import PairKey, Tiled, build_schedule
-from .operators import apply_forward, apply_inverse, forward_extinction_index
+from .operators import apply_inverse, forward_extinction_index
 from .spaces import PiecewiseLinearFn, accumulate, linear_combine, plf_sum
 
 _WINDOW_GOAL = 1e-30  # summed inverse tail the backward window aims for
@@ -68,8 +66,6 @@ class FhcPlacement(NamedTuple):
     forward_terms: dict
     # l -> (B^0 y_l, ..., B^backward_window y_l), each apply_inverse(cert, y_l, k)
     inverse_terms: dict
-    # l -> (||B^0 y_l||, ||B^1 y_l||, ...): every inverse term norm the window search read
-    inverse_norms: dict
     # l -> the forward_terms[l] (inverse_terms[l]) each folded to log scale 0, for the
     # piecewise-linear sums; None for other vector types, which have no fold
     forward_folds: dict | None
@@ -83,11 +79,9 @@ class FhcPlacement(NamedTuple):
 def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     """Build the schedule over {(l, N_l)} and record z_n up to the horizon.
 
-    Each B^n y_l is built once, into one list per target that grows as the
-    backward-window search reads its norms; the term table is its prefix, and
-    the norms are kept for the shorter windows' tails (``_window_error``).
-    Each piecewise-linear table term is folded here, once, for every sum that
-    folds it.
+    The term tables and the backward window's tails are read from the tail
+    certificate's store.  Each piecewise-linear table term is folded here,
+    once, for every sum that folds it.
     """
     pairs = [PairKey(l, N) for l, N in tc.pairs()]
     max_n = max(p.nu for p in pairs)
@@ -100,82 +94,47 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     ns = tuple(Tiled((), [n for n, _ in placed], P, horizon))
     ls = tuple(islice(cycle([key.l for _, key in placed]), len(ns)))
 
-    cert = tc.cert
-    targets = {l: cert.target(l) for l in range(1, cert.target_count + 1)}
-    fwd_window = max(forward_extinction_index(cert, y) for y in targets.values())
-    inverse = {l: [y] for l, y in targets.items()}  # l -> [B^0 y_l, B^1 y_l, ...]
-    norms = {l: [y.norm()] for l, y in targets.items()}  # norms[l][n] = ||B^n y_l||
-
-    def through(l, n):
-        """Extend target l's lists through B^n y_l; return its norm."""
-        terms, known = inverse[l], norms[l]
-        while len(terms) <= n:
-            terms.append(apply_inverse(cert, targets[l], len(terms)))
-            known.append(terms[-1].norm())
-        return known[n]
-
-    bwd_window, bwd_tail = _backward_window(
-        tc, {l: partial(through, l) for l in targets})
-    for l in targets:  # the table is the lists' prefix, whatever the tails read
-        through(l, bwd_window)
-    forward_terms = {l: tuple(apply_forward(cert, y, k) for k in range(fwd_window + 1))
-                     for l, y in targets.items()}
-    inverse_terms = {l: tuple(terms[:bwd_window + 1]) for l, terms in inverse.items()}
+    targets = range(1, tc.cert.target_count + 1)
+    fwd_window = max(forward_extinction_index(tc.cert, tc.cert.target(l)) for l in targets)
+    bwd_window, bwd_tail = _backward_window(tc)
+    forward_terms, inverse_terms = (
+        {l: tuple(tc.term(l, k, direction) for k in range(window + 1)) for l in targets}
+        for direction, window in (("forward", fwd_window), ("inverse", bwd_window)))
     forward_folds = inverse_folds = None
-    if type(targets[1]) is PiecewiseLinearFn:
+    if type(tc.cert.target(1)) is PiecewiseLinearFn:
         forward_folds, inverse_folds = (
             {l: tuple(t.folded() for t in terms) for l, terms in table.items()}
             for table in (forward_terms, inverse_terms))
     return FhcPlacement(tc, horizon, ns, ls, P, fwd_window, bwd_window, bwd_tail,
-                        forward_terms, inverse_terms,
-                        {l: tuple(known) for l, known in norms.items()},
-                        forward_folds, inverse_folds)
+                        forward_terms, inverse_terms, forward_folds, inverse_folds)
 
 
-def _inverse_tail(cert, K: int, norms=None) -> float:
-    """sum_l tail_norm(y_l, K, "inverse"), summed in target order.
-
-    ``norms``, when given, maps l to a function n -> ||B^n y_l|| that the
-    tail reads instead of building B^n y_l.
-    """
-    return sum(
-        tail_norm(cert, cert.target(l), K, "inverse", None if norms is None else norms[l])
-        for l in range(1, cert.target_count + 1)
-    )
+def _inverse_tail(tc: TailCertificate, K: int) -> float:
+    """sum_l tail_norm(y_l, K, "inverse"), summed in target order, from the store."""
+    return sum(tc.tail(l, K, "inverse") for l in range(1, tc.cert.target_count + 1))
 
 
-def _backward_window(tc: TailCertificate, norms):
-    """Smallest window K with sum_l tail(y_l, K+1) <= _WINDOW_GOAL (or the cap),
-    reading the term norms from ``norms`` as ``_inverse_tail`` does."""
+def _backward_window(tc: TailCertificate):
+    """Smallest window K with sum_l tail(y_l, K+1) <= _WINDOW_GOAL (or the cap)."""
     K = max(rec.N for rec in tc.records)
     while True:
         K = min(K, _WINDOW_CAP)
-        tail = _inverse_tail(tc.cert, K + 1, norms)
+        tail = _inverse_tail(tc, K + 1)
         if tail <= _WINDOW_GOAL or K == _WINDOW_CAP:
             return K, tail
         K *= 2
 
 
 def _window_error(p: FhcPlacement, W: int) -> float:
-    """Certified bound on the inverse terms past a backward window of W.
+    """Certified bound on the inverse terms past a backward window of W, from the store.
 
-    A window shorter than the full one reads its tails' norms from
-    ``inverse_norms``, and none lies past the list's end.  Proof: the window
-    search read every norm of the walk from backward_window + 1, which stops
-    at some n* where the ratio bound q_(n*) < 1 and either its term count
-    reached _MAX_TERMS or t_(n*) <= _NEGLIGIBLE * max(peak, 1), peak the
-    largest term read so far.  The walk from W + 1 <= backward_window meets
-    the same q and t at n*, with at least as many terms and a peak at least
-    as large, so it stops at n* or before (or gives up past its own term
-    cap first).  A longer window (x itself, at a horizon past the window)
-    builds its terms in ``tail_norm``.
+    A window W < backward_window builds no term.  The window search's walk
+    from backward_window + 1 stopped at some n* with ratio bound q < 1 and
+    either _MAX_TERMS terms or t_(n*) <= _NEGLIGIBLE * max(peak, 1); the walk
+    from W + 1 meets the same q and t at n*, with more terms and a peak at
+    least as large, so it stops by n*, or at its own term cap first.
     """
-    if W == p.backward_window:
-        return p.backward_tail
-    if W > p.backward_window:
-        return _inverse_tail(p.cert, W + 1)
-    return _inverse_tail(p.cert, W + 1, {l: known.__getitem__
-                                         for l, known in p.inverse_norms.items()})
+    return _inverse_tail(p.tail_certificate, W + 1)
 
 
 def _summed(terms, folds, zero):

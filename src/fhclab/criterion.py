@@ -16,7 +16,8 @@ remainder is closed off with a certified geometric ratio.
 inequalities hold with constants 1/(l*2^l) and 1/2^l.  With T_n = A^n and
 S_k = B^k the criterion's doubly indexed sums collapse (A^(k+n) B^k = A^n,
 A^k B^(k+n) = B^n on the dense class), so one N per l certifies uniformly
-in k.
+in k.  The ``TailCertificate`` it returns keeps the terms G^n y_l and the
+tails it read, for the placement and the orbit sweep to read again.
 """
 
 from __future__ import annotations
@@ -55,11 +56,21 @@ class ThresholdRecord(NamedTuple):
 
 
 class TailCertificate:
-    __slots__ = ("cert", "records")
+    """The thresholds N_l of a certificate, with one store of its terms and tails.
 
-    def __init__(self, cert: OperatorCertificate, records: tuple):
+    ``term(l, n, direction)`` is apply_forward or apply_inverse(cert, y_l, n)
+    and ``tail(l, N, direction)`` is tail_norm(cert, y_l, N, direction), which
+    reads the terms' norms from the store.  Each term, norm and tail is
+    computed on its first read and kept, keyed by n, so the threshold search,
+    the placement and the orbit sweep together build each G^n y_l once.
+    """
+
+    __slots__ = ("cert", "records", "term", "tail")
+
+    def __init__(self, cert: OperatorCertificate, records: tuple, store):
         self.cert = cert
         self.records = records  # ThresholdRecord per l = 1..L
+        self.term, self.tail = store  # _term_store(cert)
 
     def threshold(self, l: int) -> int:
         return self.records[l - 1].N
@@ -141,6 +152,35 @@ def _tail(cert: OperatorCertificate, y, N: int, direction: str, read_norm) -> fl
     return max(bound, _TINY_FLOOR)
 
 
+def _term_store(cert: OperatorCertificate):
+    """(term, tail) of ``TailCertificate``, over one memo each of terms, norms and tails.
+
+    The memos are keyed by n, not kept as lists from n = 1, so a tail read
+    past the horizon builds no term below its N.
+    """
+    terms, norms, tails = {}, {}, {}
+
+    def term(l: int, n: int, direction: str):
+        if (l, n, direction) not in terms:
+            apply_n = apply_inverse if direction == "inverse" else apply_forward
+            terms[l, n, direction] = apply_n(cert, cert.target(l), n)
+        return terms[l, n, direction]
+
+    def tail(l: int, N: int, direction: str) -> float:
+        if (l, N, direction) not in tails:
+            known = norms.setdefault((l, direction), {})  # n -> ||G^n y_l||
+
+            def read_norm(n):
+                if n not in known:
+                    known[n] = term(l, n, direction).norm()
+                return known[n]
+
+            tails[l, N, direction] = tail_norm(cert, cert.target(l), N, direction, read_norm)
+        return tails[l, N, direction]
+
+    return term, tail
+
+
 # --------------------------------------------------------------------------
 # thresholds
 
@@ -148,10 +188,9 @@ def _tail(cert: OperatorCertificate, y, N: int, direction: str, read_norm) -> fl
 def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
     """Minimal N_l per target making the four displayed inequalities hold.
 
-    Every tail reads its term norms from one list per target and direction,
-    so each ||G^n y_lam|| is computed once for the whole search; the sums are
-    ``tail_norm``'s, term for term.  Each tail(lam, N, direction) is computed
-    once for the whole search too, and its float is reused.
+    Every tail, and the identity residual's B^N y_l, is read from the
+    certificate's store (``_term_store``), so each ||G^n y_lam|| and each
+    tail(lam, N, direction) is computed once for the whole search.
 
     Target l's search starts where target l - 1's ended, at N_(l-1), or at
     the first N where target l - 1 failed only its identity residual, if
@@ -169,24 +208,7 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
     NaN or an overflowing term norm) ended the search from N = 1 there, and
     is not met here.
     """
-    norms = {}  # (lam, direction) -> [||G^1 y_lam||, ||G^2 y_lam||, ...]
-    tails = {}  # (lam, N, direction) -> its tail
-
-    def tail(lam: int, N: int, direction: str) -> float:
-        if (lam, N, direction) in tails:
-            return tails[lam, N, direction]
-        y = cert.target(lam)
-        apply_n = apply_inverse if direction == "inverse" else apply_forward
-        known = norms.setdefault((lam, direction), [])
-
-        def term_norm(n):
-            while len(known) < n:
-                known.append(apply_n(cert, y, len(known) + 1).norm())
-            return known[n - 1]
-
-        tails[lam, N, direction] = _tail(cert, y, N, direction, term_norm)
-        return tails[lam, N, direction]
-
+    term, tail = store = _term_store(cert)
     records = []
     start = 1
     for l in range(1, cert.target_count + 1):
@@ -204,7 +226,7 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
             own = inv_tails[-1]
             if own > loose:
                 continue
-            image = apply_inverse(cert, cert.target(l), N)
+            image = term(l, N, "inverse")
             resid = _not_nan(distance(apply_forward(cert, image, N), cert.target(l)),
                              f"the identity residual of target {l}")
             if resid > loose:
@@ -221,7 +243,7 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
             )
         records.append(found)
         start = residual_failed or found.N
-    return TailCertificate(cert, tuple(records))
+    return TailCertificate(cert, tuple(records), store)
 
 
 # --------------------------------------------------------------------------

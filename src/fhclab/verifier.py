@@ -85,9 +85,9 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     the target y_l for d = 0 and the backward term B^d y_l for d > 0, all
     from the term table, sums them in the window's order, starting from a
     zero vector that does not depend on n, and reports the error bar of the
-    window W: ``backward_tail`` when W is the full backward window, else
-    ``_inverse_tail(W + 1)``.  So points with equal keys have equal vectors
-    and errors.  Each key keeps its distances (error included; the point's
+    window W, ``_inverse_tail(tc, W + 1)``, read from the tail certificate's
+    store; the sweep builds no term.  So points with equal keys have equal
+    vectors and errors.  Each key keeps its distances (error included; the point's
     suffix peaks are built once for all of them), the targets its point
     visits and the target at offset 0, the one scheduled at n if any, so
     every n only joins the visit lists of its key's targets and updates its

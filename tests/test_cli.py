@@ -20,6 +20,7 @@ from fhclab.cli import (
     run_pipeline,
 )
 from fhclab.criterion import compute_thresholds
+from fhclab.operators import apply_forward, apply_inverse
 from fhclab.regularized_semigroup import SolutionOrbit
 from fhclab.spaces import PiecewiseLinearFn
 from fhclab.verifier import continuous_visits
@@ -79,6 +80,13 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "A(1,2) on [1,5]: [3]\n" in out and "A(2,3) on [1,5]: []\n" in out
         assert out.count("  density floor: 0.000000 ") == 2
+
+    @pytest.mark.parametrize("pairs", ["[(1,2),(2,3)]", " ( 1 , 2 ) ,(2, +3), ", "(1,2),(2,3),"])
+    def test_partition_reads_brackets_spaces_and_a_trailing_comma(self, capsys, pairs):
+        assert main(["partition", "--pairs", "(1,2),(2,3)", "--horizon", "40"]) == 0
+        want = capsys.readouterr().out
+        assert main(["partition", "--pairs", pairs, "--horizon", "40"]) == 0
+        assert capsys.readouterr().out == want
 
     def test_certify_prints_first_threshold(self, capsys):
         assert main(["certify", "--op", "shift", "--w", "2", "--L", "1"]) == 0
@@ -216,23 +224,27 @@ class TestRun:
             assert (tmp_path / "report.csv").read_bytes() == fh.read()
 
     def test_bridge_builds_and_folds_each_table_term_once(self, tmp_path, monkeypatch):
-        # on the translation_bridge config, placing x and sweeping its orbit build each
-        # B^n y_l once, and fold each table term once, not once per window key
+        # on the translation_bridge config, the threshold search, placing x and sweeping
+        # its orbit together build each G^n y_l once, and fold each table term once,
+        # not once per window key
         cfg = load_config(write_cfg(tmp_path,
                                     BENCH_RUNS["translation_bridge"].format(out=tmp_path)))
         run = cfg["run"]
-        tc = compute_thresholds(build_certificate(cfg))
         built, folded = [], []
-        real_inverse, real_fold = constructor.apply_inverse, PiecewiseLinearFn.folded
+        real_fold = PiecewiseLinearFn.folded
 
-        def counted(cert, v, n):
-            built.append((id(v), n))
-            return real_inverse(cert, v, n)
+        def counted(direction, real):
+            def build(cert, v, n):
+                built.append((direction, id(v), n))
+                return real(cert, v, n)
+            return build
 
         for module in (constructor, criterion):
-            monkeypatch.setattr(module, "apply_inverse", counted)
+            monkeypatch.setattr(module, "apply_inverse", counted("inverse", apply_inverse))
+        monkeypatch.setattr(criterion, "apply_forward", counted("forward", apply_forward))
         monkeypatch.setattr(PiecewiseLinearFn, "folded",
                             lambda self: folded.append(self) or real_fold(self))
+        tc = compute_thresholds(build_certificate(cfg))
         p = assign_placements(tc, 2 * run["horizon"])
         continuous_visits(SolutionOrbit(p), {1: run["radius_factor"] * proximity_bound(1)},
                           run["horizon"], run["grid_step"])

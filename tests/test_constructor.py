@@ -23,6 +23,7 @@ from fhclab.operators import (
     apply_forward,
     apply_inverse,
     make_certificate,
+    transform_inverse,
     transform_power,
     transform_rotation,
 )
@@ -41,7 +42,8 @@ def schedule_of(p):
 
 
 def count_inverse_calls(monkeypatch):
-    """The iteration counts of every apply_inverse call the constructor makes from now on."""
+    """The iteration counts of every apply_inverse call from now on, made by the
+    constructor or by the tail certificate's store."""
     calls = []
     real = constructor.apply_inverse
 
@@ -49,7 +51,8 @@ def count_inverse_calls(monkeypatch):
         calls.append(n)
         return real(cert, v, n)
 
-    monkeypatch.setattr(constructor, "apply_inverse", counted)
+    for module in (constructor, criterion):
+        monkeypatch.setattr(module, "apply_inverse", counted)
     return calls
 
 
@@ -233,7 +236,9 @@ class TestTermTable:
         assert p.horizon > p.backward_window and past
         calls = count_inverse_calls(monkeypatch)
         vec, err = orbit_eval(p, 0)
-        assert calls == past
+        # then the store builds the horizon tail's own terms: B^(horizon+1) y_l
+        # underflows to 0, so each target's walk from horizon + 1 stops there
+        assert calls == past + [p.horizon + 1] * p.cert.target_count
         x, tail = materialize(p)
         direct = accumulate([apply_inverse(p.cert, p.cert.target(l), j)
                              for j, l in zip(p.placed_ns, p.placed_ls)])
@@ -316,15 +321,53 @@ class TestFoldedTable:
         make_certificate(TranslationGenerator(1), 2),
     ], ids=["shift", "shift-exact", "translation"])
     def test_short_windows_read_the_kept_norms(self, cert, monkeypatch):
-        # the norms the window search read cover every shorter window's tail, whose
-        # bits are those of tails that build their own terms; no term is built again
+        # the store kept every norm a shorter window's tail reads, and those tails
+        # have the bits of tails that build their own terms; no term is built again
         p = assign_placements(compute_thresholds(cert), 300)
-        norms = p.inverse_norms
-        for l in norms:
-            assert len(norms[l]) > p.backward_window + 1
-            assert list(norms[l][:p.backward_window + 1]) == [t.norm() for t in p.inverse_terms[l]]
+        tc = p.tail_certificate
+        for l, terms in p.inverse_terms.items():
+            assert all(tc.term(l, k, "inverse") is t for k, t in enumerate(terms))
         want = [repr(_former_window_error(p, W)) for W in range(p.backward_window)]
         calls = count_inverse_calls(monkeypatch)
         monkeypatch.setattr(criterion, "apply_inverse", None)
         assert [repr(constructor._window_error(p, W)) for W in range(p.backward_window)] == want
         assert calls == []
+
+
+STORE_FAMILIES = {
+    "shift": lambda exact: WeightedBackwardShift(Fraction(3, 2) if exact else 2, L2),
+    "hardy": lambda exact: Differentiation(HARDY),
+    "ck": lambda exact: Differentiation(CkModel(2, 0.0, 1.0)),
+    "translation": lambda exact: TranslationGenerator(1),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(STORE_FAMILIES)), st.integers(1, 3), st.sampled_from([1, 2]),
+       st.booleans(), st.booleans(), st.booleans(), st.data())
+def test_the_store_keeps_the_bits_of_stand_alone_tails(family, L, power, rotate, exact, swap,
+                                                       data):
+    # a tail read from the store, whether the search, the window or the sweep first read
+    # it, is the tail that builds its own terms; so is every window's error bar
+    cert = make_certificate(STORE_FAMILIES[family](exact), L, exact=exact)
+    cert = transform_power(transform_rotation(cert, -1) if rotate else cert, power)
+    if swap:  # a swapped certificate certifies no threshold: its store stands alone
+        cert = transform_inverse(cert)
+        tc = criterion.TailCertificate(cert, (), criterion._term_store(cert))
+        reads = {l: range(1, 8) for l in range(1, L + 1)}
+    else:
+        tc = compute_thresholds(cert)
+        K = max(N for _, N in tc.pairs())
+        window = assign_placements(tc, K).backward_window  # the same at every horizon
+        p = assign_placements(tc, data.draw(st.integers(K, 2 * window + 10)))
+        # below the threshold, at the backward window and past the horizon
+        reads = {l: [*range(1, tc.threshold(l) + 1), p.backward_window + 1,
+                     p.horizon + 1, p.horizon + 5] for l in range(1, L + 1)}
+    for l, Ns in reads.items():
+        for N in Ns:
+            for direction in ("forward", "inverse"):
+                want = tail_norm(cert, cert.target(l), N, direction)
+                assert repr(tc.tail(l, N, direction)) == repr(want), (l, N, direction)
+    if not swap:
+        assert [repr(constructor._window_error(p, W)) for W in range(p.horizon + 1)] \
+            == [repr(_former_window_error(p, W)) for W in range(p.horizon + 1)]

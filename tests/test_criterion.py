@@ -232,8 +232,9 @@ def draw_certificate(data, family):
 def count_term_builds(monkeypatch, cert):
     """Builds of G^n y_l, keyed (l, direction, n), during one compute_thresholds.
 
-    The identity residual's B^N y_l is recognised by the A^N applied to it and
-    counted apart; returns (term builds, residual keys).
+    The identity residual's B^N y_l is recognised by the A^N applied to it:
+    the residual reads the built term itself, so it is no build.  Returns
+    (term builds, [(the key of the term a residual read, the A^N it applied)]).
     """
     targets = {id(y): l for l, y in enumerate(cert.targets, start=1)}
     builds, residuals, made = Counter(), [], []
@@ -246,9 +247,7 @@ def count_term_builds(monkeypatch, cert):
                 builds[key] += 1
                 made.append((out, key))
             else:
-                key = next(k for o, k in made if o is v)
-                builds[key] -= 1
-                residuals.append(key)
+                residuals.append((next(k for o, k in made if o is v), n))
             return out
         return counted
 
@@ -277,8 +276,10 @@ class TestTermNormLists:
     def test_each_term_is_built_once(self, monkeypatch, cert):
         builds, residuals = count_term_builds(monkeypatch, cert)
         assert builds and set(builds.values()) == {1}
-        assert {l for l, _, _ in residuals} == set(range(1, cert.target_count + 1))
-        assert all(direction == "inverse" for _, direction, _ in residuals)
+        assert {l for (l, _, _), _ in residuals} == set(range(1, cert.target_count + 1))
+        assert all(direction == "inverse" for (_, direction, _), _ in residuals)
+        # each residual reads the built B^N y_l of its own N from the store
+        assert all(n == N for (_, _, n), N in residuals)
 
     def test_ck_norms_on_c3_at_L5(self, monkeypatch):
         # 4,046 calls when every tail rebuilt its terms

@@ -476,10 +476,11 @@ def test_no_dataclasses_in_src():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site's own imports out, so sys.modules holds what fhclab loads
+    # -S keeps site's own imports out, so sys.modules holds what fhclab loads;
+    # ast costs about 1 ms of import, and no command needs a parser of Python
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     code = ("import sys, fhclab.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'ast', 'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
