@@ -269,7 +269,8 @@ def run_pipeline(cfg: dict, out):
         for l in range(1, cert.target_count + 1):
             rec = tc.records[l - 1]
             worst = unconditional_probe(cert, cert.target(l), rec.N,
-                                        trials=run["probes"], seed=run["seed"] + l)
+                                        trials=run["probes"], seed=run["seed"] + l,
+                                        term=lambda n, l=l: tc.term(l, n, "inverse"))
             if worst > rec.inverse_tail_bound:
                 raise InvariantFailure(f"sub-sum probe under certified tail, l={l}")
         print(f"probes: {run['probes']} random sub-sums per target within bounds", file=out)

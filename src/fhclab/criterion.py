@@ -250,17 +250,21 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
 # randomized probes of unconditional convergence
 
 
-def unconditional_probe(cert: OperatorCertificate, y, N: int, trials: int, seed: int) -> float:
+def unconditional_probe(cert: OperatorCertificate, y, N: int, trials: int, seed: int,
+                        term=None) -> float:
     """Max over random finite F ⊂ (N, N+64] of || sum_{n in F} B^n y ||.
 
     Deterministic given the seed; the result never exceeds
-    tail_norm(cert, y, N+1, "inverse").
+    tail_norm(cert, y, N+1, "inverse").  ``term(n)``, when given, returns
+    B^n y as the caller has it (a ``TailCertificate``'s store); otherwise
+    each B^n y is built on its first draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     lo, hi = N + 1, N + _PROBE_WINDOW
-    terms = {}  # n -> B^n y, built on its first draw
+    terms = {}  # n -> B^n y, read on its first draw
+    read = term or (lambda n: apply_inverse(cert, y, n))
     best = 0.0
     for _ in range(trials):
         size = rng.randint(0, min(_PROBE_WINDOW, 12))
@@ -269,7 +273,7 @@ def unconditional_probe(cert: OperatorCertificate, y, N: int, trials: int, seed:
         F = rng.sample(range(lo, hi + 1), size)
         for n in F:
             if n not in terms:
-                terms[n] = apply_inverse(cert, y, n)
+                terms[n] = read(n)
         vec = accumulate([terms[n] for n in F])
         best = max(best, vec.norm())
     return best

@@ -59,8 +59,9 @@ def generator_residual(op: TranslationGenerator, f: PolySeries, t_step) -> float
     h = float(t_step)
     step = (hi - lo) / (_GRID_POINTS - 1)
     xs = [i * step + lo for i in range(_GRID_POINTS - 1)] + [hi]
-    coeffs = [float(c) for c in reversed(f.coeffs)]  # highest degree first
-    dcoeffs = [float(c) for c in reversed(f.derivative_coeffs(1))]
+    # Horner runs with no zeros skipped: every coefficient, highest degree first
+    coeffs = [(float(c), 0) for c in reversed(f.coeffs)]
+    dcoeffs = [(float(c), 0) for c in reversed(f.derivative_coeffs(1))]
 
     def ev(cs, x):
         return _horner(cs, x) if lo <= x <= hi else 0.0  # zero outside the support

@@ -236,6 +236,15 @@ class PolySeries:
         round-to-nearest is monotone and odd, or a mean-value bound plus
         Higham's gamma_2d margin for the rounding of Horner's rule.
 
+        Every pass reads the (degree, coefficient) pairs of the nonzero
+        coefficients, listed once, and of the complex zeros, which keep the
+        type test below as the dense list gives it.  Derivative i is built
+        from derivative i - 1 on the pairs only: j * c is a zero of c's type
+        for a zero c, and nonzero for a nonzero one (|j * c| >= |c| for
+        j >= 1, or NaN), so the pairs of derivative i are exactly those of
+        derivative_coeffs(i), value for value, and ``_grid_max`` walks the
+        zero runs between them (its zero-run rule).
+
         The Lipschitz sum skips zero coefficients, keeping every bit: a zero
         term is +0.0 added to a sum of nonnegative terms (or a NaN or inf
         one), which changes nothing.  Nor does it hide an overflow: the top
@@ -251,19 +260,19 @@ class PolySeries:
         big = max(m.b - m.a, 1.0)
         grid = _ck_grid(m.b - m.a)
         lo = hi = 0.0
-        d = self.coeffs
+        d = [(j, c) for j, c in enumerate(self.coeffs) if c or isinstance(c, complex)]
         # derivative i holds c_j times an int for each j >= i, and j * c keeps c's
         # type, so it is complex exactly when a complex c_j sits at an index >= i
-        top = max((j for j, c in enumerate(d) if isinstance(c, complex)), default=-1)
+        top = max((j for j, c in d if isinstance(c, complex)), default=-1)
         for i in range(m.k + 1):
             if i:  # derivative i from derivative i - 1, as derivative_coeffs(i) builds it
-                d = [j * d[j] for j in range(1, len(d))]
+                d = [(j - 1, j * c) for j, c in d if j]
             if not d:
                 break
             sample = _grid_max(d, grid, real=i > top)
             if math.isnan(sample):  # max() would drop it and certify (0.0, 0.0)
                 return (math.nan, math.nan)
-            lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j and c)
+            lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in d if j and c)
             if sample == math.inf or lip == math.inf:
                 raise OverflowError(f"the C^{i} sup norm of a degree-{self.degree} polynomial "
                                     "is beyond the float range")
@@ -321,17 +330,41 @@ def _ck_grid(length):
     return math.ceil((length + _CK_MESH) / _CK_MESH), lambda i: i * _CK_MESH
 
 
-def _horner(cs, x):
-    """Horner's rule from 0.0, highest degree first: np.polyval's operations, in order."""
+def _runs(pairs) -> list:
+    """(c, count of zero coefficients below c), highest degree first, from the
+    (degree, c) pairs of ``_grid_max``, lowest degree first."""
+    runs, below = [], -1
+    for j, c in pairs:
+        runs.append((c, j - below - 1))
+        below = j
+    runs.reverse()
+    return runs
+
+
+def _horner(runs, x):
+    """Horner's rule from 0.0 over ``_runs``: np.polyval's operations, in order,
+    with each zero coefficient the step acc *= x (``_grid_max``'s zero-run rule)."""
     acc = 0.0
-    for c in cs:
-        acc = acc * x + c
+    if x == 0.0 or x == 1.0:  # past two products, a zero run repeats their bits
+        for c, z in runs:
+            acc = acc * x + c
+            if z:
+                acc *= x
+                if z > 1:
+                    acc *= x
+    else:
+        for c, z in runs:
+            acc = acc * x + c
+            if z:
+                for _ in range(z):
+                    acc *= x
     return acc
 
 
-def _polyval(cs, xs) -> list:
-    """The values np.polyval(cs, xs) computes, one grid point at a time."""
-    return [_horner(cs, x) for x in xs]
+def _polyval(runs, xs) -> list:
+    """The values np.polyval computes at the points xs, one point at a time
+    (up to the signs of zeros), from the ``_runs`` of its coefficients."""
+    return [_horner(runs, x) for x in xs]
 
 
 def _gamma(m: int) -> float:
@@ -360,13 +393,27 @@ def _modulus(z: complex) -> float:
 _DIRECT_BLOCK = 16  # a block with at most this many interior points is evaluated, not split
 
 
-def _grid_max(coeffs, grid, real: bool) -> float:
-    """np.max(np.abs(np.polyval(cs, grid))) for cs = ``coeffs`` (lowest degree first), bit for bit.
+def _margins(d: int, un: float):
+    """(g, tiny): ``_grid_max``'s relative margin g = gamma_(8d+16) and its absolute
+    one for underflow.  A multiplication loses at most 2^-1075 absolutely; the
+    bounds gather fewer than (d + 2)^4 such losses, each grown by at most
+    (2 rho^2)^(d + 1) on its way, with rho = 1 + un >= 1 + max u."""
+    rho = 1.0 + un
+    tiny = math.ldexp((d + 2) ** 4, -1070)
+    for _ in range(d + 1):
+        tiny *= 2.0 * rho * rho
+    return _gamma(8 * d + 16), tiny
 
-    The coefficients are converted as numpy would: all complex if any is,
-    else all float; ``real`` says which, as the caller knows it.  A NaN
-    value makes the result NaN, as in np.max.  The grid points
-    (``_ck_grid``) start at 0 and never decrease.  The search
+
+def _grid_max(pairs, grid, real: bool) -> float:
+    """np.max(np.abs(np.polyval(cs, grid))) for the polynomial of ``pairs``, bit for bit.
+
+    ``pairs`` are (degree, coefficient) pairs, lowest degree first, the last
+    one nonzero; a degree not listed has coefficient 0, and cs is the dense
+    list, highest degree first.  The coefficients are converted as numpy
+    would: all complex if any is, else all float; ``real`` says which, as
+    the caller knows it.  A NaN value makes the result NaN, as in np.max.
+    The grid points (``_ck_grid``) start at 0 and never decrease.  The search
     evaluates the two end points, then takes blocks of grid indices off a
     stack: a block whose points provably have computed |value| <= the best
     value found so far is skipped, a block of at most ``_DIRECT_BLOCK``
@@ -389,30 +436,48 @@ def _grid_max(coeffs, grid, real: bool) -> float:
       computed values at u, u_i and u_j to exact ones: three margins that
       2 g fl(Horner(|c|, u_j)) covers, g = gamma_(8d+16).  One slack factor
       1 + g covers the rounding of the bound itself, and a fixed absolute
-      term covers underflow.  Cancelling expansions (u - c)^n close through it.
+      term tiny (``_margins``) covers underflow.  Cancelling expansions
+      (u - c)^n close through it.
+
+    Every Horner pass (``_horner``) walks the runs of zero coefficients
+    below each listed one, so it costs a multiplication per zero and the
+    rest per listed coefficient.  This gives np.polyval's values up to the
+    signs of zeros, which |.| erases:
+
+    * Zero steps.  np.polyval's step at a zero is fl(acc * u) + 0, which is
+      fl(acc * u) unless that is a zero, whose sign alone may change.  The
+      sign of a zero (or of a zero part) reaches no later value but a zero:
+      a sum with a nonzero operand and a product with an inf or NaN one do
+      not read it, and a product with a finite one is a zero again.  So the
+      step is acc *= u.  The |c| and slope passes add +0.0 to values >= 0,
+      which changes no bit at all.
+    * u in {0, 1}, where u * u == u.  A real acc times u is fixed by a second
+      product: acc * 1.0 is acc, and acc * 0.0 is a zero or NaN, which 0.0
+      maps to itself.  A complex acc may be multiplied as acc * (u + 0j), as
+      CPython 3.11 does.  At 0.0 one product gives zero parts or two NaN
+      ones, which the next repeats.  At 1.0 a finite acc is kept, and an inf
+      or NaN part leaves a NaN part after one product and two NaN parts
+      after the second.  So past two products a zero run repeats the same
+      value, and ``_horner`` stops there.
+    * The margins g and tiny are functions of d and the last grid point
+      only.  They are built on the first block that reads them, as ``slope``
+      is, by the same operations, so they have the values an up-front build
+      gives; a search that closes on its real |c| bound never builds them.
     """
     n, point = grid
+    d = pairs[-1][0]
     if real:
-        cs = [float(c) for c in reversed(coeffs)]
-        mag = [abs(c) for c in cs]
+        cs = [(j, float(c)) for j, c in pairs]
         size = abs
     else:
-        cs = [complex(c) for c in reversed(coeffs)]
-        mag = [abs(c.real) + abs(c.imag) for c in cs]
+        cs = [(j, complex(c)) for j, c in pairs]
         size = _modulus
-    d = len(cs) - 1
-    g = _gamma(8 * d + 16)
+    runs = _runs(cs)
+    mag = [(abs(c.real) + abs(c.imag), z) for c, z in runs]  # abs(c) + 0.0 for a float
     u0, un = point(0), point(n - 1)
-    # underflow: a multiplication loses at most 2^-1075 absolutely; the bounds
-    # gather fewer than (d + 2)^4 such losses, each grown by at most
-    # (2 rho^2)^(d + 1) on its way, with rho = 1 + max u
-    rho = 1.0 + un
-    tiny = math.ldexp((d + 2) ** 4, -1070)
-    for _ in range(d + 1):
-        tiny *= 2.0 * rho * rho
-    slope = None  # k |c_k|, highest first; built on the first block needing it
+    slope = tiny = None  # built on the first block that reads them
 
-    v0, vn = _polyval(cs, [u0, un])
+    v0, vn = _polyval(runs, [u0, un])
     a0, an = size(v0), size(vn)
     if a0 != a0 or an != an:
         return math.nan
@@ -424,21 +489,25 @@ def _grid_max(coeffs, grid, real: bool) -> float:
             continue
         b1 = _horner(mag, uj)
         if not real:
+            if tiny is None:
+                g, tiny = _margins(d, un)
             b1 = b1 * (1.0 + g) + tiny
         if b1 <= best < math.inf:
             continue
-        if slope is None:
-            slope = [k * size(c) for k, c in zip(range(d, 0, -1), cs)]
+        if slope is None:  # k |c_k| u^(k-1), k >= 1
+            slope = _runs([(k - 1, k * size(c)) for k, c in cs if k])
+            if tiny is None:
+                g, tiny = _margins(d, un)
         b2 = ((ai + aj + (uj - ui) * _horner(slope, uj)) * 0.5
               + 2.0 * g * b1) * (1.0 + g) + tiny
         if b2 <= best < math.inf:
             continue
         if j - i <= _DIRECT_BLOCK + 1:
-            values = _polyval(cs, [point(m) for m in range(i + 1, j)])
+            values = _polyval(runs, [point(m) for m in range(i + 1, j)])
         else:
             mid = (i + j) // 2
             um = point(mid)
-            values = _polyval(cs, [um])
+            values = _polyval(runs, [um])
             am = size(values[0])
             low, high = (i, mid, ui, um, ai, am), (mid, j, um, uj, am, aj)
             # the half with the larger end value is searched first

@@ -255,6 +255,26 @@ class TestRun:
         times = Counter(id(f) for f in folded if id(f) in scaled)
         assert len(scaled) > p.backward_window and times == Counter(scaled)
 
+    def test_sweep_run_builds_each_term_once_probes_included(self, tmp_path, monkeypatch):
+        # on the shift_sweep config the probes read the tail certificate's store,
+        # so the whole run, 50 probes per target included, builds each G^n y_l once
+        built = []
+
+        def counted(direction, real):
+            def build(cert, v, n):
+                built.append((direction, id(v), n))
+                return real(cert, v, n)
+            return build
+
+        for module in (constructor, criterion):
+            monkeypatch.setattr(module, "apply_inverse", counted("inverse", apply_inverse))
+        monkeypatch.setattr(criterion, "apply_forward", counted("forward", apply_forward))
+        cfg = write_cfg(tmp_path, BENCH_RUNS["shift_sweep"].format(out=tmp_path))
+        out = io.StringIO()
+        run_pipeline(load_config(cfg), out=out)
+        assert "probes: 50 random sub-sums per target within bounds" in out.getvalue()
+        assert len(built) > 300 and len(set(built)) == len(built)
+
     def test_small_run_exits_zero_and_writes_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN.format(out=tmp_path))
         assert main(["run", "--config", cfg]) == 0

@@ -366,6 +366,22 @@ class TestProbes:
         b = unconditional_probe(cert, y, 2, trials=50, seed=11)
         assert a == b
 
+    @pytest.mark.parametrize("op", [WeightedBackwardShift(2, L2),
+                                    Differentiation(CkModel(3, 0.0, 1.0))], ids=["shift", "c3"])
+    def test_probe_reads_the_store_with_the_same_value(self, op):
+        cert = make_certificate(op, 2)
+        tc = compute_thresholds(cert)
+        for l in (1, 2):
+            N, y, read = tc.threshold(l), cert.target(l), []
+
+            def term(n):
+                read.append(n)
+                return tc.term(l, n, "inverse")
+
+            worst = unconditional_probe(cert, y, N, trials=60, seed=l, term=term)
+            assert repr(worst) == repr(unconditional_probe(cert, y, N, trials=60, seed=l))
+            assert read and len(set(read)) == len(read)
+
     def test_probe_sums_make_no_pairwise_calls(self, monkeypatch):
         # accumulate sums each sub-sum in one pass, with no linear_combine fold
         cert = make_certificate(Differentiation(CkModel(3, 0.0, 1.0)), 1)

@@ -1204,7 +1204,8 @@ def _full_lipschitz_interval(f):
             d = [j * d[j] for j in range(1, len(d))]
         if not d:
             break
-        sample = spaces._grid_max(d, grid, real=not any(isinstance(c, complex) for c in d))
+        sample = spaces._grid_max(list(enumerate(d)), grid,
+                                  real=not any(isinstance(c, complex) for c in d))
         if math.isnan(sample):
             return (math.nan, math.nan)
         lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
@@ -1398,26 +1399,46 @@ class TestLpNorm:
 # the C^k grid maximum against numpy's full sweep
 
 
-def numpy_ck_norm_interval(f):
-    """Oracle: ``ck_norm_interval`` as first written, np.polyval on every point of the u grid."""
+def _numpy_samples(f):
+    """(grid sample, Lipschitz sum) of each derivative 0..k of f, np.polyval on every point."""
     m = f.model
-    if not f.coeffs:
-        return (0.0, 0.0)
     big = max(m.b - m.a, 1.0)
     grid = np.arange(0, m.b - m.a + _CK_MESH, _CK_MESH)
-    lo = hi = 0.0
     for i in range(m.k + 1):
         d = f.derivative_coeffs(i)
         if not d:
-            continue
+            return
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.polyval([complex(c) if isinstance(c, complex) else float(c)
                                for c in reversed(d)], grid)
-        sample = float(np.max(np.abs(vals)))
-        lip = sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
+            sample = float(np.max(np.abs(vals)))
+        yield sample, sum(float(abs(c)) * j * big ** (j - 1) for j, c in enumerate(d) if j >= 1)
+
+
+def _interval(samples):
+    lo = hi = 0.0
+    for sample, lip in samples:
         lo = max(lo, sample)
         hi = max(hi, sample + _CK_MESH * lip)
     return (lo, max(lo, hi))
+
+
+def numpy_ck_norm_interval(f):
+    """Oracle: ``ck_norm_interval`` as first written, np.polyval on every point of the u grid."""
+    return _interval(_numpy_samples(f))
+
+
+def numpy_ck_outcome(f):
+    """The numpy oracle read as ``ck_norm_interval`` reads its samples, derivative by
+    derivative: a NaN sample gives (nan, nan), an infinite sample or Lipschitz sum
+    an OverflowError, whichever comes first; else the oracle's interval."""
+    samples = list(_numpy_samples(f))
+    for sample, lip in samples:
+        if math.isnan(sample):
+            return "(nan, nan)"
+        if math.inf in (sample, lip):
+            return "OverflowError"
+    return repr(_interval(samples))
 
 
 def full_scan_grid_max(coeffs, length):
@@ -1509,7 +1530,8 @@ class TestCkGridMax:
     @pytest.mark.parametrize("coeffs", [
         [0.5 - 1j, 3, Fraction(-7, 4), 2.0, -1],  # only the constant: derivatives 1..3 real
         [1, -2.5, Fraction(1, 3), 0.25 + 2j],  # the top one: every derivative complex
-    ], ids=["constant", "top"])
+        [1, 0j, 2.5, -1],  # a complex zero: derivatives 0 and 1 complex
+    ], ids=["constant", "top", "zero"])
     def test_derivatives_take_the_path_of_their_own_coefficients(self, monkeypatch, coeffs):
         f = PolySeries(coeffs, CkModel(3, 0.0, 1.0))
         paths, grid_max = [], spaces._grid_max
@@ -1525,7 +1547,7 @@ class TestCkGridMax:
         samples = [full_scan_grid_max(d, 1.0) for d in ds]
         assert repr(lo) == repr(max(samples))
         real = [i for i, d in enumerate(ds) if paths[i]]
-        assert [repr(grid_max(ds[i], _ck_grid(1.0), True)) for i in real] == [
+        assert [repr(grid_max(list(enumerate(ds[i])), _ck_grid(1.0), True)) for i in real] == [
             repr(numpy_ck_norm_interval(PolySeries(ds[i], CkModel(0, 0.0, 1.0)))[0])
             for i in real]
         assert lo <= hi
@@ -1540,7 +1562,7 @@ class TestCkGridMax:
         # on it certifies
         f = PolySeries(coeffs, CkModel(0, 0.0, 1.0))
         real = not any(isinstance(c, complex) for c in coeffs)
-        assert repr(spaces._grid_max(coeffs, _ck_grid(1.0), real)) == "nan"
+        assert repr(spaces._grid_max(list(enumerate(coeffs)), _ck_grid(1.0), real)) == "nan"
         assert repr(f.ck_norm_interval()) == "(nan, nan)"
 
     @pytest.mark.parametrize("coeffs", [[Fraction(1, 3), 2, 0.5, 1e-3], [-1.0, -0.25, 0, -7.0]])
@@ -1567,6 +1589,106 @@ class TestCkGridMax:
         criterion.compute_thresholds(cert)
         assert calls[0] > 0
         assert count[0] <= 100 * calls[0]
+
+
+# --------------------------------------------------------------------------
+# the C^k kernel over runs of zero coefficients
+
+
+SPECIALS = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]
+REAL_NONZEROS = [3, -1, 0.7, -2.5e-3, 1e-200, Fraction(-5, 3), Fraction(1, 7),
+                 math.nan, math.inf, -math.inf]
+# L = 1 (the last grid point is 1.0), then L = 0.5, 1.5, 2 and 3, some with a < 0
+ZERO_RUN_INTERVALS = [(0.0, 1.0), (-1.0, 0.0), (-0.25, 0.75), (0.25, 0.75), (-1.0, 0.5),
+                      (-2.0, 0.0), (0.5, 2.5), (-1.0, 2.0), (0.5, 3.5)]
+
+
+@st.composite
+def zero_heavy(draw):
+    """Degree <= 80 with at most 4 nonzero coefficients, the top one among them,
+    and zeros of every spelling."""
+    degree = draw(st.integers(0, 80))
+    spellings = [ZEROS[i] for i in sorted(draw(st.sets(st.integers(0, len(ZEROS) - 1),
+                                                      min_size=1)))]
+    coeffs = draw(st.lists(st.sampled_from(spellings), min_size=degree + 1, max_size=degree + 1))
+    scalar = st.one_of(st.floats(-4, 4).filter(bool), st.sampled_from(REAL_NONZEROS))
+    for j in draw(st.lists(st.integers(0, degree), max_size=3)) + [degree]:
+        coeffs[j] = draw(scalar)
+    return coeffs
+
+
+def _dense_horner(cs, x):
+    """np.polyval's steps at x over every coefficient, highest degree first."""
+    acc = 0.0
+    for c in cs:
+        acc = acc * x + c
+    return acc
+
+
+def _size(v):
+    return repr(spaces._modulus(v) if isinstance(v, complex) else abs(v))
+
+
+class TestZeroRuns:
+    @settings(max_examples=150, deadline=None)
+    @given(zero_heavy(), st.integers(0, 5), st.sampled_from(ZERO_RUN_INTERVALS))
+    def test_matches_numpy_oracle(self, coeffs, k, interval):
+        f = PolySeries(coeffs, CkModel(k, *interval))
+        assert _outcome(f.ck_norm_interval) == numpy_ck_outcome(f)
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, 0.37, 3.0], ids=["zero", "one", "generic", "big"])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_a_zero_run_keeps_the_dense_modulus(self, x, kind):
+        if kind is float:
+            values, zeros = SPECIALS, [0.0, -0.0]
+        else:
+            values = [complex(a, b) for a in SPECIALS for b in SPECIALS]
+            zeros = [0j, complex(-0.0, 0.0)]
+        for top in values:
+            if top == 0:
+                continue
+            for low in values:
+                for z in (1, 2, 3, 7):
+                    for zero in zeros:
+                        dense = [top] + [zero] * z + [low]
+                        runs = spaces._runs([(j, c) for j, c in enumerate(reversed(dense)) if c])
+                        assert _size(spaces._horner(runs, x)) == _size(_dense_horner(dense, x))
+
+    def test_a_complex_run_at_one_takes_two_products(self):
+        # (inf + 0j) u^2 at u = 1: the dense steps give inf + nan j, then nan + nan j,
+        # so a run cut after one product would read inf
+        assert _size(_dense_horner([complex(math.inf, 0.0), 0j, 0j], 1.0)) == "nan"
+        runs = spaces._runs([(2, complex(math.inf, 0.0))])
+        assert runs == [(complex(math.inf, 0.0), 2)]
+        assert _size(spaces._horner(runs, 1.0)) == "nan"
+
+    def test_the_kernel_walks_one_run_per_nonzero(self, monkeypatch):
+        f = PolySeries([0] * 500 + [1.0], CkModel(3, 0.0, 1.0))
+        seen = set()
+        evaluate = spaces._polyval
+
+        def recorded(runs, xs):
+            seen.add(tuple(runs))
+            return evaluate(runs, xs)
+
+        monkeypatch.setattr(spaces, "_polyval", recorded)
+        got = f.ck_norm_interval()
+        # x^500 and its derivatives 500 x^499, 500 * 499 x^498, 500 * 499 * 498 x^497
+        assert seen == {((1.0, 500),), ((500.0, 499),), ((249500.0, 498),),
+                        ((124251000.0, 497),)}
+        assert repr(got) == repr(numpy_ck_norm_interval(f))
+
+    def test_the_margins_are_built_only_when_read(self, monkeypatch):
+        built = []
+        margins = spaces._margins
+        monkeypatch.setattr(spaces, "_margins", lambda d, un: built.append(d) or margins(d, un))
+        # real and single-sign: the |c| bound closes every search
+        PolySeries([Fraction(1, 3), 2, 0.5, 1e-3], CkModel(3, 0.0, 1.0)).ck_norm_interval()
+        assert built == []
+        # a cancelling expansion closes through the mean-value bound, which reads them
+        f = PolySeries(_expansion(30, 0.5, float), CkModel(0, 0.0, 1.0))
+        assert repr(f.ck_norm_interval()) == repr(numpy_ck_norm_interval(f))
+        assert built == [30]
 
 
 # --------------------------------------------------------------------------
