@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from itertools import chain
+from itertools import chain, repeat
+from operator import add
 
 
 class PairKey:
@@ -125,6 +126,12 @@ class Tiled:
     slices as lists, iteration, == and repr) in the memory of its parts, kept
     as given.  base spans less than P, so only the last copy can be cut; head
     ends before base starts, and tail starts past the last copy.
+
+    ``parts`` is the one walk over the sequence: head, each whole copy q as
+    ``map(add, base, repeat(q * P))``, the cut last copy, and tail, chained
+    in C, with head and tail cut into slices of a bounded length.  Iteration
+    chains the parts, and the JSON export formats each part in one pass;
+    slices and indexing compute their elements directly.
     """
 
     __slots__ = ("head", "base", "period", "stop", "tail", "_middle")
@@ -152,8 +159,18 @@ class Tiled:
             copies += [n + last * P for n in base[:end]]
         return [*self.head[i:j], *copies, *self.tail[max(i - h - m, 0):max(j - h - m, 0)]]
 
-    def __iter__(self):  # in lists of 4096: the copies are never all built at once
-        return chain.from_iterable(self._between(k, k + 4096) for k in range(0, len(self), 4096))
+    def parts(self):
+        """head, the whole copies of base, the cut last copy, tail: iterables that chain to
+        the sequence, each copy built as it is read, and head and tail in slices of at most
+        _PIECE, so that no part is longer than _PIECE or than base."""
+        base, P = self.base, self.period
+        full, cut = divmod(self._middle, len(base)) if base else (0, 0)
+        copies = map(map, repeat(add), repeat(base, full), map(repeat, range(0, full * P, P)))
+        return chain(_pieces(self.head), copies, (map(add, base[:cut], repeat(full * P)),),
+                     _pieces(self.tail))
+
+    def __iter__(self):
+        return chain.from_iterable(self.parts())
 
     def __getitem__(self, i):
         k = range(len(self))[i]  # an IndexError, or a range for a slice
@@ -170,6 +187,15 @@ class Tiled:
 
     def __repr__(self):
         return repr(list(self))
+
+
+_PIECE = 4096  # the most entries of a head or tail part; the export formats a part whole
+
+
+def _pieces(seq):
+    """seq[0:_PIECE], seq[_PIECE:2 * _PIECE], ...: the slices, built as they are read."""
+    starts = range(0, len(seq), _PIECE)
+    return map(seq.__getitem__, map(slice, starts, map(add, starts, repeat(_PIECE))))
 
 
 def running_density_floor(members, stop: int) -> float:

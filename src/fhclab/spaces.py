@@ -153,13 +153,18 @@ class SparseVector:
     __slots__ = ("entries", "space")
 
     def __init__(self, entries, space: SequenceSpace):
-        clean = {}
-        for k, c in dict(entries).items():
-            if k < 1 or k != int(k):
-                raise ValueError(f"sequence index must be a positive integer, got {k}")
-            if c != 0:
-                clean[int(k)] = c
-        self.entries = clean
+        entries = dict(entries)
+        # every key an int >= 1 and every value nonzero: the loop would copy the dict as it is
+        if not (set(map(type, entries)) <= {int} and min(entries, default=1) >= 1
+                and all(map(operator.ne, entries.values(), repeat(0)))):
+            clean = {}
+            for k, c in entries.items():
+                if k < 1 or k != int(k):
+                    raise ValueError(f"sequence index must be a positive integer, got {k}")
+                if c != 0:
+                    clean[int(k)] = c
+            entries = clean
+        self.entries = entries
         self.space = space
 
     def norm(self) -> float:
@@ -717,7 +722,13 @@ def linear_combine(a, u, b, v):
 
 
 def sparse_sum(terms) -> SparseVector:
-    """sum of c * v over the nonempty list of (c, v) pairs, in one pass over the entries.
+    """sum of c * v over the nonempty list of (c, v) pairs, in one pass over the entries
+    (``_sparse_entries``)."""
+    return SparseVector(*_sparse_entries(terms))
+
+
+def _sparse_entries(terms):
+    """(entries, space) of the sum of c * v over the nonempty list of (c, v) pairs.
 
     Entry for entry and in dict order, this is the pairwise fold it replaced
     (``linear_combine`` for two terms, then 1*acc + 1*v for each later one, as
@@ -743,7 +754,7 @@ def sparse_sum(terms) -> SparseVector:
                 out[k] = s
             elif k in out:
                 del out[k]
-    return SparseVector(out, space)
+    return out, space
 
 
 def poly_sum(terms) -> PolySeries:
@@ -867,8 +878,11 @@ def distance(u, v, dt=0, dlog=0, peaks=None) -> float:
 
     W(dt)u is the shift a piecewise-linear u takes in the translation
     semigroup, dt >= 0.  Two nonzero piecewise-linear functions take
-    ``_plf_distance``, a walk that builds no function; any other pair builds
-    the shift and the difference.  W(0) is the identity: a zero dt and dlog
+    ``_plf_distance``, a walk that builds no function.  Two sequences take
+    the norm of the difference's entries, the dict ``sparse_sum`` forms in
+    the order it forms it, which the constructor would keep as it is: its
+    keys are ints >= 1 and its values nonzero.  Any other pair builds the
+    shift and the difference.  W(0) is the identity: a zero dt and dlog
     become the ints 0, so b - dt keeps a ``Fraction`` breakpoint and
     log_scale + dlog a ``Fraction`` scale.  ``peaks``, if given, must be
     ``suffix_peaks(u)``: a caller measuring one u often builds it once.
@@ -878,6 +892,9 @@ def distance(u, v, dt=0, dlog=0, peaks=None) -> float:
     if type(u) is PiecewiseLinearFn and type(v) is PiecewiseLinearFn and u.breakpoints \
             and v.breakpoints:
         return _plf_distance(u, v, dt, dlog, peaks)
+    if type(u) is SparseVector and type(v) is SparseVector:
+        out, space = _sparse_entries([(1, u), (-1, v)])
+        return lp_norm(out.values(), space.p)
     if type(u) is PiecewiseLinearFn:
         u = plf_shift_left(u, dt, dlog)
     return linear_combine(1, u, -1, v).norm()

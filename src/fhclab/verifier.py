@@ -12,9 +12,10 @@ modulus, yielding inner and outer estimates, in one time-ordered pass over
 the integer checks and the grid cells.
 
 The JSON export keeps the layout of ``json.dump(reports, indent=1)`` byte for
-byte, a ``Tiled`` written as its list, but streams the visit lists through
-the C encoder in slices rather than through the pure-Python encoder that
-``json.dump`` runs; ``tests/data/run_*_report.json`` pin the bytes.
+byte, a ``Tiled`` written as its list, but writes each part of a visit list
+(a period copy of a ``Tiled``) in one ``%d`` format pass rather than through
+the pure-Python encoder that ``json.dump`` runs, one generator step per
+visit; ``tests/data/run_*_report.json`` pin the bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import io
 import json
 import math
 from bisect import bisect_left
-from itertools import takewhile, tee
+from itertools import chain, takewhile, tee
 from typing import NamedTuple
 
 from .constructor import FhcPlacement, orbit_eval, orbit_windows, proximity_bound
@@ -313,7 +314,17 @@ def reports_to_csv_text(reports) -> str:
     return buf.getvalue()
 
 
-_SLICE = 2048  # visit times per C-encoder call
+_SCALARS = (str, int, float, type(None))  # json.dumps writes these as the indented encoder does
+
+
+def _exact_ints(value) -> bool:
+    """Whether value is a visit list, a list or a ``Tiled``, of exact ints only.  A Tiled's
+    copies add int multiples of its period to its base, so its stored parts decide."""
+    if isinstance(value, Tiled):
+        value = chain(value.head, value.base, value.tail)
+    elif not isinstance(value, list):
+        return False
+    return set(map(type, value)) <= {int}
 
 
 def _dump_reports(reports, fh):
@@ -322,24 +333,45 @@ def _dump_reports(reports, fh):
 
     json.dump runs the pure-Python encoder (json.dumps does too once an indent
     is set), one generator step per visit time.  Here the framing of the flat
-    report dicts is written directly, each scalar goes through json.dumps and
-    each list through the C encoder in slices of _SLICE entries, re-indented
-    by replacing ", ".  That split is exact only for lists of numbers, whose
-    JSON never contains ", ": visit_times holds ints in both modes.
+    report dicts is written directly, each scalar goes through json.dumps, and
+    each visit list is written one part of its ``Tiled.parts`` walk at a time
+    (a list read as a Tiled with no base), each part in one ``%`` pass of
+    ",\\n   %d" per entry; no part is longer than a period or a few thousand
+    entries, so the export holds only that much formatted text at once.  The
+    bytes are json.dump's:
+
+    * json writes an exact int as ``int.__repr__``, which is what ``%d`` writes;
+    * at depth 2 with indent=1 json opens a list with "[\\n   ", separates its
+      entries by ",\\n   " and closes it with "\\n  ]": the parts follow one
+      another, and the first part's string loses its leading comma;
+    * an empty list is written as "[]".
+
+    ``%d`` writes True as 1 and truncates 2.5, and json.dumps writes a container
+    on one line, so a report holding a value that is neither a str, int, float
+    or None nor a list or Tiled of exact ints (checked by type, at C speed) is
+    handed whole to json.dump.
     """
+    dicts = [r.to_json_dict() for r in reports]
+    if not all(isinstance(v, _SCALARS) or _exact_ints(v) for d in dicts for v in d.values()):
+        json.dump(dicts, fh, indent=1, default=list)
+        return
     fh.write("[")
-    for i, r in enumerate(reports):
+    for i, d in enumerate(dicts):
         fh.write(",\n {" if i else "\n {")
-        for j, (key, value) in enumerate(r.to_json_dict().items()):
+        for j, (key, value) in enumerate(d.items()):
             fh.write((",\n  " if j else "\n  ") + json.dumps(key) + ": ")
-            if not isinstance(value, (list, Tiled)):
+            if isinstance(value, _SCALARS):
                 fh.write(json.dumps(value))
                 continue
-            fh.write("[")
-            for k in range(0, len(value), _SLICE):
-                fh.write(",\n   " if k else "\n   ")
-                fh.write(json.dumps(value[k:k + _SLICE])[1:-1].replace(", ", ",\n   "))
-            fh.write("\n  ]" if value else "]")
+            parts = (value if isinstance(value, Tiled) else Tiled(value, (), 1, 0)).parts()
+            lines = ((",\n   %d" * len(t)) % t for t in map(tuple, parts) if t)
+            first = next(lines, None)
+            if first is None:
+                fh.write("[]")
+                continue
+            fh.write("[" + first[1:])
+            fh.writelines(lines)
+            fh.write("\n  ]")
         fh.write("\n }")
     fh.write("\n]" if reports else "]")
 

@@ -325,7 +325,7 @@ def test_a_tiled_sequence_reads_as_its_list(t, data):
 
 
 def test_a_long_tiled_sequence_reads_as_its_list():
-    # iteration builds lists of 4096 elements at a time; a slice may span two of them
+    # thousands of copies: iteration walks them one by one, a slice spans many of them
     t = Tiled([1, 2], [5, 6, 9], 7, 30_000, [30_001])
     want = [1, 2, *(n + 7 * k for k in range(4300) for n in (5, 6, 9) if n + 7 * k <= 30_000),
             30_001]

@@ -75,6 +75,25 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             SparseVector({0: 1.0}, L2)
 
+    @pytest.mark.parametrize("key", [0, -1, 2.5])
+    def test_index_that_is_not_a_positive_integer_is_rejected(self, key):
+        with pytest.raises(ValueError, match="sequence index must be a positive integer"):
+            SparseVector({3: 1, key: 1.0}, L2)
+
+    @pytest.mark.parametrize("keys", [[5, 3, 9, 1], [5, 3.0, 9, True]],
+                             ids=["int keys", "a float and a bool key"])
+    def test_keys_become_ints_in_order_and_every_zero_is_dropped(self, keys):
+        zeros = [0, 0.0, -0.0, 0j, Fraction(0)]
+        for zero in zeros:
+            v = SparseVector(dict(zip(keys, [2, zero, -0.5, 1j])), L2)
+            assert list(v.entries.items()) == [(5, 2), (9, -0.5), (1, 1j)]
+            assert all(type(k) is int for k in v.entries)
+        v = SparseVector(dict(zip(keys, [2, Fraction(1, 3), -0.5, 1j])), L2)
+        assert list(v.entries.items()) == [(5, 2), (3, Fraction(1, 3)), (9, -0.5), (1, 1j)]
+        assert all(type(k) is int for k in v.entries)
+        v = SparseVector(dict(zip(keys, zeros[:4])), L2)
+        assert v.entries == {} and v.is_zero()
+
 
 class TestPolySeries:
     def test_hardy_norm_is_l2_of_coefficients(self):
@@ -1052,6 +1071,26 @@ def sparse_pairs(draw):
     return u, v
 
 
+# int, Fraction, float and complex entries with NaN, infinities, signed zeros and subnormals
+SEQ_SPECIALS = [1, -3, 2 ** 70, Fraction(1, 3), Fraction(-7, 2), 0.1, -2.5, -0.0, math.nan,
+                math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e300, 1 + 2j, -1j,
+                complex(math.inf, 1), complex(0, math.nan), 0j]
+
+
+@st.composite
+def special_pairs(draw):
+    """(u, v) in one space over SEQ_SPECIALS, supports overlapping, some shared indices
+    holding equal entries, which cancel to an exact zero unless they are NaN or infinite."""
+    space = draw(st.sampled_from(SEQ_SPACES))
+    scalar = st.sampled_from(SEQ_SPECIALS)
+    keys = st.lists(st.integers(1, 8), max_size=6, unique=True)
+    u = {k: draw(scalar) for k in draw(keys)}
+    v = {k: draw(scalar) for k in draw(keys)}
+    for k in draw(st.lists(st.sampled_from(sorted(u)), unique=True)) if u else []:
+        v[k] = u[k]
+    return SparseVector(u, space), SparseVector(v, space)
+
+
 class TestSparseSum:
     @settings(max_examples=400, deadline=None)
     @given(sparse_lists())
@@ -1083,6 +1122,17 @@ class TestSparseSum:
         assert repr(got) == repr(_pairwise_norm(_pairwise_sparse(1, u, -1, v)))
         if u == v:
             assert repr(got) == "0.0"
+
+    @settings(max_examples=400, deadline=None)
+    @given(special_pairs())
+    def test_distance_builds_no_vector_and_keeps_the_bits(self, pair):
+        u, v = pair  # a huge entry overflows at p = 3 on both sides
+        assert _outcome(distance, u, v) == _outcome(lambda: linear_combine(1, u, -1, v).norm())
+
+    def test_distance_refuses_a_space_mismatch(self):
+        for space in (C0_SEQ, SequenceSpace(3.0)):
+            with pytest.raises(ValueError, match="^sequence space mismatch$"):
+                distance(SparseVector({1: 1}, L2), SparseVector({2: 1}, space))
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_pairs(), st.sampled_from(WEIGHTS), st.sampled_from(WEIGHTS))

@@ -592,17 +592,33 @@ class TestSlidingWindows:
 
 
 @st.composite
+def tiled_visits(draw):
+    """A Tiled of ints up to about +-2^80: head and tail of any length, an empty
+    or a nonempty base, 0, 1, 2 or several whole copies, the last one cut or not."""
+    ints = st.integers(-2 ** 80, 2 ** 80)
+    head = sorted(draw(st.lists(ints, max_size=3)))
+    P = draw(st.sampled_from([1, 2, 7]) | st.integers(1, 2 ** 80))
+    start = (head[-1] if head else 0) + draw(st.integers(1, 5))
+    base = sorted(draw(st.sets(st.integers(start, start + P - 1), max_size=5)))
+    copies = draw(st.sampled_from([0, 1, 2, 9]))  # whole copies, the cut one aside
+    stop = (base[-1] if base else start) + (copies - 1) * P + draw(st.integers(0, P - 1))
+    end = max([*head, *Tiled([], base, P, stop)], default=0)
+    tail = sorted(draw(st.sets(st.integers(end + 1, end + 2 ** 80), max_size=3)))
+    return Tiled(head, base, P, stop, tail)
+
+
+@st.composite
 def orbit_reports(draw):
     """Any OrbitReport: non-finite and signed-zero floats, bools, large ints,
-    visit lists of every length around the export's slice size."""
-    size = verifier._SLICE
-    n = draw(st.sampled_from([0, 1, 2, size - 1, size, size + 1, 2 * size]))
+    visit lists as plain lists of several lengths or as Tiled sequences."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 100, 5000, 9000]))
     ints = st.integers(-2 ** 80, 2 ** 80)
     base = draw(st.lists(ints, min_size=1, max_size=4))
     number = st.one_of(st.floats(), st.sampled_from([-0.0, math.inf, -math.inf]), ints)
+    visits = st.just([base[i % len(base)] + i for i in range(n)]) | tiled_visits()
     return OrbitReport(
         l=draw(ints), epsilon=draw(number), horizon=draw(number),
-        visit_times=[base[i % len(base)] + i for i in range(n)],
+        visit_times=draw(visits),
         density_floor=draw(number), covering_set_check=draw(st.booleans()),
         proof_bound=draw(number), certified_error=draw(number),
         worst_scheduled=draw(number), guarantee_vacuous=draw(st.booleans()),
@@ -658,7 +674,39 @@ class TestReportIO:
     def test_json_bytes_of_a_sweep_longer_than_a_slice(self, tmp_path):
         eps = {1: 1.2 * proximity_bound(1), 2: 1.2 * proximity_bound(2)}
         reports = discrete_report(shift_placement(horizon=2500), eps, 2500)
-        assert len(reports[0].visit_times) > verifier._SLICE
+        v = reports[0].visit_times
+        assert v.base and v._middle >= 3 * len(v.base)  # several period copies
+        expected = json.dumps([r.to_json_dict() for r in reports], indent=1, default=list)
+        assert self._exported(reports, tmp_path / "report.json") == expected
+
+    @pytest.mark.parametrize("visits, want", [
+        (Tiled([], [], 5, 40), []),
+        (Tiled([3], [], 5, 40), [3]),
+        (Tiled([], [], 5, 40, [41, 2 ** 80]), [41, 2 ** 80]),
+        (Tiled([], [5, 7], 10, 4), []),
+        (Tiled([], [5, 7], 10, 5), [5]),
+        (Tiled([], [5, 7], 10, 7), [5, 7]),
+        (Tiled([1], [5, 7], 10, 15), [1, 5, 7, 15]),
+        (Tiled([1], [5, 7], 10, 27, [90]), [1, 5, 7, 15, 17, 25, 27, 90]),
+        (Tiled([-2 ** 80], [5, 7, 14], 10, 10 ** 4, [10 ** 4 + 1]),
+         [-2 ** 80, *(n + 10 * q for q in range(999) for n in (5, 7, 14)), 9995, 9997,
+          10 ** 4 + 1]),
+        (Tiled(list(range(-9000, 0)), [5], 10, 30, list(range(31, 9000))),
+         [*range(-9000, 0), 5, 15, 25, *range(31, 9000)]),
+    ], ids=["empty", "head only", "tail only", "no copy", "a cut copy", "one copy",
+            "a copy and a cut one", "two copies", "many copies", "long head and tail"])
+    def test_json_bytes_of_a_tiled_visit_list(self, tmp_path, visits, want):
+        reports = [OrbitReport(1, 0.5, 40, visits, 0.1, True, 0.2, 0.0)]
+        expected = json.dumps([r.to_json_dict() for r in reports], indent=1, default=list)
+        got = self._exported(reports, tmp_path / "report.json")
+        assert got == expected and json.loads(got)[0]["visit_times"] == want
+
+    @pytest.mark.parametrize("visits", [[True, 2], [2.5, 3], Tiled([True], [5], 10, 30),
+                                        Tiled([], [2.5, 3], 10, 30)],
+                             ids=["bool", "float", "tiled bool", "tiled float"])
+    def test_json_bytes_of_entries_that_are_not_exact_ints(self, tmp_path, visits):
+        # %d writes True as 1 and 2.5 as 2: such a list must reach the JSON encoder
+        reports = [OrbitReport(1, 0.5, 40, visits, 0.1, True, 0.2, 0.0)]
         expected = json.dumps([r.to_json_dict() for r in reports], indent=1, default=list)
         assert self._exported(reports, tmp_path / "report.json") == expected
 
