@@ -13,17 +13,17 @@ dense elements, which is numerically stable because growing weights never
 multiply truncated small entries.
 
 Every term of an orbit point is some A^k y_l (k up to the forward window) or
-B^k y_l (k up to the backward window), so ``assign_placements`` gathers these
-into a table per target and the sweep reads them from that table.  The table
-and every tail, from the threshold search on, are read from the tail
-certificate's store, which builds each G^n y_l once.  A piecewise-linear term
-is folded to log scale 0 once, in the table, for every sum that folds it.
-Only x itself, ``materialize(p)`` with the horizon past the backward window,
-still applies B for the terms beyond it.  Orbit point n reads only the
-placements of its window, so two points with the same window key are one
-point.  ``orbit_windows(p, start, stop)`` slides that window over the placed
-n in one pass and yields each point's key, the window itself: its offsets
-j - n and their targets; ``orbit_window(p, n)`` is its one-point case.
+B^k y_l (k up to the backward window), and the sweep reads each of them, and
+every tail, from the tail certificate's store, which builds each G^n y_l once
+from the threshold search on; the placement keeps no copy.  A
+piecewise-linear sum reads its terms' folds to log scale 0 from the store
+too, so each term is folded once for every sum that folds it.  Only x
+itself, ``materialize(p)`` with the horizon past the backward window, still
+applies B for the terms beyond it, and keeps none of them.  Orbit point n
+reads only the placements of its window, so two points with the same window
+key are one point.  ``orbit_windows(p, start, stop)`` slides that window over
+the placed n in one pass and yields each point's key, the window itself: its
+offsets j - n and their targets; ``orbit_window(p, n)`` is its one-point case.
 
 Everything beyond the evaluation window is closed off with the certified
 inverse-tail bound and reported as an explicit error bar.
@@ -52,7 +52,7 @@ def proximity_bound(l: int) -> float:
 
 
 class FhcPlacement(NamedTuple):
-    """Symbolic description of x up to a horizon, plus certified tails."""
+    """Where the targets go in x up to a horizon; the terms and tails are the store's."""
 
     tail_certificate: TailCertificate
     horizon: int
@@ -61,15 +61,6 @@ class FhcPlacement(NamedTuple):
     period: int  # the schedule's period: n <= horizon - period is placed with l iff n + period is
     forward_window: int  # exact extinction bound for forward terms
     backward_window: int  # inverse terms beyond this are covered by the tail
-    backward_tail: float  # certified bound for everything beyond the window
-    # l -> (A^0 y_l, ..., A^forward_window y_l), each apply_forward(cert, y_l, k)
-    forward_terms: dict
-    # l -> (B^0 y_l, ..., B^backward_window y_l), each apply_inverse(cert, y_l, k)
-    inverse_terms: dict
-    # l -> the forward_terms[l] (inverse_terms[l]) each folded to log scale 0, for the
-    # piecewise-linear sums; None for other vector types, which have no fold
-    forward_folds: dict | None
-    inverse_folds: dict | None
 
     @property
     def cert(self):
@@ -79,9 +70,7 @@ class FhcPlacement(NamedTuple):
 def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
     """Build the schedule over {(l, N_l)} and record z_n up to the horizon.
 
-    The term tables and the backward window's tails are read from the tail
-    certificate's store.  Each piecewise-linear table term is folded here,
-    once, for every sum that folds it.
+    The backward window's tails are read from the tail certificate's store.
     """
     pairs = [PairKey(l, N) for l, N in tc.pairs()]
     max_n = max(p.nu for p in pairs)
@@ -96,45 +85,32 @@ def assign_placements(tc: TailCertificate, horizon: int) -> FhcPlacement:
 
     targets = range(1, tc.cert.target_count + 1)
     fwd_window = max(forward_extinction_index(tc.cert, tc.cert.target(l)) for l in targets)
-    bwd_window, bwd_tail = _backward_window(tc)
-    forward_terms, inverse_terms = (
-        {l: tuple(tc.term(l, k, direction) for k in range(window + 1)) for l in targets}
-        for direction, window in (("forward", fwd_window), ("inverse", bwd_window)))
-    forward_folds = inverse_folds = None
-    if type(tc.cert.target(1)) is PiecewiseLinearFn:
-        forward_folds, inverse_folds = (
-            {l: tuple(t.folded() for t in terms) for l, terms in table.items()}
-            for table in (forward_terms, inverse_terms))
-    return FhcPlacement(tc, horizon, ns, ls, P, fwd_window, bwd_window, bwd_tail,
-                        forward_terms, inverse_terms, forward_folds, inverse_folds)
+    return FhcPlacement(tc, horizon, ns, ls, P, fwd_window, _backward_window(tc))
 
 
-def _inverse_tail(tc: TailCertificate, K: int) -> float:
-    """sum_l tail_norm(y_l, K, "inverse"), summed in target order, from the store."""
-    return sum(tc.tail(l, K, "inverse") for l in range(1, tc.cert.target_count + 1))
-
-
-def _backward_window(tc: TailCertificate):
+def _backward_window(tc: TailCertificate) -> int:
     """Smallest window K with sum_l tail(y_l, K+1) <= _WINDOW_GOAL (or the cap)."""
     K = max(rec.N for rec in tc.records)
     while True:
         K = min(K, _WINDOW_CAP)
-        tail = _inverse_tail(tc, K + 1)
-        if tail <= _WINDOW_GOAL or K == _WINDOW_CAP:
-            return K, tail
+        if _window_error(tc, K) <= _WINDOW_GOAL or K == _WINDOW_CAP:
+            return K
         K *= 2
 
 
-def _window_error(p: FhcPlacement, W: int) -> float:
-    """Certified bound on the inverse terms past a backward window of W, from the store.
+def _window_error(tc: TailCertificate, W: int) -> float:
+    """Certified bound on the inverse terms past a backward window of W, from the store:
+    sum_l tail_norm(y_l, W + 1, "inverse"), summed in target order.
 
-    A window W < backward_window builds no term.  The window search's walk
-    from backward_window + 1 stopped at some n* with ratio bound q < 1 and
-    either _MAX_TERMS terms or t_(n*) <= _NEGLIGIBLE * max(peak, 1); the walk
-    from W + 1 meets the same q and t at n*, with more terms and a peak at
-    least as large, so it stops by n*, or at its own term cap first.
+    A window W < backward_window reads no term past those the window search
+    read.  The window search's walk from backward_window + 1 stopped at some
+    n* with ratio bound q < 1 and either _MAX_TERMS terms or
+    t_(n*) <= _NEGLIGIBLE * max(peak, 1); the walk from W + 1 meets the same
+    q and t at n*, with more terms and a peak at least as large, so it stops
+    by n*, or at its own term cap first.  Its terms up to backward_window are
+    built on their first read, as the sweep's are.
     """
-    return _inverse_tail(p.tail_certificate, W + 1)
+    return sum(tc.tail(l, W + 1, "inverse") for l in range(1, tc.cert.target_count + 1))
 
 
 def _summed(terms, folds, zero):
@@ -147,15 +123,23 @@ def _summed(terms, folds, zero):
     return plf_sum([(1, t) for t in terms], folds)
 
 
+def _folds(tc: TailCertificate, zero, direction: str, picks):
+    """The store's folds of the terms (l, k) in picks, None past the backward window
+    (a pick of None), or None for a vector type with no fold."""
+    if type(zero) is not PiecewiseLinearFn:
+        return None
+    return [pick and tc.fold(*pick, direction) for pick in picks]
+
+
 def materialize(p: FhcPlacement):
     """(x = sum_{n <= horizon} B^n z_n, certified bound on the omitted tail)."""
-    bwd = p.backward_window  # the table ends here
+    tc, bwd = p.tail_certificate, p.backward_window  # the store's terms are read to here
     placed = list(zip(p.placed_ns, p.placed_ls))
-    terms = [p.inverse_terms[l][j] if j <= bwd else apply_inverse(p.cert, p.cert.target(l), j)
+    terms = [tc.term(l, j, "inverse") if j <= bwd else apply_inverse(p.cert, p.cert.target(l), j)
              for j, l in placed]
-    folds = p.inverse_folds and [p.inverse_folds[l][j] if j <= bwd else None for j, l in placed]
-    vec = _summed(terms, folds, p.cert.target(1).scaled(0))  # the space's zero
-    return vec, _window_error(p, p.horizon)
+    zero = p.cert.target(1).scaled(0)  # the space's zero
+    folds = _folds(tc, zero, "inverse", [(l, j) if j <= bwd else None for j, l in placed])
+    return _summed(terms, folds, zero), _window_error(tc, p.horizon)
 
 
 def orbit_windows(p: FhcPlacement, start: int, stop: int):
@@ -203,21 +187,23 @@ def orbit_parts(p: FhcPlacement, n: int):
     forward = sum_{j<n} A^(n-j) z_j  (exact: terms past the extinction
     window vanish identically), middle = z_n, backward covers placed
     j in (n, n + W] with the certified tail bound for the rest; every part
-    is read from the window key ``orbit_window(p, n)`` and the term table.
+    is read from the window key ``orbit_window(p, n)`` and the tail
+    certificate's store.
     """
     W, offsets, ls = orbit_window(p, n)
     placed = list(zip(offsets, ls))
+    tc = p.tail_certificate
     zero = p.cert.target(1).scaled(0)
 
-    def side(terms, folds, picks):  # the sum of the table's terms[l][k], (l, k) in picks
-        return _summed([terms[l][k] for l, k in picks],
-                       folds and [folds[l][k] for l, k in picks], zero)
+    def side(direction, picks):  # the sum of the store's terms G^k y_l, (l, k) in picks
+        return _summed([tc.term(l, k, direction) for l, k in picks],
+                       _folds(tc, zero, direction, picks), zero)
 
     middle = next((p.cert.target(l) for d, l in placed if d == 0), None)
-    return (side(p.forward_terms, p.forward_folds, [(l, -d) for d, l in placed if d < 0]),
+    return (side("forward", [(l, -d) for d, l in placed if d < 0]),
             middle,
-            side(p.inverse_terms, p.inverse_folds, [(l, d) for d, l in placed if d > 0]),
-            _window_error(p, W))
+            side("inverse", [(l, d) for d, l in placed if d > 0]),
+            _window_error(tc, W))
 
 
 def orbit_eval(p: FhcPlacement, n: int):

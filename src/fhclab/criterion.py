@@ -17,7 +17,8 @@ inequalities hold with constants 1/(l*2^l) and 1/2^l.  With T_n = A^n and
 S_k = B^k the criterion's doubly indexed sums collapse (A^(k+n) B^k = A^n,
 A^k B^(k+n) = B^n on the dense class), so one N per l certifies uniformly
 in k.  The ``TailCertificate`` it returns keeps the terms G^n y_l and the
-tails it read, for the placement and the orbit sweep to read again.
+tails it read, for the placement and the orbit sweep to read again, and
+keeps each term's fold on its first read.
 """
 
 from __future__ import annotations
@@ -58,19 +59,21 @@ class ThresholdRecord(NamedTuple):
 class TailCertificate:
     """The thresholds N_l of a certificate, with one store of its terms and tails.
 
-    ``term(l, n, direction)`` is apply_forward or apply_inverse(cert, y_l, n)
-    and ``tail(l, N, direction)`` is tail_norm(cert, y_l, N, direction), which
-    reads the terms' norms from the store.  Each term, norm and tail is
-    computed on its first read and kept, keyed by n, so the threshold search,
-    the placement and the orbit sweep together build each G^n y_l once.
+    ``term(l, n, direction)`` is apply_forward or apply_inverse(cert, y_l, n),
+    ``fold(l, n, direction)`` is that term folded to log scale 0 (for the
+    piecewise-linear sums) and ``tail(l, N, direction)`` is
+    tail_norm(cert, y_l, N, direction), which reads the terms' norms from the
+    store.  Each term, fold, norm and tail is computed on its first read and
+    kept, keyed by n, so the threshold search, the placement and the orbit
+    sweep together build each G^n y_l once and fold it at most once.
     """
 
-    __slots__ = ("cert", "records", "term", "tail")
+    __slots__ = ("cert", "records", "term", "fold", "tail")
 
     def __init__(self, cert: OperatorCertificate, records: tuple, store):
         self.cert = cert
         self.records = records  # ThresholdRecord per l = 1..L
-        self.term, self.tail = store  # _term_store(cert)
+        self.term, self.fold, self.tail = store  # _term_store(cert)
 
     def threshold(self, l: int) -> int:
         return self.records[l - 1].N
@@ -153,18 +156,24 @@ def _tail(cert: OperatorCertificate, y, N: int, direction: str, read_norm) -> fl
 
 
 def _term_store(cert: OperatorCertificate):
-    """(term, tail) of ``TailCertificate``, over one memo each of terms, norms and tails.
+    """(term, fold, tail) of ``TailCertificate``, over one memo each of terms, folds,
+    norms and tails.
 
     The memos are keyed by n, not kept as lists from n = 1, so a tail read
     past the horizon builds no term below its N.
     """
-    terms, norms, tails = {}, {}, {}
+    terms, folds, norms, tails = {}, {}, {}, {}
 
     def term(l: int, n: int, direction: str):
-        if (l, n, direction) not in terms:
+        if (t := terms.get((l, n, direction))) is None:
             apply_n = apply_inverse if direction == "inverse" else apply_forward
-            terms[l, n, direction] = apply_n(cert, cert.target(l), n)
-        return terms[l, n, direction]
+            t = terms[l, n, direction] = apply_n(cert, cert.target(l), n)
+        return t
+
+    def fold(l: int, n: int, direction: str):
+        if (f := folds.get((l, n, direction))) is None:
+            f = folds[l, n, direction] = term(l, n, direction).folded()
+        return f
 
     def tail(l: int, N: int, direction: str) -> float:
         if (l, N, direction) not in tails:
@@ -178,7 +187,7 @@ def _term_store(cert: OperatorCertificate):
             tails[l, N, direction] = tail_norm(cert, cert.target(l), N, direction, read_norm)
         return tails[l, N, direction]
 
-    return term, tail
+    return term, fold, tail
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +217,7 @@ def compute_thresholds(cert: OperatorCertificate) -> TailCertificate:
     NaN or an overflowing term norm) ended the search from N = 1 there, and
     is not met here.
     """
-    term, tail = store = _term_store(cert)
+    term, _, tail = store = _term_store(cert)
     records = []
     start = 1
     for l in range(1, cert.target_count + 1):

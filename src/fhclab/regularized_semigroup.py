@@ -19,7 +19,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 
-from .constructor import FhcPlacement, orbit_eval, orbit_window
+from .constructor import FhcPlacement, _window_error, orbit_eval, orbit_window
 from .operators import TranslationGenerator
 from .spaces import PiecewiseLinearFn, PolySeries, _horner, distance, suffix_peaks
 
@@ -84,20 +84,24 @@ class SolutionOrbit:
     discrete-to-continuous bridge.
     """
 
-    __slots__ = ("placement", "_widths", "_rates", "_reach", "_peak")
+    __slots__ = ("placement", "_lam", "_widths", "_rates", "_reach", "_peak", "_tail_rate")
 
     def __init__(self, placement: FhcPlacement):
         self.placement = placement
         cert = placement.cert
         if not isinstance(cert.op, TranslationGenerator):
             raise TypeError("solution orbits require a translation certificate")
-        lam = float(cert.op.lam)
+        lam = self._lam = float(cert.op.lam)
         ys = [cert.target(l) for l in range(1, cert.target_count + 1)]
         # per target (index l - 1): support width and time-derivative rate of y_l
         self._widths = [float(y.breakpoints[-1]) if not y.is_zero() else 0.0 for y in ys]
         self._rates = [lam * y.norm() + y.max_slope() for y in ys]
         self._reach = max(self._widths)
         self._peak = max(self._rates)
+        # the tail terms' rate: slope/norm ratio of any enumerated tent is <= 16 by the
+        # dyadic breakpoint grid, so this bounds the terms past the backward window
+        tail = _window_error(placement.tail_certificate, placement.backward_window)
+        self._tail_rate = (lam + 16.0) * tail * math.exp(lam)
 
     def evaluate(self, times):
         """Yield (point, s, err, peaks) per t: e^(tA) x is W(s) point, within err.
@@ -112,8 +116,7 @@ class SolutionOrbit:
         unit whose key was seen in this call reuses that point and its peaks;
         n = 0 is ``materialize``.  Any order gives what one-element calls give.
         """
-        p = self.placement
-        lam = float(p.cert.op.lam)
+        p, lam = self.placement, self._lam
         points = {}  # window key -> (A^n x, error, peaks) for the n >= 1 seen so far
 
         def point_at(n):
@@ -166,8 +169,7 @@ class SolutionOrbit:
         total = 0.0, or any total with ulp(total) < 2^-1072, U rounds to 0.0,
         the test fails and the walk goes on.
         """
-        p = self.placement
-        lam = float(p.cert.op.lam)
+        p, lam = self.placement, self._lam
         ns = p.placed_ns
         lo = bisect_left(ns, t0 - self._reach - 1)
         hi = bisect_right(ns, t1 + p.backward_window) + 1
@@ -180,7 +182,4 @@ class SolutionOrbit:
                 if j > t1 and self._peak * e < math.ulp(total) / 4 and e >= _NORMAL:
                     break
                 total += e * self._rates[l - 1]
-        # tail terms: slope/norm ratio of any enumerated tent is <= 16 by the
-        # dyadic breakpoint grid, so this stays an upper bound
-        total += (lam + 16.0) * p.backward_tail * math.exp(lam)
-        return total
+        return total + self._tail_rate

@@ -118,9 +118,12 @@ def lp_norm(values, p) -> float:
     the scalars' own type (exact for Fractions) and the root is math.sqrt, as
     ``x ** 2`` and ``s ** 0.5`` (libm pow) are not correctly rounded; other p
     sum float(|c|) ** p and take ``** (1/p)``.  A sum below the smallest
-    normal float has lost bits to underflow, so it is summed again from the
-    entries scaled by the power of two that brings the largest into [0.5, 1);
-    the root is scaled back by that power.  A complex NaN reads nan (``_abs``).
+    normal float has lost bits to underflow, and one that overflows (raising
+    OverflowError or reading inf) while every |c| is finite has lost them all,
+    so it is summed again from the entries scaled by the power of two that
+    brings the largest into [0.5, 1); the root is scaled back by that power,
+    and raises OverflowError past the float range.  An infinite |c| reads inf,
+    or raises where the sum did.  A complex NaN reads nan (``_abs``).
     """
     try:
         mags = list(map(abs, values))
@@ -128,13 +131,19 @@ def lp_norm(values, p) -> float:
         mags = list(map(_abs, values))
     if p == math.inf:
         return float(max(mags, default=0))
-    if p == 2:
-        total, root = float(sum(map(operator.mul, mags, mags))), math.sqrt
-    else:
-        total, root = float(sum(float(a) ** p for a in mags)), lambda s: s ** (1.0 / p)
-    if total >= sys.float_info.min:
+    root = math.sqrt if p == 2 else lambda s: s ** (1.0 / p)
+    try:
+        total = float(sum(map(operator.mul, mags, mags)) if p == 2
+                      else sum(float(a) ** p for a in mags))
+    except OverflowError:
+        if not all(map(math.isfinite, map(float, mags))):
+            raise
+        total = math.inf
+    if sys.float_info.min <= total < math.inf:
         return root(total)
     mags = list(map(float, mags))
+    if total == math.inf and not all(map(math.isfinite, mags)):
+        return root(total)
     e = -math.frexp(max(mags, default=0.0))[1]
     scaled = [math.ldexp(m, e) for m in mags]
     return math.ldexp(root(sum(s * s if p == 2 else s ** p for s in scaled)), -e)

@@ -84,16 +84,16 @@ def discrete_report(p: FhcPlacement, epsilons: dict, N: int):
     once: for n >= 1, ``orbit_eval(p, n)`` is a pure function of the window
     key.  It reads the forward term A^(-d) y_l for each placed offset d < 0,
     the target y_l for d = 0 and the backward term B^d y_l for d > 0, all
-    from the term table, sums them in the window's order, starting from a
-    zero vector that does not depend on n, and reports the error bar of the
-    window W, ``_inverse_tail(tc, W + 1)``, read from the tail certificate's
-    store; the sweep builds no term.  So points with equal keys have equal
-    vectors and errors.  Each key keeps its distances (error included; the point's
-    suffix peaks are built once for all of them), the targets its point
-    visits and the target at offset 0, the one scheduled at n if any, so
-    every n only joins the visit lists of its key's targets and updates its
-    scheduled target's worst distance, in ascending n.  The largest error is
-    taken over the keys.
+    from the tail certificate's store, sums them in the window's order,
+    starting from a zero vector that does not depend on n, and reports the
+    error bar of the window W, ``_window_error(tc, W)``, read from the same
+    store; a term is built on its first read only, so a second sweep builds
+    none.  So points with equal keys have equal vectors and errors.  Each key
+    keeps its distances (error included; the point's suffix peaks are built
+    once for all of them), the targets its point visits and the target at
+    offset 0, the one scheduled at n if any, so every n only joins the visit
+    lists of its key's targets and updates its scheduled target's worst
+    distance, in ascending n.  The largest error is taken over the keys.
 
     Most n are not swept at all.  The placements repeat with the schedule's
     period P: j >= 1 is placed with target l exactly when j + P is, as long

@@ -164,7 +164,7 @@ class TestSubcommands:
         err = re.search(r"certified error (\S+)", capsys.readouterr().out).group(1)
         assert float(tail) > 0 and float(err) > 0
         p = build_placements(load_config(REPO_CONFIG))
-        assert _window_error(p, p.horizon) > 0
+        assert _window_error(p.tail_certificate, p.horizon) > 0
 
 
 BENCH_REFERENCE = os.path.join(os.path.dirname(__file__), "..", "bench", "reference")
@@ -250,8 +250,11 @@ class TestRun:
                           run["horizon"], run["grid_step"])
         assert len(built) > p.backward_window and len(set(built)) == len(built)
         # a term at scale 0, such as y_l = A^0 y_l = B^0 y_l, is its own fold
-        scaled = {id(t) for terms in [*p.forward_terms.values(), *p.inverse_terms.values()]
-                  for t in terms if t.log_scale != 0}
+        terms = [tc.term(l, k, direction) for l in range(1, tc.cert.target_count + 1)
+                 for direction, window in [("forward", p.forward_window),
+                                           ("inverse", p.backward_window)]
+                 for k in range(window + 1)]
+        scaled = {id(t) for t in terms if t.log_scale != 0}
         times = Counter(id(f) for f in folded if id(f) in scaled)
         assert len(scaled) > p.backward_window and times == Counter(scaled)
 

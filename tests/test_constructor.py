@@ -27,7 +27,17 @@ from fhclab.operators import (
     transform_power,
     transform_rotation,
 )
-from fhclab.spaces import HARDY, L2, CkModel, accumulate, distance, linear_combine
+from fhclab.spaces import (
+    HARDY,
+    L2,
+    CkModel,
+    PiecewiseLinearFn,
+    PolySeries,
+    SparseVector,
+    accumulate,
+    distance,
+    linear_combine,
+)
 from fhclab.verifier import discrete_report
 
 
@@ -213,32 +223,54 @@ class TestTermTable:
     ], ids=["shift-L2", "rotated", "powered", "translation"])
     def test_entries_are_the_certificate_actions(self, cert):
         p = assign_placements(compute_thresholds(cert), 400)
+        tc = p.tail_certificate
         for l in range(1, cert.target_count + 1):
             y = cert.target(l)
-            assert len(p.forward_terms[l]) == p.forward_window + 1
-            assert len(p.inverse_terms[l]) == p.backward_window + 1
-            for k, term in enumerate(p.forward_terms[l]):
-                assert repr(term) == repr(apply_forward(cert, y, k))
-            for k, term in enumerate(p.inverse_terms[l]):
-                assert repr(term) == repr(apply_inverse(cert, y, k))
+            for k in range(p.forward_window + 1):
+                assert repr(tc.term(l, k, "forward")) == repr(apply_forward(cert, y, k))
+            for k in range(p.backward_window + 1):
+                assert repr(tc.term(l, k, "inverse")) == repr(apply_inverse(cert, y, k))
 
     def test_sweep_applies_no_inverse(self, monkeypatch):
+        # the first sweep builds each term on its first read; a second one builds none
         p = shift_placement(L=3, horizon=8000)
-        calls = count_inverse_calls(monkeypatch)
         eps = {l: 1.2 * proximity_bound(l) for l in (1, 2, 3)}
+        for N in (1000, 4000):
+            discrete_report(p, eps, N)
+        calls = count_inverse_calls(monkeypatch)
         for N in (1000, 4000):
             discrete_report(p, eps, N)
             assert calls == [], N
 
     def test_orbit_at_zero_applies_b_past_the_table(self, monkeypatch):
+        # the (l, n) of every B^n y_l applied, from the threshold search on
+        built = []
+        real = constructor.apply_inverse
+
+        def counted(cert, v, n):
+            built.append((next(l for l, y in enumerate(cert.targets, 1) if y is v), n))
+            return real(cert, v, n)
+
+        for module in (constructor, criterion):
+            monkeypatch.setattr(module, "apply_inverse", counted)
         p = shift_placement(L=2)
         past = [j for j in p.placed_ns if j > p.backward_window]
         assert p.horizon > p.backward_window and past
-        calls = count_inverse_calls(monkeypatch)
+        stored = set(built)
+        built.clear()
         vec, err = orbit_eval(p, 0)
+        # the store builds a term within the window on its first read only; past the
+        # window B is applied every time, and kept nowhere
+        want = []
+        for j, l in zip(p.placed_ns, p.placed_ls):
+            if j > p.backward_window or (l, j) not in stored:
+                stored.add((l, j))
+                want.append((l, j))
+        assert [j for l, j in want if j > p.backward_window] == past
         # then the store builds the horizon tail's own terms: B^(horizon+1) y_l
         # underflows to 0, so each target's walk from horizon + 1 stops there
-        assert calls == past + [p.horizon + 1] * p.cert.target_count
+        targets = range(1, p.cert.target_count + 1)
+        assert built == want + [(l, p.horizon + 1) for l in targets]
         x, tail = materialize(p)
         direct = accumulate([apply_inverse(p.cert, p.cert.target(l), j)
                              for j, l in zip(p.placed_ns, p.placed_ls)])
@@ -248,13 +280,15 @@ class TestTermTable:
 
 
 # --------------------------------------------------------------------------
-# the orbit point as it was evaluated before the table held folds and norms
+# the orbit point as it was evaluated before the store held folds and norms
 
 
 def _former_window_error(p, W):
-    """The former ``_window_error``: every shorter window's tail built its own terms."""
+    """The former ``_window_error``: every shorter window's tail built its own terms;
+    the backward window's was the window search's, read from the store."""
+    tc = p.tail_certificate
     if W == p.backward_window:
-        return p.backward_tail
+        return sum(tc.tail(l, W + 1, "inverse") for l in range(1, p.cert.target_count + 1))
     return sum(tail_norm(p.cert, p.cert.target(l), W + 1, "inverse")
                for l in range(1, p.cert.target_count + 1))
 
@@ -263,16 +297,17 @@ def _former_orbit_eval(p, n):
     """The former ``orbit_eval``: sums through ``accumulate`` and ``linear_combine``,
     so every sum folds its own terms."""
     zero = p.cert.target(1).scaled(0)
+    tc = p.tail_certificate
     if n == 0:
-        terms = [p.inverse_terms[l][j] if j <= p.backward_window
+        terms = [tc.term(l, j, "inverse") if j <= p.backward_window
                  else apply_inverse(p.cert, p.cert.target(l), j)
                  for j, l in zip(p.placed_ns, p.placed_ls)]
         return (accumulate(terms) if terms else zero), _former_window_error(p, p.horizon)
     W, offsets, ls = constructor.orbit_window(p, n)
     placed = list(zip(offsets, ls))
-    fwd = [p.forward_terms[l][-d] for d, l in placed if d < 0]
+    fwd = [tc.term(l, -d, "forward") for d, l in placed if d < 0]
     middle = next((p.cert.target(l) for d, l in placed if d == 0), None)
-    bwd = [p.inverse_terms[l][d] for d, l in placed if d > 0]
+    bwd = [tc.term(l, d, "inverse") for d, l in placed if d > 0]
     vec = linear_combine(1, accumulate(fwd) if fwd else zero, 1, accumulate(bwd) if bwd else zero)
     if middle is not None:
         vec = linear_combine(1, vec, 1, middle)
@@ -305,15 +340,19 @@ class TestFoldedTable:
     def test_the_folds_are_the_table_terms_folded(self):
         cert = make_certificate(TranslationGenerator(Fraction(3, 2)), 2)
         p = assign_placements(compute_thresholds(cert), 80)
-        for terms, folds in [(p.forward_terms, p.forward_folds),
-                             (p.inverse_terms, p.inverse_folds)]:
-            assert folds.keys() == terms.keys()
-            for l in terms:
-                assert [repr(t.folded()) for t in terms[l]] == list(map(repr, folds[l]))
+        tc = p.tail_certificate
+        for direction, window in [("forward", p.forward_window),
+                                  ("inverse", p.backward_window)]:
+            for l in (1, 2):
+                assert [repr(tc.term(l, k, direction).folded()) for k in range(window + 1)] \
+                    == [repr(tc.fold(l, k, direction)) for k in range(window + 1)]
 
-    def test_other_vector_types_have_no_folds(self):
+    def test_other_vector_types_have_no_folds(self, monkeypatch):
+        # x and every orbit point of a sequence placement sum without reading a fold
         p = shift_placement(L=2)
-        assert p.forward_folds is None and p.inverse_folds is None
+        monkeypatch.setattr(p.tail_certificate, "fold", None)
+        for n in range(p.horizon + 1):
+            orbit_eval(p, n)
 
     @pytest.mark.parametrize("cert", [
         make_certificate(WeightedBackwardShift(2, L2), 3),
@@ -321,16 +360,18 @@ class TestFoldedTable:
         make_certificate(TranslationGenerator(1), 2),
     ], ids=["shift", "shift-exact", "translation"])
     def test_short_windows_read_the_kept_norms(self, cert, monkeypatch):
-        # the store kept every norm a shorter window's tail reads, and those tails
-        # have the bits of tails that build their own terms; no term is built again
+        # once the window's terms are read, as the sweep reads them, the store has
+        # every term a shorter window's tail reads, and those tails have the bits of
+        # tails that build their own terms; no term is built again
         p = assign_placements(compute_thresholds(cert), 300)
         tc = p.tail_certificate
-        for l, terms in p.inverse_terms.items():
-            assert all(tc.term(l, k, "inverse") is t for k, t in enumerate(terms))
+        for l in range(1, cert.target_count + 1):
+            for k in range(p.backward_window + 1):
+                tc.term(l, k, "inverse")
         want = [repr(_former_window_error(p, W)) for W in range(p.backward_window)]
         calls = count_inverse_calls(monkeypatch)
         monkeypatch.setattr(criterion, "apply_inverse", None)
-        assert [repr(constructor._window_error(p, W)) for W in range(p.backward_window)] == want
+        assert [repr(constructor._window_error(tc, W)) for W in range(p.backward_window)] == want
         assert calls == []
 
 
@@ -340,6 +381,22 @@ STORE_FAMILIES = {
     "ck": lambda exact: Differentiation(CkModel(2, 0.0, 1.0)),
     "translation": lambda exact: TranslationGenerator(1),
 }
+
+
+VECTOR_TYPES = (SparseVector, PolySeries, PiecewiseLinearFn)
+
+
+@pytest.mark.parametrize("family", sorted(STORE_FAMILIES))
+def test_the_placement_keeps_no_vector(family):
+    # the terms and their folds are the store's: a placement says only where they go
+    cert = make_certificate(STORE_FAMILIES[family](False), 2)
+    tc = compute_thresholds(cert)
+    p = assign_placements(tc, 2 * max(N for _, N in tc.pairs()))
+    assert len(p) == 7
+    for name, value in p._asdict().items():
+        items = [*value.values()] if isinstance(value, dict) else [value]
+        items += [x for v in items if isinstance(v, (tuple, list)) for x in v]
+        assert not [x for x in items if isinstance(x, VECTOR_TYPES)], name
 
 
 @settings(max_examples=30, deadline=None)
@@ -369,5 +426,5 @@ def test_the_store_keeps_the_bits_of_stand_alone_tails(family, L, power, rotate,
                 want = tail_norm(cert, cert.target(l), N, direction)
                 assert repr(tc.tail(l, N, direction)) == repr(want), (l, N, direction)
     if not swap:
-        assert [repr(constructor._window_error(p, W)) for W in range(p.horizon + 1)] \
+        assert [repr(constructor._window_error(tc, W)) for W in range(p.horizon + 1)] \
             == [repr(_former_window_error(p, W)) for W in range(p.horizon + 1)]

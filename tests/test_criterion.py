@@ -93,6 +93,16 @@ class TestShiftTails:
         assert apply_inverse(self.cert, y, 600).entries == {}
         assert tail_norm(self.cert, y, 2001, "inverse") == criterion._TINY_FLOOR
 
+    def test_the_geometric_remainder_covers_the_terms_past_the_cap(self):
+        # with w near 1 the walk from 1 stops at its term cap, far above _NEGLIGIBLE, and
+        # two entries make the combine the triangle one: only the remainder t q / (1 - q)
+        # covers the terms past the cap, so the bound must exceed a longer partial sum
+        cert = make_certificate(WeightedBackwardShift(1.0001, L2), 1)
+        y = SparseVector({1: 1.0, 2: 1.0}, L2)
+        assert cert.op.combine_mode(y) is None and criterion._MAX_TERMS < 4000
+        partial = math.fsum(apply_inverse(cert, y, n).norm() for n in range(1, 4001))
+        assert tail_norm(cert, y, 1, "inverse") >= partial * (1 - 1e-12)
+
 
 class TestThresholds:
     def test_shift_w2_first_threshold(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fhclab import regularized_semigroup
 from fhclab.cli import main
-from fhclab.constructor import assign_placements, orbit_eval, orbit_window
+from fhclab.constructor import _window_error, assign_placements, orbit_eval, orbit_window
 from fhclab.criterion import compute_thresholds
 from fhclab.operators import TranslationGenerator, apply_forward, make_certificate
 from fhclab.regularized_semigroup import (
@@ -161,7 +161,8 @@ def full_scan_lipschitz(orbit, t0, t1):
         total += math.exp(lam * min(gap, widths[l])) * rates[l]
         if j > t1 + p.backward_window:
             break
-    total += (lam + 16.0) * p.backward_tail * math.exp(lam)
+    tail = _window_error(p.tail_certificate, p.backward_window)
+    total += (lam + 16.0) * tail * math.exp(lam)
     return total
 
 

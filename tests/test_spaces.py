@@ -1393,6 +1393,35 @@ def _outcome(norm, *args):
         return type(exc).__name__
 
 
+def _rescaled_norm(values, p):
+    """max|a| (sum (|a|/max)^p)^(1/p), the l^p norm written out without overflow,
+    or None when some |a| is infinite or past the float range."""
+    try:
+        mags = [float(abs(a)) for a in values]
+    except OverflowError:
+        return None
+    if not all(map(math.isfinite, mags)):
+        return None
+    top = max(mags)
+    return top * math.fsum((m / top) ** p for m in mags) ** (1 / p)
+
+
+def assert_former_outcome(got, former, values, p):
+    """``got`` is the former outcome, except where the former power sum overflowed
+    (raised or read inf) on finite entries: there it is within a relative 1e-12 of
+    ``_rescaled_norm``, or an OverflowError at the edge of the float range or past it."""
+    overflowed = former in ("OverflowError", "inf") and p not in (None, math.inf)
+    ref = _rescaled_norm(values, p) if overflowed else None
+    edge = sys.float_info.max * (1 - 1e-12)
+    if ref is None:
+        assert got == former
+    elif got == "OverflowError":
+        assert ref >= edge, (ref, former)
+    else:
+        assert math.isfinite(float(got)), got
+        assert math.isclose(float(got), ref, rel_tol=1e-12) or min(ref, float(got)) >= edge
+
+
 ANY_FLOAT = st.floats(allow_nan=False, allow_subnormal=True)
 NORM_SCALARS = st.one_of(
     st.lists(ANY_FLOAT, max_size=6),
@@ -1408,23 +1437,51 @@ class TestLpNorm:
     @given(st.sampled_from([SequenceSpace(1.0), SequenceSpace(1.5), L2,
                             SequenceSpace(3.0), C0_SEQ]), NORM_SCALARS)
     def test_sequence_norms_keep_their_bits(self, space, values):
-        want = _outcome(_former_sparse_norm, values, space)
-        assert _outcome(spaces.lp_norm, values, space.p) == want
+        assert_former_outcome(_outcome(spaces.lp_norm, values, space.p),
+                              _outcome(_former_sparse_norm, values, space), values, space.p)
         v = SparseVector(dict(enumerate(values, 1)), space)
-        assert _outcome(v.norm) == _outcome(_former_sparse_norm, v.entries.values(), space)
+        assert_former_outcome(_outcome(v.norm),
+                              _outcome(_former_sparse_norm, v.entries.values(), space),
+                              v.entries.values(), space.p)
 
     @settings(max_examples=300, deadline=None)
     @given(NORM_SCALARS)
     def test_hardy_norm_keeps_its_bits(self, coeffs):
-        assert _outcome(PolySeries(coeffs, HARDY).norm) == _outcome(_former_l2_norm, coeffs)
+        assert_former_outcome(_outcome(PolySeries(coeffs, HARDY).norm),
+                              _outcome(_former_l2_norm, coeffs), coeffs, 2)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([None, 1.0, 1.5, 3.0, math.inf]),
            st.lists(st.floats(0, allow_infinity=False, allow_subnormal=True), min_size=1,
                     max_size=6))
     def test_combined_keeps_its_bits_away_from_p_two(self, p, term_norms):
-        assert (_outcome(criterion._combined, term_norms, p)
-                == _outcome(_former_combined, term_norms, p))
+        assert_former_outcome(_outcome(criterion._combined, term_norms, p),
+                              _outcome(_former_combined, term_norms, p), term_norms, p)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_a_finite_entry_whose_power_overflows_keeps_its_norm(self, p):
+        # 1e300 ** p is past the float range: the sum is taken again from scaled entries
+        space = SequenceSpace(p)
+        v, u = SparseVector({1: 1e300}, space), SparseVector({2: 1e300}, space)
+        assert v.norm() == pytest.approx(1e300, rel=1e-15)
+        assert distance(v, u) == pytest.approx(2 ** (1 / p) * 1e300, rel=1e-12)
+        assert distance(v, v.scaled(-1)) == pytest.approx(2e300, rel=1e-12)
+
+    def test_squares_that_overflow_keep_the_norm_exactly(self):
+        assert SparseVector({1: 1e300}, L2).norm() == 1e300
+        assert SparseVector({3: -1e300}, L2).norm() == 1e300
+        assert PolySeries([0, 1e300], HARDY).norm() == 1e300
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_a_norm_past_the_float_range_raises(self, p):
+        v = SparseVector({1: 1.5e308, 2: 1.5e308}, SequenceSpace(p))
+        with pytest.raises(OverflowError):
+            v.norm()
+
+    def test_an_infinite_entry_keeps_its_outcome(self):
+        assert spaces.lp_norm([math.inf, 1.0], 2) == spaces.lp_norm([math.inf], 3.0) == math.inf
+        with pytest.raises(OverflowError):
+            spaces.lp_norm([math.inf, 1e300], 3.0)
 
     def test_c0_is_the_max_norm(self):
         assert SparseVector({1: -3, 4: Fraction(7, 2)}, C0_SEQ).norm() == 3.5
